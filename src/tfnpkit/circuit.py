@@ -399,6 +399,14 @@ def successor_table(c: Circuit) -> list[str]:
 # Lines are independent; '#' starts a comment; gate ids must be defined
 # before they are referenced.
 
+#: Largest input or output count a netlist header may declare.  Desk-scale
+#: work stays well below it: exhaustive scans stop at 16 inputs, and the
+#: widest reduction target (sink-of-DAG to iteration at n = m = 12) reads 24.
+MAX_NETLIST_WIDTH = 64
+
+#: Missing output indices named in the error message before it summarises.
+_MISSING_SHOWN = 8
+
 _HEADER_RE = re.compile(r"^circuit\s+(\S+)\s+inputs=(\d+)\s+outputs=(\d+)$")
 _GATE_RE = re.compile(r"^g(\d+)\s*=\s*([A-Z]+)\s*(.*)$")
 _OUTPUT_RE = re.compile(r"^output\s+(\d+)\s*=\s*g(\d+)$")
@@ -439,6 +447,10 @@ def parse_netlist(text: str, first_line: int = 1) -> Circuit:
     if not match:
         raise NetlistError(f"bad circuit header: {header!r}", lineno)
     name, n, m = match.group(1), int(match.group(2)), int(match.group(3))
+    if n > MAX_NETLIST_WIDTH or m > MAX_NETLIST_WIDTH:
+        raise NetlistError(
+            f"declared width inputs={n} outputs={m} exceeds the limit of {MAX_NETLIST_WIDTH}", lineno
+        )
 
     declared: dict[int, int] = {}
     for pos, (lineno, row) in enumerate(rows[1:], start=1):
@@ -500,5 +512,9 @@ def parse_netlist(text: str, first_line: int = 1) -> Circuit:
 
     missing = [j for j in range(m) if j not in outputs]
     if missing:
-        raise NetlistError(f"missing output declarations: {missing}", rows[-1][0])
+        shown = ", ".join(map(str, missing[:_MISSING_SHOWN]))
+        more = ", ..." if len(missing) > _MISSING_SHOWN else ""
+        raise NetlistError(
+            f"missing output declarations: {len(missing)} of {m} ({shown}{more})", rows[-1][0]
+        )
     return Circuit(n, m, tuple(gates), tuple(outputs[j] for j in range(m)), name=name)

@@ -139,14 +139,14 @@ def _cmd_reduce(args) -> int:
 
 
 def _inflate_instance(inst, count: int):
+    if isinstance(inst, SodInstance):
+        return SodInstance.from_pair(pad_with_dead_gates(inst.pair, count))
+    if isinstance(inst, SodWithSourceInstance):
+        return SodWithSourceInstance.from_pair(pad_with_dead_gates(inst.pair, count), inst.source)
     padded = pad_with_dead_gates(inst.succ, count)
     if isinstance(inst, IterInstance):
         return IterInstance(padded)
-    if isinstance(inst, IterWithSourceInstance):
-        return IterWithSourceInstance(padded, inst.source)
-    if isinstance(inst, SodInstance):
-        return SodInstance(padded, inst.valuation)
-    return SodWithSourceInstance(padded, inst.valuation, inst.source)
+    return IterWithSourceInstance(padded, inst.source)
 
 
 def _dsr_oracle(args, trace: QueryTrace):

@@ -4,8 +4,9 @@ self-oracle, and query-discipline monitors.
 Each algorithm solves its instance with at most two queries to an oracle
 for strictly smaller instances.  The iteration problems halve the vertex
 space on the leading bit; the sink-of-DAG problems halve the valuation
-range on its leading bit.  Oracle answers are verified against the queried
-sub-instance (a bad answer raises :class:`OracleContractError`).
+range on its leading bit, each query built and measured as one circuit
+(successor then valuation outputs).  Oracle answers are verified against
+the queried sub-instance (a bad answer raises :class:`OracleContractError`).
 
 The case analyses lift almost every sub-answer directly.  Two lifts are not
 universally sound when the oracle may return *any* valid sub-solution
@@ -22,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .bits import to_int, zeros
+from .bits import zeros
 from .circuit import evaluate, restrict_input, restrict_output
 from .errors import MalformedInstanceError, MonitorViolation, OracleContractError
-from .gadgets import combine_pair, freeze_stage, redirect_zero_inputs, split_pair
+from .gadgets import freeze_stage, redirect_zero_inputs
 from .problems import (
     CircuitInstance,
     IterInstance,
@@ -69,7 +70,7 @@ def _ensure(inst: CircuitInstance, candidate: str, restart: str) -> str:
     patched = (
         IterWithSourceInstance(inst.succ, restart)
         if isinstance(inst, (IterInstance, IterWithSourceInstance))
-        else SodWithSourceInstance(inst.succ, inst.valuation, restart)
+        else SodWithSourceInstance.from_pair(inst.pair, restart)
     )
     return solve_path(patched)
 
@@ -163,15 +164,11 @@ def dsr_iter(inst: IterInstance, oracle: Oracle) -> str:
 # --- sink-of-DAG problems ----------------------------------------------------
 
 
-def _as_combined(inst: SodInstance | SodWithSourceInstance):
-    return inst.shared if inst.shared is not None else combine_pair(inst.succ, inst.valuation)
-
-
 def _one_step_answer(inst, source: str) -> str:
     """Base case with a single valuation bit: the source or its step answers."""
     if verify_solution(inst, source):
         return source
-    candidate = evaluate(inst.succ, source)
+    candidate = inst.step_and_value(source)[0]
     if not verify_solution(inst, candidate):
         raise MalformedInstanceError("single-bit valuation instance has no one-step answer")
     return candidate
@@ -183,54 +180,42 @@ def _derive_pivot(inst, answer: str) -> str | None:
     step moves."""
     if verify_solution(inst, answer):
         return None
-    return evaluate(inst.succ, answer)
+    return inst.step_and_value(answer)[0]
 
 
 def dsr_sod_with_source(inst: SodWithSourceInstance, oracle: Oracle) -> str:
     _require_wf(inst)
-    n, m = inst.succ.n, inst.valuation.m
-    if m == 1:
+    if inst.value_bits == 1:
         return _one_step_answer(inst, inst.source)
-    combined = _as_combined(inst)
-    dropped = restrict_output(combined, n + 1)
-    succ1, val1 = split_pair(dropped, m - 1)
-    first = _ask(
-        oracle, SodWithSourceInstance(succ1, val1, inst.source, shared=dropped), inst
-    )
+    dropped = restrict_output(inst.pair, inst.n + 1)
+    first = _ask(oracle, SodWithSourceInstance.from_pair(dropped, inst.source), inst)
     pivot = _derive_pivot(inst, first)
     if pivot is None:
         return first
-    threshold = to_int(evaluate(inst.valuation, pivot))
-    frozen = freeze_stage(combined, threshold)
-    succ2, val2 = split_pair(frozen, m - 1)
-    second = _ask(
-        oracle, SodWithSourceInstance(succ2, val2, pivot, shared=frozen), inst
-    )
+    frozen = freeze_stage(inst.pair, inst.step_and_value(pivot)[1])
+    second = _ask(oracle, SodWithSourceInstance.from_pair(frozen, pivot), inst)
     return _ensure(inst, second, pivot)
 
 
 def dsr_sod(inst: SodInstance, oracle: Oracle) -> str:
     _require_wf(inst)
-    n, m = inst.succ.n, inst.valuation.m
-    start = zeros(n)
-    if m == 1:
+    start = zeros(inst.n)
+    if inst.value_bits == 1:
         return _one_step_answer(inst, start)
-    combined = _as_combined(inst)
-    dropped = restrict_output(combined, n + 1)
-    succ1, val1 = split_pair(dropped, m - 1)
-    first = _ask(oracle, SodInstance(succ1, val1, shared=dropped), inst)
+    dropped = restrict_output(inst.pair, inst.n + 1)
+    first = _ask(oracle, SodInstance.from_pair(dropped), inst)
     pivot = _derive_pivot(inst, first)
     if pivot is None:
         return first
-    if evaluate(inst.succ, pivot) == start:
+    step, threshold = inst.step_and_value(pivot)
+    if step == start:
         # the pivot's step would collide with the redirected zero point
         if verify_solution(inst, pivot):
             return pivot
         pivot = start  # its valuation exceeds the pivot's, which keeps the leading bit set
-    threshold = to_int(evaluate(inst.valuation, pivot))
-    frozen = freeze_stage(combined, threshold, redirect_to=pivot)
-    succ2, val2 = split_pair(frozen, m - 1)
-    second = _ask(oracle, SodInstance(succ2, val2, shared=frozen), inst)
+        threshold = inst.step_and_value(start)[1]
+    frozen = freeze_stage(inst.pair, threshold, redirect_to=pivot)
+    second = _ask(oracle, SodInstance.from_pair(frozen), inst)
     candidate = pivot if second == start else second
     return _ensure(inst, candidate, pivot)
 

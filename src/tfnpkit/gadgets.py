@@ -24,7 +24,6 @@ from .circuit import (
     OR,
     Circuit,
     Gate,
-    evaluate,
     project_outputs,
 )
 from .errors import DimensionError
@@ -113,6 +112,11 @@ class GateBuilder:
             for t, e in zip(then_refs, else_refs)
         ]
 
+    def redirect_zero(self, bits: str, refs: Sequence[int]) -> list[int]:
+        """``refs`` on every input except the all-zero one, where the
+        result carries the hardcoded word ``bits`` instead."""
+        return self.mux_const(self.eq_zero(self.inputs), bits, refs)
+
     def mux_const(self, sel: int, bits: str, else_refs: Sequence[int]) -> list[int]:
         """Mux whose selected arm is a hardcoded word: bit 1 becomes OR with
         the selector, bit 0 an AND with its negation."""
@@ -149,23 +153,30 @@ class GateBuilder:
 def redirect_zero_inputs(c: Circuit, target: str, name: str | None = None) -> Circuit:
     """Wrap ``c`` with an input stage mapping the all-zero input to the
     hardcoded ``target`` word and passing every other input through."""
-    check_bits(target, c.n)
     b = GateBuilder(c.n)
-    sel = b.eq_zero(b.inputs)
-    staged = b.mux_const(sel, target, b.inputs)
-    outs = b.embed(c, staged)
+    outs = b.embed(c, b.redirect_zero(target, b.inputs))
     return b.circuit(outs, name=name or c.name)
+
+
+def _shifted(g: Gate, offset: int) -> Gate:
+    if g.op == OP_NOT:
+        return NOT(g.a + offset)
+    if g.op in (OP_AND, OP_OR):
+        return Gate(g.op, g.a + offset, g.b + offset)
+    return g
 
 
 def combine_pair(succ: Circuit, valuation: Circuit, name: str = "pair") -> Circuit:
     """One circuit computing successor and valuation on shared inputs, with
-    the successor bits first in the output word."""
-    if succ.n != valuation.n or succ.n != succ.m:
-        raise DimensionError("pair must share inputs and have a square successor")
-    b = GateBuilder(succ.n)
-    s_refs = b.embed(succ, b.inputs)
-    v_refs = b.embed(valuation, b.inputs)
-    return b.circuit(s_refs + v_refs, name=name)
+    the successor bits first; the valuation's gates follow, shifted."""
+    if succ.n != succ.m:
+        raise DimensionError(f"successor circuit must have n == m, got {succ.n} -> {succ.m}")
+    if valuation.n != succ.n:
+        raise DimensionError("valuation must read the same inputs as the successor")
+    offset = len(succ.gates)
+    gates = succ.gates + tuple(_shifted(g, offset) for g in valuation.gates)
+    outputs = succ.outputs + tuple(r + offset for r in valuation.outputs)
+    return Circuit(succ.n, len(outputs), gates, outputs, name=name)
 
 
 def split_pair(combined: Circuit, value_bits: int) -> tuple[Circuit, Circuit]:
@@ -199,20 +210,10 @@ def freeze_stage(
     if m < 2:
         raise DimensionError("freezing needs at least two valuation bits")
     b = GateBuilder(n)
-    if redirect_to is not None:
-        check_bits(redirect_to, n)
-        sel = b.eq_zero(b.inputs)
-        staged = b.mux_const(sel, redirect_to, b.inputs)
-    else:
-        staged = list(b.inputs)
+    staged = b.inputs if redirect_to is None else b.redirect_zero(redirect_to, b.inputs)
     refs = b.embed(combined, staged)
     s_refs, v_refs = refs[:n], refs[n:]
     frozen = b.lt_const(v_refs, from_int(frozen_below, m))
     succ_out = b.mux(frozen, staged, s_refs)
     return b.circuit(succ_out + v_refs[1:], name=name)
 
-
-def evaluate_pair(combined: Circuit, x: str) -> tuple[str, str]:
-    """Successor word and valuation word of a combined circuit at ``x``."""
-    out = evaluate(combined, x)
-    return out[: combined.n], out[combined.n :]

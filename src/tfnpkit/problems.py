@@ -5,6 +5,10 @@ instances used by the state-graph compiler and the verifiable-line
 construction.  All verifiers are total predicates; shape violations raise,
 semantic failures return False.
 
+A sink-of-DAG instance is one circuit, ``pair``, on n inputs: its outputs
+are the n successor bits, then the valuation bits.  One evaluation reads
+both, and it is measured once, so the shared input ports count once.
+
 The sink-finding solution predicate requires a candidate to move
 (``succ(v) != v``) in both disjuncts: a point that is already a fixed point
 of the successor is never accepted.  Fixed points trivially satisfy the
@@ -14,13 +18,15 @@ introduced by the halving constructions masquerade as solutions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
 
 from .bits import check_bits, from_int, to_int, zeros
 from .circuit import Circuit, emit_netlist, evaluate, parse_netlist
 from .circuit import circuit_from_table, size as circuit_gate_size
 from .errors import DimensionError, NetlistError
+from .gadgets import combine_pair, split_pair
 
 KIND_ITER = "iter"
 KIND_ITER_WS = "iter-with-source"
@@ -52,41 +58,68 @@ class IterWithSourceInstance:
         check_bits(self.source, self.succ.n)
 
 
-@dataclass(frozen=True)
-class SodInstance:
-    succ: Circuit
-    valuation: Circuit
-    #: optional combined circuit (successor outputs then valuation outputs on
-    #: shared inputs); used only for size accounting when the two views share
-    #: gates, never for semantics.
-    shared: Circuit | None = field(default=None, compare=False, repr=False)
+class _SodPair:
+    """Successor and valuation of a sink-of-DAG instance, stored as the one
+    circuit ``pair``.  ``succ`` and ``valuation`` are views: the circuits
+    the instance was built from, or slices of the pair cut on first read."""
 
-    def __post_init__(self):
-        _require_square(self.succ, "successor")
-        if self.valuation.n != self.succ.n:
-            raise DimensionError("valuation must read the same inputs as the successor")
-        if self.shared is not None and (
-            self.shared.n != self.succ.n or self.shared.m != self.succ.n + self.valuation.m
-        ):
-            raise DimensionError("shared circuit has the wrong shape")
+    def _init(self, pair: Circuit, **fields):
+        """Set ``pair`` and any further fields on the frozen instance."""
+        if pair.m <= pair.n:
+            raise DimensionError("pair circuit needs at least one valuation output")
+        vars(self).update(pair=pair, **fields)
+        return self
+
+    @property
+    def n(self) -> int:
+        return self.pair.n
+
+    @property
+    def value_bits(self) -> int:
+        return self.pair.m - self.pair.n
+
+    @cached_property
+    def _views(self) -> tuple[Circuit, Circuit]:
+        return split_pair(self.pair, self.value_bits)
+
+    @property
+    def succ(self) -> Circuit:
+        return self._views[0]
+
+    @property
+    def valuation(self) -> Circuit:
+        return self._views[1]
+
+    def step_and_value(self, x: str) -> tuple[str, int]:
+        """Successor word and valuation at ``x``, from one evaluation."""
+        out = evaluate(self.pair, x)
+        return out[: self.n], to_int(out[self.n :])
 
 
-@dataclass(frozen=True)
-class SodWithSourceInstance:
-    succ: Circuit
-    valuation: Circuit
+@dataclass(frozen=True, init=False)
+class SodInstance(_SodPair):
+    pair: Circuit
+
+    def __init__(self, succ: Circuit, valuation: Circuit):
+        self._init(combine_pair(succ, valuation), _views=(succ, valuation))
+
+    @classmethod
+    def from_pair(cls, pair: Circuit) -> "SodInstance":
+        return cls.__new__(cls)._init(pair)
+
+
+@dataclass(frozen=True, init=False)
+class SodWithSourceInstance(_SodPair):
+    pair: Circuit
     source: str
-    shared: Circuit | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        _require_square(self.succ, "successor")
-        if self.valuation.n != self.succ.n:
-            raise DimensionError("valuation must read the same inputs as the successor")
-        check_bits(self.source, self.succ.n)
-        if self.shared is not None and (
-            self.shared.n != self.succ.n or self.shared.m != self.succ.n + self.valuation.m
-        ):
-            raise DimensionError("shared circuit has the wrong shape")
+    def __init__(self, succ: Circuit, valuation: Circuit, source: str):
+        views = (succ, valuation)
+        self._init(combine_pair(*views), _views=views, source=check_bits(source, succ.n))
+
+    @classmethod
+    def from_pair(cls, pair: Circuit, source: str) -> "SodWithSourceInstance":
+        return cls.__new__(cls)._init(pair, source=check_bits(source, pair.n))
 
 
 @dataclass(frozen=True)
@@ -178,7 +211,7 @@ def kind_of(inst: ProblemInstance) -> str:
 
 def instance_bits(inst: ProblemInstance) -> int:
     """Width of candidate solutions."""
-    if isinstance(inst, (ImplicitSodInstance, SvlInstance)):
+    if isinstance(inst, (_SodPair, ImplicitSodInstance, SvlInstance)):
         return inst.n
     return inst.succ.n
 
@@ -186,23 +219,20 @@ def instance_bits(inst: ProblemInstance) -> int:
 def io_dims(inst: CircuitInstance) -> tuple[int, int]:
     """Total input and output bit counts, reading a multi-circuit instance
     as one circuit with shared inputs and concatenated outputs."""
-    n = inst.succ.n
-    if isinstance(inst, (IterInstance, IterWithSourceInstance)):
-        return n, inst.succ.m
-    if isinstance(inst, (SodInstance, SodWithSourceInstance)):
-        return n, inst.succ.m + inst.valuation.m
-    return n, inst.succ.m + inst.pred.m
+    if isinstance(inst, _SodPair):
+        return inst.pair.n, inst.pair.m
+    if isinstance(inst, EolInstance):
+        return inst.succ.n, inst.succ.m + inst.pred.m
+    return inst.succ.n, inst.succ.m
 
 
 def circuit_size(inst: CircuitInstance) -> int:
-    """Combined circuit size; a shared representation is measured once."""
-    if isinstance(inst, (IterInstance, IterWithSourceInstance)):
-        return circuit_gate_size(inst.succ)
-    if isinstance(inst, (SodInstance, SodWithSourceInstance)):
-        if inst.shared is not None:
-            return circuit_gate_size(inst.shared)
-        return circuit_gate_size(inst.succ) + circuit_gate_size(inst.valuation)
-    return circuit_gate_size(inst.succ) + circuit_gate_size(inst.pred)
+    """Circuit size; a sink-of-DAG instance is measured once, as its pair."""
+    if isinstance(inst, _SodPair):
+        return circuit_gate_size(inst.pair)
+    if isinstance(inst, EolInstance):
+        return circuit_gate_size(inst.succ) + circuit_gate_size(inst.pred)
+    return circuit_gate_size(inst.succ)
 
 
 def instance_size(inst: CircuitInstance) -> int:
@@ -218,11 +248,9 @@ def well_formed(inst: ProblemInstance) -> bool:
         return evaluate(inst.succ, start) > start
     if isinstance(inst, IterWithSourceInstance):
         return evaluate(inst.succ, inst.source) > inst.source
-    if isinstance(inst, SodInstance):
-        start = zeros(inst.succ.n)
-        return evaluate(inst.succ, start) != start
-    if isinstance(inst, SodWithSourceInstance):
-        return evaluate(inst.succ, inst.source) != inst.source
+    if isinstance(inst, _SodPair):
+        start = inst.source if isinstance(inst, SodWithSourceInstance) else zeros(inst.n)
+        return inst.step_and_value(start)[0] != start
     if isinstance(inst, EolInstance):
         start = zeros(inst.succ.n)
         return evaluate(inst.succ, start) != start and evaluate(inst.pred, start) == start
@@ -242,13 +270,12 @@ def verify_solution(inst: ProblemInstance, cand: str) -> bool:
         if step <= cand:
             return False
         return evaluate(inst.succ, step) <= step
-    if isinstance(inst, (SodInstance, SodWithSourceInstance)):
-        step = evaluate(inst.succ, cand)
+    if isinstance(inst, _SodPair):
+        step, value = inst.step_and_value(cand)
         if step == cand:
             return False
-        if evaluate(inst.succ, step) == step:
-            return True
-        return to_int(evaluate(inst.valuation, step)) <= to_int(evaluate(inst.valuation, cand))
+        after, step_value = inst.step_and_value(step)
+        return after == step or step_value <= value
     if isinstance(inst, ImplicitSodInstance):
         step = inst.succ(cand)
         if step == cand:
@@ -304,7 +331,9 @@ def parse_instance(text: str) -> CircuitInstance:
     lines = text.splitlines()
     kind: str | None = None
     blocks: dict[str, Circuit] = {}
+    starts: dict[str, int] = {}
     source: str | None = None
+    source_line: int | None = None
     block_start: int | None = None
 
     def close_block(end: int) -> None:
@@ -315,6 +344,7 @@ def parse_instance(text: str) -> CircuitInstance:
         if c.name in blocks:
             raise NetlistError(f"duplicate circuit block {c.name!r}", block_start)
         blocks[c.name] = c
+        starts[c.name] = block_start
         block_start = None
 
     for lineno, raw in enumerate(lines, start=1):
@@ -338,6 +368,7 @@ def parse_instance(text: str) -> CircuitInstance:
             if source is not None:
                 raise NetlistError("duplicate source line", lineno)
             source = stripped[len("source=") :].strip()
+            source_line = lineno
             continue
         if block_start is None:
             raise NetlistError(f"unexpected line outside circuit block: {stripped!r}", lineno)
@@ -358,15 +389,29 @@ def parse_instance(text: str) -> CircuitInstance:
     elif source is not None:
         raise NetlistError(f"problem kind {kind} takes no source")
 
-    if kind == KIND_ITER:
-        return IterInstance(blocks["succ"])
-    if kind == KIND_ITER_WS:
-        return IterWithSourceInstance(blocks["succ"], source)
-    if kind == KIND_SOD:
-        return SodInstance(blocks["succ"], blocks["valuation"])
-    if kind == KIND_SOD_WS:
-        return SodWithSourceInstance(blocks["succ"], blocks["valuation"], source)
-    return EolInstance(blocks["succ"], blocks["pred"])
+    try:
+        if kind == KIND_ITER:
+            return IterInstance(blocks["succ"])
+        if kind == KIND_ITER_WS:
+            return IterWithSourceInstance(blocks["succ"], source)
+        if kind == KIND_SOD:
+            return SodInstance(blocks["succ"], blocks["valuation"])
+        if kind == KIND_SOD_WS:
+            return SodWithSourceInstance(blocks["succ"], blocks["valuation"], source)
+        return EolInstance(blocks["succ"], blocks["pred"])
+    except DimensionError as exc:
+        raise NetlistError(str(exc), _misfit_line(blocks, starts, source_line)) from None
+
+
+def _misfit_line(blocks: dict[str, Circuit], starts: dict[str, int], source_line: int | None) -> int | None:
+    """Line of the first block, in file order, whose shape does not fit the
+    successor's n inputs (only a valuation may have a different output
+    count); the source line when every block fits."""
+    n = blocks["succ"].n
+    for role, c in blocks.items():
+        if c.n != n or (role != "valuation" and c.m != n):
+            return starts[role]
+    return source_line
 
 
 # --- random generation -------------------------------------------------------

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .bits import zeros
-from .circuit import Circuit, constant_circuit, evaluate
+from .circuit import constant_circuit, evaluate
 from .errors import PullbackContractError
-from .gadgets import GateBuilder, combine_pair
+from .gadgets import GateBuilder
 from .problems import (
     IterInstance,
     IterWithSourceInstance,
@@ -54,7 +54,7 @@ def iter_to_sod(inst: IterInstance) -> ReductionResult:
     step descends is not an iteration solution; those pull back by walking
     the source from the all-zero word."""
     succ = inst.succ
-    target = SodInstance(succ, succ, shared=combine_pair(succ, succ, name="pair"))
+    target = SodInstance(succ, succ)
 
     def lift(w: str) -> str:
         if verify_solution(inst, w):
@@ -107,18 +107,8 @@ def add_source(inst: IterInstance | SodInstance) -> ReductionResult:
     if isinstance(inst, IterInstance):
         target = IterWithSourceInstance(inst.succ, zeros(inst.succ.n))
     else:
-        target = SodWithSourceInstance(
-            inst.succ, inst.valuation, zeros(inst.succ.n), shared=inst.shared
-        )
+        target = SodWithSourceInstance(inst.succ, inst.valuation, zeros(inst.succ.n))
     return ReductionResult(target, _checked_pullback(inst, target, lambda w: w))
-
-
-def _redirect_zero_to(c: Circuit, word: str) -> Circuit:
-    """Successor computing ``word`` on the all-zero input and ``c`` elsewhere."""
-    b = GateBuilder(c.n)
-    at_zero = b.eq_zero(b.inputs)
-    s_refs = b.embed(c, b.inputs)
-    return b.circuit(b.mux_const(at_zero, word, s_refs), name="succ")
 
 
 def drop_source(inst: IterWithSourceInstance | SodWithSourceInstance) -> ReductionResult:
@@ -131,16 +121,12 @@ def drop_source(inst: IterWithSourceInstance | SodWithSourceInstance) -> Reducti
     is_iter = isinstance(inst, IterWithSourceInstance)
 
     if src == zeros(n):
-        target = IterInstance(inst.succ) if is_iter else SodInstance(
-            inst.succ, inst.valuation, shared=inst.shared
-        )
+        target = IterInstance(inst.succ) if is_iter else SodInstance(inst.succ, inst.valuation)
         return ReductionResult(target, _checked_pullback(inst, target, lambda w: w))
 
-    patched = _redirect_zero_to(inst.succ, src)
-    if is_iter:
-        target: ProblemInstance = IterInstance(patched)
-    else:
-        target = SodInstance(patched, inst.valuation, shared=combine_pair(patched, inst.valuation))
+    b = GateBuilder(n)
+    patched = b.circuit(b.redirect_zero(src, b.embed(inst.succ, b.inputs)), name="succ")
+    target = IterInstance(patched) if is_iter else SodInstance(patched, inst.valuation)
 
     def lift(w: str) -> str:
         if verify_solution(inst, w):

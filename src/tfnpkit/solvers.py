@@ -9,6 +9,7 @@ from .problems import (
     ImplicitSodInstance,
     IterWithSourceInstance,
     ProblemInstance,
+    SodInstance,
     SodWithSourceInstance,
     SvlInstance,
     instance_bits,
@@ -19,6 +20,8 @@ from .problems import (
 def _stepper(inst: ProblemInstance):
     if isinstance(inst, (ImplicitSodInstance, SvlInstance)):
         return inst.succ
+    if isinstance(inst, (SodInstance, SodWithSourceInstance)):
+        return lambda x: inst.step_and_value(x)[0]
     succ = inst.succ
     return lambda x: evaluate(succ, x)
 

@@ -178,6 +178,18 @@ def test_netlist_errors_name_lines():
         parse_netlist("circuit c inputs=1 outputs=1\ng0 = NOT g9\noutput 0 = g0\n")
     with pytest.raises(NetlistError, match="missing output"):
         parse_netlist("circuit c inputs=1 outputs=2\ng0 = INPUT 0\noutput 0 = g0\n")
+    for header in ("inputs=1 outputs=4000000", "inputs=99999999999 outputs=1", "inputs=65 outputs=1"):
+        with pytest.raises(NetlistError, match="line 1: declared width"):
+            parse_netlist(f"circuit c {header}\ng0 = INPUT 0\noutput 0 = g0\n")
+    with pytest.raises(NetlistError) as err:
+        parse_netlist("circuit c inputs=1 outputs=64\ng0 = INPUT 0\noutput 0 = g0\n")
+    message = str(err.value)
+    assert "63 of 64" in message and "1, 2, 3" in message
+    assert len(message) < 120
+    wide = "circuit c inputs=64 outputs=64\ng0 = INPUT 63\n" + "".join(
+        f"output {j} = g0\n" for j in range(64)
+    )
+    assert parse_netlist(wide).n == 64
 
 
 def test_circuit_from_table_roundtrip(rng):

@@ -77,13 +77,14 @@ def test_dsr_run_trace_lines(tmp_path):
 
 
 def test_dsr_run_inflation_trips_monitor(tmp_path):
-    rng = random.Random(1)  # the seed-1 instance queries twice
-    inst = random_instance("iter", 3, rng)
-    path = tmp_path / "inst.txt"
-    path.write_text(emit_instance(inst))
-    rc, _, err = run_cli("dsr-run", str(path), "--inflate", "500")
-    assert rc == 2
-    assert "blowup budget" in err
+    # the seed-1 iter instance queries twice; a sink-of-dag one always queries
+    for kind in ("iter", "sink-of-dag"):
+        inst = random_instance(kind, 3, random.Random(1))
+        path = tmp_path / f"{kind}.txt"
+        path.write_text(emit_instance(inst))
+        rc, _, err = run_cli("dsr-run", str(path), "--inflate", "500")
+        assert rc == 2
+        assert "blowup budget" in err
 
 
 def test_walk_step_lines_and_answer():
@@ -119,3 +120,22 @@ def test_main_callable_in_process(tmp_path, capsys):
     rc = main(["factor", "15"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "3"
+
+
+def test_shape_errors_in_instance_files_exit_three(tmp_path):
+    square = "circuit succ inputs=2 outputs=2\ng0 = INPUT 0\ng1 = INPUT 1\noutput 0 = g1\noutput 1 = g0\n"
+    cases = {  # file text, line of the misfit block
+        "iter": ("problem iter\ncircuit succ inputs=2 outputs=1\ng0 = INPUT 0\noutput 0 = g0\n", 2),
+        "sod": (
+            "problem sink-of-dag\n" + square
+            + "circuit valuation inputs=3 outputs=1\ng0 = INPUT 2\noutput 0 = g0\n",
+            7,
+        ),
+    }
+    for name, (text, line) in cases.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        for argv in (("solve", str(path)), ("verify", str(path), "--candidate", "00")):
+            rc, _, err = run_cli(*argv)
+            assert rc == 3, (name, argv, err)
+            assert f"line {line}:" in err

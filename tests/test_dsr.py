@@ -10,8 +10,10 @@ from tfnpkit import (
     dsr_iter_with_source,
     dsr_sod,
     dsr_sod_with_source,
+    emit_instance,
     enumerate_solutions,
     monitored,
+    parse_instance,
     random_instance,
     run_dsr,
     self_oracle,
@@ -214,3 +216,22 @@ def test_monitored_self_oracle_reports_zero_violations(rng):
         trace = QueryTrace()
         answer = dsr_sod(inst, monitored(self_oracle(), "circuit-dsr-poly-blowup", trace=trace))
         assert verify_solution(inst, answer)
+
+
+def test_dsr_sod_query_roundtrips_through_envelope(rng):
+    captured = []
+    inner = self_oracle()
+
+    def spy(sub, parent=None):
+        captured.append(sub)
+        return inner(sub, parent)
+
+    for kind in ("sink-of-dag", "sink-of-dag-with-source"):
+        for _ in range(10):
+            inst = random_instance(kind, 3, rng, m=3)
+            assert verify_solution(inst, run_dsr(inst, spy))
+    assert len(captured) >= 20
+    for sub in captured:
+        again = parse_instance(emit_instance(sub))
+        assert type(again) is type(sub)
+        assert enumerate_solutions(again) == enumerate_solutions(sub)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from tfnpkit import (
@@ -19,8 +21,10 @@ from tfnpkit import (
     verify_solution,
     well_formed,
 )
-from tfnpkit.circuit import eval_table
+from tfnpkit.bits import all_bitstrings, from_int, to_int
+from tfnpkit.circuit import eval_table, size
 from tfnpkit.errors import DimensionError, NetlistError
+from tfnpkit.gadgets import combine_pair
 from tfnpkit.problems import ImplicitSodInstance
 
 from conftest import table_circuit
@@ -116,6 +120,49 @@ def test_io_dims_and_size():
     assert io_dims(inst) == (2, 5)
     ws = SodWithSourceInstance(succ, val, "01")
     assert instance_size(ws) == instance_size(SodInstance(succ, val)) + 2
+    # one circuit, input ports counted once
+    assert instance_size(inst) == size(combine_pair(succ, val))
+    assert instance_size(ws) == size(combine_pair(succ, val)) + 2
+    assert instance_size(inst) == size(succ) + size(val) - 2
+
+
+def _per_view_solutions(succ_table, val_table):
+    """The solution predicate read from the successor's and the valuation's
+    own truth tables, each evaluated as a separate circuit."""
+    return {
+        from_int(v, 2)
+        for v, w in enumerate(succ_table)
+        if w != v and (succ_table[w] == w or val_table[w] <= val_table[v])
+    }
+
+
+def test_pair_instances_match_per_view_verifier_exhaustive_n2():
+    succs = [table_circuit(t, 2) for t in itertools.product(range(4), repeat=4)]
+    vals = [
+        table_circuit(t, 2, m=m, name="valuation")
+        for m in (1, 2)
+        for t in itertools.product(range(1 << m), repeat=4)
+    ]
+    assert len(succs) * len(vals) == 256 * (16 + 256)
+    succ_tables = [[to_int(evaluate(s, x)) for x in all_bitstrings(2)] for s in succs]
+    val_tables = [[to_int(evaluate(v, x)) for x in all_bitstrings(2)] for v in vals]
+    for val, val_table in zip(vals, val_tables):
+        for succ, succ_table in zip(succs, succ_tables):
+            expected = _per_view_solutions(succ_table, val_table)
+            built = SodInstance(succ, val)
+            from_pair = SodInstance.from_pair(combine_pair(succ, val))
+            for inst in (built, from_pair):
+                assert {c for c in all_bitstrings(2) if verify_solution(inst, c)} == expected
+
+
+def test_pair_views_keep_truth_tables(rng):
+    for _ in range(10):
+        inst = random_instance("sink-of-dag", 3, rng, m=2)
+        derived = SodInstance.from_pair(inst.pair)
+        assert derived == inst
+        assert eval_table(derived.succ) == eval_table(inst.succ)
+        assert eval_table(derived.valuation) == eval_table(inst.valuation)
+        assert not hasattr(derived, "source")
 
 
 def test_envelope_roundtrip_all_kinds(rng):
@@ -138,6 +185,21 @@ def test_envelope_errors():
         parse_instance("problem iter\n")
     with pytest.raises(NetlistError, match="takes no source"):
         parse_instance(good + "source=00\n")
+    with pytest.raises(NetlistError, match="line 2: declared width"):
+        parse_instance("problem iter\ncircuit succ inputs=1 outputs=4000000\ng0 = INPUT 0\noutput 0 = g0\n")
+    with pytest.raises(NetlistError, match="line 2: declared width"):
+        parse_instance("problem iter\ncircuit succ inputs=99999999999 outputs=1\ng0 = INPUT 0\noutput 0 = g0\n")
+    # shape errors name the block that does not fit
+    square = good.splitlines()[1:]
+    narrow = "circuit succ inputs=2 outputs=1\ng0 = INPUT 0\noutput 0 = g0\n"
+    with pytest.raises(NetlistError, match="line 2: successor circuit must have n == m"):
+        parse_instance("problem iter\n" + narrow)
+    wide_val = "circuit valuation inputs=3 outputs=1\ng0 = INPUT 2\noutput 0 = g0\n"
+    text = "problem sink-of-dag\n" + "\n".join(square) + "\n" + wide_val
+    with pytest.raises(NetlistError, match=f"line {len(square) + 2}: valuation must read"):
+        parse_instance(text)
+    with pytest.raises(NetlistError, match=f"line {len(square) + 2}: expected 2 bits"):
+        parse_instance("problem iter-with-source\n" + "\n".join(square) + "\nsource=011\n")
 
 
 def test_random_instances_are_well_formed(rng):
