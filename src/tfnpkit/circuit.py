@@ -407,9 +407,12 @@ MAX_NETLIST_WIDTH = 64
 #: Missing output indices named in the error message before it summarises.
 _MISSING_SHOWN = 8
 
-_HEADER_RE = re.compile(r"^circuit\s+(\S+)\s+inputs=(\d+)\s+outputs=(\d+)$")
-_GATE_RE = re.compile(r"^g(\d+)\s*=\s*([A-Z]+)\s*(.*)$")
-_OUTPUT_RE = re.compile(r"^output\s+(\d+)\s*=\s*g(\d+)$")
+#: A number in a netlist: ASCII digits, few enough for ``int`` to accept.
+_NUMBER = "[0-9]{1,18}"
+_NUMBER_RE = re.compile(_NUMBER)
+_HEADER_RE = re.compile(rf"^circuit\s+(\S+)\s+inputs=({_NUMBER})\s+outputs=({_NUMBER})$")
+_GATE_RE = re.compile(rf"^g({_NUMBER})\s*=\s*([A-Z]+)\s*(.*)$")
+_OUTPUT_RE = re.compile(rf"^output\s+({_NUMBER})\s*=\s*g({_NUMBER})$")
 
 
 def emit_netlist(c: Circuit) -> str:
@@ -451,6 +454,8 @@ def parse_netlist(text: str, first_line: int = 1) -> Circuit:
         raise NetlistError(
             f"declared width inputs={n} outputs={m} exceeds the limit of {MAX_NETLIST_WIDTH}", lineno
         )
+    if m == 0:
+        raise NetlistError("a circuit needs at least one output", lineno)
 
     declared: dict[int, int] = {}
     for pos, (lineno, row) in enumerate(rows[1:], start=1):
@@ -478,7 +483,7 @@ def parse_netlist(text: str, first_line: int = 1) -> Circuit:
             gid, op, rest = int(g.group(1)), g.group(2), g.group(3).strip()
             args = rest.split()
             if op == "INPUT":
-                if len(args) != 1 or not args[0].isdigit():
+                if len(args) != 1 or not _NUMBER_RE.fullmatch(args[0]):
                     raise NetlistError(f"bad INPUT arguments: {rest!r}", lineno)
                 k = int(args[0])
                 if not 0 <= k < n:
@@ -490,7 +495,7 @@ def parse_netlist(text: str, first_line: int = 1) -> Circuit:
                 gate = CONST(int(args[0]))
             elif op in ("NOT", "AND", "OR"):
                 want = 1 if op == "NOT" else 2
-                if len(args) != want or not all(a.startswith("g") and a[1:].isdigit() for a in args):
+                if len(args) != want or not all(a.startswith("g") and _NUMBER_RE.fullmatch(a[1:]) for a in args):
                     raise NetlistError(f"bad {op} arguments: {rest!r}", lineno)
                 refs = [resolve(int(a[1:]), pos, lineno) for a in args]
                 gate = NOT(refs[0]) if op == "NOT" else Gate(op.lower(), refs[0], refs[1])

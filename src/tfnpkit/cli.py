@@ -16,7 +16,6 @@ from .dsr import MODES, QueryTrace, monitored, run_dsr, self_oracle
 from .dsr2pls import compile_pls
 from .circuit import pad_with_dead_gates
 from .errors import (
-    DimensionError,
     MonitorViolation,
     NetlistError,
     OracleContractError,
@@ -34,9 +33,7 @@ from .problems import (
     KIND_SOD,
     KIND_SOD_WS,
     IterInstance,
-    IterWithSourceInstance,
     SodInstance,
-    SodWithSourceInstance,
     emit_instance,
     kind_of,
     parse_instance,
@@ -56,6 +53,7 @@ _KINDS = (KIND_ITER, KIND_ITER_WS, KIND_SOD, KIND_SOD_WS, KIND_EOL)
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
 
 
@@ -78,7 +76,7 @@ def _fixture_program(selector: str, x: str):
         return RecursiveCombineProblem()
     if selector.startswith("selfhost:"):
         inst = _load_instance(selector[len("selfhost:") :])
-        if not isinstance(inst, IterWithSourceInstance):
+        if kind_of(inst) != KIND_ITER_WS:
             print("error: selfhost programs need an iter-with-source instance", file=sys.stderr)
             raise SystemExit(USAGE_ERROR)
         return HalvingIterProgram(inst)
@@ -95,11 +93,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_verify(args) -> int:
     inst = _load_instance(args.file)
-    try:
-        ok = verify_solution(inst, check_bits(args.candidate))
-    except DimensionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    ok = verify_solution(inst, args.candidate)
     print("true" if ok else "false")
     return 0 if ok else VERIFY_FAILURE
 
@@ -140,13 +134,8 @@ def _cmd_reduce(args) -> int:
 
 def _inflate_instance(inst, count: int):
     if isinstance(inst, SodInstance):
-        return SodInstance.from_pair(pad_with_dead_gates(inst.pair, count))
-    if isinstance(inst, SodWithSourceInstance):
-        return SodWithSourceInstance.from_pair(pad_with_dead_gates(inst.pair, count), inst.source)
-    padded = pad_with_dead_gates(inst.succ, count)
-    if isinstance(inst, IterInstance):
-        return IterInstance(padded)
-    return IterWithSourceInstance(padded, inst.source)
+        return SodInstance.from_pair(pad_with_dead_gates(inst.pair, count), inst.source)
+    return IterInstance(pad_with_dead_gates(inst.succ, count), inst.source)
 
 
 def _dsr_oracle(args, trace: QueryTrace):
@@ -175,7 +164,7 @@ def _cmd_dsr_run(args) -> int:
 
 def _cmd_compile_pls(args) -> int:
     prog = _fixture_program(args.problem, args.x)
-    compiled = compile_pls(prog, check_bits(args.x))
+    compiled = compile_pls(prog, args.x)
     print(f"state_bits={compiled.machine.width()}")
     print(f"path_length={compiled.path_length}")
     print(f"source={compiled.instance.source}")
@@ -186,7 +175,7 @@ def _cmd_compile_pls(args) -> int:
 
 def _cmd_walk(args) -> int:
     prog = _fixture_program(args.problem, args.x)
-    compiled = compile_pls(prog, check_bits(args.x))
+    compiled = compile_pls(prog, args.x)
     machine = compiled.machine
     for step, state in enumerate(machine.walk(args.x, limit=args.max_steps)):
         pos = compiled.instance.valuation(state)
@@ -202,7 +191,7 @@ def _cmd_walk(args) -> int:
 
 def _cmd_svl_check(args) -> int:
     prog = _fixture_program(args.problem, args.x)
-    inst = svl.compile_svl(prog, check_bits(args.x))
+    inst = svl.compile_svl(prog, args.x)
     report = svl.check_promise(inst, budget=args.budget)
     status = "partial" if report.partial else "complete"
     print(f"checked={report.checked}/{report.target} ({status}) ok={report.ok}")
@@ -226,6 +215,13 @@ def _cmd_factor(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"negative count {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="tfnpkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -239,7 +235,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="check a candidate solution")
     p.add_argument("file")
-    p.add_argument("--candidate", required=True)
+    p.add_argument("--candidate", required=True, type=check_bits)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("solve", help="solve by path following or exhaustive scan")
@@ -257,25 +253,25 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", default="circuit-dsr-poly-blowup", choices=MODES)
     p.add_argument("--c", type=int, default=2, help="blowup exponent")
     p.add_argument("--trace", action="store_true")
-    p.add_argument("--inflate", type=int, default=0,
+    p.add_argument("--inflate", type=_count, default=0,
                    help="pad every query circuit with dead gates (monitor demo)")
     p.set_defaults(fn=_cmd_dsr_run)
 
     p = sub.add_parser("compile-pls", help="compile a query program into a state graph")
     p.add_argument("--problem", required=True)
-    p.add_argument("--x", required=True)
+    p.add_argument("--x", required=True, type=check_bits)
     p.set_defaults(fn=_cmd_compile_pls)
 
     p = sub.add_parser("walk", help="walk a compiled state graph to its answer")
     p.add_argument("--problem", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--x", required=True, type=check_bits)
+    p.add_argument("--max-steps", type=_count, default=None)
     p.set_defaults(fn=_cmd_walk)
 
     p = sub.add_parser("svl-check", help="desk-scale verifiable-line promise check")
     p.add_argument("--problem", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--x", required=True, type=check_bits)
+    p.add_argument("--budget", type=_count, default=None)
     p.set_defaults(fn=_cmd_svl_check)
 
     p = sub.add_parser("factor", help="factor an integer")
@@ -301,12 +297,12 @@ def main(argv=None) -> int:
             PromiseViolation, SizingError) as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return CONTRACT_ERROR
+    except ValueError as exc:  # bad arguments, including the toolkit's shape errors
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except TfnpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONTRACT_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
 
 
 def run() -> None:

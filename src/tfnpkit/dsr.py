@@ -28,15 +28,17 @@ from .circuit import evaluate, restrict_input, restrict_output
 from .errors import MalformedInstanceError, MonitorViolation, OracleContractError
 from .gadgets import freeze_stage, redirect_zero_inputs
 from .problems import (
+    KIND_ITER,
+    KIND_ITER_WS,
+    KIND_SOD,
+    KIND_SOD_WS,
     CircuitInstance,
     IterInstance,
-    IterWithSourceInstance,
     SodInstance,
-    SodWithSourceInstance,
     circuit_size,
-    instance_size,
     io_dims,
     kind_of,
+    source_bits,
     verify_solution,
     well_formed,
 )
@@ -67,12 +69,7 @@ def _ask(oracle: Oracle, sub: CircuitInstance, parent: CircuitInstance) -> str:
 def _ensure(inst: CircuitInstance, candidate: str, restart: str) -> str:
     if verify_solution(inst, candidate):
         return candidate
-    patched = (
-        IterWithSourceInstance(inst.succ, restart)
-        if isinstance(inst, (IterInstance, IterWithSourceInstance))
-        else SodWithSourceInstance.from_pair(inst.pair, restart)
-    )
-    return solve_path(patched)
+    return solve_path(inst.with_source(restart))
 
 
 # --- iteration problems ------------------------------------------------------
@@ -119,7 +116,7 @@ def _upper_start(succ, source: str, low_answer: str | None) -> tuple[str, str]:
     return "upper", step2
 
 
-def dsr_iter_with_source(inst: IterWithSourceInstance, oracle: Oracle) -> str:
+def dsr_iter_with_source(inst: IterInstance, oracle: Oracle) -> str:
     _require_wf(inst)
     succ, source = inst.succ, inst.source
     if succ.n <= 1:
@@ -127,13 +124,13 @@ def dsr_iter_with_source(inst: IterWithSourceInstance, oracle: Oracle) -> str:
     low_answer = None
     low_source = _lower_query_source(succ, source)
     if low_source is not None:
-        sub = IterWithSourceInstance(_half_restriction(succ, 0), low_source)
+        sub = IterInstance(_half_restriction(succ, 0), low_source)
         low_answer = _ask(oracle, sub, inst)
     kind, value = _upper_start(succ, source, low_answer)
     if kind == "solution":
         return _ensure(inst, value, source)
     pivot = value
-    sub = IterWithSourceInstance(_half_restriction(succ, 1), pivot[1:])
+    sub = IterInstance(_half_restriction(succ, 1), pivot[1:])
     upper_answer = _ask(oracle, sub, inst)
     return _ensure(inst, "1" + upper_answer, pivot)
 
@@ -183,17 +180,17 @@ def _derive_pivot(inst, answer: str) -> str | None:
     return inst.step_and_value(answer)[0]
 
 
-def dsr_sod_with_source(inst: SodWithSourceInstance, oracle: Oracle) -> str:
+def dsr_sod_with_source(inst: SodInstance, oracle: Oracle) -> str:
     _require_wf(inst)
     if inst.value_bits == 1:
         return _one_step_answer(inst, inst.source)
     dropped = restrict_output(inst.pair, inst.n + 1)
-    first = _ask(oracle, SodWithSourceInstance.from_pair(dropped, inst.source), inst)
+    first = _ask(oracle, SodInstance.from_pair(dropped, inst.source), inst)
     pivot = _derive_pivot(inst, first)
     if pivot is None:
         return first
     frozen = freeze_stage(inst.pair, inst.step_and_value(pivot)[1])
-    second = _ask(oracle, SodWithSourceInstance.from_pair(frozen, pivot), inst)
+    second = _ask(oracle, SodInstance.from_pair(frozen, pivot), inst)
     return _ensure(inst, second, pivot)
 
 
@@ -221,17 +218,17 @@ def dsr_sod(inst: SodInstance, oracle: Oracle) -> str:
 
 
 _DISPATCH = {
-    IterInstance: dsr_iter,
-    IterWithSourceInstance: dsr_iter_with_source,
-    SodInstance: dsr_sod,
-    SodWithSourceInstance: dsr_sod_with_source,
+    KIND_ITER: dsr_iter,
+    KIND_ITER_WS: dsr_iter_with_source,
+    KIND_SOD: dsr_sod,
+    KIND_SOD_WS: dsr_sod_with_source,
 }
 
 
 def run_dsr(inst: CircuitInstance, oracle: Oracle) -> str:
-    fn = _DISPATCH.get(type(inst))
+    fn = _DISPATCH.get(kind_of(inst))
     if fn is None:
-        raise TypeError(f"no self-reduction for {type(inst).__name__}")
+        raise TypeError(f"no self-reduction for {kind_of(inst)}")
     return fn(inst, oracle)
 
 
@@ -249,10 +246,7 @@ class SelfReductionOracle:
         self._entry: Oracle = self
 
     def __call__(self, inst: CircuitInstance, parent: CircuitInstance | None = None) -> str:
-        if (
-            isinstance(inst, (IterInstance, IterWithSourceInstance))
-            and inst.succ.n <= self.base_bits
-        ):
+        if isinstance(inst, IterInstance) and inst.n <= self.base_bits:
             return solve_exhaustive(inst)
         return run_dsr(inst, self._entry)
 
@@ -261,10 +255,13 @@ def self_oracle(base_bits: int = 1) -> SelfReductionOracle:
     return SelfReductionOracle(base_bits)
 
 
+Dims = tuple[int, int, int]  # (inputs, outputs, circuit size)
+
+
 @dataclass
 class QueryRecord:
-    parent_dims: tuple[int, int, int] | None  # (inputs, outputs, size)
-    query_dims: tuple[int, int, int]
+    parent_dims: Dims | None
+    query_dims: Dims
     depth: int
     answer: str | None = None
 
@@ -281,7 +278,7 @@ class QueryTrace:
         return 1 + max((r.depth for r in self.records), default=-1)
 
 
-def _dims(inst: CircuitInstance) -> tuple[int, int, int]:
+def _dims(inst: CircuitInstance) -> Dims:
     nu, mu = io_dims(inst)
     return nu, mu, circuit_size(inst)
 
@@ -308,38 +305,37 @@ class MonitoredOracle:
         if isinstance(inner, SelfReductionOracle):
             inner._entry = self
 
-    def check(self, parent: CircuitInstance, sub: CircuitInstance) -> None:
+    def check(self, parent: CircuitInstance, sub: CircuitInstance) -> tuple[Dims, Dims]:
+        """Raise on a query that breaks the mode's size discipline; return the
+        dimensions of parent and query, each instance sized once."""
+        parent_dims, sub_dims = _dims(parent), _dims(sub)
+        (pn, pm, parent_size), (sn, sm, sub_size) = parent_dims, sub_dims
         if self.mode == MODE_DSR:
-            parent_size = instance_size(parent)
-            sub_size = instance_size(sub)
-            if sub_size >= parent_size:
+            parent_encoded = parent_size + source_bits(parent)
+            sub_encoded = sub_size + source_bits(sub)
+            if sub_encoded >= parent_encoded:
                 raise MonitorViolation(
-                    f"query of encoded size {sub_size} is not below the parent's {parent_size}"
+                    f"query of encoded size {sub_encoded} is not below the parent's {parent_encoded}"
                 )
-            return
-        pn, pm = io_dims(parent)
-        sn, sm = io_dims(sub)
-        if sn > pn or sm > pm or sn + sm >= pn + pm:
+        elif sn > pn or sm > pm or sn + sm >= pn + pm:
             raise MonitorViolation(
                 f"query shape ({sn},{sm}) does not shrink the parent shape ({pn},{pm})"
             )
-        if self.mode == MODE_CIRCUIT_POLY:
-            budget = circuit_size(parent) + (pn * pm) ** self.c
-            actual = circuit_size(sub)
-            if actual > budget:
+        elif self.mode == MODE_CIRCUIT_POLY:
+            budget = parent_size + (pn * pm) ** self.c
+            if sub_size > budget:
                 raise MonitorViolation(
-                    f"query circuit size {actual} exceeds the blowup budget {budget}"
-                    f" (parent size {circuit_size(parent)})"
+                    f"query circuit size {sub_size} exceeds the blowup budget {budget}"
+                    f" (parent size {parent_size})"
                 )
+        return parent_dims, sub_dims
 
     def __call__(self, inst: CircuitInstance, parent: CircuitInstance | None = None) -> str:
-        if parent is not None:
-            self.check(parent, inst)
-        record = QueryRecord(
-            parent_dims=None if parent is None else _dims(parent),
-            query_dims=_dims(inst),
-            depth=self._depth,
-        )
+        if parent is None:
+            parent_dims, query_dims = None, _dims(inst)
+        else:
+            parent_dims, query_dims = self.check(parent, inst)
+        record = QueryRecord(parent_dims=parent_dims, query_dims=query_dims, depth=self._depth)
         self.trace.records.append(record)
         self._depth += 1
         try:

@@ -16,7 +16,7 @@ from .circuit import Circuit, evaluate, size as circuit_size
 from .dsr import _half_restriction, _lower_query_source, _upper_start
 from .dsr2pls import DsrProgram, Path
 from .errors import SolveBoundError
-from .problems import IterWithSourceInstance
+from .problems import IterInstance
 from .solvers import solve_path
 
 
@@ -77,7 +77,7 @@ class HalvingIterProgram(DsrProgram):
     total over every word.
     """
 
-    def __init__(self, top: IterWithSourceInstance):
+    def __init__(self, top: IterInstance):
         self.top = top
         self._circuits: dict[Path, Circuit] = {(): top.succ}
 
@@ -127,7 +127,7 @@ class HalvingIterProgram(DsrProgram):
         candidate = "1" + answered[1][1]
         if self.verify(inst, candidate, path):
             return candidate
-        return solve_path(IterWithSourceInstance(c, pivot))
+        return solve_path(IterInstance(c, pivot))
 
     def verify(self, inst: str, sol: str, path: Path = ()) -> bool:
         if len(sol) != len(inst):

@@ -73,12 +73,6 @@ class GateBuilder:
     def eq_zero(self, refs: Sequence[int]) -> int:
         return self.and_all([self.not_(r) for r in refs])
 
-    def eq_const(self, refs: Sequence[int], bits: str) -> int:
-        check_bits(bits, len(refs))
-        return self.and_all(
-            [r if b == "1" else self.not_(r) for r, b in zip(refs, bits)]
-        )
-
     def eq_refs(self, a_refs: Sequence[int], b_refs: Sequence[int]) -> int:
         if len(a_refs) != len(b_refs):
             raise DimensionError("vector equality needs equal widths")

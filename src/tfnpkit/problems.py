@@ -1,9 +1,11 @@
 """Instance types, well-formedness checks, and solution verifiers.
 
-Five circuit-backed search problems are represented, plus procedure-backed
-instances used by the state-graph compiler and the verifiable-line
-construction.  All verifiers are total predicates; shape violations raise,
-semantic failures return False.
+Five circuit-backed search problems are represented by three types, plus
+procedure-backed instances used by the state-graph compiler and the
+verifiable-line construction.  The with-source kinds are the same types
+as iteration and sink-of-DAG with ``source`` set; with ``source`` None the
+walk starts at the all-zero word.  All verifiers are total predicates;
+shape violations raise, semantic failures return False.
 
 A sink-of-DAG instance is one circuit, ``pair``, on n inputs: its outputs
 are the n successor bits, then the valuation bits.  One evaluation reads
@@ -18,6 +20,7 @@ introduced by the halving constructions masquerade as solutions.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Union
@@ -40,35 +43,59 @@ def _require_square(c: Circuit, role: str) -> None:
         raise DimensionError(f"{role} circuit must have n == m, got {c.n} -> {c.m}")
 
 
+def _checked_source(source: str | None, n: int) -> str | None:
+    return None if source is None else check_bits(source, n)
+
+
 @dataclass(frozen=True)
 class IterInstance:
+    """Iteration instance; the walk starts at ``source``, or at the all-zero
+    word when ``source`` is None."""
+
     succ: Circuit
+    source: str | None = None
 
     def __post_init__(self):
         _require_square(self.succ, "successor")
+        _checked_source(self.source, self.succ.n)
+
+    @property
+    def n(self) -> int:
+        return self.succ.n
+
+    def with_source(self, source: str | None) -> "IterInstance":
+        return IterInstance(self.succ, source)
 
 
-@dataclass(frozen=True)
-class IterWithSourceInstance:
-    succ: Circuit
-    source: str
+@dataclass(frozen=True, init=False)
+class SodInstance:
+    """Sink-of-DAG instance, stored as the one circuit ``pair``; the walk
+    starts at ``source``, or at the all-zero word when ``source`` is None.
+    ``succ`` and ``valuation`` are views: the circuits the instance was
+    built from, or slices of the pair cut on first read."""
 
-    def __post_init__(self):
-        _require_square(self.succ, "successor")
-        check_bits(self.source, self.succ.n)
+    pair: Circuit
+    source: str | None = None
 
+    def __init__(self, succ: Circuit, valuation: Circuit, source: str | None = None):
+        self._init(combine_pair(succ, valuation), source)
+        vars(self)["_views"] = (succ, valuation)
 
-class _SodPair:
-    """Successor and valuation of a sink-of-DAG instance, stored as the one
-    circuit ``pair``.  ``succ`` and ``valuation`` are views: the circuits
-    the instance was built from, or slices of the pair cut on first read."""
+    @classmethod
+    def from_pair(cls, pair: Circuit, source: str | None = None) -> "SodInstance":
+        return cls.__new__(cls)._init(pair, source)
 
-    def _init(self, pair: Circuit, **fields):
-        """Set ``pair`` and any further fields on the frozen instance."""
+    def _init(self, pair: Circuit, source: str | None) -> "SodInstance":
+        """Set the fields of the frozen instance."""
         if pair.m <= pair.n:
             raise DimensionError("pair circuit needs at least one valuation output")
-        vars(self).update(pair=pair, **fields)
+        vars(self).update(pair=pair, source=_checked_source(source, pair.n))
         return self
+
+    def with_source(self, source: str | None) -> "SodInstance":
+        other = copy.copy(self)  # shares the pair and any views already cut
+        vars(other)["source"] = _checked_source(source, self.n)
+        return other
 
     @property
     def n(self) -> int:
@@ -96,30 +123,9 @@ class _SodPair:
         return out[: self.n], to_int(out[self.n :])
 
 
-@dataclass(frozen=True, init=False)
-class SodInstance(_SodPair):
-    pair: Circuit
-
-    def __init__(self, succ: Circuit, valuation: Circuit):
-        self._init(combine_pair(succ, valuation), _views=(succ, valuation))
-
-    @classmethod
-    def from_pair(cls, pair: Circuit) -> "SodInstance":
-        return cls.__new__(cls)._init(pair)
-
-
-@dataclass(frozen=True, init=False)
-class SodWithSourceInstance(_SodPair):
-    pair: Circuit
-    source: str
-
-    def __init__(self, succ: Circuit, valuation: Circuit, source: str):
-        views = (succ, valuation)
-        self._init(combine_pair(*views), _views=views, source=check_bits(source, succ.n))
-
-    @classmethod
-    def from_pair(cls, pair: Circuit, source: str) -> "SodWithSourceInstance":
-        return cls.__new__(cls)._init(pair, source=check_bits(source, pair.n))
+# The with-source kinds are the same types with ``source`` set.
+IterWithSourceInstance = IterInstance
+SodWithSourceInstance = SodInstance
 
 
 @dataclass(frozen=True)
@@ -132,6 +138,10 @@ class EolInstance:
         _require_square(self.pred, "predecessor")
         if self.pred.n != self.succ.n:
             raise DimensionError("successor and predecessor must share the input width")
+
+    @property
+    def n(self) -> int:
+        return self.succ.n
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,11 +156,6 @@ class SuccessorOracle:
         check_bits(x, self.n)
         out = self.fn(x)
         return check_bits(out, self.n)
-
-    @classmethod
-    def from_circuit(cls, c: Circuit) -> "SuccessorOracle":
-        _require_square(c, "successor")
-        return cls(fn=lambda x: evaluate(c, x), n=c.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,35 +196,35 @@ class SvlInstance:
         return self.succ.n
 
 
-CircuitInstance = Union[
-    IterInstance, IterWithSourceInstance, SodInstance, SodWithSourceInstance, EolInstance
-]
+CircuitInstance = Union[IterInstance, SodInstance, EolInstance]
 ProblemInstance = Union[CircuitInstance, ImplicitSodInstance, SvlInstance]
-
-_KIND_OF = {
-    IterInstance: KIND_ITER,
-    IterWithSourceInstance: KIND_ITER_WS,
-    SodInstance: KIND_SOD,
-    SodWithSourceInstance: KIND_SOD_WS,
-    EolInstance: KIND_EOL,
-}
 
 
 def kind_of(inst: ProblemInstance) -> str:
-    return _KIND_OF.get(type(inst), type(inst).__name__)
+    if isinstance(inst, IterInstance):
+        return KIND_ITER if inst.source is None else KIND_ITER_WS
+    if isinstance(inst, SodInstance):
+        return KIND_SOD if inst.source is None else KIND_SOD_WS
+    if isinstance(inst, EolInstance):
+        return KIND_EOL
+    return type(inst).__name__
 
 
 def instance_bits(inst: ProblemInstance) -> int:
     """Width of candidate solutions."""
-    if isinstance(inst, (_SodPair, ImplicitSodInstance, SvlInstance)):
-        return inst.n
-    return inst.succ.n
+    return inst.n
+
+
+def source_bits(inst: CircuitInstance) -> int:
+    """Length of the explicit source; 0 for an instance that starts at 0^n."""
+    source = getattr(inst, "source", None)
+    return 0 if source is None else len(source)
 
 
 def io_dims(inst: CircuitInstance) -> tuple[int, int]:
     """Total input and output bit counts, reading a multi-circuit instance
     as one circuit with shared inputs and concatenated outputs."""
-    if isinstance(inst, _SodPair):
+    if isinstance(inst, SodInstance):
         return inst.pair.n, inst.pair.m
     if isinstance(inst, EolInstance):
         return inst.succ.n, inst.succ.m + inst.pred.m
@@ -228,7 +233,7 @@ def io_dims(inst: CircuitInstance) -> tuple[int, int]:
 
 def circuit_size(inst: CircuitInstance) -> int:
     """Circuit size; a sink-of-DAG instance is measured once, as its pair."""
-    if isinstance(inst, _SodPair):
+    if isinstance(inst, SodInstance):
         return circuit_gate_size(inst.pair)
     if isinstance(inst, EolInstance):
         return circuit_gate_size(inst.succ) + circuit_gate_size(inst.pred)
@@ -237,19 +242,15 @@ def circuit_size(inst: CircuitInstance) -> int:
 
 def instance_size(inst: CircuitInstance) -> int:
     """Encoded size stand-in: circuit size plus any explicit source bits."""
-    extra = len(inst.source) if isinstance(inst, (IterWithSourceInstance, SodWithSourceInstance)) else 0
-    return circuit_size(inst) + extra
+    return circuit_size(inst) + source_bits(inst)
 
 
 def well_formed(inst: ProblemInstance) -> bool:
     """Does the instance satisfy the guarantee its kind promises?"""
-    if isinstance(inst, IterInstance):
-        start = zeros(inst.succ.n)
-        return evaluate(inst.succ, start) > start
-    if isinstance(inst, IterWithSourceInstance):
-        return evaluate(inst.succ, inst.source) > inst.source
-    if isinstance(inst, _SodPair):
-        start = inst.source if isinstance(inst, SodWithSourceInstance) else zeros(inst.n)
+    if isinstance(inst, (IterInstance, SodInstance)):
+        start = zeros(inst.n) if inst.source is None else inst.source
+        if isinstance(inst, IterInstance):
+            return evaluate(inst.succ, start) > start
         return inst.step_and_value(start)[0] != start
     if isinstance(inst, EolInstance):
         start = zeros(inst.succ.n)
@@ -265,12 +266,12 @@ def verify_solution(inst: ProblemInstance, cand: str) -> bool:
     """Does ``cand`` satisfy the solution predicate?  Costs at most two
     successor evaluations (plus two valuation reads where applicable)."""
     check_bits(cand, instance_bits(inst))
-    if isinstance(inst, (IterInstance, IterWithSourceInstance)):
+    if isinstance(inst, IterInstance):
         step = evaluate(inst.succ, cand)
         if step <= cand:
             return False
         return evaluate(inst.succ, step) <= step
-    if isinstance(inst, _SodPair):
+    if isinstance(inst, SodInstance):
         step, value = inst.step_and_value(cand)
         if step == cand:
             return False
@@ -284,7 +285,7 @@ def verify_solution(inst: ProblemInstance, cand: str) -> bool:
             return True
         return inst.valuation(step) <= inst.valuation(cand)
     if isinstance(inst, EolInstance):
-        start = zeros(inst.succ.n)
+        start = zeros(inst.n)
         fwd = evaluate(inst.succ, cand)
         back = evaluate(inst.pred, cand)
         is_source = cand != start and fwd != cand and back == cand
@@ -390,14 +391,10 @@ def parse_instance(text: str) -> CircuitInstance:
         raise NetlistError(f"problem kind {kind} takes no source")
 
     try:
-        if kind == KIND_ITER:
-            return IterInstance(blocks["succ"])
-        if kind == KIND_ITER_WS:
-            return IterWithSourceInstance(blocks["succ"], source)
-        if kind == KIND_SOD:
-            return SodInstance(blocks["succ"], blocks["valuation"])
-        if kind == KIND_SOD_WS:
-            return SodWithSourceInstance(blocks["succ"], blocks["valuation"], source)
+        if kind in (KIND_ITER, KIND_ITER_WS):
+            return IterInstance(blocks["succ"], source)
+        if kind in (KIND_SOD, KIND_SOD_WS):
+            return SodInstance(blocks["succ"], blocks["valuation"], source)
         return EolInstance(blocks["succ"], blocks["pred"])
     except DimensionError as exc:
         raise NetlistError(str(exc), _misfit_line(blocks, starts, source_line)) from None
@@ -435,9 +432,7 @@ def random_instance(kind: str, n: int, rng, m: int | None = None) -> CircuitInst
             starts = [x for x in range(space) if table[x] > x]
             if starts:
                 src = rng.choice(starts)
-                return IterWithSourceInstance(
-                    circuit_from_table(table, n, n, name="succ"), from_int(src, n)
-                )
+                return IterInstance(circuit_from_table(table, n, n, name="succ"), from_int(src, n))
     if kind in (KIND_SOD, KIND_SOD_WS):
         while True:
             table = [rng.randrange(space) for _ in range(space)]
@@ -450,7 +445,7 @@ def random_instance(kind: str, n: int, rng, m: int | None = None) -> CircuitInst
                 continue
             starts = [x for x in range(space) if table[x] != x]
             if starts:
-                return SodWithSourceInstance(succ, val, from_int(rng.choice(starts), n))
+                return SodInstance(succ, val, from_int(rng.choice(starts), n))
     if kind == KIND_EOL:
         # a consistent directed path from the all-zero node; everything else
         # is an isolated fixed point of both circuits

@@ -19,15 +19,7 @@ from .bits import zeros
 from .circuit import constant_circuit, evaluate
 from .errors import PullbackContractError
 from .gadgets import GateBuilder
-from .problems import (
-    IterInstance,
-    IterWithSourceInstance,
-    ProblemInstance,
-    SodInstance,
-    SodWithSourceInstance,
-    verify_solution,
-    well_formed,
-)
+from .problems import IterInstance, ProblemInstance, SodInstance, verify_solution, well_formed
 from .solvers import solve_path
 
 
@@ -84,13 +76,11 @@ def sod_to_iter(inst: SodInstance) -> ReductionResult:
     outs = builder.mux(on_rail, v_next + s_refs, list(builder.inputs))
     lifted = builder.circuit(outs, name="succ")
     start = evaluate(val, zeros(n)) + zeros(n)
-    target = IterWithSourceInstance(lifted, start)
+    target = IterInstance(lifted, start)
 
     if not well_formed(target):
         # the start itself is stuck, which certifies the all-zero source answer
-        trivial = IterWithSourceInstance(
-            constant_circuit(m + n, "1" * (m + n), name="succ"), zeros(m + n)
-        )
+        trivial = IterInstance(constant_circuit(m + n, "1" * (m + n), name="succ"), zeros(m + n))
         return ReductionResult(trivial, _checked_pullback(inst, trivial, lambda w: zeros(n)))
 
     def lift(w: str) -> str:
@@ -104,29 +94,28 @@ def sod_to_iter(inst: SodInstance) -> ReductionResult:
 
 def add_source(inst: IterInstance | SodInstance) -> ReductionResult:
     """The all-zero word is already a guaranteed start; solution sets coincide."""
-    if isinstance(inst, IterInstance):
-        target = IterWithSourceInstance(inst.succ, zeros(inst.succ.n))
-    else:
-        target = SodWithSourceInstance(inst.succ, inst.valuation, zeros(inst.succ.n))
+    target = inst.with_source(zeros(inst.n))
     return ReductionResult(target, _checked_pullback(inst, target, lambda w: w))
 
 
-def drop_source(inst: IterWithSourceInstance | SodWithSourceInstance) -> ReductionResult:
+def drop_source(inst: IterInstance | SodInstance) -> ReductionResult:
     """Splice an artificial edge from the all-zero word to the declared
     source.  Solutions other than the artificial endpoint pull back
     unchanged; a solution at the all-zero word is an artifact of the new
     edge and pulls back by walking the source instance."""
     src = inst.source
     n = len(src)
-    is_iter = isinstance(inst, IterWithSourceInstance)
 
     if src == zeros(n):
-        target = IterInstance(inst.succ) if is_iter else SodInstance(inst.succ, inst.valuation)
+        target = inst.with_source(None)
         return ReductionResult(target, _checked_pullback(inst, target, lambda w: w))
 
     b = GateBuilder(n)
     patched = b.circuit(b.redirect_zero(src, b.embed(inst.succ, b.inputs)), name="succ")
-    target = IterInstance(patched) if is_iter else SodInstance(patched, inst.valuation)
+    if isinstance(inst, IterInstance):
+        target = IterInstance(patched)
+    else:
+        target = SodInstance(patched, inst.valuation)
 
     def lift(w: str) -> str:
         if verify_solution(inst, w):

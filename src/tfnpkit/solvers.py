@@ -7,10 +7,8 @@ from .circuit import evaluate
 from .errors import MalformedInstanceError, SolveBoundError
 from .problems import (
     ImplicitSodInstance,
-    IterWithSourceInstance,
     ProblemInstance,
     SodInstance,
-    SodWithSourceInstance,
     SvlInstance,
     instance_bits,
     verify_solution,
@@ -18,22 +16,19 @@ from .problems import (
 
 
 def _stepper(inst: ProblemInstance):
+    if isinstance(inst, SodInstance):
+        return lambda x: inst.step_and_value(x)[0]
     if isinstance(inst, (ImplicitSodInstance, SvlInstance)):
         return inst.succ
-    if isinstance(inst, (SodInstance, SodWithSourceInstance)):
-        return lambda x: inst.step_and_value(x)[0]
     succ = inst.succ
     return lambda x: evaluate(succ, x)
 
 
 def start_point(inst: ProblemInstance) -> str:
-    """Where path solving begins: the explicit source if the instance has
-    one, the all-zero word otherwise."""
-    if isinstance(inst, (IterWithSourceInstance, SodWithSourceInstance)):
-        return inst.source
-    if isinstance(inst, (ImplicitSodInstance, SvlInstance)):
-        return inst.source
-    return zeros(instance_bits(inst))
+    """Where path solving begins: the instance's source, else the all-zero
+    word (also for end-of-line, which has no source)."""
+    source = getattr(inst, "source", None)
+    return zeros(inst.n) if source is None else source
 
 
 def solve_path(inst: ProblemInstance, budget: int | None = None) -> str:

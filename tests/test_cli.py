@@ -2,7 +2,16 @@ import random
 import subprocess
 import sys
 
-from tfnpkit import emit_instance, parse_instance, random_instance, verify_solution, well_formed
+from tfnpkit import (
+    IterInstance,
+    emit_instance,
+    identity_circuit,
+    parse_instance,
+    random_instance,
+    verify_solution,
+    well_formed,
+)
+from tfnpkit.bits import all_bitstrings
 from tfnpkit.cli import main
 
 
@@ -139,3 +148,46 @@ def test_shape_errors_in_instance_files_exit_three(tmp_path):
             rc, _, err = run_cli(*argv)
             assert rc == 3, (name, argv, err)
             assert f"line {line}:" in err
+
+
+def test_exit_code_table(tmp_path, capsys):
+    """0 success, 1 a verification answered false, 2 a contract or monitor
+    violation, 3 a usage error or an unparseable input."""
+    files = {}
+    for kind in ("iter", "iter-with-source"):
+        files[kind] = tmp_path / f"{kind}.txt"
+        files[kind].write_text(emit_instance(random_instance(kind, 3, random.Random(1))))
+    stuck = tmp_path / "stuck.txt"  # the identity successor breaks the iteration guarantee
+    stuck.write_text(emit_instance(IterInstance(identity_circuit(2))))
+    no_outputs = tmp_path / "no-outputs.txt"
+    no_outputs.write_text("problem iter\ncircuit succ inputs=0 outputs=0\n")
+    inst = parse_instance(files["iter"].read_text())
+    bad = next(c for c in all_bitstrings(3) if not verify_solution(inst, c))
+    source = parse_instance(files["iter-with-source"].read_text()).source
+    combine = ("--problem", "fixture:recursive-combine")
+    table = [
+        (("factor", "15"), 0),
+        (("gen", "--kind", "iter", "--n", "3", "--seed", "1"), 0),
+        (("solve", files["iter"]), 0),
+        (("compile-pls", "--problem", f"selfhost:{files['iter-with-source']}", "--x", source), 0),
+        (("verify", files["iter"], "--candidate", bad), 1),
+        (("dsr-run", files["iter"], "--inflate", "500"), 2),
+        (("solve", stuck), 2),
+        (("frobnicate",), 3),
+        (("verify", "/nonexistent", "--candidate", "0"), 3),
+        (("verify", files["iter"], "--candidate", "0"), 3),
+        (("solve", no_outputs), 3),
+        (("gen", "--kind", "iter", "--n", "20", "--seed", "1"), 3),
+        (("gen", "--kind", "sink-of-dag", "--n", "3", "--m", "0", "--seed", "1"), 3),
+        (("compile-pls", *combine, "--x", "10a"), 3),
+        (("walk", *combine, "--x", "10a"), 3),
+        (("svl-check", *combine, "--x", "10a"), 3),
+        (("svl-check", *combine, "--x", "101", "--budget", "-1"), 3),
+        (("walk", *combine, "--x", "101", "--max-steps", "-1"), 3),
+        (("dsr-run", files["iter"], "--inflate", "-1"), 3),
+        # selfhost programs need a source; a source-free iter file is refused
+        (("compile-pls", "--problem", f"selfhost:{files['iter']}", "--x", "101"), 3),
+    ]
+    for argv, code in table:
+        assert main([str(a) for a in argv]) == code, argv
+    capsys.readouterr()

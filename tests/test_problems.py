@@ -1,6 +1,10 @@
 import itertools
+import random
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tfnpkit import (
     CONST,
@@ -16,7 +20,9 @@ from tfnpkit import (
     identity_circuit,
     instance_size,
     io_dims,
+    kind_of,
     parse_instance,
+    parse_netlist,
     random_instance,
     verify_solution,
     well_formed,
@@ -162,7 +168,11 @@ def test_pair_views_keep_truth_tables(rng):
         assert derived == inst
         assert eval_table(derived.succ) == eval_table(inst.succ)
         assert eval_table(derived.valuation) == eval_table(inst.valuation)
-        assert not hasattr(derived, "source")
+        assert derived.source is None
+        sourced = derived.with_source("000")
+        assert sourced != derived and kind_of(sourced) == "sink-of-dag-with-source"
+        assert sourced.with_source(None) == derived
+        assert hash(sourced.with_source(None)) == hash(derived)
 
 
 def test_envelope_roundtrip_all_kinds(rng):
@@ -171,7 +181,8 @@ def test_envelope_roundtrip_all_kinds(rng):
         for _ in range(10):
             inst = random_instance(kind, 3, rng)
             again = parse_instance(emit_instance(inst))
-            assert again == inst
+            assert again == inst and hash(again) == hash(inst)
+            assert kind_of(inst) == kind_of(again) == kind
             assert well_formed(again)
 
 
@@ -214,3 +225,45 @@ def test_eol_generator_builds_consistent_paths(rng):
     for x in range(8):
         if succ[x] != x:
             assert pred[succ[x]] == x
+
+
+_KINDS = ("iter", "iter-with-source", "sink-of-dag", "sink-of-dag-with-source", "end-of-line")
+_ENVELOPES = [emit_instance(random_instance(kind, n, random.Random(n))) for kind in _KINDS for n in (1, 2)]
+_NUMBERS = st.sampled_from(["0", "1", "2", "64", "65", "99999999999", "9" * 5000, "\u00b2", "\u0663"])
+_PIECES = st.sampled_from(
+    ["", "\n", " ", "#", "=", "-", "g", "source=", "problem ", "circuit ", "INPUT", "NOT", "AND", "CONST"]
+)
+
+
+@st.composite
+def _mutated_envelopes(draw):
+    """A valid envelope with up to two lines dropped and one to four edits:
+    a number replaced, or a piece spliced into the text between numbers."""
+    lines = draw(st.sampled_from(_ENVELOPES)).splitlines(keepends=True)
+    for _ in range(draw(st.integers(0, 2))):
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    tokens = re.split(r"(\d+)", "".join(lines))  # numbers at odd indices
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(tokens) - 1))
+        if at % 2:
+            tokens[at] = draw(_NUMBERS)
+        else:
+            text = tokens[at]
+            cut = draw(st.integers(0, len(text)))
+            tokens[at] = text[:cut] + draw(_PIECES) + text[cut + draw(st.integers(0, 3)) :]
+    return "".join(tokens)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(st.text(), _mutated_envelopes()))
+@example("problem iter\ncircuit succ inputs=0 outputs=0\n")
+@example("problem iter\ncircuit succ inputs=1 outputs=1\ng0 = INPUT \u00b2\noutput 0 = g0\n")
+def test_parsers_raise_only_netlist_errors(text):
+    """On any text, both parsers return or raise NetlistError: shape and
+    number errors never escape as another exception."""
+    # the netlist parser gets the text after the problem line: the first block
+    for parse in (parse_instance, lambda t: parse_netlist("\n".join(t.splitlines()[1:]))):
+        try:
+            parse(text)
+        except NetlistError:
+            pass

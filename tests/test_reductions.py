@@ -22,7 +22,6 @@ from conftest import iter_tables, table_circuit
 
 def _assert_pullback_total(inst, result):
     """Every verified target solution pulls back to a verified source one."""
-    n = len(result.target.source) if hasattr(result.target, "source") else result.target.succ.n
     for cand in all_bitstrings(result.target.succ.n):
         if verify_solution(result.target, cand):
             assert verify_solution(inst, result.pullback(cand))
@@ -105,6 +104,9 @@ def test_drop_source_identity_when_source_is_zero(rng):
     ws = IterWithSourceInstance(base.succ, zeros(2))
     result = drop_source(ws)
     assert result.target == IterInstance(base.succ)
+    assert hash(result.target) == hash(IterInstance(base.succ))
+    assert ws != result.target and ws == IterInstance(base.succ, zeros(2))
+    assert ws.with_source(None) == result.target
 
 
 def test_drop_source_builds_artificial_edge():
