@@ -46,7 +46,7 @@ from .dsr import (
     run_dsr,
     self_oracle,
 )
-from .dsr2pls import CompiledPls, DsrProgram, StateSpace, compile_pls, initial_state, is_valid, successor
+from .dsr2pls import CompiledPls, DsrProgram, StateSpace, compile_pls
 from .errors import (
     DimensionError,
     InvalidStateError,

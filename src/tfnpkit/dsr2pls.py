@@ -8,6 +8,10 @@ encoded as fixed-width bit strings (state tables); the successor function
 advances one configuration per step, is the identity on invalid strings,
 and loops on the finished configuration.  Following the successor from the
 initial state therefore walks a path whose last state carries the answer.
+One recursive pass over a table both validates it and computes its
+successor, so validity and the step cannot disagree.  The compiled
+valuation is the position along the walk, and 0 on any string that is not
+a valid table for the compiled instance.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .bits import check_bits, zeros
-from .errors import DimensionError, InvalidStateError, MalformedInstanceError, SizingError
+from .errors import DimensionError, MalformedInstanceError, SizingError
 from .problems import ImplicitSodInstance, SuccessorOracle
 
 Answered = tuple[tuple[str, str], ...]
@@ -61,6 +65,12 @@ class StateSpace:
     minus its root cell.  Every cell is [flag][instance bits][flag][solution
     bits]; an absent component has flag 0 and all-zero field bits, and any
     other encoding makes the whole table invalid.
+
+    One recursive pass, :meth:`_step`, both validates a table and advances
+    it: :meth:`successor` is the identity where the pass fails and
+    :meth:`is_valid` reports whether it succeeds, so invalid strings are
+    fixed points by construction.  The valuation :func:`compile_pls` builds
+    on these tables is 0 on every string that is not valid for its ``x``.
     """
 
     def __init__(self, prog: DsrProgram, n: int):
@@ -154,10 +164,10 @@ class StateSpace:
         """Validity conditions over row one: the filled cells form a prefix,
         their instances replay the program's query schedule, every answer
         verifies, and only the last filled cell may be unanswered.  Returns
-        (filled_count, answered_prefix, last_sol) or None."""
+        (answered_prefix, pending), where ``pending`` is the instance of an
+        unanswered last cell or None, or returns None for an invalid row."""
         answered: list[tuple[str, str]] = []
-        filled = 0
-        last_sol: str | None = None
+        pending: str | None = None
         blank_seen = False
         for slot, cell in enumerate(self.row_one_cells(state, k), start=1):
             if cell is _BAD:
@@ -166,83 +176,61 @@ class StateSpace:
             if inst is None:
                 blank_seen = True
                 continue
-            if blank_seen:
+            if blank_seen or pending is not None:
                 return None
-            if last_sol is None and filled > 0:
-                return None  # an unanswered cell may only be the last filled one
             if inst != self.prog.next_query(x, tuple(answered), path):
                 return None
-            filled += 1
-            last_sol = sol
-            if sol is not None:
-                if not self.prog.verify(inst, sol, path + (slot,)):
-                    return None
+            if sol is None:
+                pending = inst
+            elif not self.prog.verify(inst, sol, path + (slot,)):
+                return None
+            else:
                 answered.append((inst, sol))
-        return filled, tuple(answered), last_sol
+        return tuple(answered), pending
 
-    def _valid(self, state: str, x: str, k: int, path: Path) -> bool:
+    def _step(self, state: str, x: str, k: int, path: Path) -> str | None:
+        """Successor of a size-k table for instance ``x``, or None when the
+        table is invalid: one pass both validates and advances."""
         root = self.root_cell(state, k)
-        if root is _BAD:
-            return False
-        inst, sol = root
-        if inst != x:
-            return False
-        rest = state[self._cw[k] :]
+        if root is _BAD or root[0] != x:
+            return None
+        sol = root[1]
         if sol is not None:
-            return self.prog.verify(x, sol, path) and "1" not in rest
-        if k == 1:
-            return rest == ""
-        scan = self._scan_row_one(state, x, k, path)
-        if scan is None:
-            return False
-        filled, _, last_sol = scan
-        tail = state[self._cw[k] + self._p[k] * self._cw[k - 1] :]
-        if filled == 0 or last_sol is not None:
-            return "1" not in tail
-        cells = self.row_one_cells(state, k)
-        sub_inst = cells[filled - 1][0]
-        return self._valid(self._subtable(state, filled, k), sub_inst, k - 1, path + (filled,))
-
-    def is_valid(self, state: str, x: str) -> bool:
-        check_bits(x, self.n)
-        if len(state) != self.width() or any(ch not in "01" for ch in state):
-            return False
-        return self._valid(state, x, self.n, ())
-
-    def _succ(self, state: str, x: str, k: int, path: Path) -> str:
-        root = self.root_cell(state, k)
-        if root is _BAD:
-            return state
-        inst, sol = root
-        if sol is not None:
+            if "1" in state[self._cw[k] :] or not self.prog.verify(x, sol, path):
+                return None
             return state  # finished: the state is its own successor
         if k == 1:
-            y = self.prog.finalize(x, (), path)
-            return self._make_cell(k, x, y)
+            return self._make_cell(k, x, self.prog.finalize(x, (), path))
         scan = self._scan_row_one(state, x, k, path)
         if scan is None:
-            return state
-        filled, answered, last_sol = scan
-        blank = zeros(self.width(k) - self._cw[k])
-        if filled == self._p[k] and (filled == 0 or last_sol is not None):
+            return None
+        answered, pending = scan
+        if pending is not None:
+            j = len(answered) + 1
+            advanced = self._step(self._subtable(state, j, k), pending, k - 1, path + (j,))
+            return None if advanced is None else self._embed_subtable(state, j, k, advanced)
+        w = self._cw[k - 1]
+        if "1" in state[self._cw[k] + self._p[k] * w :]:
+            return None
+        if len(answered) == self._p[k]:
             y = self.prog.finalize(x, answered, path)
-            return self._make_cell(k, x, y) + blank
-        if filled == 0 or last_sol is not None:
-            nxt = self.prog.next_query(x, answered, path)
-            w = self._cw[k - 1]
-            base = self._cw[k] + filled * w
-            cell = self._make_cell(k - 1, nxt, None)
-            return state[:base] + cell + state[base + w :]
-        cells = self.row_one_cells(state, k)
-        sub_inst = cells[filled - 1][0]
-        sub = self._subtable(state, filled, k)
-        advanced = self._succ(sub, sub_inst, k - 1, path + (filled,))
-        return self._embed_subtable(state, filled, k, advanced)
+            return self._make_cell(k, x, y) + zeros(self.width(k) - self._cw[k])
+        base = self._cw[k] + len(answered) * w
+        cell = self._make_cell(k - 1, self.prog.next_query(x, answered, path), None)
+        return state[:base] + cell + state[base + w :]
+
+    def _step_top(self, state: str, x: str) -> str | None:
+        check_bits(x, self.n)
+        if len(state) != self.width() or any(ch not in "01" for ch in state):
+            return None
+        return self._step(state, x, self.n, ())
+
+    def is_valid(self, state: str, x: str) -> bool:
+        return self._step_top(state, x) is not None
 
     def successor(self, state: str, x: str) -> str:
-        if not self.is_valid(state, x):
-            return state  # invalid strings are isolated fixed points
-        return self._succ(state, x, self.n, ())
+        nxt = self._step_top(state, x)
+        return state if nxt is None else nxt  # invalid strings are isolated fixed points
 
     def walk(self, x: str, limit: int | None = None):
         """Yield the states from the initial one to the finished one."""
@@ -258,18 +246,6 @@ class StateSpace:
             steps += 1
             if limit is not None and steps > limit:
                 raise MalformedInstanceError(f"walk exceeded {limit} steps")
-
-
-def initial_state(prog: DsrProgram, x: str) -> str:
-    return StateSpace(prog, len(x)).initial_state(x)
-
-
-def is_valid(prog: DsrProgram, state: str, x: str) -> bool:
-    return StateSpace(prog, len(x)).is_valid(state, x)
-
-
-def successor(prog: DsrProgram, state: str, x: str) -> str:
-    return StateSpace(prog, len(x)).successor(state, x)
 
 
 @dataclass(eq=False)
@@ -330,7 +306,7 @@ def compile_pls(
     compared against the query-count * solution-length * size^2 bound and a
     discrepancy is recorded as a flag rather than an error.
     """
-    from .svl import path_length, position  # svl builds on this module
+    from .svl import _position_for, path_length  # svl builds on this module
 
     n = len(x)
     machine = StateSpace(prog, n)
@@ -344,14 +320,12 @@ def compile_pls(
         if machine.width() >= bound:
             flags.append(f"state width {machine.width()} is not below the bound {bound}")
 
-    def valuation(state: str) -> int:
-        try:
-            return position(prog, state, machine=machine)
-        except InvalidStateError:
-            return 0
-
     succ = SuccessorOracle(fn=lambda s: machine.successor(s, x), n=machine.width())
-    instance = ImplicitSodInstance(succ=succ, valuation=valuation, source=machine.initial_state(x))
+    instance = ImplicitSodInstance(
+        succ=succ,
+        valuation=lambda s: _position_for(prog, s, machine, x),
+        source=machine.initial_state(x),
+    )
     return CompiledPls(
         program=prog,
         x=x,

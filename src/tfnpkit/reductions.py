@@ -17,9 +17,16 @@ from typing import Callable
 
 from .bits import zeros
 from .circuit import constant_circuit, evaluate
-from .errors import PullbackContractError
+from .errors import DimensionError, PullbackContractError
 from .gadgets import GateBuilder
-from .problems import IterInstance, ProblemInstance, SodInstance, verify_solution, well_formed
+from .problems import (
+    IterInstance,
+    ProblemInstance,
+    SodInstance,
+    kind_of,
+    verify_solution,
+    well_formed,
+)
 from .solvers import solve_path
 
 
@@ -94,6 +101,8 @@ def sod_to_iter(inst: SodInstance) -> ReductionResult:
 
 def add_source(inst: IterInstance | SodInstance) -> ReductionResult:
     """The all-zero word is already a guaranteed start; solution sets coincide."""
+    if inst.source is not None:
+        raise DimensionError(f"add_source needs an instance without a source, got {kind_of(inst)}")
     target = inst.with_source(zeros(inst.n))
     return ReductionResult(target, _checked_pullback(inst, target, lambda w: w))
 
@@ -104,6 +113,8 @@ def drop_source(inst: IterInstance | SodInstance) -> ReductionResult:
     unchanged; a solution at the all-zero word is an artifact of the new
     edge and pulls back by walking the source instance."""
     src = inst.source
+    if src is None:
+        raise DimensionError(f"drop_source needs an instance with a source, got {kind_of(inst)}")
     n = len(src)
 
     if src == zeros(n):

@@ -60,6 +60,21 @@ def position(prog: DsrProgram, state: str, machine: StateSpace) -> int:
     return total
 
 
+def _position_for(prog: DsrProgram, state: str, machine: StateSpace, x: str) -> int:
+    """Position of a state on the walk of ``x``, or 0 for any string that is
+    not valid for ``x``.  Matching the root instance against ``x`` first
+    leaves the one validity check to :func:`position`."""
+    if len(state) != machine.width():
+        return 0
+    root = machine.root_cell(state)
+    if root is _BAD or root[0] != x:
+        return 0
+    try:
+        return position(prog, state, machine)
+    except InvalidStateError:
+        return 0
+
+
 def position_recursive(prog: DsrProgram, state: str, machine: StateSpace) -> int:
     """Sub-table form: one level's position is one (for its root) plus the
     full sub-paths of the completed queries plus the recursive position of
@@ -128,11 +143,7 @@ def compile_svl(prog: DsrProgram, x: str, *, check_uniqueness: bool = True) -> S
     def verifier(state: str, index: int) -> bool:
         if not isinstance(index, int) or not 1 <= index <= target:
             return False
-        if len(state) != machine.width() or any(ch not in "01" for ch in state):
-            return False
-        if not machine.is_valid(state, x):
-            return False
-        return position(prog, state, machine) == index
+        return _position_for(prog, state, machine, x) == index
 
     succ = SuccessorOracle(fn=lambda s: machine.successor(s, x), n=machine.width())
     return SvlInstance(succ=succ, source=machine.initial_state(x), target=target, verifier=verifier)

@@ -4,12 +4,12 @@ from tfnpkit import (
     HalvingIterProgram,
     RecursiveCombineProblem,
     StateSpace,
+    all_bitstrings,
     compile_pls,
     random_instance,
     solve_path,
     verify_solution,
 )
-from tfnpkit.dsr2pls import initial_state, is_valid, successor
 from tfnpkit.errors import DimensionError, SizingError
 
 
@@ -38,13 +38,6 @@ def test_initial_state_position_is_one(prog):
     machine = StateSpace(prog, 4)
     state = machine.initial_state("1011")
     assert position(prog, state, machine) == 1
-
-
-def test_module_level_wrappers(prog):
-    x = "10"
-    state = initial_state(prog, x)
-    assert is_valid(prog, state, x)
-    assert successor(prog, state, x) != state
 
 
 def test_gap_state_is_invalid(prog):
@@ -105,6 +98,44 @@ def test_invalid_states_are_fixed_points(prog):
     bad = "1" * machine.width()
     assert not machine.is_valid(bad, x)
     assert machine.successor(bad, x) == bad
+
+
+def test_state_graph_exhaustive_n2(prog):
+    """Every 14-bit table against every instance: exactly the walk states are
+    valid, each steps to the next one (the sink to itself), and every other
+    string is a fixed point."""
+    machine = StateSpace(prog, 2)
+    xs = list(all_bitstrings(2))
+    nexts = {}
+    for x in xs:
+        walk = list(machine.walk(x))
+        nexts[x] = dict(zip(walk, walk[1:] + walk[-1:]))
+    for state in all_bitstrings(machine.width()):
+        for x in xs:
+            expected = nexts[x].get(state)
+            assert machine.is_valid(state, x) == (expected is not None)
+            assert machine.successor(state, x) == (state if expected is None else expected)
+
+
+def test_halving_state_graph_is_closed_n2(rng):
+    for _ in range(3):
+        top = random_instance("iter-with-source", 2, rng)
+        machine = StateSpace(HalvingIterProgram(top), 2)
+        x = top.source
+        for state in all_bitstrings(machine.width()):
+            nxt = machine.successor(state, x)
+            if machine.is_valid(state, x):
+                assert machine.is_valid(nxt, x)
+            else:
+                assert nxt == state
+
+
+def test_valuation_is_zero_off_the_walk_of_x(prog):
+    compiled = compile_pls(prog, "101")
+    other = list(compiled.machine.walk("111"))
+    assert all(compiled.instance.valuation(state) == 0 for state in other)
+    assert compiled.instance.valuation("1" * compiled.machine.width()) == 0
+    assert compiled.instance.valuation(compiled.instance.source) == 1
 
 
 def test_sink_is_fixed_point_and_walk_ends_there(prog):

@@ -15,7 +15,7 @@ from tfnpkit import (
     well_formed,
 )
 from tfnpkit.bits import all_bitstrings, zeros
-from tfnpkit.errors import PullbackContractError
+from tfnpkit.errors import DimensionError, PullbackContractError
 
 from conftest import iter_tables, table_circuit
 
@@ -97,6 +97,23 @@ def test_add_source_settles_at_zero(rng):
     assert sols_src == sols_tgt
     for w in sols_tgt:
         assert result.pullback(w) == w
+
+
+def test_source_handling_rejects_the_wrong_form(rng):
+    for with_kind, free_kind, m in (
+        ("iter-with-source", "iter", None),
+        ("sink-of-dag-with-source", "sink-of-dag", 2),
+    ):
+        inst = random_instance(with_kind, 3, rng, m=m)
+        with pytest.raises(DimensionError, match=f"without a source, got {with_kind}$"):
+            add_source(inst)
+        with pytest.raises(DimensionError, match=f"with a source, got {free_kind}$"):
+            drop_source(inst.with_source(None))
+    # source 001 with a stuck zero point: resetting the start to 000 is not well formed
+    inst = IterWithSourceInstance(table_circuit([0, 2, 3, 3, 4, 5, 6, 7], 3), "001")
+    assert well_formed(inst)
+    with pytest.raises(DimensionError):
+        add_source(inst)
 
 
 def test_drop_source_identity_when_source_is_zero(rng):
