@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .bits import check_bits, from_int
@@ -93,19 +94,24 @@ class Circuit:
             if not 0 <= r < len(self.gates):
                 raise DimensionError(f"output reference {r} out of range")
 
+    @cached_property
+    def _size(self) -> int:
+        gates = 0
+        wires = self.n + len(self.outputs)
+        for g in self.gates:
+            if g.op == OP_NOT:
+                gates += 1
+                wires += 1
+            elif g.op in _BINARY:
+                gates += 1
+                wires += 2
+        return gates + wires
+
 
 def size(c: Circuit) -> int:
-    """Logic gate count plus wire count (input ports, operands, outputs)."""
-    gates = 0
-    wires = c.n + len(c.outputs)
-    for g in c.gates:
-        if g.op == OP_NOT:
-            gates += 1
-            wires += 1
-        elif g.op in _BINARY:
-            gates += 1
-            wires += 2
-    return gates + wires
+    """Logic gate count plus wire count (input ports, operands, outputs),
+    computed once per circuit and cached on it."""
+    return c._size
 
 
 def layers(c: Circuit) -> tuple[int, ...]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .bits import zeros
-from .circuit import evaluate, restrict_input, restrict_output
+from .circuit import Circuit, evaluate, restrict_input, restrict_output
 from .errors import MalformedInstanceError, MonitorViolation, OracleContractError
 from .gadgets import freeze_stage, redirect_zero_inputs
 from .problems import (
@@ -45,6 +45,7 @@ from .problems import (
 from .solvers import solve_exhaustive, solve_path
 
 Oracle = Callable[..., str]
+Step = Callable[[str], str]  # successor word of a point
 
 MODE_DSR = "dsr"
 MODE_CIRCUIT = "circuit-dsr"
@@ -81,39 +82,45 @@ def _half_restriction(succ, leading_bit: int):
     return restrict_output(restrict_input(succ, 1, leading_bit), 1)
 
 
-def _lower_query_source(succ, source: str) -> str | None:
+def _circuit_step(succ: Circuit) -> Step:
+    """Step function of a bare successor circuit, for callers that hold no
+    instance (and so no memo)."""
+    return lambda x: evaluate(succ, x)
+
+
+def _lower_query_source(step: Step, source: str) -> str | None:
     """Source for the lower-half query, or None when the walk starts or
     immediately lands in the upper half (the restricted instance would not
     be well-formed there)."""
     if source[0] == "1":
         return None
-    if evaluate(succ, source)[0] == "1":
+    if step(source)[0] == "1":
         return None
     return source[1:]
 
 
-def _upper_start(succ, source: str, low_answer: str | None) -> tuple[str, str]:
+def _upper_start(step: Step, source: str, low_answer: str | None) -> tuple[str, str]:
     """After the lower-half phase, either ('solution', v) or ('upper', u)
     where u lies in the upper half with a strictly ascending step."""
     if source[0] == "1":
         return "upper", source
-    first = evaluate(succ, source)
+    first = step(source)
     if first[0] == "1":
-        if evaluate(succ, first) <= first:
+        if step(first) <= first:
             return "solution", source
         return "upper", first
     lifted = "0" + low_answer
-    step = evaluate(succ, lifted)
-    if step[0] == "1":
-        if evaluate(succ, step) <= step:
+    after = step(lifted)
+    if after[0] == "1":
+        if step(after) <= after:
             return "solution", lifted
-        return "upper", step
-    step2 = evaluate(succ, step)
-    if step2[0] == "0":
+        return "upper", after
+    after2 = step(after)
+    if after2[0] == "0":
         return "solution", lifted
-    if evaluate(succ, step2) <= step2:
-        return "solution", step
-    return "upper", step2
+    if step(after2) <= after2:
+        return "solution", after
+    return "upper", after2
 
 
 def dsr_iter_with_source(inst: IterInstance, oracle: Oracle) -> str:
@@ -122,11 +129,11 @@ def dsr_iter_with_source(inst: IterInstance, oracle: Oracle) -> str:
     if succ.n <= 1:
         return solve_exhaustive(inst)
     low_answer = None
-    low_source = _lower_query_source(succ, source)
+    low_source = _lower_query_source(inst.step, source)
     if low_source is not None:
         sub = IterInstance(_half_restriction(succ, 0), low_source)
         low_answer = _ask(oracle, sub, inst)
-    kind, value = _upper_start(succ, source, low_answer)
+    kind, value = _upper_start(inst.step, source, low_answer)
     if kind == "solution":
         return _ensure(inst, value, source)
     pivot = value
@@ -146,9 +153,9 @@ def dsr_iter(inst: IterInstance, oracle: Oracle) -> str:
         return solve_exhaustive(inst)
     source = zeros(n)
     low_answer = None
-    if _lower_query_source(succ, source) is not None:
+    if _lower_query_source(inst.step, source) is not None:
         low_answer = _ask(oracle, IterInstance(_half_restriction(succ, 0)), inst)
-    kind, value = _upper_start(succ, source, low_answer)
+    kind, value = _upper_start(inst.step, source, low_answer)
     if kind == "solution":
         return _ensure(inst, value, source)
     pivot = value

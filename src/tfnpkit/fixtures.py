@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .bits import complement, parity, xor_bits, zeros
 from .circuit import Circuit, evaluate, size as circuit_size
-from .dsr import _half_restriction, _lower_query_source, _upper_start
+from .dsr import _circuit_step, _half_restriction, _lower_query_source, _upper_start
 from .dsr2pls import DsrProgram, Path
 from .errors import SolveBoundError
 from .problems import IterInstance
@@ -99,7 +99,7 @@ class HalvingIterProgram(DsrProgram):
 
     def _low_answer(self, c: Circuit, inst: str, answered) -> str | None:
         """The slot-1 answer when slot 1 was a real query, else None."""
-        if _lower_query_source(c, inst) is None:
+        if _lower_query_source(_circuit_step(c), inst) is None:
             return None
         return answered[0][1]
 
@@ -109,9 +109,9 @@ class HalvingIterProgram(DsrProgram):
         if not self._ascends(c, inst):
             return pad
         if not answered:
-            low = _lower_query_source(c, inst)
+            low = _lower_query_source(_circuit_step(c), inst)
             return pad if low is None else low
-        kind, value = _upper_start(c, inst, self._low_answer(c, inst, answered))
+        kind, value = _upper_start(_circuit_step(c), inst, self._low_answer(c, inst, answered))
         return pad if kind == "solution" else value[1:]
 
     def finalize(self, inst: str, answered, path: Path = ()) -> str:
@@ -120,7 +120,7 @@ class HalvingIterProgram(DsrProgram):
             return zeros(len(inst))
         if len(inst) == 1:
             return "0"
-        kind, value = _upper_start(c, inst, self._low_answer(c, inst, answered))
+        kind, value = _upper_start(_circuit_step(c), inst, self._low_answer(c, inst, answered))
         if kind == "solution":
             return value
         pivot = value

@@ -1,9 +1,14 @@
 """Small gate-level building blocks shared by the reductions.
 
 All builders work on a :class:`GateBuilder`, which accumulates a gate list
-with inputs first and hands out integer references.  The library covers the
-pieces the constructions need: compare-to-constant, vector equality,
-redirect-on-match input stages, and value-threshold freezes.
+with inputs first and hands out integer references.  The builder is
+hash-consed (structural hashing, as in AIG packages): asking for a gate it
+has already built, with AND/OR operands in either order, returns the
+existing reference, so embedded circuits that repeat each other's logic,
+such as the successor and valuation minterm trees of a sink-of-DAG pair,
+are built once.  The library covers the pieces the constructions need:
+compare-to-constant, vector equality, redirect-on-match input stages, and
+value-threshold freezes.
 """
 
 from __future__ import annotations
@@ -32,18 +37,26 @@ from .errors import DimensionError
 class GateBuilder:
     def __init__(self, n: int):
         self.n = n
-        self.gates: list[Gate] = [INPUT(k) for k in range(n)]
-        self.inputs = list(range(n))
-        self._consts: dict[int, int] = {}
+        self.gates: list[Gate] = []
+        self._refs: dict[tuple[str, int, int], int] = {}
+        self.inputs = [self.add(INPUT(k)) for k in range(n)]
 
     def add(self, gate: Gate) -> int:
-        self.gates.append(gate)
-        return len(self.gates) - 1
+        """Reference to ``gate``: the existing one when an equal gate (AND/OR
+        operands in either order) was built before, else a new one."""
+        op, a, b = gate.op, gate.a, gate.b
+        if b < a and op in (OP_AND, OP_OR):
+            a, b = b, a
+            gate = Gate(op, a, b)
+        key = (op, a, b)
+        ref = self._refs.get(key)
+        if ref is None:
+            ref = self._refs[key] = len(self.gates)
+            self.gates.append(gate)
+        return ref
 
     def const(self, bit: int) -> int:
-        if bit not in self._consts:
-            self._consts[bit] = self.add(CONST(bit))
-        return self._consts[bit]
+        return self.add(CONST(bit))
 
     def not_(self, a: int) -> int:
         return self.add(NOT(a))
@@ -152,25 +165,35 @@ def redirect_zero_inputs(c: Circuit, target: str, name: str | None = None) -> Ci
     return b.circuit(outs, name=name or c.name)
 
 
-def _shifted(g: Gate, offset: int) -> Gate:
-    if g.op == OP_NOT:
-        return NOT(g.a + offset)
-    if g.op in (OP_AND, OP_OR):
-        return Gate(g.op, g.a + offset, g.b + offset)
-    return g
-
-
 def combine_pair(succ: Circuit, valuation: Circuit, name: str = "pair") -> Circuit:
     """One circuit computing successor and valuation on shared inputs, with
-    the successor bits first; the valuation's gates follow, shifted."""
+    the successor bits first.  The valuation's gates follow, renumbered; its
+    INPUT gates read the successor's (one is appended for an input the
+    successor has no gate for), so the pair has no duplicate inputs."""
     if succ.n != succ.m:
         raise DimensionError(f"successor circuit must have n == m, got {succ.n} -> {succ.m}")
     if valuation.n != succ.n:
         raise DimensionError("valuation must read the same inputs as the successor")
-    offset = len(succ.gates)
-    gates = succ.gates + tuple(_shifted(g, offset) for g in valuation.gates)
-    outputs = succ.outputs + tuple(r + offset for r in valuation.outputs)
-    return Circuit(succ.n, len(outputs), gates, outputs, name=name)
+    gates = list(succ.gates)
+    input_refs: dict[int, int] = {}
+    for idx, g in enumerate(gates):
+        if g.op == OP_INPUT:
+            input_refs.setdefault(g.a, idx)
+    refs: list[int] = []
+    for g in valuation.gates:
+        if g.op == OP_INPUT:
+            if g.a in input_refs:
+                refs.append(input_refs[g.a])
+                continue
+            input_refs[g.a] = len(gates)
+        elif g.op == OP_NOT:
+            g = NOT(refs[g.a])
+        elif g.op in (OP_AND, OP_OR):
+            g = Gate(g.op, refs[g.a], refs[g.b])
+        refs.append(len(gates))
+        gates.append(g)
+    outputs = succ.outputs + tuple(refs[r] for r in valuation.outputs)
+    return Circuit(succ.n, len(outputs), tuple(gates), outputs, name=name)
 
 
 def split_pair(combined: Circuit, value_bits: int) -> tuple[Circuit, Circuit]:

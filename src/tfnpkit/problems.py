@@ -11,6 +11,12 @@ A sink-of-DAG instance is one circuit, ``pair``, on n inputs: its outputs
 are the n successor bits, then the valuation bits.  One evaluation reads
 both, and it is measured once, so the shared input ports count once.
 
+Circuit-backed iteration and sink-of-DAG instances evaluate each point
+once: ``IterInstance.step`` and ``SodInstance.step_and_value`` remember
+the points asked for, the verifiers and the self-reductions read through
+them, and a ``with_source`` copy shares the memo of the instance it was
+made from (its circuit is the same).
+
 The sink-finding solution predicate requires a candidate to move
 (``succ(v) != v``) in both disjuncts: a point that is already a fixed point
 of the successor is never accepted.  Fixed points trivially satisfy the
@@ -64,7 +70,20 @@ class IterInstance:
         return self.succ.n
 
     def with_source(self, source: str | None) -> "IterInstance":
-        return IterInstance(self.succ, source)
+        other = IterInstance(self.succ, source)
+        vars(other)["_steps"] = self._steps  # same successor, same memo
+        return other
+
+    @cached_property
+    def _steps(self) -> dict[str, str]:
+        return {}
+
+    def step(self, x: str) -> str:
+        """Successor word at ``x``; each point is evaluated once."""
+        out = self._steps.get(x)
+        if out is None:
+            out = self._steps[x] = evaluate(self.succ, x)
+        return out
 
 
 @dataclass(frozen=True, init=False)
@@ -94,7 +113,7 @@ class SodInstance:
 
     def with_source(self, source: str | None) -> "SodInstance":
         other = copy.copy(self)  # shares the pair and any views already cut
-        vars(other)["source"] = _checked_source(source, self.n)
+        vars(other).update(source=_checked_source(source, self.n), _steps=self._steps)
         return other
 
     @property
@@ -104,6 +123,10 @@ class SodInstance:
     @property
     def value_bits(self) -> int:
         return self.pair.m - self.pair.n
+
+    @cached_property
+    def _steps(self) -> dict[str, tuple[str, int]]:
+        return {}
 
     @cached_property
     def _views(self) -> tuple[Circuit, Circuit]:
@@ -118,9 +141,13 @@ class SodInstance:
         return self._views[1]
 
     def step_and_value(self, x: str) -> tuple[str, int]:
-        """Successor word and valuation at ``x``, from one evaluation."""
-        out = evaluate(self.pair, x)
-        return out[: self.n], to_int(out[self.n :])
+        """Successor word and valuation at ``x``, from one evaluation of the
+        pair; each point is evaluated once."""
+        hit = self._steps.get(x)
+        if hit is None:
+            out = evaluate(self.pair, x)
+            hit = self._steps[x] = (out[: self.n], to_int(out[self.n :]))
+        return hit
 
 
 # The with-source kinds are the same types with ``source`` set.
@@ -250,7 +277,7 @@ def well_formed(inst: ProblemInstance) -> bool:
     if isinstance(inst, (IterInstance, SodInstance)):
         start = zeros(inst.n) if inst.source is None else inst.source
         if isinstance(inst, IterInstance):
-            return evaluate(inst.succ, start) > start
+            return inst.step(start) > start
         return inst.step_and_value(start)[0] != start
     if isinstance(inst, EolInstance):
         start = zeros(inst.succ.n)
@@ -267,10 +294,10 @@ def verify_solution(inst: ProblemInstance, cand: str) -> bool:
     successor evaluations (plus two valuation reads where applicable)."""
     check_bits(cand, instance_bits(inst))
     if isinstance(inst, IterInstance):
-        step = evaluate(inst.succ, cand)
+        step = inst.step(cand)
         if step <= cand:
             return False
-        return evaluate(inst.succ, step) <= step
+        return inst.step(step) <= step
     if isinstance(inst, SodInstance):
         step, value = inst.step_and_value(cand)
         if step == cand:

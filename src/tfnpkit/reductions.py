@@ -94,7 +94,7 @@ def sod_to_iter(inst: SodInstance) -> ReductionResult:
         x = w[m:]
         if verify_solution(inst, x):
             return x
-        return evaluate(succ, x)
+        return inst.step_and_value(x)[0]
 
     return ReductionResult(target, _checked_pullback(inst, target, lift))
 

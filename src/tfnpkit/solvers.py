@@ -7,6 +7,7 @@ from .circuit import evaluate
 from .errors import MalformedInstanceError, SolveBoundError
 from .problems import (
     ImplicitSodInstance,
+    IterInstance,
     ProblemInstance,
     SodInstance,
     SvlInstance,
@@ -18,6 +19,8 @@ from .problems import (
 def _stepper(inst: ProblemInstance):
     if isinstance(inst, SodInstance):
         return lambda x: inst.step_and_value(x)[0]
+    if isinstance(inst, IterInstance):
+        return inst.step
     if isinstance(inst, (ImplicitSodInstance, SvlInstance)):
         return inst.succ
     succ = inst.succ

@@ -1,4 +1,6 @@
+import collections
 import random
+import sys
 
 import pytest
 
@@ -6,6 +8,7 @@ from tfnpkit import (
     IterInstance,
     IterWithSourceInstance,
     QueryTrace,
+    SodInstance,
     dsr_iter,
     dsr_iter_with_source,
     dsr_sod,
@@ -21,7 +24,7 @@ from tfnpkit import (
     verify_solution,
 )
 from tfnpkit.bits import from_int, ones, zeros
-from tfnpkit.circuit import evaluate, pad_with_dead_gates
+from tfnpkit.circuit import OP_INPUT, evaluate, output_masks, pad_with_dead_gates
 from tfnpkit.errors import MonitorViolation, OracleContractError
 from tfnpkit.gadgets import redirect_zero_inputs
 from tfnpkit.problems import instance_bits
@@ -235,3 +238,80 @@ def test_dsr_sod_query_roundtrips_through_envelope(rng):
         again = parse_instance(emit_instance(sub))
         assert type(again) is type(sub)
         assert enumerate_solutions(again) == enumerate_solutions(sub)
+
+
+def _count_evaluations(monkeypatch) -> collections.Counter:
+    """Route every toolkit binding of ``evaluate`` through a counter of
+    (circuit, point) pairs; the circuits are kept so that ids stay distinct."""
+    original = evaluate
+    counts: collections.Counter = collections.Counter()
+    kept = {}
+
+    def counting(c, x):
+        kept[id(c)] = c
+        counts[id(c), x] += 1
+        return original(c, x)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tfnpkit") and getattr(module, "evaluate", None) is original:
+            monkeypatch.setattr(module, "evaluate", counting)
+    return counts
+
+
+def _long_path(n: int):
+    return table_circuit([min(x + 1, (1 << n) - 1) for x in range(1 << n)], n)
+
+
+def test_monitored_long_paths_evaluate_each_point_once(monkeypatch):
+    """Verifiers, pivots and the parent's re-check of a child's answer read
+    the instance's memo: no (circuit, point) pair is evaluated twice."""
+    identity = table_circuit(range(32), 5, name="valuation")
+    cases = [
+        SodInstance(_long_path(5), identity),
+        SodInstance(_long_path(5), identity, "00011"),
+        IterInstance(_long_path(6)),
+        IterInstance(_long_path(6), "000101"),
+    ]
+    copies = []
+    with_source = SodInstance.with_source
+
+    def recording(self, source):
+        copies.append((self, with_source(self, source)))
+        return copies[-1][1]
+
+    monkeypatch.setattr(SodInstance, "with_source", recording)
+    counts = _count_evaluations(monkeypatch)
+    for inst in cases:
+        n = inst.n
+        answer = run_dsr(inst, monitored(self_oracle(), "circuit-dsr-poly-blowup", c=2))
+        assert answer == from_int((1 << n) - 2, n)  # the unique solution
+        assert max(counts.values()) == 1
+        evaluated = sum(counts.values())
+        assert verify_solution(inst.with_source(from_int(1, n)), answer)
+        assert sum(counts.values()) == evaluated
+    assert copies
+    for original, copy in copies:
+        assert copy._steps is original._steps
+
+
+def test_pairs_and_query_views_read_each_input_once(rng):
+    """A pair, and both views of every sub-query, has one INPUT gate per
+    input, and the views and the envelope round trip keep its truth tables."""
+    captured = []
+
+    def spy(sub, parent=None):
+        captured.append(sub)
+        return run_dsr(sub, spy)
+
+    for kind in ("sink-of-dag", "sink-of-dag-with-source"):
+        for _ in range(10):
+            inst = random_instance(kind, 3, rng, m=3)
+            captured.append(inst)
+            assert verify_solution(inst, run_dsr(inst, spy))
+    assert len(captured) > 40
+    for inst in captured:
+        for c in (inst.pair, inst.succ, inst.valuation):
+            assert sorted(g.a for g in c.gates if g.op == OP_INPUT) == [0, 1, 2]
+        masks = output_masks(inst.pair)
+        assert masks == output_masks(inst.succ) + output_masks(inst.valuation)
+        assert output_masks(parse_instance(emit_instance(inst)).pair) == masks
