@@ -4,9 +4,13 @@ self-oracle, and query-discipline monitors.
 Each algorithm solves its instance with at most two queries to an oracle
 for strictly smaller instances.  The iteration problems halve the vertex
 space on the leading bit; the sink-of-DAG problems halve the valuation
-range on its leading bit, each query built and measured as one circuit
-(successor then valuation outputs).  Oracle answers are verified against
-the queried sub-instance (a bad answer raises :class:`OracleContractError`).
+range on its leading bit.  A sink-of-DAG query is composed over the
+instance that asks it (:meth:`SodInstance.dropped`, :meth:`SodInstance.frozen`):
+it evaluates through the parent's memo, and it is measured, without being
+built, as exactly the circuit ``restrict_output``/``freeze_stage`` would
+make (successor then valuation outputs).  Oracle answers are verified
+against the queried sub-instance (a bad answer raises
+:class:`OracleContractError`).
 
 The case analyses lift almost every sub-answer directly.  Two lifts are not
 universally sound when the oracle may return *any* valid sub-solution
@@ -26,7 +30,7 @@ from typing import Callable
 from .bits import zeros
 from .circuit import Circuit, evaluate, restrict_input, restrict_output
 from .errors import MalformedInstanceError, MonitorViolation, OracleContractError
-from .gadgets import freeze_stage, redirect_zero_inputs
+from .gadgets import redirect_zero_inputs
 from .problems import (
     KIND_ITER,
     KIND_ITER_WS,
@@ -191,13 +195,11 @@ def dsr_sod_with_source(inst: SodInstance, oracle: Oracle) -> str:
     _require_wf(inst)
     if inst.value_bits == 1:
         return _one_step_answer(inst, inst.source)
-    dropped = restrict_output(inst.pair, inst.n + 1)
-    first = _ask(oracle, SodInstance.from_pair(dropped, inst.source), inst)
+    first = _ask(oracle, inst.dropped(inst.source), inst)
     pivot = _derive_pivot(inst, first)
     if pivot is None:
         return first
-    frozen = freeze_stage(inst.pair, inst.step_and_value(pivot)[1])
-    second = _ask(oracle, SodInstance.from_pair(frozen, pivot), inst)
+    second = _ask(oracle, inst.frozen(inst.step_and_value(pivot)[1], source=pivot), inst)
     return _ensure(inst, second, pivot)
 
 
@@ -206,8 +208,7 @@ def dsr_sod(inst: SodInstance, oracle: Oracle) -> str:
     start = zeros(inst.n)
     if inst.value_bits == 1:
         return _one_step_answer(inst, start)
-    dropped = restrict_output(inst.pair, inst.n + 1)
-    first = _ask(oracle, SodInstance.from_pair(dropped), inst)
+    first = _ask(oracle, inst.dropped(), inst)
     pivot = _derive_pivot(inst, first)
     if pivot is None:
         return first
@@ -218,8 +219,7 @@ def dsr_sod(inst: SodInstance, oracle: Oracle) -> str:
             return pivot
         pivot = start  # its valuation exceeds the pivot's, which keeps the leading bit set
         threshold = inst.step_and_value(start)[1]
-    frozen = freeze_stage(inst.pair, threshold, redirect_to=pivot)
-    second = _ask(oracle, SodInstance.from_pair(frozen), inst)
+    second = _ask(oracle, inst.frozen(threshold, redirect_to=pivot), inst)
     candidate = pivot if second == start else second
     return _ensure(inst, candidate, pivot)
 

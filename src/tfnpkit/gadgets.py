@@ -13,7 +13,8 @@ value-threshold freezes.
 
 from __future__ import annotations
 
-from typing import Sequence
+import copy
+from typing import Callable, Sequence
 
 from .bits import check_bits, from_int
 from .circuit import (
@@ -222,15 +223,157 @@ def freeze_stage(
     once and shared between the threshold comparison and the remaining
     valuation outputs, so the size grows only by the gadget overhead.
     """
-    n = combined.n
-    m = combined.m - n
-    if m < 2:
-        raise DimensionError("freezing needs at least two valuation bits")
-    b = GateBuilder(n)
-    staged = b.inputs if redirect_to is None else b.redirect_zero(redirect_to, b.inputs)
-    refs = b.embed(combined, staged)
-    s_refs, v_refs = refs[:n], refs[n:]
-    frozen = b.lt_const(v_refs, from_int(frozen_below, m))
-    succ_out = b.mux(frozen, staged, s_refs)
-    return b.circuit(succ_out + v_refs[1:], name=name)
+    b = GateBuilder(combined.n)
+    return b.circuit(_freeze_embedded(b, combined, frozen_below, redirect_to), name=name)
 
+
+def _freeze_embedded(b: GateBuilder, combined: Circuit, frozen_below: int, redirect_to: str | None) -> list[int]:
+    """The freeze step on ``b`` with ``combined`` embedded through the stage."""
+    return _freeze(b, lambda staged: (staged, b.embed(combined, staged)), frozen_below, redirect_to)
+
+
+def _freeze(
+    b: GateBuilder,
+    embed: Callable[[list[int]], tuple[list[int], list[int]]],
+    frozen_below: int,
+    redirect_to: str | None,
+) -> list[int]:
+    """The freeze step's one sequence: stage, embed, threshold, mux.
+
+    ``embed(staged)`` makes the parent read the staged inputs and returns
+    the references that then carry the staged words and the parent's
+    outputs; the result is the references of the frozen outputs."""
+    n = b.n
+    staged = b.inputs if redirect_to is None else b.redirect_zero(redirect_to, b.inputs)
+    staged, refs = embed(staged)
+    s_refs, v_refs = refs[:n], refs[n:]
+    if len(v_refs) < 2:
+        raise DimensionError("freezing needs at least two valuation bits")
+    frozen = b.lt_const(v_refs, from_int(frozen_below, len(v_refs)))
+    return b.mux(frozen, staged, s_refs) + v_refs[1:]
+
+
+_COST = {OP_NOT: 2, OP_AND: 3, OP_OR: 3}  # gate plus operand wires
+
+
+def _operands(g: Gate) -> tuple[int, ...]:
+    if g.op not in _COST:
+        return ()
+    return (g.a,) if g.op == OP_NOT else (g.a, g.b)
+
+
+class Net(GateBuilder):
+    """A hash-consed gate table with reference counts: the form in which a
+    sink-of-DAG query holds its circuit.
+
+    Nodes are never renumbered.  A node is counted once for each node that
+    reads it and once for each output that names it; a node other than an
+    INPUT whose count is 0 is dead, and stays until the next :meth:`drop`
+    deletes every dead node, as ``project_outputs`` would.  The table holds
+    exactly the gates of the circuit the builder path makes for the same
+    steps (``freeze_stage`` and ``restrict_output``, from a parent that is
+    hash-consed), so ``size`` equals that circuit's ``size()``.
+    """
+
+    def __init__(self, n: int):
+        self.counts: list[int] = []
+        self.dead: set[int] = set()
+        self.cost = 0
+        self.outputs: list[int] = []
+        super().__init__(n)
+
+    @classmethod
+    def freeze_circuit(cls, combined: Circuit, frozen_below: int, redirect_to: str | None = None) -> "Net":
+        """The net of ``freeze_stage(combined, ...)``: hash-conses a raw
+        circuit once."""
+        net = cls(combined.n)
+        net._set_outputs(_freeze_embedded(net, combined, frozen_below, redirect_to))
+        return net
+
+    @property
+    def size(self) -> int:
+        """``size()`` of the circuit the table stands for."""
+        return self.cost + self.n + len(self.outputs)
+
+    def add(self, gate: Gate) -> int:
+        ref = super().add(gate)
+        if ref == len(self.counts):  # a new node
+            self.counts.append(0)
+            g = self.gates[ref]
+            if g.op != OP_INPUT:
+                self.dead.add(ref)
+                self.cost += _COST.get(g.op, 0)
+                for operand in _operands(g):
+                    self._hold(operand)
+        return ref
+
+    def drop(self, position: int) -> "Net":
+        """A copy without output ``position`` (0-based) and without every
+        gate that then feeds no output; INPUT nodes stay."""
+        net = self._copy()
+        net._release(net.outputs.pop(position))
+        while net.dead:
+            ref = net.dead.pop()
+            g = net.gates[ref]
+            net.gates[ref] = None
+            del net._refs[g.op, g.a, g.b]
+            net.cost -= _COST.get(g.op, 0)
+            for operand in _operands(g):
+                net._release(operand)
+        return net
+
+    def freeze(self, frozen_below: int, redirect_to: str | None = None) -> "Net":
+        """A copy after ``freeze_stage``'s step.  The redirect stage reads
+        new INPUT nodes, and the old INPUT nodes take over the staged gates
+        (the substitution is injective on a hash-consed table, so no other
+        node changes); only the threshold and mux gates are looked up."""
+        net = self._copy()
+        held = net.inputs
+        if redirect_to is not None:
+            for k in range(net.n):
+                del net._refs[OP_INPUT, k, 0]
+            net.inputs = [net.add(INPUT(k)) for k in range(net.n)]
+
+        def embed(staged: list[int]) -> tuple[list[int], list[int]]:
+            for old, new in zip(held, staged):
+                if old != new:
+                    net._take_over(old, new)
+            return held, net.outputs
+
+        net._set_outputs(_freeze(net, embed, frozen_below, redirect_to))
+        return net
+
+    def _copy(self) -> "Net":
+        net = copy.copy(self)
+        net.gates = self.gates.copy()
+        net._refs = self._refs.copy()
+        net.counts = self.counts.copy()
+        net.dead = self.dead.copy()
+        net.outputs = self.outputs.copy()
+        return net
+
+    def _take_over(self, old: int, new: int) -> None:
+        """Node ``old`` becomes the fresh, unread node ``new``, which goes."""
+        g = self.gates[old] = self.gates[new]
+        self.gates[new] = None
+        self._refs[g.op, g.a, g.b] = old
+        self.dead.discard(new)
+        if self.counts[old] == 0:
+            self.dead.add(old)
+
+    def _set_outputs(self, refs: list[int]) -> None:
+        for ref in refs:
+            self._hold(ref)
+        for ref in self.outputs:
+            self._release(ref)
+        self.outputs = refs
+
+    def _hold(self, ref: int) -> None:
+        if self.counts[ref] == 0:
+            self.dead.discard(ref)
+        self.counts[ref] += 1
+
+    def _release(self, ref: int) -> None:
+        self.counts[ref] -= 1
+        if self.counts[ref] == 0 and self.gates[ref].op != OP_INPUT:
+            self.dead.add(ref)

@@ -15,7 +15,10 @@ Circuit-backed iteration and sink-of-DAG instances evaluate each point
 once: ``IterInstance.step`` and ``SodInstance.step_and_value`` remember
 the points asked for, the verifiers and the self-reductions read through
 them, and a ``with_source`` copy shares the memo of the instance it was
-made from (its circuit is the same).
+made from (its circuit is the same).  The sink-of-DAG self-reduction's
+queries are composed over their parent: a query's step applies its stage
+and reads the parent's memo, so only the root circuit is ever evaluated,
+and its size comes from a hash-consed net rather than a built circuit.
 
 The sink-finding solution predicate requires a candidate to move
 (``succ(v) != v``) in both disjuncts: a point that is already a fixed point
@@ -32,10 +35,10 @@ from functools import cached_property
 from typing import Callable, Union
 
 from .bits import check_bits, from_int, to_int, zeros
-from .circuit import Circuit, emit_netlist, evaluate, parse_netlist
+from .circuit import Circuit, emit_netlist, evaluate, parse_netlist, restrict_output
 from .circuit import circuit_from_table, size as circuit_gate_size
 from .errors import DimensionError, NetlistError
-from .gadgets import combine_pair, split_pair
+from .gadgets import Net, combine_pair, freeze_stage, split_pair
 
 KIND_ITER = "iter"
 KIND_ITER_WS = "iter-with-source"
@@ -86,15 +89,20 @@ class IterInstance:
         return out
 
 
-@dataclass(frozen=True, init=False)
 class SodInstance:
     """Sink-of-DAG instance, stored as the one circuit ``pair``; the walk
     starts at ``source``, or at the all-zero word when ``source`` is None.
     ``succ`` and ``valuation`` are views: the circuits the instance was
-    built from, or slices of the pair cut on first read."""
+    built from, or slices of the pair cut on first read.
 
-    pair: Circuit
-    source: str | None = None
+    A self-reduction query (:meth:`dropped`, :meth:`frozen`) is composed
+    over its parent instance.  It evaluates a point by applying its stage
+    and reading the parent's memo, so only the root circuit is evaluated.
+    Its size comes from a :class:`~tfnpkit.gadgets.Net`, and its ``pair``
+    is built through ``restrict_output``/``freeze_stage`` only when read.
+    The drops of a circuit-backed instance are circuit-backed too (their
+    raw circuit may hold duplicate and dead gates, which a net would not
+    keep), so the first freeze below them hash-conses the circuit once."""
 
     def __init__(self, succ: Circuit, valuation: Circuit, source: str | None = None):
         self._init(combine_pair(succ, valuation), source)
@@ -105,24 +113,53 @@ class SodInstance:
         return cls.__new__(cls)._init(pair, source)
 
     def _init(self, pair: Circuit, source: str | None) -> "SodInstance":
-        """Set the fields of the frozen instance."""
-        if pair.m <= pair.n:
+        vars(self)["pair"] = pair
+        return self._set(pair.n, pair.m - pair.n, source, None, None, None)
+
+    def _set(self, n: int, value_bits: int, source, parent, freeze, net) -> "SodInstance":
+        """Set the fields: for a query, the parent and its stage (``freeze``
+        is ``(frozen_below, redirect_to)``, or None for a drop), and the net
+        that measures it unless it keeps its circuit."""
+        if value_bits < 1:
             raise DimensionError("pair circuit needs at least one valuation output")
-        vars(self).update(pair=pair, source=_checked_source(source, pair.n))
+        self.n, self.value_bits = n, value_bits
+        self.source = _checked_source(source, n)
+        self._parent, self._freeze, self._net = parent, freeze, net
         return self
 
+    def dropped(self, source: str | None = None) -> "SodInstance":
+        """Query without the valuation's most significant bit."""
+        net = None if self._net is None else self._net.drop(self.n)
+        return SodInstance.__new__(SodInstance)._set(self.n, self.value_bits - 1, source, self, None, net)
+
+    def frozen(self, frozen_below: int, *, redirect_to: str | None = None, source: str | None = None) -> "SodInstance":
+        """Query of the valuation-halving step (see ``freeze_stage``)."""
+        if self._net is None:
+            net = Net.freeze_circuit(self.pair, frozen_below, redirect_to)
+        else:
+            net = self._net.freeze(frozen_below, redirect_to)
+        freeze = (frozen_below, redirect_to)
+        return SodInstance.__new__(SodInstance)._set(self.n, self.value_bits - 1, source, self, freeze, net)
+
     def with_source(self, source: str | None) -> "SodInstance":
-        other = copy.copy(self)  # shares the pair and any views already cut
+        other = copy.copy(self)  # shares the circuit, parent, net and any views already cut
         vars(other).update(source=_checked_source(source, self.n), _steps=self._steps)
         return other
 
     @property
-    def n(self) -> int:
-        return self.pair.n
+    def size(self) -> int:
+        """Circuit size of ``pair``; a query read from its net, without
+        building the circuit."""
+        return circuit_gate_size(self.pair) if self._net is None else self._net.size
 
-    @property
-    def value_bits(self) -> int:
-        return self.pair.m - self.pair.n
+    @cached_property
+    def pair(self) -> Circuit:
+        """The circuit; a query's is built from its parent's on first read."""
+        parent = self._parent.pair
+        if self._freeze is None:
+            return restrict_output(parent, self.n + 1)
+        frozen_below, redirect_to = self._freeze
+        return freeze_stage(parent, frozen_below, redirect_to=redirect_to)
 
     @cached_property
     def _steps(self) -> dict[str, tuple[str, int]]:
@@ -141,13 +178,39 @@ class SodInstance:
         return self._views[1]
 
     def step_and_value(self, x: str) -> tuple[str, int]:
-        """Successor word and valuation at ``x``, from one evaluation of the
-        pair; each point is evaluated once."""
+        """Successor word and valuation at ``x``; each point is evaluated
+        once, by the root instance's pair."""
         hit = self._steps.get(x)
         if hit is None:
-            out = evaluate(self.pair, x)
-            hit = self._steps[x] = (out[: self.n], to_int(out[self.n :]))
+            hit = self._steps[x] = self._step_and_value(x)
         return hit
+
+    def _step_and_value(self, x: str) -> tuple[str, int]:
+        parent = self._parent
+        if parent is None:
+            out = evaluate(self.pair, x)
+            return out[: self.n], to_int(out[self.n :])
+        if self._freeze is None:
+            step, value = parent.step_and_value(x)
+        else:
+            frozen_below, redirect_to = self._freeze
+            if redirect_to is not None and x == zeros(self.n):
+                x = redirect_to
+            step, value = parent.step_and_value(x)
+            if value < frozen_below:
+                step = x
+        return step, value & ((1 << self.value_bits) - 1)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SodInstance):
+            return NotImplemented
+        return (self.pair, self.source) == (other.pair, other.source)
+
+    def __hash__(self) -> int:
+        return hash((self.pair, self.source))
+
+    def __repr__(self) -> str:
+        return f"SodInstance(n={self.n}, value_bits={self.value_bits}, source={self.source!r})"
 
 
 # The with-source kinds are the same types with ``source`` set.
@@ -252,7 +315,7 @@ def io_dims(inst: CircuitInstance) -> tuple[int, int]:
     """Total input and output bit counts, reading a multi-circuit instance
     as one circuit with shared inputs and concatenated outputs."""
     if isinstance(inst, SodInstance):
-        return inst.pair.n, inst.pair.m
+        return inst.n, inst.n + inst.value_bits
     if isinstance(inst, EolInstance):
         return inst.succ.n, inst.succ.m + inst.pred.m
     return inst.succ.n, inst.succ.m
@@ -261,7 +324,7 @@ def io_dims(inst: CircuitInstance) -> tuple[int, int]:
 def circuit_size(inst: CircuitInstance) -> int:
     """Circuit size; a sink-of-DAG instance is measured once, as its pair."""
     if isinstance(inst, SodInstance):
-        return circuit_gate_size(inst.pair)
+        return inst.size
     if isinstance(inst, EolInstance):
         return circuit_gate_size(inst.succ) + circuit_gate_size(inst.pred)
     return circuit_gate_size(inst.succ)

@@ -1,7 +1,14 @@
 import itertools
+import os
 import random
+from pathlib import Path
 
 import pytest
+
+# ``pythonpath`` in pyproject.toml reaches this process only; the CLI tests
+# also start ``python -m tfnpkit`` subprocesses, which read the environment.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 from tfnpkit import Circuit, circuit_from_table
 from tfnpkit.circuit import OP_AND, OP_CONST, OP_INPUT, OP_NOT

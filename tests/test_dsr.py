@@ -1,4 +1,5 @@
 import collections
+import itertools
 import random
 import sys
 
@@ -8,6 +9,7 @@ from tfnpkit import (
     IterInstance,
     IterWithSourceInstance,
     QueryTrace,
+    SelfReductionOracle,
     SodInstance,
     dsr_iter,
     dsr_iter_with_source,
@@ -315,3 +317,83 @@ def test_pairs_and_query_views_read_each_input_once(rng):
         masks = output_masks(inst.pair)
         assert masks == output_masks(inst.succ) + output_masks(inst.valuation)
         assert output_masks(parse_instance(emit_instance(inst)).pair) == masks
+
+
+class SizeCheckingOracle(SelfReductionOracle):
+    """The recursive self-oracle, or ``answer`` when given, behind a monitor:
+    every query it is handed must be a ``SodInstance`` whose size, as the
+    monitor just recorded it, is ``size()`` of the query's circuit."""
+
+    def __init__(self, answer=None):
+        super().__init__()
+        self.answer = answer
+        self.trace = QueryTrace()
+        self.checked = 0
+
+    def __call__(self, inst, parent=None):
+        assert type(inst) is SodInstance
+        assert self.trace.records[-1].query_dims[2] == size(inst.pair)
+        self.checked += 1
+        if self.answer is not None:
+            return self.answer(inst, parent)
+        return super().__call__(inst, parent)
+
+
+def _checked_run(inst, answer=None) -> int:
+    oracle = SizeCheckingOracle(answer)
+    result = run_dsr(inst, monitored(oracle, "circuit-dsr-poly-blowup", c=2, trace=oracle.trace))
+    assert verify_solution(inst, result)
+    return oracle.checked
+
+
+def test_sink_of_dag_queries_are_measured_exactly():
+    """Composed queries are sized from their nets; the size must be the one
+    their circuits have, on every sink-of-DAG query of the acceptance
+    criterion 3 strata, of the adversarial sweep and of long paths."""
+    checked = 0
+    # criterion 3: the two-bit strata with two valuation bits (one-bit
+    # valuations make no query), then the seeded three-bit sample
+    valuations = [table_circuit(v, 2, m=2, name="valuation") for v in itertools.product(range(4), repeat=4)]
+    for table in itertools.product(range(4), repeat=4):
+        succ = table_circuit(table, 2)
+        movers = [s for s in range(4) if table[s] != s]
+        seeded = random.Random(sum(table))
+        if table[0] != 0:
+            for val in valuations:
+                checked += _checked_run(SodInstance(succ, val))
+        if movers:
+            for _ in range(8):
+                val = table_circuit([seeded.randrange(4) for _ in range(4)], 2, m=2, name="valuation")
+                for s in movers[:2]:
+                    checked += _checked_run(SodInstance(succ, val, from_int(s, 2)))
+    rng = random.Random(0x5EED)
+    for _ in range(150):
+        for kind in ("iter", "iter-with-source", "sink-of-dag", "sink-of-dag-with-source"):
+            inst = random_instance(kind, 3, rng, m=3)
+            if isinstance(inst, SodInstance):
+                checked += _checked_run(inst)
+    # the adversarial sweep of test_soundness_under_adversarial_oracle
+    rng = random.Random(0xC0FFEE)
+    for trial in range(400):
+        kind = ("iter", "iter-with-source", "sink-of-dag", "sink-of-dag-with-source")[trial % 4]
+        inst = random_instance(kind, 3, rng, m=3)
+        if isinstance(inst, SodInstance):
+            checked += _checked_run(inst, AdversarialOracle(trial))
+    for n in range(2, 7):
+        identity = table_circuit(range(1 << n), n, name="valuation")
+        for source in (None, from_int(1, n)):
+            checked += _checked_run(SodInstance(_long_path(n), identity, source))
+    assert checked > 50_000
+
+
+def test_long_path_sink_of_dag_evaluates_only_the_root(monkeypatch):
+    """Queries read their parent's memo: a monitored run evaluates no circuit
+    but the root's, and each of its 2^n points at most once."""
+    inst = SodInstance(_long_path(5), table_circuit(range(32), 5, name="valuation"))
+    counts = _count_evaluations(monkeypatch)
+    trace = QueryTrace()
+    answer = run_dsr(inst, monitored(self_oracle(), "circuit-dsr-poly-blowup", c=2, trace=trace))
+    assert answer == from_int(30, 5)
+    assert len(trace) == 30
+    assert {circuit for circuit, _ in counts} == {id(inst.pair)}
+    assert sum(counts.values()) <= 32

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tfnpkit import gadgets
-from tfnpkit.bits import from_int
+from tfnpkit.bits import all_bitstrings, from_int, to_int
 from tfnpkit.circuit import (
     CONST,
     INPUT,
@@ -15,10 +15,14 @@ from tfnpkit.circuit import (
     OP_OR,
     Circuit,
     Gate,
+    evaluate,
     output_masks,
     random_circuit,
+    restrict_output,
+    size,
 )
 from tfnpkit.gadgets import GateBuilder, combine_pair, freeze_stage, redirect_zero_inputs
+from tfnpkit.problems import SodInstance, circuit_size
 
 
 class PlainBuilder(GateBuilder):
@@ -120,3 +124,30 @@ def test_combine_pair_adds_inputs_the_successor_lacks():
     pair = combine_pair(succ, valuation)
     assert input_gates(pair) == [0, 1]
     assert output_masks(pair) == output_masks(concatenated(succ, valuation))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(2, 5), st.data())
+def test_composed_queries_match_the_builder_path(value_bits, data):
+    """Chains of drops and freezes composed over a raw pair (duplicate,
+    constant and dead gates included): at every step the net's size is the
+    ``size()`` of the circuit ``restrict_output``/``freeze_stage`` build,
+    and ``step_and_value`` agrees with evaluating that circuit."""
+    pair = data.draw(circuits(extra_outputs=value_bits))
+    n = pair.n
+    inst, built = SodInstance.from_pair(pair), pair
+    for _ in range(data.draw(st.integers(1, value_bits - 1))):
+        m = built.m - n
+        if data.draw(st.booleans()):
+            inst, built = inst.dropped(), restrict_output(built, n + 1)
+        else:
+            frozen_below = data.draw(st.integers(0, (1 << m) - 1))
+            redirect_to = data.draw(st.one_of(st.none(), st.integers(0, (1 << n) - 1).map(lambda v: from_int(v, n))))
+            inst = inst.frozen(frozen_below, redirect_to=redirect_to)
+            built = freeze_stage(built, frozen_below, redirect_to=redirect_to)
+        assert type(inst) is SodInstance
+        assert circuit_size(inst) == size(built)
+        for x in all_bitstrings(n):
+            out = evaluate(built, x)
+            assert inst.step_and_value(x) == (out[:n], to_int(out[n:]))
+        assert inst.pair == built
