@@ -79,6 +79,9 @@ def _fixture_program(selector: str, x: str):
         if kind_of(inst) != KIND_ITER_WS:
             print("error: selfhost programs need an iter-with-source instance", file=sys.stderr)
             raise SystemExit(USAGE_ERROR)
+        if len(x) != inst.n:
+            print(f"error: --x has {len(x)} bits but the selfhost instance has {inst.n}", file=sys.stderr)
+            raise SystemExit(USAGE_ERROR)
         return HalvingIterProgram(inst)
     print(f"error: unknown problem selector {selector!r}", file=sys.stderr)
     raise SystemExit(USAGE_ERROR)

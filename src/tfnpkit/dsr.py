@@ -3,9 +3,10 @@ self-oracle, and query-discipline monitors.
 
 Each algorithm solves its instance with at most two queries to an oracle
 for strictly smaller instances.  The iteration problems halve the vertex
-space on the leading bit; the sink-of-DAG problems halve the valuation
-range on its leading bit.  A sink-of-DAG query is composed over the
-instance that asks it (:meth:`SodInstance.dropped`, :meth:`SodInstance.frozen`):
+space on the leading bit (:meth:`IterInstance.half`); the sink-of-DAG
+problems halve the valuation range on its leading bit.  A sink-of-DAG
+query is composed over the instance that asks it
+(:meth:`SodInstance.dropped`, :meth:`SodInstance.frozen`):
 it evaluates through the parent's memo, and it is measured, without being
 built, as exactly the circuit ``restrict_output``/``freeze_stage`` would
 make (successor then valuation outputs).  Oracle answers are verified
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .bits import zeros
-from .circuit import Circuit, evaluate, restrict_input, restrict_output
+from .circuit import evaluate  # unused here; bench/selftest.py checks the tracer wraps this binding
 from .errors import MalformedInstanceError, MonitorViolation, OracleContractError
 from .gadgets import redirect_zero_inputs
 from .problems import (
@@ -49,7 +50,6 @@ from .problems import (
 from .solvers import solve_exhaustive, solve_path
 
 Oracle = Callable[..., str]
-Step = Callable[[str], str]  # successor word of a point
 
 MODE_DSR = "dsr"
 MODE_CIRCUIT = "circuit-dsr"
@@ -80,34 +80,21 @@ def _ensure(inst: CircuitInstance, candidate: str, restart: str) -> str:
 # --- iteration problems ------------------------------------------------------
 
 
-def _half_restriction(succ, leading_bit: int):
-    """Successor of the half-space picked by the leading bit: fix input 1,
-    drop output 1."""
-    return restrict_output(restrict_input(succ, 1, leading_bit), 1)
-
-
-def _circuit_step(succ: Circuit) -> Step:
-    """Step function of a bare successor circuit, for callers that hold no
-    instance (and so no memo)."""
-    return lambda x: evaluate(succ, x)
-
-
-def _lower_query_source(step: Step, source: str) -> str | None:
+def _lower_query_source(inst: IterInstance, source: str) -> str | None:
     """Source for the lower-half query, or None when the walk starts or
     immediately lands in the upper half (the restricted instance would not
     be well-formed there)."""
-    if source[0] == "1":
-        return None
-    if step(source)[0] == "1":
+    if source[0] == "1" or inst.step(source)[0] == "1":
         return None
     return source[1:]
 
 
-def _upper_start(step: Step, source: str, low_answer: str | None) -> tuple[str, str]:
+def _upper_start(inst: IterInstance, source: str, low_answer: str | None) -> tuple[str, str]:
     """After the lower-half phase, either ('solution', v) or ('upper', u)
     where u lies in the upper half with a strictly ascending step."""
     if source[0] == "1":
         return "upper", source
+    step = inst.step
     first = step(source)
     if first[0] == "1":
         if step(first) <= first:
@@ -129,20 +116,18 @@ def _upper_start(step: Step, source: str, low_answer: str | None) -> tuple[str, 
 
 def dsr_iter_with_source(inst: IterInstance, oracle: Oracle) -> str:
     _require_wf(inst)
-    succ, source = inst.succ, inst.source
-    if succ.n <= 1:
+    source = inst.source
+    if inst.n <= 1:
         return solve_exhaustive(inst)
     low_answer = None
-    low_source = _lower_query_source(inst.step, source)
+    low_source = _lower_query_source(inst, source)
     if low_source is not None:
-        sub = IterInstance(_half_restriction(succ, 0), low_source)
-        low_answer = _ask(oracle, sub, inst)
-    kind, value = _upper_start(inst.step, source, low_answer)
+        low_answer = _ask(oracle, inst.half(0, low_source), inst)
+    kind, value = _upper_start(inst, source, low_answer)
     if kind == "solution":
         return _ensure(inst, value, source)
     pivot = value
-    sub = IterInstance(_half_restriction(succ, 1), pivot[1:])
-    upper_answer = _ask(oracle, sub, inst)
+    upper_answer = _ask(oracle, inst.half(1, pivot[1:]), inst)
     return _ensure(inst, "1" + upper_answer, pivot)
 
 
@@ -151,19 +136,18 @@ def dsr_iter(inst: IterInstance, oracle: Oracle) -> str:
     circuit redirects the all-zero input to the pivot's suffix, so the
     implicit start of the sub-instance lands on the pivot."""
     _require_wf(inst)
-    succ = inst.succ
-    n = succ.n
+    n = inst.n
     if n <= 1:
         return solve_exhaustive(inst)
     source = zeros(n)
     low_answer = None
-    if _lower_query_source(inst.step, source) is not None:
-        low_answer = _ask(oracle, IterInstance(_half_restriction(succ, 0)), inst)
-    kind, value = _upper_start(inst.step, source, low_answer)
+    if _lower_query_source(inst, source) is not None:
+        low_answer = _ask(oracle, inst.half(0), inst)
+    kind, value = _upper_start(inst, source, low_answer)
     if kind == "solution":
         return _ensure(inst, value, source)
     pivot = value
-    patched = redirect_zero_inputs(_half_restriction(succ, 1), pivot[1:])
+    patched = redirect_zero_inputs(inst.half(1).succ, pivot[1:])
     upper_answer = _ask(oracle, IterInstance(patched), inst)
     candidate = pivot if upper_answer == zeros(n - 1) else "1" + upper_answer
     return _ensure(inst, candidate, pivot)

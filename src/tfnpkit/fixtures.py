@@ -3,21 +3,21 @@
 ``RecursiveCombineProblem`` is a toy unique-solution problem built to
 exercise the state-graph and verifiable-line pipelines end to end: it is
 not hard, and without the recursion there is no obvious fast verifier; it
-exists purely as plumbing ballast.  ``HalvingIterProgram`` wraps the
-iteration problem's halving self-reduction over one fixed top-level
-instance, with cells carrying source words and the circuit tree determined
-by the cell's slot path.
+exists purely as plumbing ballast.  ``HalvingIterProgram`` runs the
+iteration-with-source self-reduction, ``dsr_iter_with_source`` itself, over
+one fixed top-level instance, with cells carrying source words and the
+sub-instance determined by the cell's slot path.
 """
 
 from __future__ import annotations
 
 from .bits import complement, parity, xor_bits, zeros
-from .circuit import Circuit, evaluate, size as circuit_size
-from .dsr import _circuit_step, _half_restriction, _lower_query_source, _upper_start
+from .circuit import size as circuit_size
+from .dsr import dsr_iter_with_source
 from .dsr2pls import DsrProgram, Path
 from .errors import SolveBoundError
-from .problems import IterInstance
-from .solvers import solve_path
+from .problems import IterInstance, verify_solution
+from .solvers import solve_path  # unused here; bench/tracing.py counts walks through this binding
 
 
 class RecursiveCombineProblem(DsrProgram):
@@ -65,27 +65,33 @@ class RecursiveCombineProblem(DsrProgram):
         return sol == self.solution(inst)
 
 
+class _Unanswered(Exception):
+    """Raised by a replay's scripted oracle at the first slot with no answer
+    yet; its args are the slot and the source of the slot's query."""
+
+
 class HalvingIterProgram(DsrProgram):
     """The halving self-reduction of one iteration-with-source instance as a
     replayable query program.
 
-    A cell's slot path fixes its circuit (slot 1 restricts the leading bit
-    to 0, slot 2 to 1, composed along the path); the cell's bits are the
-    source word.  Slots whose query the algorithm does not need are padded
-    with the all-zero source; sources for which the circuit has no ascent
-    are solved by the canonical all-zero answer, which keeps the relation
-    total over every word.
+    A cell's slot path fixes its instance (slot 1 the lower half of its
+    parent's, slot 2 the upper, see :meth:`IterInstance.half`) and its bits
+    are the source.  A replay runs :func:`~tfnpkit.dsr.dsr_iter_with_source`
+    against an oracle that answers from the answered prefix.  Only the
+    padding rules are the program's own: a slot the algorithm does not need
+    holds the all-zero source, and a source with no ascent is answered by
+    the all-zero word, which keeps the relation total over every word.
     """
 
     def __init__(self, top: IterInstance):
         self.top = top
-        self._circuits: dict[Path, Circuit] = {(): top.succ}
+        self._instances: dict[Path, IterInstance] = {(): top}
 
-    def circuit_for(self, path: Path) -> Circuit:
-        if path not in self._circuits:
-            parent = self.circuit_for(path[:-1])
-            self._circuits[path] = _half_restriction(parent, path[-1] - 1)
-        return self._circuits[path]
+    def instance_for(self, path: Path) -> IterInstance:
+        """The path's instance, one per path, so each path has one memo."""
+        if path not in self._instances:
+            self._instances[path] = self.instance_for(path[:-1]).half(path[-1] - 1)
+        return self._instances[path]
 
     def query_count(self, size: int) -> int:
         return 2 if size >= 2 else 0
@@ -93,55 +99,48 @@ class HalvingIterProgram(DsrProgram):
     def solution_len(self, size: int) -> int:
         return size
 
-    @staticmethod
-    def _ascends(c: Circuit, source: str) -> bool:
-        return evaluate(c, source) > source
+    def _ascending(self, inst: str, path: Path) -> IterInstance | None:
+        """The path's instance with source ``inst``, or None when it does not
+        ascend from there (the padded case)."""
+        here = self.instance_for(path).with_source(inst)
+        return here if here.step(inst) > inst else None
 
-    def _low_answer(self, c: Circuit, inst: str, answered) -> str | None:
-        """The slot-1 answer when slot 1 was a real query, else None."""
-        if _lower_query_source(_circuit_step(c), inst) is None:
+    def _replay(self, inst: str, answered, path: Path) -> str | None:
+        """The algorithm's answer at source ``inst``, or None in the padded
+        case; raises :class:`_Unanswered` at the first unanswered query."""
+        here = self._ascending(inst, path)
+        if here is None:
             return None
-        return answered[0][1]
+
+        def scripted(sub: IterInstance, parent: IterInstance) -> str:
+            # both halves stay held by their paths, so a query's circuit is one of theirs
+            slot = next(j for j in (1, 2) if self.instance_for(path + (j,)).succ is sub.succ)
+            if slot > len(answered):
+                raise _Unanswered(slot, sub.source)
+            return answered[slot - 1][1]
+
+        return dsr_iter_with_source(here, scripted)
 
     def next_query(self, inst: str, answered, path: Path = ()) -> str:
-        pad = zeros(len(inst) - 1)
-        c = self.circuit_for(path)
-        if not self._ascends(c, inst):
-            return pad
-        if not answered:
-            low = _lower_query_source(_circuit_step(c), inst)
-            return pad if low is None else low
-        kind, value = _upper_start(_circuit_step(c), inst, self._low_answer(c, inst, answered))
-        return pad if kind == "solution" else value[1:]
+        try:
+            self._replay(inst, answered, path)
+        except _Unanswered as pending:
+            slot, source = pending.args
+            if slot == len(answered) + 1:
+                return source
+        return zeros(len(inst) - 1)
 
     def finalize(self, inst: str, answered, path: Path = ()) -> str:
-        c = self.circuit_for(path)
-        if not self._ascends(c, inst):
-            return zeros(len(inst))
-        if len(inst) == 1:
-            return "0"
-        kind, value = _upper_start(_circuit_step(c), inst, self._low_answer(c, inst, answered))
-        if kind == "solution":
-            return value
-        pivot = value
-        candidate = "1" + answered[1][1]
-        if self.verify(inst, candidate, path):
-            return candidate
-        return solve_path(IterInstance(c, pivot))
+        answer = self._replay(inst, answered, path)
+        return zeros(len(inst)) if answer is None else answer
 
     def verify(self, inst: str, sol: str, path: Path = ()) -> bool:
-        if len(sol) != len(inst):
-            return False
-        c = self.circuit_for(path)
-        if not self._ascends(c, inst):
-            return sol == zeros(len(inst))
-        step = evaluate(c, sol)
-        return step > sol and evaluate(c, step) <= step
+        here = self._ascending(inst, path)
+        return sol == zeros(len(inst)) if here is None else verify_solution(here, sol)
 
     # circuit-mode sizing report for the compiler's growth check
     def circuit_io_dims(self) -> tuple[int, int]:
         return self.top.succ.n, self.top.succ.m
 
     def query_instance_size(self, path: Path) -> int:
-        c = self.circuit_for(path)
-        return circuit_size(c) + (self.top.succ.n - len(path))
+        return circuit_size(self.instance_for(path).succ) + (self.top.succ.n - len(path))

@@ -30,12 +30,13 @@ introduced by the halving constructions masquerade as solutions.
 from __future__ import annotations
 
 import copy
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Union
 
 from .bits import check_bits, from_int, to_int, zeros
-from .circuit import Circuit, emit_netlist, evaluate, parse_netlist, restrict_output
+from .circuit import Circuit, emit_netlist, evaluate, parse_netlist, restrict_input, restrict_output
 from .circuit import circuit_from_table, size as circuit_gate_size
 from .errors import DimensionError, NetlistError
 from .gadgets import Net, combine_pair, freeze_stage, split_pair
@@ -74,12 +75,25 @@ class IterInstance:
 
     def with_source(self, source: str | None) -> "IterInstance":
         other = IterInstance(self.succ, source)
-        vars(other)["_steps"] = self._steps  # same successor, same memo
+        vars(other).update(_steps=self._steps, _halves=self._halves)  # same successor, same memos
         return other
+
+    def half(self, bit: int, source: str | None = None) -> "IterInstance":
+        """Query on the half-space whose leading bit is ``bit`` (input 1
+        fixed, output 1 dropped).  Its circuit is cached weakly: built once
+        while some instance holds it, not kept alive by the parent."""
+        c = self._halves.get(bit)
+        if c is None:
+            c = self._halves[bit] = restrict_output(restrict_input(self.succ, 1, bit), 1)
+        return IterInstance(c, source)
 
     @cached_property
     def _steps(self) -> dict[str, str]:
         return {}
+
+    @cached_property
+    def _halves(self) -> weakref.WeakValueDictionary[int, Circuit]:
+        return weakref.WeakValueDictionary()
 
     def step(self, x: str) -> str:
         """Successor word at ``x``; each point is evaluated once."""

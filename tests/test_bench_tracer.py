@@ -25,3 +25,10 @@ def test_every_traced_name_resolves():
             assert hasattr(owner, part), f"tfnpkit.{module_name}.{attr} is gone"
             owner = getattr(owner, part)
         assert callable(owner), f"tfnpkit.{module_name}.{attr} is not callable"
+
+
+def test_selftest_binding_resolves():
+    """bench/selftest.py checks that the tracer wraps dsr's binding of evaluate."""
+    dsr = importlib.import_module("tfnpkit.dsr")
+    circuit = importlib.import_module("tfnpkit.circuit")
+    assert dsr.evaluate is circuit.evaluate

@@ -187,6 +187,9 @@ def test_exit_code_table(tmp_path, capsys):
         (("dsr-run", files["iter"], "--inflate", "-1"), 3),
         # selfhost programs need a source; a source-free iter file is refused
         (("compile-pls", "--problem", f"selfhost:{files['iter']}", "--x", "101"), 3),
+        # a selfhost word must be as wide as the instance
+        (("compile-pls", "--problem", f"selfhost:{files['iter-with-source']}", "--x", "10"), 3),
+        (("compile-pls", "--problem", f"selfhost:{files['iter-with-source']}", "--x", "1010"), 3),
     ]
     for argv, code in table:
         assert main([str(a) for a in argv]) == code, argv

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tfnpkit import (
@@ -11,7 +13,11 @@ from tfnpkit import (
     verify_solution,
 )
 from tfnpkit.bits import all_bitstrings, complement, parity, xor_bits
+from tfnpkit.dsr import dsr_iter_with_source, monitored, self_oracle
 from tfnpkit.errors import SolveBoundError
+from tfnpkit.problems import well_formed
+
+from test_dsr import _count_evaluations
 
 
 def naive_solution(x: str) -> str:
@@ -103,3 +109,40 @@ def test_halving_program_answers_its_top_instance(rng):
         compiled = compile_pls(prog, top.source)
         states = list(compiled.machine.walk(top.source, limit=5000))
         assert verify_solution(top, compiled.extract(states[-1]))
+
+
+def test_selfhost_walk_answers_like_the_monitored_algorithm():
+    """The compiled graph's answer is the self-reduction's, from every source
+    the instance ascends from."""
+    rng = random.Random(11)
+    checked = 0
+    for n in (2, 3, 4):
+        for _ in range(8):
+            top = random_instance("iter-with-source", n, rng)
+            prog = HalvingIterProgram(top)
+            for source in all_bitstrings(n):
+                inst = top.with_source(source)
+                if not well_formed(inst):
+                    continue
+                compiled = compile_pls(prog, source)
+                *_, last = compiled.machine.walk(source, limit=5000)
+                oracle = monitored(self_oracle(), "circuit-dsr-poly-blowup")
+                assert compiled.extract(last) == dsr_iter_with_source(inst, oracle), (n, source)
+                checked += 1
+    assert checked > 90
+
+
+def test_selfhost_walk_evaluates_each_point_a_bounded_number_of_times(monkeypatch):
+    """Every slot path keeps one instance, so replays read its memo: a walk
+    evaluates each (circuit, point) pair only a few times."""
+    counts = _count_evaluations(monkeypatch)
+    rng = random.Random(3)
+    for n in (4, 5):
+        for _ in range(3):
+            top = random_instance("iter-with-source", n, rng)
+            counts.clear()
+            compiled = compile_pls(HalvingIterProgram(top), top.source)
+            *_, last = compiled.machine.walk(top.source, limit=5000)
+            assert verify_solution(top, compiled.extract(last))
+            per_pair = sum(counts.values()) / len(counts)
+            assert per_pair < 5, (n, per_pair)

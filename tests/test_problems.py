@@ -1,6 +1,8 @@
+import gc
 import itertools
 import random
 import re
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -117,6 +119,22 @@ def test_implicit_instance_verifier():
     assert well_formed(inst)
     assert verify_solution(inst, "01")  # steps to the sink
     assert not verify_solution(inst, "11")  # the sink itself is a fixed point
+
+
+def test_iter_halves_share_circuits_without_keeping_them(rng):
+    """A half circuit is built once for an instance and its with_source
+    copies while a query holds it, and the parent does not keep it alive."""
+    inst = random_instance("iter-with-source", 4, rng)
+    low = inst.half(0, "000")
+    assert inst.with_source("0000").half(0).succ is low.succ
+    assert inst.half(1).succ is not low.succ
+    assert [evaluate(low.succ, x) for x in all_bitstrings(3)] == [
+        evaluate(inst.succ, "0" + x)[1:] for x in all_bitstrings(3)
+    ]
+    held = weakref.ref(low.succ)
+    del low
+    gc.collect()
+    assert held() is None
 
 
 def test_io_dims_and_size():
