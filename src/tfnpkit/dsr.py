@@ -13,14 +13,13 @@ make (successor then valuation outputs).  Oracle answers are verified
 against the queried sub-instance (a bad answer raises
 :class:`OracleContractError`).
 
-The case analyses lift almost every sub-answer directly.  Two lifts are not
+The case analyses lift almost every sub-answer directly.  One lift is not
 universally sound when the oracle may return *any* valid sub-solution
-rather than one reachable from the sub-instance's start: an upper-half
-answer whose true successor dips into the lower half, and an answer whose
-step lands on the redirected all-zero point of a patched circuit.  Both
-lifts are verified, and on failure the algorithm finishes by walking the
-original instance from its best known ascending point, so the returned
-word always verifies.
+rather than one reachable from the sub-instance's start: the iteration
+upper-half answer, whose true successor may dip into the lower half.  That
+lift is verified, and on failure the algorithm finishes by walking the
+original instance from its pivot, so the returned word always verifies.
+The sink-of-DAG lifts are sound by construction and never walk.
 """
 
 from __future__ import annotations
@@ -176,6 +175,9 @@ def _derive_pivot(inst, answer: str) -> str | None:
 
 
 def dsr_sod_with_source(inst: SodInstance, oracle: Oracle) -> str:
+    """Every point the frozen query moves has valuation at least the pivot's,
+    which has the leading bit set, so a sub-solution's step is frozen (lower
+    valuation), a sink, or no higher in the full valuation: it lifts as is."""
     _require_wf(inst)
     if inst.value_bits == 1:
         return _one_step_answer(inst, inst.source)
@@ -183,11 +185,17 @@ def dsr_sod_with_source(inst: SodInstance, oracle: Oracle) -> str:
     pivot = _derive_pivot(inst, first)
     if pivot is None:
         return first
-    second = _ask(oracle, inst.frozen(inst.step_and_value(pivot)[1], source=pivot), inst)
-    return _ensure(inst, second, pivot)
+    return _ask(oracle, inst.frozen(inst.step_and_value(pivot)[1], source=pivot), inst)
 
 
 def dsr_sod(inst: SodInstance, oracle: Oracle) -> str:
+    """As with a source, except the frozen query starts at the all-zero
+    word.  When that word's valuation is at least the pivot's, the word
+    serves as pivot and threshold itself, with no redirect.  Otherwise the
+    query redirects it to the pivot, and a step onto the all-zero word
+    lowers the valuation: every sub-solution lifts (the pivot stands for the
+    all-zero answer), and a pivot that steps onto the all-zero word already
+    solves the instance."""
     _require_wf(inst)
     start = zeros(inst.n)
     if inst.value_bits == 1:
@@ -197,15 +205,13 @@ def dsr_sod(inst: SodInstance, oracle: Oracle) -> str:
     if pivot is None:
         return first
     step, threshold = inst.step_and_value(pivot)
+    start_value = inst.step_and_value(start)[1]
+    if start_value >= threshold:
+        return _ask(oracle, inst.frozen(start_value), inst)
     if step == start:
-        # the pivot's step would collide with the redirected zero point
-        if verify_solution(inst, pivot):
-            return pivot
-        pivot = start  # its valuation exceeds the pivot's, which keeps the leading bit set
-        threshold = inst.step_and_value(start)[1]
+        return pivot
     second = _ask(oracle, inst.frozen(threshold, redirect_to=pivot), inst)
-    candidate = pivot if second == start else second
-    return _ensure(inst, candidate, pivot)
+    return pivot if second == start else second
 
 
 _DISPATCH = {
@@ -227,23 +233,19 @@ def run_dsr(inst: CircuitInstance, oracle: Oracle) -> str:
 
 
 class SelfReductionOracle:
-    """Answers queries by recursively running the matching algorithm,
-    bottoming out in exhaustive search at ``base_bits`` for the iteration
-    problems (the sink-of-DAG recursion ends in its own single-valuation-bit
-    rule)."""
+    """Answers queries by recursively running the matching algorithm, which
+    ends in its own base case: exhaustive search at one bit for the
+    iteration problems, the single-valuation-bit rule for sink-of-DAG."""
 
-    def __init__(self, base_bits: int = 1):
-        self.base_bits = base_bits
+    def __init__(self):
         self._entry: Oracle = self
 
     def __call__(self, inst: CircuitInstance, parent: CircuitInstance | None = None) -> str:
-        if isinstance(inst, IterInstance) and inst.n <= self.base_bits:
-            return solve_exhaustive(inst)
         return run_dsr(inst, self._entry)
 
 
-def self_oracle(base_bits: int = 1) -> SelfReductionOracle:
-    return SelfReductionOracle(base_bits)
+def self_oracle() -> SelfReductionOracle:
+    return SelfReductionOracle()
 
 
 Dims = tuple[int, int, int]  # (inputs, outputs, circuit size)

@@ -8,10 +8,10 @@ encoded as fixed-width bit strings (state tables); the successor function
 advances one configuration per step, is the identity on invalid strings,
 and loops on the finished configuration.  Following the successor from the
 initial state therefore walks a path whose last state carries the answer.
-One recursive pass over a table both validates it and computes its
-successor, so validity and the step cannot disagree.  The compiled
-valuation is the position along the walk, and 0 on any string that is not
-a valid table for the compiled instance.
+One recursive pass over a table validates it, computes its successor and
+places it on the walk, so validity, the step and the position cannot
+disagree.  The compiled valuation is that position, and 0 on any string
+that is not a valid table for the compiled instance.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .bits import check_bits, zeros
+from .dsr import MODE_CIRCUIT, MODE_DSR
 from .errors import DimensionError, MalformedInstanceError, SizingError
 from .problems import ImplicitSodInstance, SuccessorOracle
 
@@ -66,11 +67,13 @@ class StateSpace:
     bits]; an absent component has flag 0 and all-zero field bits, and any
     other encoding makes the whole table invalid.
 
-    One recursive pass, :meth:`_step`, both validates a table and advances
-    it: :meth:`successor` is the identity where the pass fails and
-    :meth:`is_valid` reports whether it succeeds, so invalid strings are
-    fixed points by construction.  The valuation :func:`compile_pls` builds
-    on these tables is 0 on every string that is not valid for its ``x``.
+    One recursive pass, :meth:`_step`, validates a table, advances it and
+    places it on the walk: :meth:`successor` is the identity where the pass
+    fails, :meth:`is_valid` reports whether it succeeds, and
+    :meth:`position` is the 1-based index on the walk, or 0 where it fails.
+    So invalid strings are fixed points by construction, and the valuation
+    :func:`compile_pls` builds on these tables is 0 on every string that is
+    not valid for its ``x``.
     """
 
     def __init__(self, prog: DsrProgram, n: int):
@@ -83,13 +86,18 @@ class StateSpace:
         if self._p[1] != 0:
             raise DimensionError("size-1 instances must make no queries")
         self._cw = {k: 2 + k + self._q[k] for k in range(1, n + 1)}
-        widths = {1: self._cw[1]}
+        widths, lengths = {1: self._cw[1]}, {1: 2}
         for k in range(2, n + 1):
             widths[k] = self._cw[k] + self._p[k] * self._cw[k - 1] + widths[k - 1] - self._cw[k - 1]
-        self._width = widths
+            lengths[k] = 2 + self._p[k] * lengths[k - 1]  # initial and finished, plus each sub-walk
+        self._width, self._length = widths, lengths
 
     def width(self, k: int | None = None) -> int:
         return self._width[self.n if k is None else k]
+
+    def path_length(self, k: int | None = None) -> int:
+        """Number of states on the walk of a size-k instance."""
+        return self._length[self.n if k is None else k]
 
     # -- cell codec --
 
@@ -188,9 +196,10 @@ class StateSpace:
                 answered.append((inst, sol))
         return tuple(answered), pending
 
-    def _step(self, state: str, x: str, k: int, path: Path) -> str | None:
-        """Successor of a size-k table for instance ``x``, or None when the
-        table is invalid: one pass both validates and advances."""
+    def _step(self, state: str, x: str, k: int, path: Path) -> tuple[str, int] | None:
+        """Successor and 1-based walk position of a size-k table for instance
+        ``x``, or None when the table is invalid: one pass validates,
+        advances and places it."""
         root = self.root_cell(state, k)
         if root is _BAD or root[0] != x:
             return None
@@ -198,28 +207,32 @@ class StateSpace:
         if sol is not None:
             if "1" in state[self._cw[k] :] or not self.prog.verify(x, sol, path):
                 return None
-            return state  # finished: the state is its own successor
+            return state, self._length[k]  # finished: the state is its own successor
         if k == 1:
-            return self._make_cell(k, x, self.prog.finalize(x, (), path))
+            return self._make_cell(k, x, self.prog.finalize(x, (), path)), 1
         scan = self._scan_row_one(state, x, k, path)
         if scan is None:
             return None
         answered, pending = scan
+        # the root's state, then one whole sub-walk per answered query
+        pos = 1 + len(answered) * self._length[k - 1]
         if pending is not None:
             j = len(answered) + 1
-            advanced = self._step(self._subtable(state, j, k), pending, k - 1, path + (j,))
-            return None if advanced is None else self._embed_subtable(state, j, k, advanced)
+            sub = self._step(self._subtable(state, j, k), pending, k - 1, path + (j,))
+            if sub is None:
+                return None
+            return self._embed_subtable(state, j, k, sub[0]), pos + sub[1]
         w = self._cw[k - 1]
         if "1" in state[self._cw[k] + self._p[k] * w :]:
             return None
         if len(answered) == self._p[k]:
             y = self.prog.finalize(x, answered, path)
-            return self._make_cell(k, x, y) + zeros(self.width(k) - self._cw[k])
+            return self._make_cell(k, x, y) + zeros(self.width(k) - self._cw[k]), pos
         base = self._cw[k] + len(answered) * w
         cell = self._make_cell(k - 1, self.prog.next_query(x, answered, path), None)
-        return state[:base] + cell + state[base + w :]
+        return state[:base] + cell + state[base + w :], pos
 
-    def _step_top(self, state: str, x: str) -> str | None:
+    def _step_top(self, state: str, x: str) -> tuple[str, int] | None:
         check_bits(x, self.n)
         if len(state) != self.width() or any(ch not in "01" for ch in state):
             return None
@@ -230,7 +243,13 @@ class StateSpace:
 
     def successor(self, state: str, x: str) -> str:
         nxt = self._step_top(state, x)
-        return state if nxt is None else nxt  # invalid strings are isolated fixed points
+        return state if nxt is None else nxt[0]  # invalid strings are isolated fixed points
+
+    def position(self, state: str, x: str) -> int:
+        """1-based index of ``state`` on the walk of ``x``; 0 for any string
+        that is not a valid table for ``x``."""
+        placed = self._step_top(state, x)
+        return 0 if placed is None else placed[1]
 
     def walk(self, x: str, limit: int | None = None):
         """Yield the states from the initial one to the finished one."""
@@ -298,7 +317,8 @@ def compile_pls(
     instance: the successor advances state tables, the valuation is the
     position along the unique path (0 for invalid states), and the source is
     the initial state.  The answer is read off the root cell of the final
-    state.
+    state.  ``mode`` is ``dsr`` or ``circuit-dsr``; any other raises
+    :class:`ValueError`.
 
     In ``circuit-dsr`` mode, programs that report per-query circuit sizes
     are checked against the declared polynomial growth budget (a violation
@@ -306,12 +326,12 @@ def compile_pls(
     compared against the query-count * solution-length * size^2 bound and a
     discrepancy is recorded as a flag rather than an error.
     """
-    from .svl import _position_for, path_length  # svl builds on this module
-
+    if mode not in (MODE_DSR, MODE_CIRCUIT):
+        raise ValueError(f"unknown compile mode {mode!r}: expected {MODE_DSR!r} or {MODE_CIRCUIT!r}")
     n = len(x)
     machine = StateSpace(prog, n)
     flags: list[str] = []
-    if mode == "circuit-dsr":
+    if mode == MODE_CIRCUIT:
         if not hasattr(prog, "query_instance_size"):
             raise SizingError("program does not report query sizes for circuit-mode checking")
         _check_circuit_sizing(prog, n, blowup_exponent)
@@ -323,7 +343,7 @@ def compile_pls(
     succ = SuccessorOracle(fn=lambda s: machine.successor(s, x), n=machine.width())
     instance = ImplicitSodInstance(
         succ=succ,
-        valuation=lambda s: _position_for(prog, s, machine, x),
+        valuation=lambda s: machine.position(s, x),
         source=machine.initial_state(x),
     )
     return CompiledPls(
@@ -331,6 +351,6 @@ def compile_pls(
         x=x,
         machine=machine,
         instance=instance,
-        path_length=path_length(prog, n),
+        path_length=machine.path_length(),
         sizing_flags=flags,
     )

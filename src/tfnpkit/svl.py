@@ -4,8 +4,12 @@ for unique-solution programs.
 Positions are 1-based indices along the walk of a compiled program.  The
 occupancy of a valid state determines its position: each level contributes
 one step for its open cell plus a full sub-path length for every completed
-cell before it.  Two independent implementations (an occupancy scan and a
-sub-table recursion) are exposed and must agree.
+cell before it.  Two independent forms are exposed and must agree: an
+occupancy scan over the rows, and the position that the validating pass of
+:class:`~tfnpkit.dsr2pls.StateSpace` computes while it advances a table.
+The verifiable line is built from the compiled walk of
+:func:`~tfnpkit.dsr2pls.compile_pls`: its successor, source, target and
+valuation.
 """
 
 from __future__ import annotations
@@ -15,36 +19,33 @@ from dataclasses import dataclass, field
 
 from .bits import all_bitstrings
 from .errors import InvalidStateError, PromiseViolation
-from .dsr2pls import _BAD, DsrProgram, StateSpace
-from .problems import SuccessorOracle, SvlInstance
+from .dsr2pls import _BAD, DsrProgram, StateSpace, compile_pls
+from .problems import SvlInstance
 
 
 def path_length(prog: DsrProgram, size: int) -> int:
     """Total number of states on the walk of a size-``size`` instance: two
     (initial and finished) plus one full sub-walk per query."""
-
-    def pi(k: int) -> int:
-        p = prog.query_count(k) if k >= 1 else 0
-        if k <= 1 or p == 0:
-            return 2
-        return 2 + p * pi(k - 1)
-
-    return pi(size)
+    return StateSpace(prog, size).path_length()
 
 
-def _require_valid(prog: DsrProgram, state: str, machine: StateSpace):
+def _validated(state: str, machine: StateSpace):
+    """Root cell and validating-pass position of a state on the walk of its
+    own root instance; raises off valid states."""
     root = machine.root_cell(state)
-    if root is _BAD or root[0] is None or not machine.is_valid(state, root[0]):
+    pos = 0 if root is _BAD or root[0] is None else machine.position(state, root[0])
+    if pos == 0:
         raise InvalidStateError("position is defined only for valid states")
-    return machine, root
+    return root, pos
 
 
 def position(prog: DsrProgram, state: str, machine: StateSpace) -> int:
     """Occupancy form: scan each row's filled prefix without recursing."""
-    machine, root = _require_valid(prog, state, machine)
+    root, _ = _validated(state, machine)
     n = machine.n
+    length = machine.path_length
     if root[1] is not None:
-        return path_length(prog, n)
+        return length(n)
     total = 1
     for depth in range(1, n):
         cells = machine.row_cells(state, depth)
@@ -52,47 +53,19 @@ def position(prog: DsrProgram, state: str, machine: StateSpace) -> int:
         if not filled:
             break
         j = len(filled)
-        total += 1 + (j - 1) * path_length(prog, n - depth)
+        total += 1 + (j - 1) * length(n - depth)
         if filled[-1][1] is not None:
             # the active cell is already answered: its whole sub-walk is behind us
-            total += path_length(prog, n - depth) - 1
+            total += length(n - depth) - 1
             break
     return total
 
 
-def _position_for(prog: DsrProgram, state: str, machine: StateSpace, x: str) -> int:
-    """Position of a state on the walk of ``x``, or 0 for any string that is
-    not valid for ``x``.  Matching the root instance against ``x`` first
-    leaves the one validity check to :func:`position`."""
-    if len(state) != machine.width():
-        return 0
-    root = machine.root_cell(state)
-    if root is _BAD or root[0] != x:
-        return 0
-    try:
-        return position(prog, state, machine)
-    except InvalidStateError:
-        return 0
-
-
 def position_recursive(prog: DsrProgram, state: str, machine: StateSpace) -> int:
-    """Sub-table form: one level's position is one (for its root) plus the
-    full sub-paths of the completed queries plus the recursive position of
-    the active sub-table."""
-    machine, root = _require_valid(prog, state, machine)
-
-    def go(state: str, k: int) -> int:
-        root = machine.root_cell(state, k)
-        if root[1] is not None:
-            return path_length(prog, k)
-        cells = machine.row_one_cells(state, k)
-        filled = [c for c in cells if c is not _BAD and c[0] is not None]
-        if not filled:
-            return 1
-        j = len(filled)
-        return 1 + (j - 1) * path_length(prog, k - 1) + go(machine._subtable(state, j, k), k - 1)
-
-    return go(state, machine.n)
+    """Sub-table form: the position the validating pass computes, one (for
+    the root) plus the full sub-paths of the answered queries plus the
+    recursive position of the pending sub-table."""
+    return _validated(state, machine)[1]
 
 
 def _unique_solution(prog: DsrProgram, inst: str, path) -> str:
@@ -136,17 +109,15 @@ def compile_svl(prog: DsrProgram, x: str, *, check_uniqueness: bool = True) -> S
     asserted at desk scale up front."""
     if check_uniqueness:
         assert_unique_solutions(prog, x)
-    n = len(x)
-    machine = StateSpace(prog, n)
-    target = path_length(prog, n)
+    compiled = compile_pls(prog, x)
+    walk, target = compiled.instance, compiled.path_length
 
     def verifier(state: str, index: int) -> bool:
         if not isinstance(index, int) or not 1 <= index <= target:
             return False
-        return _position_for(prog, state, machine, x) == index
+        return walk.valuation(state) == index
 
-    succ = SuccessorOracle(fn=lambda s: machine.successor(s, x), n=machine.width())
-    return SvlInstance(succ=succ, source=machine.initial_state(x), target=target, verifier=verifier)
+    return SvlInstance(succ=walk.succ, source=walk.source, target=target, verifier=verifier)
 
 
 @dataclass

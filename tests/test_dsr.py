@@ -176,6 +176,53 @@ def test_soundness_under_adversarial_oracle(rng):
         assert verify_solution(inst, answer)
 
 
+class PickingOracle:
+    """Answers the root's queries with chosen valid solutions, by index into
+    each query's solution list (0 past the given picks), and deeper queries
+    with the self-oracle; records how many solutions each root query had."""
+
+    def __init__(self, root, picks):
+        self.root, self.picks, self.counts = root, picks, []
+        self.below = self_oracle()
+
+    def __call__(self, inst, parent=None):
+        if parent is not self.root:
+            return self.below(inst, parent)
+        sols = enumerate_solutions(inst)
+        i = len(self.counts)
+        self.counts.append(len(sols))
+        return sols[self.picks[i] if i < len(self.picks) else 0]
+
+
+def test_sink_of_dag_lifts_every_answer_pair_without_a_walk(monkeypatch):
+    """Every valid (first, second) answer pair of the root's queries on the
+    source-free two-bit stratum, with 32 seeded two-bit valuations per
+    successor table: every pair lifts, and no run walks the successor."""
+
+    def no_walk(inst):
+        pytest.fail(f"dsr_sod walked the successor of {inst!r}")
+
+    monkeypatch.setattr("tfnpkit.dsr.solve_path", no_walk)
+    runs = 0
+    for table in itertools.product(range(4), repeat=4):
+        if table[0] == 0:
+            continue
+        succ = table_circuit(table, 2)
+        for vcode in random.Random(sum(table)).sample(range(256), 32):
+            val = table_circuit([(vcode >> (2 * i)) & 3 for i in range(4)], 2, m=2, name="valuation")
+            inst = SodInstance(succ, val)
+            todo = [()]
+            while todo:
+                picks = todo.pop()
+                oracle = PickingOracle(inst, picks)
+                assert verify_solution(inst, dsr_sod(inst, oracle))
+                runs += 1
+                for i in range(len(picks), len(oracle.counts)):
+                    lead = picks + (0,) * (i - len(picks))
+                    todo.extend(lead + (a,) for a in range(1, oracle.counts[i]))
+    assert runs > 10_000
+
+
 def test_lying_oracle_raises_contract_error(rng):
     def liar(inst, parent=None):
         n = instance_bits(inst)

@@ -102,19 +102,23 @@ def test_invalid_states_are_fixed_points(prog):
 
 def test_state_graph_exhaustive_n2(prog):
     """Every 14-bit table against every instance: exactly the walk states are
-    valid, each steps to the next one (the sink to itself), and every other
-    string is a fixed point."""
+    valid, each steps to the next one (the sink to itself), every other
+    string is a fixed point, and the compiled valuation is the state's
+    1-based index on the walk, or 0 off it."""
     machine = StateSpace(prog, 2)
     xs = list(all_bitstrings(2))
-    nexts = {}
+    nexts, indices, valuations = {}, {}, {}
     for x in xs:
         walk = list(machine.walk(x))
         nexts[x] = dict(zip(walk, walk[1:] + walk[-1:]))
+        indices[x] = {state: i for i, state in enumerate(walk, start=1)}
+        valuations[x] = compile_pls(prog, x).instance.valuation
     for state in all_bitstrings(machine.width()):
         for x in xs:
             expected = nexts[x].get(state)
             assert machine.is_valid(state, x) == (expected is not None)
             assert machine.successor(state, x) == (state if expected is None else expected)
+            assert valuations[x](state) == indices[x].get(state, 0)
 
 
 def test_halving_state_graph_is_closed_n2(rng):
@@ -221,6 +225,12 @@ def test_programs_must_stop_querying_at_one_bit():
 
     with pytest.raises(DimensionError):
         StateSpace(Bad(), 3)
+
+
+@pytest.mark.parametrize("mode", ["circuit-dsr-poly-blowup", "bogus"])
+def test_compile_rejects_unknown_modes(prog, mode):
+    with pytest.raises(ValueError, match="mode"):
+        compile_pls(prog, "101", mode=mode)
 
 
 def test_dsr_mode_flags_degenerate_bound(prog):
