@@ -25,6 +25,7 @@ from .circuit import (
     parse_netlist,
     project_outputs,
     random_circuit,
+    restrict_half,
     restrict_input,
     restrict_output,
     size,

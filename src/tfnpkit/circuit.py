@@ -9,7 +9,8 @@ The canonical size measure counts logic gates (NOT/AND/OR) plus wires,
 where every input bit contributes one port wire, every gate operand one
 wire, and every output one wire.  Under this measure removing an input
 (with constant propagation) and removing an output (with dead-gate
-elimination) both strictly shrink the circuit.
+elimination) both strictly shrink the circuit.  One pass implements both
+restrictions, alone or together (``restrict_half``, the iteration query).
 """
 
 from __future__ import annotations
@@ -198,6 +199,106 @@ def eval_table(c: Circuit) -> list[int]:
     return table
 
 
+def _check_fix(c: Circuit, position: int, bit: int) -> None:
+    if not 1 <= position <= c.n:
+        raise RestrictionError(f"input position {position} out of range 1..{c.n}")
+    if bit not in (0, 1):
+        raise RestrictionError("restriction bit must be 0 or 1")
+
+
+def _check_drop(c: Circuit, position: int) -> None:
+    if c.m < 2:
+        raise RestrictionError("cannot restrict the only output")
+    if not 1 <= position <= c.m:
+        raise RestrictionError(f"output position {position} out of range 1..{c.m}")
+
+
+def _fold(c: Circuit, k0: int, bit: int) -> tuple[list[tuple[str, int, int]], list[int]]:
+    """Fix input ``k0`` (0-based) to ``bit`` and fold the constant forward,
+    into integer-coded ``(op, a, b)`` triples: a folded value ``v >= 0``
+    names a triple, ``v < 0`` is the constant ``~v``.  Outputs that fold to
+    a constant get one CONST triple per value, in output order.  Returns the
+    triples and the output references into them."""
+    made: list[tuple[str, int, int]] = []
+    vals: list[int] = []
+    emit, put = made.append, vals.append
+    for g in c.gates:
+        op = g.op
+        if op == OP_INPUT:
+            if g.a == k0:
+                put(~bit)
+                continue
+            a, b = (g.a - 1 if g.a > k0 else g.a), 0
+        elif op == OP_CONST:
+            a, b = g.a, g.b
+        elif op == OP_NOT:
+            a, b = vals[g.a], 0
+            if a < 0:
+                put(~(~a ^ 1))
+                continue
+        else:
+            a, b = vals[g.a], vals[g.b]
+            if a < 0 or b < 0:
+                short = ~0 if op == OP_AND else ~1
+                put(short if short in (a, b) else (b if a < 0 else a))
+                continue
+        put(len(made))
+        emit((op, a, b))
+    const_refs: dict[int, int] = {}
+    outs = []
+    for r in c.outputs:
+        v = vals[r]
+        if v < 0:
+            if v not in const_refs:
+                const_refs[v] = len(made)
+                emit((OP_CONST, ~v, 0))
+            v = const_refs[v]
+        outs.append(v)
+    return made, outs
+
+
+def _restrict(c: Circuit, fixed: tuple[int, int] | None, keep: Sequence[int] | None) -> Circuit:
+    """The one restriction pass behind ``restrict_input``, ``project_outputs``
+    and ``restrict_half``: fold input ``fixed = (k0, bit)`` forward (None
+    fixes nothing), then mark backward what feeds the kept outputs
+    (``keep``, 0-based and in order; None keeps every output and sweeps
+    nothing).  Input gates always survive.  Gates are built for the
+    survivors only, into one circuit validated like any other.  Folding
+    before sweeping makes the result gate for gate the two-step one."""
+    if fixed is None:
+        made, outs, n = [(g.op, g.a, g.b) for g in c.gates], c.outputs, c.n
+    else:
+        made, outs = _fold(c, *fixed)
+        n = c.n - 1
+    if keep is None:
+        refs = outs
+        live = [True] * len(made)
+    else:
+        refs = [outs[j] for j in keep]
+        live = [False] * len(made)
+        for r in refs:
+            live[r] = True
+        for idx in range(len(made) - 1, -1, -1):
+            if live[idx]:
+                op, a, b = made[idx]
+                if op == OP_NOT:
+                    live[a] = True
+                elif op in _BINARY:
+                    live[a] = True
+                    live[b] = True
+    remap = [0] * len(made)
+    gates: list[Gate] = []
+    for idx, (op, a, b) in enumerate(made):
+        if live[idx] or op == OP_INPUT:
+            if op == OP_NOT:
+                a, b = remap[a], 0
+            elif op in _BINARY:
+                a, b = remap[a], remap[b]
+            remap[idx] = len(gates)
+            gates.append(Gate(op, a, b))
+    return Circuit(n, len(refs), tuple(gates), tuple(remap[r] for r in refs), name=c.name)
+
+
 def restrict_input(c: Circuit, position: int, bit: int) -> Circuit:
     """Remove input ``position`` (1-based) by fixing it to ``bit`` and
     propagating the constant forward.
@@ -207,100 +308,39 @@ def restrict_input(c: Circuit, position: int, bit: int) -> Circuit:
     AND with a constant 1 (OR with 0) passes the other operand through.
     Constants surviving to an output are materialised as CONST gates.
     """
-    if not 1 <= position <= c.n:
-        raise RestrictionError(f"input position {position} out of range 1..{c.n}")
-    if bit not in (0, 1):
-        raise RestrictionError("restriction bit must be 0 or 1")
-    k0 = position - 1
-    gates: list[Gate] = []
-
-    def emit(g: Gate) -> tuple[str, int]:
-        gates.append(g)
-        return ("g", len(gates) - 1)
-
-    vals: list[tuple[str, int]] = []
-    for g in c.gates:
-        if g.op == OP_INPUT:
-            if g.a == k0:
-                vals.append(("c", bit))
-            else:
-                vals.append(emit(INPUT(g.a - 1 if g.a > k0 else g.a)))
-        elif g.op == OP_CONST:
-            vals.append(emit(g))
-        elif g.op == OP_NOT:
-            va = vals[g.a]
-            vals.append(("c", va[1] ^ 1) if va[0] == "c" else emit(NOT(va[1])))
-        else:
-            va, vb = vals[g.a], vals[g.b]
-            short = 0 if g.op == OP_AND else 1
-            if va[0] == "c" and vb[0] == "c":
-                folded = (va[1] & vb[1]) if g.op == OP_AND else (va[1] | vb[1])
-                vals.append(("c", folded))
-            elif va[0] == "c":
-                vals.append(("c", short) if va[1] == short else vb)
-            elif vb[0] == "c":
-                vals.append(("c", short) if vb[1] == short else va)
-            else:
-                vals.append(emit(Gate(g.op, va[1], vb[1])))
-
-    const_refs: dict[int, int] = {}
-    outs = []
-    for r in c.outputs:
-        v = vals[r]
-        if v[0] == "c":
-            if v[1] not in const_refs:
-                const_refs[v[1]] = emit(CONST(v[1]))[1]
-            outs.append(const_refs[v[1]])
-        else:
-            outs.append(v[1])
-    return Circuit(c.n - 1, c.m, tuple(gates), tuple(outs), name=c.name)
+    _check_fix(c, position, bit)
+    return _restrict(c, (position - 1, bit), None)
 
 
 def project_outputs(c: Circuit, keep: Sequence[int]) -> Circuit:
     """Keep exactly the 0-based output indices in ``keep`` (in the given
     order), removing gates that no longer feed any remaining output.
     Input gates are always kept so the input arity is preserved."""
-    refs = []
+    keep = list(keep)
     for j in keep:
         if not 0 <= j < c.m:
             raise RestrictionError(f"output index {j} out of range 0..{c.m - 1}")
-        refs.append(c.outputs[j])
-    if not refs:
+    if not keep:
         raise RestrictionError("a circuit must keep at least one output")
-    live = [False] * len(c.gates)
-    for r in refs:
-        live[r] = True
-    for idx in range(len(c.gates) - 1, -1, -1):
-        if live[idx]:
-            g = c.gates[idx]
-            if g.op == OP_NOT:
-                live[g.a] = True
-            elif g.op in _BINARY:
-                live[g.a] = True
-                live[g.b] = True
-    remap: dict[int, int] = {}
-    gates: list[Gate] = []
-    for idx, g in enumerate(c.gates):
-        if g.op == OP_INPUT or live[idx]:
-            if g.op == OP_NOT:
-                g = NOT(remap[g.a])
-            elif g.op in _BINARY:
-                g = Gate(g.op, remap[g.a], remap[g.b])
-            remap[idx] = len(gates)
-            gates.append(g)
-    outs = tuple(remap[r] for r in refs)
-    return Circuit(c.n, len(refs), tuple(gates), outs, name=c.name)
+    return _restrict(c, None, keep)
 
 
 def restrict_output(c: Circuit, position: int) -> Circuit:
     """Remove output ``position`` (1-based) and delete the gates that fed
     only the removed output."""
-    if c.m < 2:
-        raise RestrictionError("cannot restrict the only output")
-    if not 1 <= position <= c.m:
-        raise RestrictionError(f"output position {position} out of range 1..{c.m}")
+    _check_drop(c, position)
     keep = [j for j in range(c.m) if j != position - 1]
     return project_outputs(c, keep)
+
+
+def restrict_half(c: Circuit, bit: int) -> Circuit:
+    """The half of ``c`` whose leading bit is ``bit``: input 1 fixed to
+    ``bit`` and output 1 dropped, in one pass.  Gate for gate equal to
+    ``restrict_output(restrict_input(c, 1, bit), 1)``; the constant is
+    folded (output 1's CONST gate included) before the dead gates are swept."""
+    _check_fix(c, 1, bit)
+    _check_drop(c, 1)
+    return _restrict(c, (0, bit), range(1, c.m))
 
 
 def pad_with_dead_gates(c: Circuit, count: int) -> Circuit:

@@ -150,6 +150,9 @@ def _dsr_oracle(args, trace: QueryTrace):
 
 def _cmd_dsr_run(args) -> int:
     inst = _load_instance(args.file)
+    if kind_of(inst) == KIND_EOL:
+        print(f"error: no self-reduction for {KIND_EOL}", file=sys.stderr)
+        return USAGE_ERROR
     trace = QueryTrace()
     oracle = _dsr_oracle(args, trace)
     answer = run_dsr(inst, oracle)
@@ -254,7 +257,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("dsr-run", help="run the downward self-reduction with a self-oracle")
     p.add_argument("file")
     p.add_argument("--mode", default="circuit-dsr-poly-blowup", choices=MODES)
-    p.add_argument("--c", type=int, default=2, help="blowup exponent")
+    p.add_argument("--c", type=_count, default=2, help="blowup exponent")
     p.add_argument("--trace", action="store_true")
     p.add_argument("--inflate", type=_count, default=0,
                    help="pad every query circuit with dead gates (monitor demo)")

@@ -3,8 +3,10 @@ self-oracle, and query-discipline monitors.
 
 Each algorithm solves its instance with at most two queries to an oracle
 for strictly smaller instances.  The iteration problems halve the vertex
-space on the leading bit (:meth:`IterInstance.half`); the sink-of-DAG
-problems halve the valuation range on its leading bit.  A sink-of-DAG
+space on the leading bit (:meth:`IterInstance.half`): a query's circuit is
+materialised, built in one pass that fixes input 1 and drops output 1
+(``restrict_half``), and evaluates itself.  The sink-of-DAG problems halve
+the valuation range on its leading bit.  A sink-of-DAG
 query is composed over the instance that asks it
 (:meth:`SodInstance.dropped`, :meth:`SodInstance.frozen`):
 it evaluates through the parent's memo, and it is measured, without being

@@ -36,7 +36,7 @@ from functools import cached_property
 from typing import Callable, Union
 
 from .bits import check_bits, from_int, to_int, zeros
-from .circuit import Circuit, emit_netlist, evaluate, parse_netlist, restrict_input, restrict_output
+from .circuit import Circuit, emit_netlist, evaluate, parse_netlist, restrict_half, restrict_output
 from .circuit import circuit_from_table, size as circuit_gate_size
 from .errors import DimensionError, NetlistError
 from .gadgets import Net, combine_pair, freeze_stage, split_pair
@@ -80,11 +80,13 @@ class IterInstance:
 
     def half(self, bit: int, source: str | None = None) -> "IterInstance":
         """Query on the half-space whose leading bit is ``bit`` (input 1
-        fixed, output 1 dropped).  Its circuit is cached weakly: built once
+        fixed, output 1 dropped).  Its circuit is built in one pass by
+        ``restrict_half``, gate for gate the two-step restriction, so the
+        monitor sizes exactly that circuit.  It is cached weakly: built once
         while some instance holds it, not kept alive by the parent."""
         c = self._halves.get(bit)
         if c is None:
-            c = self._halves[bit] = restrict_output(restrict_input(self.succ, 1, bit), 1)
+            c = self._halves[bit] = restrict_half(self.succ, bit)
         return IterInstance(c, source)
 
     @cached_property

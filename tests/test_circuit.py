@@ -1,10 +1,17 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfnpkit import (
     AND,
+    CONST,
     INPUT,
     NOT,
+    OR,
     Circuit,
+    Gate,
     circuit_from_table,
     emit_netlist,
     evaluate,
@@ -13,6 +20,7 @@ from tfnpkit import (
     output_masks,
     parse_netlist,
     random_circuit,
+    restrict_half,
     restrict_input,
     restrict_output,
     size,
@@ -153,6 +161,140 @@ def test_project_outputs_agrees_with_iterated_restriction(rng):
         direct = project_outputs(c, [0, 2])
         via = restrict_output(restrict_output(c, 4), 2)
         assert eval_table(direct) == eval_table(via)
+
+
+def reference_restrict_input(c: Circuit, position: int, bit: int) -> Circuit:
+    """The constant-folding loop as it stood before the one-pass restriction:
+    ``("c", bit)`` constants and a Gate for every surviving value."""
+    k0 = position - 1
+    gates: list[Gate] = []
+
+    def emit(g: Gate) -> tuple[str, int]:
+        gates.append(g)
+        return ("g", len(gates) - 1)
+
+    vals: list[tuple[str, int]] = []
+    for g in c.gates:
+        if g.op == "input":
+            if g.a == k0:
+                vals.append(("c", bit))
+            else:
+                vals.append(emit(INPUT(g.a - 1 if g.a > k0 else g.a)))
+        elif g.op == "const":
+            vals.append(emit(g))
+        elif g.op == "not":
+            va = vals[g.a]
+            vals.append(("c", va[1] ^ 1) if va[0] == "c" else emit(NOT(va[1])))
+        else:
+            va, vb = vals[g.a], vals[g.b]
+            short = 0 if g.op == "and" else 1
+            if va[0] == "c" and vb[0] == "c":
+                folded = (va[1] & vb[1]) if g.op == "and" else (va[1] | vb[1])
+                vals.append(("c", folded))
+            elif va[0] == "c":
+                vals.append(("c", short) if va[1] == short else vb)
+            elif vb[0] == "c":
+                vals.append(("c", short) if vb[1] == short else va)
+            else:
+                vals.append(emit(Gate(g.op, va[1], vb[1])))
+    const_refs: dict[int, int] = {}
+    outs = []
+    for r in c.outputs:
+        v = vals[r]
+        if v[0] == "c":
+            if v[1] not in const_refs:
+                const_refs[v[1]] = emit(CONST(v[1]))[1]
+            outs.append(const_refs[v[1]])
+        else:
+            outs.append(v[1])
+    return Circuit(c.n - 1, c.m, tuple(gates), tuple(outs), name=c.name)
+
+
+def reference_project_outputs(c: Circuit, keep) -> Circuit:
+    """The dead-gate sweep as it stood before the one-pass restriction."""
+    refs = [c.outputs[j] for j in keep]
+    live = [False] * len(c.gates)
+    for r in refs:
+        live[r] = True
+    for idx in range(len(c.gates) - 1, -1, -1):
+        if live[idx]:
+            g = c.gates[idx]
+            if g.op == "not":
+                live[g.a] = True
+            elif g.op in ("and", "or"):
+                live[g.a] = True
+                live[g.b] = True
+    remap: dict[int, int] = {}
+    gates: list[Gate] = []
+    for idx, g in enumerate(c.gates):
+        if g.op == "input" or live[idx]:
+            if g.op == "not":
+                g = NOT(remap[g.a])
+            elif g.op in ("and", "or"):
+                g = Gate(g.op, remap[g.a], remap[g.b])
+            remap[idx] = len(gates)
+            gates.append(g)
+    return Circuit(c.n, len(refs), tuple(gates), tuple(remap[r] for r in refs), name=c.name)
+
+
+@st.composite
+def restrictable(draw):
+    """A random circuit with at least two outputs, grown by a duplicate of an
+    earlier gate, two gates that fold once input 1 is fixed (AND(g0, g0) to
+    the bit, its NOT to the complement) and a NOT that feeds nothing unless
+    an output picks it.  Output 1 reads a gate that folds, and another
+    output may read one that folds to the same constant or to the other."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(2, 5))
+    base = random_circuit(random.Random(draw(st.integers(0, 2**32))), n, m, draw(st.integers(0, 30)))
+    gates = list(base.gates)
+    gates.append(gates[draw(st.integers(0, len(gates) - 1))])
+    same = len(gates)
+    gates += [AND(0, 0), NOT(same)]
+    gates.append(NOT(draw(st.integers(0, len(gates) - 1))))
+    outs = list(base.outputs)
+    outs[0] = draw(st.sampled_from([0, same]))
+    if draw(st.booleans()):
+        outs[draw(st.integers(1, m - 1))] = draw(st.sampled_from([0, same, same + 1]))
+    return Circuit(n, m, tuple(gates), tuple(outs))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(restrictable(), st.data())
+def test_one_pass_restrictions_match_the_two_loops(c, data):
+    """``restrict_half`` is gate for gate the two-step composition, and
+    ``restrict_input`` and ``project_outputs`` are gate for gate the loops
+    they replaced, for both bits, constant output 1 included."""
+    keep = data.draw(st.lists(st.integers(0, c.m - 1), min_size=1, max_size=c.m + 1))
+    assert project_outputs(c, keep) == reference_project_outputs(c, keep)
+    position = data.draw(st.integers(1, c.n))
+    for bit in (0, 1):
+        two_step = restrict_output(restrict_input(c, 1, bit), 1)
+        assert restrict_half(c, bit) == two_step
+        assert two_step == reference_project_outputs(reference_restrict_input(c, 1, bit), range(1, c.m))
+        fixed = restrict_input(c, position, bit)
+        assert fixed == reference_restrict_input(c, position, bit)
+        assert project_outputs(fixed, keep) == reference_project_outputs(fixed, keep)
+
+
+def test_restrict_half_keeps_a_shared_constant_of_output_one():
+    """Output 1 and output 2 both fold to the fixed bit: the one CONST gate
+    made for them survives the drop of output 1."""
+    c = Circuit(2, 3, (INPUT(0), INPUT(1), AND(0, 0), OR(0, 1)), (0, 2, 3))
+    for bit in (0, 1):
+        half = restrict_half(c, bit)
+        assert half == restrict_output(restrict_input(c, 1, bit), 1)
+        assert half.gates[half.outputs[0]] == CONST(bit)
+        assert [evaluate(half, x) for x in "01"] == [str(bit) + (str(bit) if bit else x) for x in "01"]
+
+
+def test_restrict_half_errors():
+    with pytest.raises(RestrictionError):
+        restrict_half(Circuit(1, 1, (INPUT(0),), (0,)), 0)
+    with pytest.raises(RestrictionError):
+        restrict_half(Circuit(0, 2, (CONST(0),), (0, 0)), 0)
+    with pytest.raises(RestrictionError):
+        restrict_half(identity_circuit(2), 2)
 
 
 def test_netlist_roundtrip_simple():

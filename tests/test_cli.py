@@ -154,7 +154,7 @@ def test_exit_code_table(tmp_path, capsys):
     """0 success, 1 a verification answered false, 2 a contract or monitor
     violation, 3 a usage error or an unparseable input."""
     files = {}
-    for kind in ("iter", "iter-with-source"):
+    for kind in ("iter", "iter-with-source", "end-of-line"):
         files[kind] = tmp_path / f"{kind}.txt"
         files[kind].write_text(emit_instance(random_instance(kind, 3, random.Random(1))))
     stuck = tmp_path / "stuck.txt"  # the identity successor breaks the iteration guarantee
@@ -185,6 +185,8 @@ def test_exit_code_table(tmp_path, capsys):
         (("svl-check", *combine, "--x", "101", "--budget", "-1"), 3),
         (("walk", *combine, "--x", "101", "--max-steps", "-1"), 3),
         (("dsr-run", files["iter"], "--inflate", "-1"), 3),
+        (("dsr-run", files["iter"], "--c", "-3"), 3),
+        (("dsr-run", files["end-of-line"]), 3),
         # selfhost programs need a source; a source-free iter file is refused
         (("compile-pls", "--problem", f"selfhost:{files['iter']}", "--x", "101"), 3),
         # a selfhost word must be as wide as the instance

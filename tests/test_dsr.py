@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from tfnpkit import (
+    Circuit,
     IterInstance,
     IterWithSourceInstance,
     QueryTrace,
@@ -20,11 +21,14 @@ from tfnpkit import (
     monitored,
     parse_instance,
     random_instance,
+    restrict_input,
+    restrict_output,
     run_dsr,
     self_oracle,
     size,
     verify_solution,
 )
+from tfnpkit import dsr, problems
 from tfnpkit.bits import from_int, ones, zeros
 from tfnpkit.circuit import OP_INPUT, evaluate, output_masks, pad_with_dead_gates
 from tfnpkit.errors import MonitorViolation, OracleContractError
@@ -431,6 +435,75 @@ def test_sink_of_dag_queries_are_measured_exactly():
         for source in (None, from_int(1, n)):
             checked += _checked_run(SodInstance(_long_path(n), identity, source))
     assert checked > 50_000
+
+
+class HalfCheckingOracle(SelfReductionOracle):
+    """The recursive self-oracle behind a monitor: every query it is handed
+    must be an iteration instance whose successor is, gate for gate, a half
+    of its parent's made in two steps (input 1 fixed, then output 1
+    dropped), or for the source-free upper query that half with its
+    all-zero input redirected to the target ``redirects`` recorded."""
+
+    def __init__(self, redirects):
+        super().__init__()
+        self.redirects = redirects
+        self.checked = 0
+
+    def __call__(self, inst, parent=None):
+        assert isinstance(inst, IterInstance)
+        expected = [restrict_output(restrict_input(parent.succ, 1, bit), 1) for bit in (0, 1)]
+        if id(inst.succ) in self.redirects:
+            expected = [redirect_zero_inputs(expected[1], self.redirects[id(inst.succ)][1])]
+        assert inst.succ in expected
+        self.checked += 1
+        return super().__call__(inst, parent)
+
+
+def test_iteration_queries_are_two_step_halves_built_in_one_pass(monkeypatch):
+    """Every iteration query's successor is the two-step half of its
+    parent's, and each half constructs exactly one circuit: on monitored
+    long paths at n = 2..7 with and without a source, and on a seeded sweep
+    of random iteration instances."""
+    validate = Circuit.__post_init__
+    one_pass = problems.restrict_half
+    constructed = [0]
+    built = []  # circuits constructed by each half
+
+    def counting_validate(self):
+        constructed[0] += 1
+        validate(self)
+
+    def counting_half(c, bit):
+        before = constructed[0]
+        half = one_pass(c, bit)
+        built.append(constructed[0] - before)
+        return half
+
+    redirects = {}
+
+    def recording_redirect(c, target):
+        patched = redirect_zero_inputs(c, target)
+        redirects[id(patched)] = (patched, target)
+        return patched
+
+    monkeypatch.setattr(Circuit, "__post_init__", counting_validate)
+    monkeypatch.setattr(problems, "restrict_half", counting_half)
+    monkeypatch.setattr(dsr, "redirect_zero_inputs", recording_redirect)
+    cases = []
+    for n in range(2, 8):
+        cases += [IterInstance(_long_path(n)), IterInstance(_long_path(n), from_int(1, n))]
+    rng = random.Random(0xA1F)
+    for _ in range(200):
+        for kind in ("iter", "iter-with-source"):
+            cases.append(random_instance(kind, rng.randrange(2, 6), rng))
+    checked = 0
+    for inst in cases:
+        oracle = HalfCheckingOracle(redirects)
+        answer = run_dsr(inst, monitored(oracle, "circuit-dsr-poly-blowup", c=2))
+        assert verify_solution(inst, answer)
+        checked += oracle.checked
+    assert checked > 750 and len(redirects) > 150
+    assert len(built) == checked and set(built) == {1}
 
 
 def test_long_path_sink_of_dag_evaluates_only_the_root(monkeypatch):
