@@ -12,8 +12,13 @@ from typing import Iterator
 from .errors import DimensionError
 
 
+def is_bits(s) -> bool:
+    """Is ``s`` a string over '0'/'1' (the empty string included)?"""
+    return isinstance(s, str) and not s.strip("01")
+
+
 def check_bits(s: str, width: int | None = None) -> str:
-    if not isinstance(s, str) or any(ch not in "01" for ch in s):
+    if not is_bits(s):
         raise DimensionError(f"not a bit string: {s!r}")
     if width is not None and len(s) != width:
         raise DimensionError(f"expected {width} bits, got {len(s)}: {s!r}")

@@ -1,19 +1,21 @@
-"""Downward self-reductions: the four halving algorithms, the recursive
+"""Downward self-reductions: the halving algorithms, the recursive
 self-oracle, and query-discipline monitors.
 
-Each algorithm solves its instance with at most two queries to an oracle
-for strictly smaller instances.  The iteration problems halve the vertex
-space on the leading bit (:meth:`IterInstance.half`): a query's circuit is
-materialised, built in one pass that fixes input 1 and drops output 1
-(``restrict_half``), and evaluates itself.  The sink-of-DAG problems halve
-the valuation range on its leading bit.  A sink-of-DAG
-query is composed over the instance that asks it
-(:meth:`SodInstance.dropped`, :meth:`SodInstance.frozen`):
-it evaluates through the parent's memo, and it is measured, without being
-built, as exactly the circuit ``restrict_output``/``freeze_stage`` would
-make (successor then valuation outputs).  Oracle answers are verified
-against the queried sub-instance (a bad answer raises
-:class:`OracleContractError`).
+Each algorithm takes one kind (any other raises :class:`DimensionError`)
+and solves it with at most two queries to an oracle for strictly smaller
+instances.  Iteration with a source halves the vertex space on the leading
+bit (:meth:`IterInstance.half`): a query's circuit is materialised, built
+in one pass that fixes input 1 and drops output 1 (``restrict_half``), and
+evaluates itself.  Source-free iteration runs that algorithm from the
+all-zero word and asks each query through
+:func:`~tfnpkit.reductions.drop_source`.  The sink-of-DAG problems halve
+the valuation range on its leading bit.  A sink-of-DAG query is composed
+over the instance that asks it (:meth:`SodInstance.dropped`,
+:meth:`SodInstance.frozen`): it evaluates through the parent's memo, and it
+is measured, without being built, as exactly the circuit
+``restrict_output``/``freeze_stage`` would make (successor then valuation
+outputs).  Oracle answers are verified against the queried sub-instance (a
+bad answer raises :class:`OracleContractError`).
 
 The case analyses lift almost every sub-answer directly.  One lift is not
 universally sound when the oracle may return *any* valid sub-solution
@@ -31,8 +33,7 @@ from typing import Callable
 
 from .bits import zeros
 from .circuit import evaluate  # unused here; bench/selftest.py checks the tracer wraps this binding
-from .errors import MalformedInstanceError, MonitorViolation, OracleContractError
-from .gadgets import redirect_zero_inputs
+from .errors import DimensionError, MalformedInstanceError, MonitorViolation, OracleContractError
 from .problems import (
     KIND_ITER,
     KIND_ITER_WS,
@@ -48,6 +49,7 @@ from .problems import (
     verify_solution,
     well_formed,
 )
+from .reductions import drop_source
 from .solvers import solve_exhaustive, solve_path
 
 Oracle = Callable[..., str]
@@ -58,9 +60,12 @@ MODE_CIRCUIT_POLY = "circuit-dsr-poly-blowup"
 MODES = (MODE_DSR, MODE_CIRCUIT, MODE_CIRCUIT_POLY)
 
 
-def _require_wf(inst: CircuitInstance) -> None:
+def _require(inst: CircuitInstance, kind: str) -> None:
+    """Raise unless ``inst`` is of ``kind`` and satisfies its guarantee."""
+    if kind_of(inst) != kind:
+        raise DimensionError(f"{kind} self-reduction needs kind {kind}, got {kind_of(inst)}")
     if not well_formed(inst):
-        raise MalformedInstanceError(f"{kind_of(inst)} instance violates its guarantee")
+        raise MalformedInstanceError(f"{kind} instance violates its guarantee")
 
 
 def _ask(oracle: Oracle, sub: CircuitInstance, parent: CircuitInstance) -> str:
@@ -79,15 +84,6 @@ def _ensure(inst: CircuitInstance, candidate: str, restart: str) -> str:
 
 
 # --- iteration problems ------------------------------------------------------
-
-
-def _lower_query_source(inst: IterInstance, source: str) -> str | None:
-    """Source for the lower-half query, or None when the walk starts or
-    immediately lands in the upper half (the restricted instance would not
-    be well-formed there)."""
-    if source[0] == "1" or inst.step(source)[0] == "1":
-        return None
-    return source[1:]
 
 
 def _upper_start(inst: IterInstance, source: str, low_answer: str | None) -> tuple[str, str]:
@@ -116,14 +112,14 @@ def _upper_start(inst: IterInstance, source: str, low_answer: str | None) -> tup
 
 
 def dsr_iter_with_source(inst: IterInstance, oracle: Oracle) -> str:
-    _require_wf(inst)
+    _require(inst, KIND_ITER_WS)
     source = inst.source
     if inst.n <= 1:
         return solve_exhaustive(inst)
     low_answer = None
-    low_source = _lower_query_source(inst, source)
-    if low_source is not None:
-        low_answer = _ask(oracle, inst.half(0, low_source), inst)
+    if source[0] == "0" and inst.step(source)[0] == "0":
+        # a walk that starts in or at once enters the upper half has no lower query
+        low_answer = _ask(oracle, inst.half(0, source[1:]), inst)
     kind, value = _upper_start(inst, source, low_answer)
     if kind == "solution":
         return _ensure(inst, value, source)
@@ -133,25 +129,20 @@ def dsr_iter_with_source(inst: IterInstance, oracle: Oracle) -> str:
 
 
 def dsr_iter(inst: IterInstance, oracle: Oracle) -> str:
-    """Same halving, except the upper-half query has no source argument: its
-    circuit redirects the all-zero input to the pivot's suffix, so the
-    implicit start of the sub-instance lands on the pivot."""
-    _require_wf(inst)
-    n = inst.n
-    if n <= 1:
-        return solve_exhaustive(inst)
-    source = zeros(n)
-    low_answer = None
-    if _lower_query_source(inst, source) is not None:
-        low_answer = _ask(oracle, inst.half(0), inst)
-    kind, value = _upper_start(inst, source, low_answer)
-    if kind == "solution":
-        return _ensure(inst, value, source)
-    pivot = value
-    patched = redirect_zero_inputs(inst.half(1).succ, pivot[1:])
-    upper_answer = _ask(oracle, IterInstance(patched), inst)
-    candidate = pivot if upper_answer == zeros(n - 1) else "1" + upper_answer
-    return _ensure(inst, candidate, pivot)
+    """The with-source algorithm run from the all-zero word, each query
+    asked through :func:`drop_source`: the oracle and the monitor see a
+    source-free query of this source-free instance, and its answer needs no
+    pullback.  For a query with successor S and source src, the target T
+    has T(0) = src and T(w) = S(w) elsewhere, and every solution of T
+    solves the query: 0 solves no T, as T(src) = S(src) > src = T(0) (the
+    query is well formed); and for w != 0 with S(w) > w >= 1,
+    T(S(w)) = S(S(w)), so w solves T exactly when it solves S."""
+    _require(inst, KIND_ITER)
+
+    def ask(sub: IterInstance, parent: IterInstance) -> str:
+        return oracle(drop_source(sub).target, inst)
+
+    return dsr_iter_with_source(inst.with_source(zeros(inst.n)), ask)
 
 
 # --- sink-of-DAG problems ----------------------------------------------------
@@ -180,7 +171,7 @@ def dsr_sod_with_source(inst: SodInstance, oracle: Oracle) -> str:
     """Every point the frozen query moves has valuation at least the pivot's,
     which has the leading bit set, so a sub-solution's step is frozen (lower
     valuation), a sink, or no higher in the full valuation: it lifts as is."""
-    _require_wf(inst)
+    _require(inst, KIND_SOD_WS)
     if inst.value_bits == 1:
         return _one_step_answer(inst, inst.source)
     first = _ask(oracle, inst.dropped(inst.source), inst)
@@ -198,7 +189,7 @@ def dsr_sod(inst: SodInstance, oracle: Oracle) -> str:
     lowers the valuation: every sub-solution lifts (the pivot stands for the
     all-zero answer), and a pivot that steps onto the all-zero word already
     solves the instance."""
-    _require_wf(inst)
+    _require(inst, KIND_SOD)
     start = zeros(inst.n)
     if inst.value_bits == 1:
         return _one_step_answer(inst, start)

@@ -19,13 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .bits import check_bits, zeros
+from .bits import check_bits, is_bits, zeros
 from .dsr import MODE_CIRCUIT, MODE_DSR
 from .errors import DimensionError, MalformedInstanceError, SizingError
 from .problems import ImplicitSodInstance, SuccessorOracle
 
 Answered = tuple[tuple[str, str], ...]
 Path = tuple[int, ...]
+_BLOWUP_EXPONENT = 2  # circuit-dsr sizing: each query level may add (inputs*outputs)**2
 
 
 class DsrProgram:
@@ -234,7 +235,7 @@ class StateSpace:
 
     def _step_top(self, state: str, x: str) -> tuple[str, int] | None:
         check_bits(x, self.n)
-        if len(state) != self.width() or any(ch not in "01" for ch in state):
+        if len(state) != self.width() or not is_bits(state):
             return None
         return self._step(state, x, self.n, ())
 
@@ -290,9 +291,9 @@ class CompiledPls:
         return root[1]
 
 
-def _check_circuit_sizing(prog: DsrProgram, n: int, exponent: int) -> None:
+def _check_circuit_sizing(prog: DsrProgram, n: int) -> None:
     dims = prog.circuit_io_dims()
-    budget_unit = (dims[0] * dims[1]) ** exponent
+    budget_unit = (dims[0] * dims[1]) ** _BLOWUP_EXPONENT
     base = prog.query_instance_size(())
     frontier: list[Path] = [()]
     for depth in range(1, n):
@@ -310,9 +311,7 @@ def _check_circuit_sizing(prog: DsrProgram, n: int, exponent: int) -> None:
         frontier = nxt
 
 
-def compile_pls(
-    prog: DsrProgram, x: str, *, mode: str = "dsr", blowup_exponent: int = 2
-) -> CompiledPls:
+def compile_pls(prog: DsrProgram, x: str, *, mode: str = "dsr") -> CompiledPls:
     """Package the program's walk on ``x`` as an implicit sink-of-DAG
     instance: the successor advances state tables, the valuation is the
     position along the unique path (0 for invalid states), and the source is
@@ -321,10 +320,10 @@ def compile_pls(
     :class:`ValueError`.
 
     In ``circuit-dsr`` mode, programs that report per-query circuit sizes
-    are checked against the declared polynomial growth budget (a violation
-    raises :class:`SizingError`); in ``dsr`` mode the state width is
-    compared against the query-count * solution-length * size^2 bound and a
-    discrepancy is recorded as a flag rather than an error.
+    are checked against a budget of (inputs*outputs)**2 per query level (a
+    violation raises :class:`SizingError`); in ``dsr`` mode the state width
+    is compared against the query-count * solution-length * size^2 bound
+    and a discrepancy is recorded as a flag rather than an error.
     """
     if mode not in (MODE_DSR, MODE_CIRCUIT):
         raise ValueError(f"unknown compile mode {mode!r}: expected {MODE_DSR!r} or {MODE_CIRCUIT!r}")
@@ -334,7 +333,7 @@ def compile_pls(
     if mode == MODE_CIRCUIT:
         if not hasattr(prog, "query_instance_size"):
             raise SizingError("program does not report query sizes for circuit-mode checking")
-        _check_circuit_sizing(prog, n, blowup_exponent)
+        _check_circuit_sizing(prog, n)
     else:
         bound = prog.query_count(n) * prog.solution_len(n) * n * n
         if machine.width() >= bound:

@@ -158,6 +158,7 @@ class GateBuilder:
         return Circuit(self.n, len(outputs), tuple(self.gates), tuple(outputs), name=name)
 
 
+# No caller in the toolkit; read by SPANS in bench/tracing.py and by the gadget tests.
 def redirect_zero_inputs(c: Circuit, target: str, name: str | None = None) -> Circuit:
     """Wrap ``c`` with an input stage mapping the all-zero input to the
     hardcoded ``target`` word and passing every other input through."""

@@ -101,14 +101,13 @@ def assert_unique_solutions(prog: DsrProgram, x: str, path=()) -> str:
     return sol
 
 
-def compile_svl(prog: DsrProgram, x: str, *, check_uniqueness: bool = True) -> SvlInstance:
+def compile_svl(prog: DsrProgram, x: str) -> SvlInstance:
     """Verifiable-line instance of the program's walk on ``x``: the verifier
     accepts a state at index i exactly when the state is valid and its
     position is i.  Uniqueness of solutions across the whole query tree
     makes valid states of one position unique, which is the promise; it is
     asserted at desk scale up front."""
-    if check_uniqueness:
-        assert_unique_solutions(prog, x)
+    assert_unique_solutions(prog, x)
     compiled = compile_pls(prog, x)
     walk, target = compiled.instance, compiled.path_length
 

@@ -7,6 +7,7 @@ from tfnpkit.bits import (
     check_bits,
     complement,
     from_int,
+    is_bits,
     parity,
     splice,
     to_int,
@@ -50,3 +51,9 @@ def test_helpers():
         check_bits("012")
     with pytest.raises(DimensionError):
         from_int(8, 3)
+
+
+@given(st.text(alphabet=st.sampled_from("01 2²\n\t\x00\u0660\u0661"), max_size=12) | st.text(max_size=12))
+def test_is_bits_accepts_exactly_the_binary_alphabet(s):
+    assert is_bits(s) == all(ch in "01" for ch in s)
+    assert not is_bits(s.encode()) and not is_bits(None)

@@ -16,6 +16,7 @@ from tfnpkit import (
     dsr_iter_with_source,
     dsr_sod,
     dsr_sod_with_source,
+    drop_source,
     emit_instance,
     enumerate_solutions,
     monitored,
@@ -31,7 +32,7 @@ from tfnpkit import (
 from tfnpkit import dsr, problems
 from tfnpkit.bits import from_int, ones, zeros
 from tfnpkit.circuit import OP_INPUT, evaluate, output_masks, pad_with_dead_gates
-from tfnpkit.errors import MonitorViolation, OracleContractError
+from tfnpkit.errors import DimensionError, MonitorViolation, OracleContractError
 from tfnpkit.gadgets import redirect_zero_inputs
 from tfnpkit.problems import instance_bits
 
@@ -126,6 +127,23 @@ def test_direct_pass_branch(rng):
             assert answer == trace.records[0].answer
             hits += 1
     assert hits > 0
+
+
+@pytest.mark.parametrize(
+    "algorithm, kind, given",
+    [
+        (dsr_iter, "iter", "iter-with-source"),
+        (dsr_iter_with_source, "iter-with-source", "iter"),
+        (dsr_sod, "sink-of-dag", "sink-of-dag-with-source"),
+        (dsr_sod_with_source, "sink-of-dag-with-source", "sink-of-dag"),
+    ],
+)
+def test_self_reductions_reject_the_other_source_form(algorithm, kind, given):
+    """Each algorithm takes one kind; the other source form raises, naming
+    the kind needed and the kind given."""
+    inst = random_instance(given, 3, random.Random(7), m=2)
+    with pytest.raises(DimensionError, match=f"needs kind {kind}, got {given}$"):
+        algorithm(inst, self_oracle())
 
 
 def test_query_count_at_most_two(rng):
@@ -441,19 +459,20 @@ class HalfCheckingOracle(SelfReductionOracle):
     """The recursive self-oracle behind a monitor: every query it is handed
     must be an iteration instance whose successor is, gate for gate, a half
     of its parent's made in two steps (input 1 fixed, then output 1
-    dropped), or for the source-free upper query that half with its
-    all-zero input redirected to the target ``redirects`` recorded."""
+    dropped), or for a source-free upper query with a nonzero pivot suffix
+    the ``drop_source`` target of that half that ``dropped`` recorded."""
 
-    def __init__(self, redirects):
+    def __init__(self, dropped):
         super().__init__()
-        self.redirects = redirects
+        self.dropped = dropped
         self.checked = 0
 
     def __call__(self, inst, parent=None):
         assert isinstance(inst, IterInstance)
         expected = [restrict_output(restrict_input(parent.succ, 1, bit), 1) for bit in (0, 1)]
-        if id(inst.succ) in self.redirects:
-            expected = [redirect_zero_inputs(expected[1], self.redirects[id(inst.succ)][1])]
+        if id(inst.succ) in self.dropped:
+            source = self.dropped[id(inst.succ)][1]
+            expected = [drop_source(IterInstance(expected[1], source)).target.succ]
         assert inst.succ in expected
         self.checked += 1
         return super().__call__(inst, parent)
@@ -461,9 +480,10 @@ class HalfCheckingOracle(SelfReductionOracle):
 
 def test_iteration_queries_are_two_step_halves_built_in_one_pass(monkeypatch):
     """Every iteration query's successor is the two-step half of its
-    parent's, and each half constructs exactly one circuit: on monitored
-    long paths at n = 2..7 with and without a source, and on a seeded sweep
-    of random iteration instances."""
+    parent's, or for a source-free upper query whose pivot suffix is
+    nonzero, ``drop_source`` of that half; each half constructs exactly one
+    circuit: on monitored long paths at n = 2..7 with and without a source,
+    and on a seeded sweep of random iteration instances."""
     validate = Circuit.__post_init__
     one_pass = problems.restrict_half
     constructed = [0]
@@ -479,16 +499,20 @@ def test_iteration_queries_are_two_step_halves_built_in_one_pass(monkeypatch):
         built.append(constructed[0] - before)
         return half
 
-    redirects = {}
+    dropped = {}  # successor of each patched drop_source target -> (target, source)
+    unpatched = [0]  # drop_source calls whose target is the half itself
 
-    def recording_redirect(c, target):
-        patched = redirect_zero_inputs(c, target)
-        redirects[id(patched)] = (patched, target)
-        return patched
+    def recording_drop(sub):
+        result = drop_source(sub)
+        if result.target.succ is sub.succ:
+            unpatched[0] += 1
+        else:
+            dropped[id(result.target.succ)] = (result.target, sub.source)
+        return result
 
     monkeypatch.setattr(Circuit, "__post_init__", counting_validate)
     monkeypatch.setattr(problems, "restrict_half", counting_half)
-    monkeypatch.setattr(dsr, "redirect_zero_inputs", recording_redirect)
+    monkeypatch.setattr(dsr, "drop_source", recording_drop)
     cases = []
     for n in range(2, 8):
         cases += [IterInstance(_long_path(n)), IterInstance(_long_path(n), from_int(1, n))]
@@ -498,11 +522,11 @@ def test_iteration_queries_are_two_step_halves_built_in_one_pass(monkeypatch):
             cases.append(random_instance(kind, rng.randrange(2, 6), rng))
     checked = 0
     for inst in cases:
-        oracle = HalfCheckingOracle(redirects)
+        oracle = HalfCheckingOracle(dropped)
         answer = run_dsr(inst, monitored(oracle, "circuit-dsr-poly-blowup", c=2))
         assert verify_solution(inst, answer)
         checked += oracle.checked
-    assert checked > 750 and len(redirects) > 150
+    assert checked > 750 and len(dropped) > 25 and unpatched[0] > 300
     assert len(built) == checked and set(built) == {1}
 
 

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from tfnpkit import (
@@ -14,7 +17,8 @@ from tfnpkit import (
     verify_solution,
     well_formed,
 )
-from tfnpkit.bits import all_bitstrings, zeros
+from tfnpkit import reductions
+from tfnpkit.bits import all_bitstrings, from_int, zeros
 from tfnpkit.errors import DimensionError, PullbackContractError
 
 from conftest import iter_tables, table_circuit
@@ -114,6 +118,36 @@ def test_source_handling_rejects_the_wrong_form(rng):
     assert well_formed(inst)
     with pytest.raises(DimensionError):
         add_source(inst)
+
+
+def test_drop_source_iteration_target_keeps_the_solutions(monkeypatch):
+    """The iteration target of drop_source has exactly the source instance's
+    solutions other than the all-zero word (which the artificial edge
+    always leaves), so its pullback is the identity and never walks: on
+    every n = 2 successor table with every ascending nonzero source, and on
+    a seeded sample at n = 3, 4."""
+
+    def no_walk(inst):
+        raise AssertionError("the drop_source pullback walked")
+
+    monkeypatch.setattr(reductions, "solve_path", no_walk)
+    cases = []
+    for table in itertools.product(range(4), repeat=4):
+        succ = table_circuit(table, 2)
+        cases += [IterWithSourceInstance(succ, from_int(s, 2)) for s in range(1, 4) if table[s] > s]
+    rng = random.Random(0xD5)
+    for n in (3, 4):
+        for _ in range(60):
+            inst = random_instance("iter-with-source", n, rng)
+            if inst.source != zeros(n):
+                cases.append(inst)
+    for inst in cases:
+        result = drop_source(inst)
+        solutions = [w for w in enumerate_solutions(inst) if w != zeros(inst.n)]
+        assert enumerate_solutions(result.target) == solutions
+        for w in solutions:
+            assert result.pullback(w) == w
+    assert len(cases) > 250
 
 
 def test_drop_source_identity_when_source_is_zero(rng):
