@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from .bits import check_bits, from_int
+from .bits import check_bits
 from .errors import DimensionError, NetlistError, RestrictionError
 
 OP_INPUT = "input"
@@ -31,6 +31,9 @@ OP_OR = "or"
 
 _BINARY = (OP_AND, OP_OR)
 _LOGIC = (OP_NOT, OP_AND, OP_OR)
+
+#: What a logic gate adds to ``size``: itself plus its operand wires.
+GATE_COST = {OP_NOT: 2, OP_AND: 3, OP_OR: 3}
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,16 +100,7 @@ class Circuit:
 
     @cached_property
     def _size(self) -> int:
-        gates = 0
-        wires = self.n + len(self.outputs)
-        for g in self.gates:
-            if g.op == OP_NOT:
-                gates += 1
-                wires += 1
-            elif g.op in _BINARY:
-                gates += 1
-                wires += 2
-        return gates + wires
+        return sum(GATE_COST.get(g.op, 0) for g in self.gates) + self.n + len(self.outputs)
 
 
 def size(c: Circuit) -> int:
@@ -169,34 +163,41 @@ def output_masks(c: Circuit) -> list[int]:
     """For each output, the integer whose bit x is the output on input value x.
 
     Evaluates the whole truth table in one pass using word-parallel integer
-    operations; usable for n up to ~16.
+    operations.  Gates that feed no output are skipped, and each gate's mask
+    is freed after its last reader, so only the masks still to be read are
+    held at any time.  A root instance of up to 16 inputs reads its points
+    from this table, built at its first point (see ``problems``).
     """
+    gates = c.gates
+    last = _last_readers([(g.op, g.a, g.b) for g in gates], c.outputs)
     full = (1 << (1 << c.n)) - 1
-    vals: list[int] = []
-    for g in c.gates:
-        if g.op == OP_INPUT:
-            vals.append(_input_mask(c.n, g.a))
-        elif g.op == OP_CONST:
-            vals.append(full if g.a else 0)
-        elif g.op == OP_NOT:
-            vals.append(full ^ vals[g.a])
-        elif g.op == OP_AND:
-            vals.append(vals[g.a] & vals[g.b])
+    vals: list[int | None] = [None] * len(gates)
+    for idx, g in enumerate(gates):
+        if last[idx] < 0:
+            continue
+        op = g.op
+        if op == OP_INPUT:
+            v = _input_mask(c.n, g.a)
+        elif op == OP_CONST:
+            v = full if g.a else 0
+        elif op == OP_NOT:
+            v = full ^ vals[g.a]
+            if last[g.a] == idx:
+                vals[g.a] = None
         else:
-            vals.append(vals[g.a] | vals[g.b])
+            a, b = vals[g.a], vals[g.b]
+            v = a & b if op == OP_AND else a | b
+            if last[g.a] == idx:
+                vals[g.a] = None
+            if last[g.b] == idx:
+                vals[g.b] = None
+        vals[idx] = v
     return [vals[r] for r in c.outputs]
 
 
 def eval_table(c: Circuit) -> list[int]:
     """Truth table as integers: entry x is the m-bit output on input value x."""
-    masks = output_masks(c)
-    table = []
-    for x in range(1 << c.n):
-        v = 0
-        for mask in masks:
-            v = (v << 1) | ((mask >> x) & 1)
-        table.append(v)
-    return table
+    return [int(word, 2) for word in successor_table(c)]
 
 
 def _check_fix(c: Circuit, position: int, bit: int) -> None:
@@ -257,6 +258,27 @@ def _fold(c: Circuit, k0: int, bit: int) -> tuple[list[tuple[str, int, int]], li
     return made, outs
 
 
+def _last_readers(made: list[tuple[str, int, int]], refs: Sequence[int]) -> list[int]:
+    """For each ``(op, a, b)`` triple, the index of the last triple that
+    reads it, ``len(made)`` for one of the gates ``refs``, and -1 for a
+    triple that feeds none of them (dead).  One backward pass."""
+    last = [-1] * len(made)
+    for r in refs:
+        last[r] = len(made)
+    for idx in range(len(made) - 1, -1, -1):
+        if last[idx] >= 0:
+            op, a, b = made[idx]
+            if op == OP_NOT:
+                if last[a] < 0:
+                    last[a] = idx
+            elif op in _BINARY:
+                if last[a] < 0:
+                    last[a] = idx
+                if last[b] < 0:
+                    last[b] = idx
+    return last
+
+
 def _restrict(c: Circuit, fixed: tuple[int, int] | None, keep: Sequence[int] | None) -> Circuit:
     """The one restriction pass behind ``restrict_input``, ``project_outputs``
     and ``restrict_half``: fold input ``fixed = (k0, bit)`` forward (None
@@ -272,24 +294,14 @@ def _restrict(c: Circuit, fixed: tuple[int, int] | None, keep: Sequence[int] | N
         n = c.n - 1
     if keep is None:
         refs = outs
-        live = [True] * len(made)
+        last = [0] * len(made)  # keeps every gate
     else:
         refs = [outs[j] for j in keep]
-        live = [False] * len(made)
-        for r in refs:
-            live[r] = True
-        for idx in range(len(made) - 1, -1, -1):
-            if live[idx]:
-                op, a, b = made[idx]
-                if op == OP_NOT:
-                    live[a] = True
-                elif op in _BINARY:
-                    live[a] = True
-                    live[b] = True
+        last = _last_readers(made, refs)
     remap = [0] * len(made)
     gates: list[Gate] = []
     for idx, (op, a, b) in enumerate(made):
-        if live[idx] or op == OP_INPUT:
+        if last[idx] >= 0 or op == OP_INPUT:
             if op == OP_NOT:
                 a, b = remap[a], 0
             elif op in _BINARY:
@@ -323,6 +335,15 @@ def project_outputs(c: Circuit, keep: Sequence[int]) -> Circuit:
     if not keep:
         raise RestrictionError("a circuit must keep at least one output")
     return _restrict(c, None, keep)
+
+
+def projected_size(c: Circuit, keep: Sequence[int]) -> int:
+    """``size(project_outputs(c, keep))`` from a liveness pass alone, without
+    building the circuit."""
+    made = [(g.op, g.a, g.b) for g in c.gates]
+    last = _last_readers(made, [c.outputs[j] for j in keep])
+    cost = sum(GATE_COST.get(op, 0) for (op, _, _), reader in zip(made, last) if reader >= 0)
+    return cost + c.n + len(keep)
 
 
 def restrict_output(c: Circuit, position: int) -> Circuit:
@@ -432,8 +453,11 @@ def random_circuit(rng, n: int, m: int, gate_count: int, name: str = "r") -> Cir
 
 
 def successor_table(c: Circuit) -> list[str]:
-    """Truth table of an n-to-m circuit as bit strings indexed by input value."""
-    return [from_int(v, c.m) for v in eval_table(c)]
+    """Truth table of an n-to-m circuit as bit strings indexed by input value:
+    each output's mask is written out once, and the columns are read across."""
+    width = 1 << c.n
+    columns = [format(mask, f"0{width}b")[::-1] for mask in output_masks(c)]
+    return list(map("".join, zip(*columns)))
 
 
 # --- netlist text format ---------------------------------------------------

@@ -5,17 +5,19 @@ Each algorithm takes one kind (any other raises :class:`DimensionError`)
 and solves it with at most two queries to an oracle for strictly smaller
 instances.  Iteration with a source halves the vertex space on the leading
 bit (:meth:`IterInstance.half`): a query's circuit is materialised, built
-in one pass that fixes input 1 and drops output 1 (``restrict_half``), and
-evaluates itself.  Source-free iteration runs that algorithm from the
-all-zero word and asks each query through
-:func:`~tfnpkit.reductions.drop_source`.  The sink-of-DAG problems halve
-the valuation range on its leading bit.  A sink-of-DAG query is composed
-over the instance that asks it (:meth:`SodInstance.dropped`,
-:meth:`SodInstance.frozen`): it evaluates through the parent's memo, and it
-is measured, without being built, as exactly the circuit
-``restrict_output``/``freeze_stage`` would make (successor then valuation
-outputs).  Oracle answers are verified against the queried sub-instance (a
-bad answer raises :class:`OracleContractError`).
+in one pass that fixes input 1 and drops output 1 (``restrict_half``), for
+the monitor to size and the next level to halve, but its points are read
+from the root with the fixed prefix prepended.  Source-free iteration runs
+that algorithm from the all-zero word and asks each query through
+:func:`~tfnpkit.reductions.drop_source`, whose target reads the query's
+points.  The sink-of-DAG problems halve the valuation range on its leading
+bit.  A sink-of-DAG query is composed over the instance that asks it
+(:meth:`SodInstance.dropped`, :meth:`SodInstance.frozen`): it reads its
+points through the parent's memo, and it is measured, without being
+built, as exactly the circuit ``restrict_output``/``freeze_stage`` would
+make (successor then valuation outputs).  Only the root circuit is read
+(see ``problems``).  Oracle answers are verified against the queried
+sub-instance (a bad answer raises :class:`OracleContractError`).
 
 The case analyses lift almost every sub-answer directly.  One lift is not
 universally sound when the oracle may return *any* valid sub-solution

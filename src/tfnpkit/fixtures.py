@@ -88,7 +88,8 @@ class HalvingIterProgram(DsrProgram):
         self._instances: dict[Path, IterInstance] = {(): top}
 
     def instance_for(self, path: Path) -> IterInstance:
-        """The path's instance, one per path, so each path has one memo."""
+        """The path's instance, one per path, so each half circuit is built
+        once and a query can be told by its circuit."""
         if path not in self._instances:
             self._instances[path] = self.instance_for(path[:-1]).half(path[-1] - 1)
         return self._instances[path]

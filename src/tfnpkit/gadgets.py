@@ -29,6 +29,7 @@ from .circuit import (
     OP_OR,
     OR,
     Circuit,
+    GATE_COST,
     Gate,
     project_outputs,
 )
@@ -167,6 +168,13 @@ def redirect_zero_inputs(c: Circuit, target: str, name: str | None = None) -> Ci
     return b.circuit(outs, name=name or c.name)
 
 
+def redirect_zero_outputs(c: Circuit, word: str, name: str | None = None) -> Circuit:
+    """Wrap ``c`` with an output stage giving the hardcoded ``word`` on the
+    all-zero input and ``c``'s outputs on every other input."""
+    b = GateBuilder(c.n)
+    return b.circuit(b.redirect_zero(word, b.embed(c, b.inputs)), name=name or c.name)
+
+
 def combine_pair(succ: Circuit, valuation: Circuit, name: str = "pair") -> Circuit:
     """One circuit computing successor and valuation on shared inputs, with
     the successor bits first.  The valuation's gates follow, renumbered; its
@@ -225,12 +233,8 @@ def freeze_stage(
     valuation outputs, so the size grows only by the gadget overhead.
     """
     b = GateBuilder(combined.n)
-    return b.circuit(_freeze_embedded(b, combined, frozen_below, redirect_to), name=name)
-
-
-def _freeze_embedded(b: GateBuilder, combined: Circuit, frozen_below: int, redirect_to: str | None) -> list[int]:
-    """The freeze step on ``b`` with ``combined`` embedded through the stage."""
-    return _freeze(b, lambda staged: (staged, b.embed(combined, staged)), frozen_below, redirect_to)
+    outs = _freeze(b, lambda staged: (staged, b.embed(combined, staged)), frozen_below, redirect_to)
+    return b.circuit(outs, name=name)
 
 
 def _freeze(
@@ -254,11 +258,8 @@ def _freeze(
     return b.mux(frozen, staged, s_refs) + v_refs[1:]
 
 
-_COST = {OP_NOT: 2, OP_AND: 3, OP_OR: 3}  # gate plus operand wires
-
-
 def _operands(g: Gate) -> tuple[int, ...]:
-    if g.op not in _COST:
+    if g.op not in GATE_COST:
         return ()
     return (g.a,) if g.op == OP_NOT else (g.a, g.b)
 
@@ -284,11 +285,12 @@ class Net(GateBuilder):
         super().__init__(n)
 
     @classmethod
-    def freeze_circuit(cls, combined: Circuit, frozen_below: int, redirect_to: str | None = None) -> "Net":
-        """The net of ``freeze_stage(combined, ...)``: hash-conses a raw
-        circuit once."""
-        net = cls(combined.n)
-        net._set_outputs(_freeze_embedded(net, combined, frozen_below, redirect_to))
+    def of(cls, c: Circuit) -> "Net":
+        """The net of ``c`` hash-consed: one node per distinct gate.  A gate
+        of ``c`` that feeds no output stays, dead, until the next drop, as
+        it does in a builder that embeds ``c``."""
+        net = cls(c.n)
+        net._set_outputs(net.embed(c, net.inputs))
         return net
 
     @property
@@ -303,7 +305,7 @@ class Net(GateBuilder):
             g = self.gates[ref]
             if g.op != OP_INPUT:
                 self.dead.add(ref)
-                self.cost += _COST.get(g.op, 0)
+                self.cost += GATE_COST.get(g.op, 0)
                 for operand in _operands(g):
                     self._hold(operand)
         return ref
@@ -318,7 +320,7 @@ class Net(GateBuilder):
             g = net.gates[ref]
             net.gates[ref] = None
             del net._refs[g.op, g.a, g.b]
-            net.cost -= _COST.get(g.op, 0)
+            net.cost -= GATE_COST.get(g.op, 0)
             for operand in _operands(g):
                 net._release(operand)
         return net

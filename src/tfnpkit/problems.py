@@ -11,14 +11,18 @@ A sink-of-DAG instance is one circuit, ``pair``, on n inputs: its outputs
 are the n successor bits, then the valuation bits.  One evaluation reads
 both, and it is measured once, so the shared input ports count once.
 
-Circuit-backed iteration and sink-of-DAG instances evaluate each point
-once: ``IterInstance.step`` and ``SodInstance.step_and_value`` remember
-the points asked for, the verifiers and the self-reductions read through
-them, and a ``with_source`` copy shares the memo of the instance it was
-made from (its circuit is the same).  The sink-of-DAG self-reduction's
-queries are composed over their parent: a query's step applies its stage
-and reads the parent's memo, so only the root circuit is ever evaluated,
-and its size comes from a hash-consed net rather than a built circuit.
+Only root instances read a circuit, and each reads it once.  A root of up
+to 16 inputs builds its word-parallel truth table (``successor_table``) at
+its first point and reads every point from it; a wider root evaluates
+each point once and remembers it.  The verifiers
+and the self-reductions read through ``IterInstance.step`` and
+``SodInstance.step_and_value``, and a ``with_source`` copy shares the
+points of the instance it was made from (its circuit is the same).  The
+self-reductions' queries read their root: an iteration half prepends its
+fixed prefix to the point, and a sink-of-DAG query applies its stage and
+reads its parent's memo.  A query's circuit is built only for sizing and
+for the next level (iteration) or only when read (sink-of-DAG, whose size
+comes from a hash-consed net); it is never evaluated.
 
 The sink-finding solution predicate requires a candidate to move
 (``succ(v) != v``) in both disjuncts: a point that is already a fixed point
@@ -33,13 +37,13 @@ import copy
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Union
+from typing import Callable
 
 from .bits import check_bits, from_int, to_int, zeros
-from .circuit import Circuit, emit_netlist, evaluate, parse_netlist, restrict_half, restrict_output
-from .circuit import circuit_from_table, size as circuit_gate_size
+from .circuit import Circuit, emit_netlist, evaluate, parse_netlist, projected_size, restrict_half, restrict_output
+from .circuit import circuit_from_table, size as circuit_gate_size, successor_table
 from .errors import DimensionError, NetlistError
-from .gadgets import Net, combine_pair, freeze_stage, split_pair
+from .gadgets import Net, combine_pair, freeze_stage, redirect_zero_outputs, split_pair
 
 KIND_ITER = "iter"
 KIND_ITER_WS = "iter-with-source"
@@ -57,10 +61,56 @@ def _checked_source(source: str | None, n: int) -> str | None:
     return None if source is None else check_bits(source, n)
 
 
+#: Widest root that reads its points from a truth table: the bound of the
+#: exhaustive scans.  A wider root's table would hold 2^n words.
+_TABLE_MAX_INPUTS = 16
+
+
+class _RootPoints:
+    """The points of a root circuit, shared by the instance and its
+    ``with_source`` copies.  A root of up to 16 inputs builds its
+    word-parallel truth table at the first point asked for, keeps it as one
+    string of the output words in input order, and reads every point from
+    it.  A wider root evaluates each point asked for and remembers it.  A
+    ``valued`` root reads a successor word and a valuation (sink-of-DAG),
+    else an output word."""
+
+    def __init__(self, circuit: Circuit, valued: bool = False):
+        self.circuit, self.valued = circuit, valued
+        self.memo: dict | None = {} if circuit.n > _TABLE_MAX_INPUTS else None
+        self.table: str | None = None
+
+    def __call__(self, x: str):
+        memo = self.memo
+        if memo is not None:
+            hit = memo.get(x)
+            if hit is None:
+                hit = memo[x] = self._read(evaluate(self.circuit, x), 0, self.circuit.m)
+            return hit
+        table = self.table
+        if table is None:
+            table = self.table = "".join(successor_table(self.circuit))
+        m = self.circuit.m
+        start = to_int(check_bits(x, self.circuit.n)) * m
+        return self._read(table, start, start + m)
+
+    def _read(self, words: str, start: int, end: int):
+        """The word ``words[start:end]``, or its successor and valuation."""
+        if not self.valued:
+            return words[start:end]
+        split = start + self.circuit.n
+        return words[start:split], int(words[split:end], 2)
+
+
 @dataclass(frozen=True)
 class IterInstance:
     """Iteration instance; the walk starts at ``source``, or at the all-zero
-    word when ``source`` is None."""
+    word when ``source`` is None.
+
+    Only a root evaluates its circuit.  A half (:meth:`half`) reads the
+    root it was cut from, with its fixed prefix prepended, and a
+    :meth:`redirected` instance reads the instance it redirects; their
+    circuits are built for sizing and for the next halves, never evaluated."""
 
     succ: Circuit
     source: str | None = None
@@ -74,35 +124,59 @@ class IterInstance:
         return self.succ.n
 
     def with_source(self, source: str | None) -> "IterInstance":
-        other = IterInstance(self.succ, source)
-        vars(other).update(_steps=self._steps, _halves=self._halves)  # same successor, same memos
-        return other
+        return self._reading(self.succ, source, self._read, self._halves)  # same successor, same points
 
     def half(self, bit: int, source: str | None = None) -> "IterInstance":
         """Query on the half-space whose leading bit is ``bit`` (input 1
         fixed, output 1 dropped).  Its circuit is built in one pass by
         ``restrict_half``, gate for gate the two-step restriction, so the
         monitor sizes exactly that circuit.  It is cached weakly: built once
-        while some instance holds it, not kept alive by the parent."""
+        while some instance holds it, not kept alive by the parent.  Its
+        points are this instance's, read with the bit prepended."""
         c = self._halves.get(bit)
         if c is None:
             c = self._halves[bit] = restrict_half(self.succ, bit)
-        return IterInstance(c, source)
+        read, prefix = self._read
+        return self._reading(c, source, (read, prefix + str(bit)))
+
+    def redirected(self) -> "IterInstance":
+        """Source-free instance that steps the all-zero word to this
+        instance's source and every other word as this instance does (the
+        target of ``drop_source``).  Its circuit wraps this one in
+        ``redirect_zero_outputs``; its points are read through this one."""
+        source = self.source
+        if source is None:
+            raise DimensionError("only an instance with a source can be redirected")
+        succ = redirect_zero_outputs(self.succ, source, name="succ")
+        zero, step = zeros(self.n), self.step
+        return self._reading(succ, None, (lambda x: source if x == zero else step(x), ""))
+
+    @staticmethod
+    def _reading(succ: Circuit, source: str | None, read, halves=None) -> "IterInstance":
+        """Instance on ``succ`` whose points are read by ``read`` (see
+        ``_read``), sharing the half circuits ``halves`` if given."""
+        inst = IterInstance(succ, source)
+        vars(inst)["_read"] = read
+        if halves is not None:
+            vars(inst)["_halves"] = halves
+        return inst
 
     @cached_property
-    def _steps(self) -> dict[str, str]:
-        return {}
+    def _read(self) -> tuple[Callable[[str], str], str]:
+        """How points are read: a reader of the root's words, and the prefix
+        this instance's point is given there."""
+        return _RootPoints(self.succ), ""
 
     @cached_property
     def _halves(self) -> weakref.WeakValueDictionary[int, Circuit]:
         return weakref.WeakValueDictionary()
 
     def step(self, x: str) -> str:
-        """Successor word at ``x``; each point is evaluated once."""
-        out = self._steps.get(x)
-        if out is None:
-            out = self._steps[x] = evaluate(self.succ, x)
-        return out
+        """Successor word at ``x``, read from the root."""
+        read, prefix = self._read
+        if not prefix:
+            return read(x)
+        return read(prefix + x)[len(prefix) :]
 
 
 class SodInstance:
@@ -112,13 +186,14 @@ class SodInstance:
     built from, or slices of the pair cut on first read.
 
     A self-reduction query (:meth:`dropped`, :meth:`frozen`) is composed
-    over its parent instance.  It evaluates a point by applying its stage
-    and reading the parent's memo, so only the root circuit is evaluated.
-    Its size comes from a :class:`~tfnpkit.gadgets.Net`, and its ``pair``
-    is built through ``restrict_output``/``freeze_stage`` only when read.
-    The drops of a circuit-backed instance are circuit-backed too (their
-    raw circuit may hold duplicate and dead gates, which a net would not
-    keep), so the first freeze below them hash-conses the circuit once."""
+    over its parent instance.  It reads a point by applying its stage
+    and reading the parent's memo, so only the root circuit is read.  Its size comes from a :class:`~tfnpkit.gadgets.Net`,
+    and its ``pair`` is built through ``restrict_output``/``freeze_stage``
+    only when read.  The root and its chain of drops are raw: they keep the
+    root's duplicate and dead gates, which a net would not, so a raw drop is
+    sized by a liveness count on the root.  The first freeze below a raw
+    instance starts from the root's net, hash-consed once and dropped along
+    the chain."""
 
     def __init__(self, succ: Circuit, valuation: Circuit, source: str | None = None):
         self._init(combine_pair(succ, valuation), source)
@@ -135,7 +210,7 @@ class SodInstance:
     def _set(self, n: int, value_bits: int, source, parent, freeze, net) -> "SodInstance":
         """Set the fields: for a query, the parent and its stage (``freeze``
         is ``(frozen_below, redirect_to)``, or None for a drop), and the net
-        that measures it unless it keeps its circuit."""
+        that measures it unless it is raw."""
         if value_bits < 1:
             raise DimensionError("pair circuit needs at least one valuation output")
         self.n, self.value_bits = n, value_bits
@@ -151,22 +226,49 @@ class SodInstance:
     def frozen(self, frozen_below: int, *, redirect_to: str | None = None, source: str | None = None) -> "SodInstance":
         """Query of the valuation-halving step (see ``freeze_stage``)."""
         if self._net is None:
-            net = Net.freeze_circuit(self.pair, frozen_below, redirect_to)
+            net = self._raw_net().freeze(frozen_below, redirect_to)
+            vars(self).pop("_hashed", None)  # a depth-first run needs it no more
         else:
             net = self._net.freeze(frozen_below, redirect_to)
         freeze = (frozen_below, redirect_to)
         return SodInstance.__new__(SodInstance)._set(self.n, self.value_bits - 1, source, self, freeze, net)
 
+    def _raw_net(self) -> Net:
+        """The hash-consed net of a raw instance, made on first need: the
+        root hash-conses its pair, and a raw drop drops its parent's net.
+        Each instance keeps its net until its first freeze.  So the root is
+        hash-consed once only if every drop is asked before the freeze of
+        its parent, as ``dsr_sod`` does (depth first, drop before freeze).
+        A drop asked of an instance that has been frozen already, or a
+        ``with_source`` copy made before the net, hash-conses the root again."""
+        net = vars(self).get("_hashed")
+        if net is None:
+            net = Net.of(self.pair) if self._parent is None else self._parent._raw_net().drop(self.n)
+            vars(self)["_hashed"] = net
+        return net
+
     def with_source(self, source: str | None) -> "SodInstance":
         other = copy.copy(self)  # shares the circuit, parent, net and any views already cut
-        vars(other).update(source=_checked_source(source, self.n), _steps=self._steps)
+        points = "_root" if self._parent is None else "_steps"
+        vars(other).update({"source": _checked_source(source, self.n), points: getattr(self, points)})
         return other
 
     @property
     def size(self) -> int:
-        """Circuit size of ``pair``; a query read from its net, without
-        building the circuit."""
-        return circuit_gate_size(self.pair) if self._net is None else self._net.size
+        """Circuit size of ``pair``, without building a query's circuit: a
+        composed query's is read from its net, a raw drop's counted on the
+        root."""
+        return self._raw_size if self._net is None else self._net.size
+
+    @cached_property
+    def _raw_size(self) -> int:
+        root, dropped = self, 0
+        while root._parent is not None:
+            root, dropped = root._parent, dropped + 1
+        if not dropped:
+            return circuit_gate_size(self.pair)
+        n, m = self.n, root.pair.m
+        return projected_size(root.pair, [*range(n), *range(n + dropped, m)])
 
     @cached_property
     def pair(self) -> Circuit:
@@ -176,6 +278,10 @@ class SodInstance:
             return restrict_output(parent, self.n + 1)
         frozen_below, redirect_to = self._freeze
         return freeze_stage(parent, frozen_below, redirect_to=redirect_to)
+
+    @cached_property
+    def _root(self) -> _RootPoints:
+        return _RootPoints(self.pair, valued=True)
 
     @cached_property
     def _steps(self) -> dict[str, tuple[str, int]]:
@@ -194,18 +300,17 @@ class SodInstance:
         return self._views[1]
 
     def step_and_value(self, x: str) -> tuple[str, int]:
-        """Successor word and valuation at ``x``; each point is evaluated
-        once, by the root instance's pair."""
+        """Successor word and valuation at ``x``: a root reads its circuit's
+        points, a query applies its stage to its parent's, once per point."""
+        if self._parent is None:
+            return self._root(x)
         hit = self._steps.get(x)
         if hit is None:
-            hit = self._steps[x] = self._step_and_value(x)
+            hit = self._steps[x] = self._staged(x)
         return hit
 
-    def _step_and_value(self, x: str) -> tuple[str, int]:
+    def _staged(self, x: str) -> tuple[str, int]:
         parent = self._parent
-        if parent is None:
-            out = evaluate(self.pair, x)
-            return out[: self.n], to_int(out[self.n :])
         if self._freeze is None:
             step, value = parent.step_and_value(x)
         else:
@@ -302,8 +407,10 @@ class SvlInstance:
         return self.succ.n
 
 
-CircuitInstance = Union[IterInstance, SodInstance, EolInstance]
-ProblemInstance = Union[CircuitInstance, ImplicitSodInstance, SvlInstance]
+# PEP 604 unions: ``typing.Union`` caches its arguments, which would keep
+# the classes of every re-imported copy of this module alive.
+CircuitInstance = IterInstance | SodInstance | EolInstance
+ProblemInstance = CircuitInstance | ImplicitSodInstance | SvlInstance
 
 
 def kind_of(inst: ProblemInstance) -> str:

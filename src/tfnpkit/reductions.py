@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .bits import zeros
-from .circuit import constant_circuit, evaluate
+from .bits import from_int, zeros
+from .circuit import constant_circuit
 from .errors import DimensionError, PullbackContractError
-from .gadgets import GateBuilder
+from .gadgets import GateBuilder, redirect_zero_outputs
 from .problems import (
     IterInstance,
     ProblemInstance,
@@ -82,7 +82,7 @@ def sod_to_iter(inst: SodInstance) -> ReductionResult:
     v_next = builder.embed(val, s_refs)
     outs = builder.mux(on_rail, v_next + s_refs, list(builder.inputs))
     lifted = builder.circuit(outs, name="succ")
-    start = evaluate(val, zeros(n)) + zeros(n)
+    start = from_int(inst.step_and_value(zeros(n))[1], m) + zeros(n)
     target = IterInstance(lifted, start)
 
     if not well_formed(target):
@@ -121,12 +121,10 @@ def drop_source(inst: IterInstance | SodInstance) -> ReductionResult:
         target = inst.with_source(None)
         return ReductionResult(target, _checked_pullback(inst, target, lambda w: w))
 
-    b = GateBuilder(n)
-    patched = b.circuit(b.redirect_zero(src, b.embed(inst.succ, b.inputs)), name="succ")
     if isinstance(inst, IterInstance):
-        target = IterInstance(patched)
+        target = inst.redirected()
     else:
-        target = SodInstance(patched, inst.valuation)
+        target = SodInstance(redirect_zero_outputs(inst.succ, src, name="succ"), inst.valuation)
 
     def lift(w: str) -> str:
         if verify_solution(inst, w):

@@ -31,9 +31,9 @@ from tfnpkit import (
 )
 from tfnpkit import dsr, problems
 from tfnpkit.bits import from_int, ones, zeros
-from tfnpkit.circuit import OP_INPUT, evaluate, output_masks, pad_with_dead_gates
+from tfnpkit.circuit import OP_INPUT, evaluate, output_masks, pad_with_dead_gates, successor_table
 from tfnpkit.errors import DimensionError, MonitorViolation, OracleContractError
-from tfnpkit.gadgets import redirect_zero_inputs
+from tfnpkit.gadgets import Net, redirect_zero_inputs
 from tfnpkit.problems import instance_bits
 
 from conftest import iter_tables, table_circuit
@@ -311,22 +311,40 @@ def test_dsr_sod_query_roundtrips_through_envelope(rng):
         assert enumerate_solutions(again) == enumerate_solutions(sub)
 
 
-def _count_evaluations(monkeypatch) -> collections.Counter:
+def _count_reads(monkeypatch) -> tuple[collections.Counter, collections.Counter]:
     """Route every toolkit binding of ``evaluate`` through a counter of
-    (circuit, point) pairs; the circuits are kept so that ids stay distinct."""
-    original = evaluate
-    counts: collections.Counter = collections.Counter()
+    (circuit, point) pairs, and every binding of ``successor_table`` through
+    a counter of tabulated circuits; the circuits are kept so that ids stay
+    distinct."""
+    evaluations: collections.Counter = collections.Counter()
+    tables: collections.Counter = collections.Counter()
     kept = {}
 
-    def counting(c, x):
+    def counting_evaluate(c, x):
         kept[id(c)] = c
-        counts[id(c), x] += 1
-        return original(c, x)
+        evaluations[id(c), x] += 1
+        return evaluate(c, x)
+
+    def counting_table(c):
+        kept[id(c)] = c
+        tables[id(c)] += 1
+        return successor_table(c)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("tfnpkit") and getattr(module, "evaluate", None) is original:
-            monkeypatch.setattr(module, "evaluate", counting)
-    return counts
+        if name.startswith("tfnpkit"):
+            if getattr(module, "evaluate", None) is evaluate:
+                monkeypatch.setattr(module, "evaluate", counting_evaluate)
+            if getattr(module, "successor_table", None) is successor_table:
+                monkeypatch.setattr(module, "successor_table", counting_table)
+    return evaluations, tables
+
+
+def _assert_only_roots_read(evaluations, tables, roots) -> None:
+    """Each root circuit tabulated at most once, each point evaluated at most
+    once, and no other circuit evaluated or tabulated."""
+    assert {c for c, _ in evaluations} | set(tables) <= {id(r) for r in roots}
+    assert max(tables.values(), default=0) <= 1
+    assert max(evaluations.values(), default=0) <= 1
 
 
 def _long_path(n: int):
@@ -334,8 +352,11 @@ def _long_path(n: int):
 
 
 def test_monitored_long_paths_evaluate_each_point_once(monkeypatch):
-    """Verifiers, pivots and the parent's re-check of a child's answer read
-    the instance's memo: no (circuit, point) pair is evaluated twice."""
+    """Verifiers, pivots, queries, halves and the parent's re-check of a
+    child's answer all read the root's points: each root circuit is
+    tabulated at most once (here at its first point, as n <= 16), each
+    point evaluated at most once, and no query or half circuit is evaluated
+    or tabulated."""
     identity = table_circuit(range(32), 5, name="valuation")
     cases = [
         SodInstance(_long_path(5), identity),
@@ -351,18 +372,22 @@ def test_monitored_long_paths_evaluate_each_point_once(monkeypatch):
         return copies[-1][1]
 
     monkeypatch.setattr(SodInstance, "with_source", recording)
-    counts = _count_evaluations(monkeypatch)
+    evaluations, tables = _count_reads(monkeypatch)
+    roots = []
     for inst in cases:
         n = inst.n
+        roots.append(inst.pair if isinstance(inst, SodInstance) else inst.succ)
         answer = run_dsr(inst, monitored(self_oracle(), "circuit-dsr-poly-blowup", c=2))
         assert answer == from_int((1 << n) - 2, n)  # the unique solution
-        assert max(counts.values()) == 1
-        evaluated = sum(counts.values())
+        _assert_only_roots_read(evaluations, tables, roots)
+        assert tables[id(roots[-1])] == 1 and not evaluations
+        read = sum(evaluations.values()) + sum(tables.values())
         assert verify_solution(inst.with_source(from_int(1, n)), answer)
-        assert sum(counts.values()) == evaluated
+        assert sum(evaluations.values()) + sum(tables.values()) == read
     assert copies
     for original, copy in copies:
-        assert copy._steps is original._steps
+        shared = "_root" if original._parent is None else "_steps"
+        assert getattr(copy, shared) is getattr(original, shared)
 
 
 def test_pairs_and_query_views_read_each_input_once(rng):
@@ -531,13 +556,18 @@ def test_iteration_queries_are_two_step_halves_built_in_one_pass(monkeypatch):
 
 
 def test_long_path_sink_of_dag_evaluates_only_the_root(monkeypatch):
-    """Queries read their parent's memo: a monitored run evaluates no circuit
-    but the root's, and each of its 2^n points at most once."""
+    """Queries read their parent's memo: a monitored run reads no circuit
+    but the root's, which it tabulates once and never evaluates, and it
+    hash-conses the root once (the drop chain is asked before its freezes)."""
     inst = SodInstance(_long_path(5), table_circuit(range(32), 5, name="valuation"))
-    counts = _count_evaluations(monkeypatch)
+    evaluations, tables = _count_reads(monkeypatch)
+    hashed = []
+    of = Net.of.__func__
+    monkeypatch.setattr(Net, "of", classmethod(lambda cls, c: hashed.append(c) or of(cls, c)))
     trace = QueryTrace()
     answer = run_dsr(inst, monitored(self_oracle(), "circuit-dsr-poly-blowup", c=2, trace=trace))
     assert answer == from_int(30, 5)
     assert len(trace) == 30
-    assert {circuit for circuit, _ in counts} == {id(inst.pair)}
-    assert sum(counts.values()) <= 32
+    _assert_only_roots_read(evaluations, tables, [inst.pair])
+    assert tables == {id(inst.pair): 1} and not evaluations  # n <= 16: tabulated at the first point
+    assert len(hashed) == 1 and hashed[0] is inst.pair

@@ -17,7 +17,7 @@ from tfnpkit.dsr import dsr_iter_with_source, monitored, self_oracle
 from tfnpkit.errors import SolveBoundError
 from tfnpkit.problems import well_formed
 
-from test_dsr import _count_evaluations
+from test_dsr import _assert_only_roots_read, _count_reads
 
 
 def naive_solution(x: str) -> str:
@@ -133,16 +133,18 @@ def test_selfhost_walk_answers_like_the_monitored_algorithm():
 
 
 def test_selfhost_walk_evaluates_each_point_a_bounded_number_of_times(monkeypatch):
-    """Every slot path keeps one instance, so replays read its memo: a walk
-    evaluates each (circuit, point) pair only a few times."""
-    counts = _count_evaluations(monkeypatch)
+    """Every slot path's instance reads the top instance's points: a walk
+    tabulates the top circuit once and evaluates no point, and no half
+    circuit is evaluated or tabulated."""
+    evaluations, tables = _count_reads(monkeypatch)
     rng = random.Random(3)
     for n in (4, 5):
         for _ in range(3):
             top = random_instance("iter-with-source", n, rng)
-            counts.clear()
+            evaluations.clear()
+            tables.clear()
             compiled = compile_pls(HalvingIterProgram(top), top.source)
             *_, last = compiled.machine.walk(top.source, limit=5000)
             assert verify_solution(top, compiled.extract(last))
-            per_pair = sum(counts.values()) / len(counts)
-            assert per_pair < 5, (n, per_pair)
+            _assert_only_roots_read(evaluations, tables, [top.succ])
+            assert tables == {id(top.succ): 1} and not evaluations

@@ -9,7 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tfnpkit import (
+    AND,
     CONST,
+    NOT,
+    OR,
     Circuit,
     EolInstance,
     INPUT,
@@ -30,10 +33,11 @@ from tfnpkit import (
     well_formed,
 )
 from tfnpkit.bits import all_bitstrings, from_int, to_int
-from tfnpkit.circuit import eval_table, size
+from tfnpkit.circuit import eval_table, restrict_half, size
 from tfnpkit.errors import DimensionError, NetlistError
 from tfnpkit.gadgets import combine_pair
 from tfnpkit.problems import ImplicitSodInstance
+from tfnpkit.reductions import drop_source
 
 from conftest import table_circuit
 
@@ -285,3 +289,109 @@ def test_parsers_raise_only_netlist_errors(text):
             parse(text)
         except NetlistError:
             pass
+
+
+@st.composite
+def _gate_lists(draw, min_n: int = 1, max_n: int = 8):
+    """``min_n`` to ``max_n`` inputs and a gate list that mixes INPUT gates
+    (duplicates included), CONST gates and logic gates in any order."""
+    n = draw(st.integers(min_n, max_n))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    gates = []
+    for _ in range(draw(st.integers(1, 60))):
+        op = rng.choice(("input", "input", "const", "not", "and", "or") if gates else ("input", "const"))
+        if op == "input":
+            gates.append(INPUT(rng.randrange(n)))
+        elif op == "const":
+            gates.append(CONST(rng.randrange(2)))
+        elif op == "not":
+            gates.append(NOT(rng.randrange(len(gates))))
+        else:
+            gates.append((AND if op == "and" else OR)(rng.randrange(len(gates)), rng.randrange(len(gates))))
+    return n, tuple(gates), rng
+
+
+def _circuit(gate_list, m: int) -> Circuit:
+    """A circuit on the drawn gates whose ``m`` outputs name random gates,
+    so that some gates feed nothing."""
+    n, gates, rng = gate_list
+    return Circuit(n, m, gates, tuple(rng.randrange(len(gates)) for _ in range(m)))
+
+
+def _roots(gate_list, value_bits: int):
+    """An iteration root and a sink-of-DAG root on the drawn gates, each
+    with the circuit it reads."""
+    n = gate_list[0]
+    succ, pair = _circuit(gate_list, n), _circuit(gate_list, n + value_bits)
+    return [(IterInstance(succ), succ), (SodInstance.from_pair(pair), pair)]
+
+
+def _assert_steps_like_evaluate(inst, c, x) -> None:
+    out = evaluate(c, x)
+    if isinstance(inst, IterInstance):
+        assert inst.step(x) == out
+    else:
+        assert inst.step_and_value(x) == (out[: inst.n], to_int(out[inst.n :]))
+
+
+def _points(inst):
+    return inst._read[0] if isinstance(inst, IterInstance) else inst._root
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_gate_lists(), st.integers(1, 3), st.data())
+def test_root_points_match_evaluate_from_the_table(gate_list, value_bits, data):
+    """A root of up to 16 inputs builds its table at the first point and
+    keeps no memo; ``step``/``step_and_value`` then equal ``evaluate`` at
+    every point, asked in any order.  ``with_source`` copies share it."""
+    order = data.draw(st.permutations(list(all_bitstrings(gate_list[0]))))
+    for inst, c in _roots(gate_list, value_bits):
+        points = _points(inst)
+        assert points.table is None
+        for x in order * 2:
+            _assert_steps_like_evaluate(inst, c, x)
+            assert points.table is not None and points.memo is None
+        assert _points(inst.with_source(order[0])) is points
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_gate_lists(17, 20), st.integers(1, 3), st.data())
+def test_wide_roots_evaluate_each_point_once(gate_list, value_bits, data):
+    """A root wider than 16 inputs never builds a table: it evaluates each
+    point asked for once and remembers it, and so does a chain of its
+    halves, which reads it."""
+    n = gate_list[0]
+    xs = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))
+    xs = [from_int(x, n) for x in xs]
+    for inst, c in _roots(gate_list, value_bits):
+        points = _points(inst)
+        for x in xs * 2:
+            _assert_steps_like_evaluate(inst, c, x)
+        assert points.table is None and set(points.memo) == set(xs)
+    inst = built = _roots(gate_list, value_bits)[0][0]
+    for width in range(n - 1, n - 4, -1):
+        bit = data.draw(st.integers(0, 1))
+        inst, built = inst.half(bit), IterInstance(restrict_half(built.succ, bit))
+        for x in xs:
+            _assert_steps_like_evaluate(inst, built.succ, x[n - width :])
+    assert _points(inst).table is None
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_gate_lists(), st.data())
+def test_half_chains_step_like_their_restrict_half_chain(gate_list, data):
+    """A chain of ``half`` calls down to one input, with ``drop_source``
+    redirects spliced in, steps at every point like ``evaluate`` on the
+    chain of circuits that ``restrict_half`` and ``drop_source`` build."""
+    n = gate_list[0]
+    inst = built = IterInstance(_circuit(gate_list, n))
+    for width in range(n - 1, 0, -1):
+        bit = data.draw(st.integers(0, 1))
+        inst, built = inst.half(bit), IterInstance(restrict_half(built.succ, bit))
+        if data.draw(st.booleans()):
+            source = from_int(data.draw(st.integers(0, (1 << width) - 1)), width)
+            inst = drop_source(inst.with_source(source)).target
+            built = drop_source(built.with_source(source)).target
+        assert inst.succ == built.succ
+        for x in all_bitstrings(width):
+            assert inst.step(x) == evaluate(built.succ, x)
