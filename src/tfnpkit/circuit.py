@@ -3,7 +3,15 @@
 A circuit is an immutable list of gates in topological order over the
 alphabet {INPUT, CONST, NOT, AND, OR}; operands are integer references to
 strictly earlier gates, and the output list names the gates whose values
-form the output word.
+form the output word.  A gate is a plain ``(op, a, b)`` tuple (:class:`Gate`):
+the same value is a circuit's gate and a builder's hash key, a restriction
+works on ``(op, a, b)`` entries, and per-gate loops unpack it.
+
+Circuits are validated once, at the boundary: ``Circuit(...)`` checks what
+it is given (``parse_netlist``, user code and tests go through it).  Every
+circuit the toolkit derives from valid ones (restrictions, builders,
+synthesisers) is built by :func:`_derived` without the check, and a test
+runs each such producer and validates its output again.
 
 The canonical size measure counts logic gates (NOT/AND/OR) plus wires,
 where every input bit contributes one port wire, every gate operand one
@@ -18,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bits import check_bits
 from .errors import DimensionError, NetlistError, RestrictionError
@@ -36,11 +44,11 @@ _LOGIC = (OP_NOT, OP_AND, OP_OR)
 GATE_COST = {OP_NOT: 2, OP_AND: 3, OP_OR: 3}
 
 
-@dataclass(frozen=True, slots=True)
-class Gate:
-    """One gate; ``a`` is the input index for INPUT, the bit for CONST,
-    and the first operand reference otherwise.  ``b`` is the second operand
-    for AND/OR and unused elsewhere."""
+class Gate(NamedTuple):
+    """One gate, the tuple ``(op, a, b)``: ``a`` is the input index for
+    INPUT, the bit for CONST, and the first operand reference otherwise.
+    ``b`` is the second operand for AND/OR and 0 elsewhere, so equal gates
+    are equal tuples."""
 
     op: str
     a: int = 0
@@ -76,22 +84,22 @@ class Circuit:
     name: str = field(default="c", compare=False)
 
     def __post_init__(self):
-        if self.n < 0 or self.m < 1:
-            raise DimensionError(f"bad circuit shape n={self.n}, m={self.m}")
-        for idx, g in enumerate(self.gates):
-            if g.op == OP_INPUT:
-                if not 0 <= g.a < self.n:
-                    raise DimensionError(f"gate {idx}: input index {g.a} out of range")
-            elif g.op == OP_CONST:
-                if g.a not in (0, 1):
+        _check_shape(self.n, self.m)
+        for idx, (op, a, b) in enumerate(self.gates):
+            if op == OP_INPUT:
+                if not 0 <= a < self.n:
+                    raise DimensionError(f"gate {idx}: input index {a} out of range")
+            elif op == OP_CONST:
+                if a not in (0, 1):
                     raise DimensionError(f"gate {idx}: constant must be 0 or 1")
-            elif g.op in _LOGIC:
-                refs = (g.a,) if g.op == OP_NOT else (g.a, g.b)
-                for r in refs:
+            elif op in _LOGIC:
+                for r in (a,) if op == OP_NOT else (a, b):
                     if not 0 <= r < idx:
                         raise DimensionError(f"gate {idx}: reference {r} is not an earlier gate")
             else:
-                raise DimensionError(f"gate {idx}: unknown op {g.op!r}")
+                raise DimensionError(f"gate {idx}: unknown op {op!r}")
+            if b != 0 and op not in _BINARY:
+                raise DimensionError(f"gate {idx}: {op} takes no second operand, got {b}")
         if len(self.outputs) != self.m:
             raise DimensionError(f"expected {self.m} outputs, got {len(self.outputs)}")
         for r in self.outputs:
@@ -100,7 +108,21 @@ class Circuit:
 
     @cached_property
     def _size(self) -> int:
-        return sum(GATE_COST.get(g.op, 0) for g in self.gates) + self.n + len(self.outputs)
+        return sum(GATE_COST.get(op, 0) for op, _, _ in self.gates) + self.n + len(self.outputs)
+
+
+def _check_shape(n: int, m: int) -> None:
+    if n < 0 or m < 1:
+        raise DimensionError(f"bad circuit shape n={n}, m={m}")
+
+
+def _derived(n: int, gates: tuple[Gate, ...], outputs: tuple[int, ...], name: str) -> Circuit:
+    """A circuit derived from valid ones, built without ``Circuit``'s check:
+    its producer keeps the rules by construction (a test runs each producer
+    and validates the result)."""
+    c = object.__new__(Circuit)
+    c.__dict__.update(n=n, m=len(outputs), gates=gates, outputs=outputs, name=name)
+    return c
 
 
 def size(c: Circuit) -> int:
@@ -113,30 +135,30 @@ def layers(c: Circuit) -> tuple[int, ...]:
     """Layer of each gate: inputs and constants sit at layer 1, and every
     other gate strictly above all of its operands.  Single linear pass."""
     out = []
-    for g in c.gates:
-        if g.op in (OP_INPUT, OP_CONST):
+    for op, a, b in c.gates:
+        if op == OP_INPUT or op == OP_CONST:
             out.append(1)
-        elif g.op == OP_NOT:
-            out.append(out[g.a] + 1)
+        elif op == OP_NOT:
+            out.append(out[a] + 1)
         else:
-            out.append(max(out[g.a], out[g.b]) + 1)
+            out.append(max(out[a], out[b]) + 1)
     return tuple(out)
 
 
 def evaluate(c: Circuit, x: str) -> str:
     check_bits(x, c.n)
     vals = []
-    for g in c.gates:
-        if g.op == OP_INPUT:
-            vals.append(x[g.a] == "1")
-        elif g.op == OP_CONST:
-            vals.append(bool(g.a))
-        elif g.op == OP_NOT:
-            vals.append(not vals[g.a])
-        elif g.op == OP_AND:
-            vals.append(vals[g.a] and vals[g.b])
+    for op, a, b in c.gates:
+        if op == OP_INPUT:
+            vals.append(x[a] == "1")
+        elif op == OP_CONST:
+            vals.append(bool(a))
+        elif op == OP_NOT:
+            vals.append(not vals[a])
+        elif op == OP_AND:
+            vals.append(vals[a] and vals[b])
         else:
-            vals.append(vals[g.a] or vals[g.b])
+            vals.append(vals[a] or vals[b])
     return "".join("1" if vals[r] else "0" for r in c.outputs)
 
 
@@ -169,28 +191,27 @@ def output_masks(c: Circuit) -> list[int]:
     from this table, built at its first point (see ``problems``).
     """
     gates = c.gates
-    last = _last_readers([(g.op, g.a, g.b) for g in gates], c.outputs)
+    last = _last_readers(gates, c.outputs)
     full = (1 << (1 << c.n)) - 1
     vals: list[int | None] = [None] * len(gates)
-    for idx, g in enumerate(gates):
+    for idx, (op, a, b) in enumerate(gates):
         if last[idx] < 0:
             continue
-        op = g.op
         if op == OP_INPUT:
-            v = _input_mask(c.n, g.a)
+            v = _input_mask(c.n, a)
         elif op == OP_CONST:
-            v = full if g.a else 0
+            v = full if a else 0
         elif op == OP_NOT:
-            v = full ^ vals[g.a]
-            if last[g.a] == idx:
-                vals[g.a] = None
+            v = full ^ vals[a]
+            if last[a] == idx:
+                vals[a] = None
         else:
-            a, b = vals[g.a], vals[g.b]
-            v = a & b if op == OP_AND else a | b
-            if last[g.a] == idx:
-                vals[g.a] = None
-            if last[g.b] == idx:
-                vals[g.b] = None
+            va, vb = vals[a], vals[b]
+            v = va & vb if op == OP_AND else va | vb
+            if last[a] == idx:
+                vals[a] = None
+            if last[b] == idx:
+                vals[b] = None
         vals[idx] = v
     return [vals[r] for r in c.outputs]
 
@@ -215,36 +236,39 @@ def _check_drop(c: Circuit, position: int) -> None:
 
 
 def _fold(c: Circuit, k0: int, bit: int) -> tuple[list[tuple[str, int, int]], list[int]]:
-    """Fix input ``k0`` (0-based) to ``bit`` and fold the constant forward,
-    into integer-coded ``(op, a, b)`` triples: a folded value ``v >= 0``
-    names a triple, ``v < 0`` is the constant ``~v``.  Outputs that fold to
-    a constant get one CONST triple per value, in output order.  Returns the
-    triples and the output references into them."""
+    """Fix input ``k0`` (0-based) to ``bit`` and fold the constant forward:
+    a folded value ``v >= 0`` names an entry of the result, ``v < 0`` is the
+    constant ``~v``.  INPUT and CONST entries are final gates; a logic entry
+    is its bare ``(op, a, b)`` over the entries, which the sweep renumbers
+    into a gate, so each surviving gate is made once.  Outputs that fold to
+    a constant get one CONST gate per value, in output order.  Returns the
+    entries and the output references into them."""
     made: list[tuple[str, int, int]] = []
     vals: list[int] = []
     emit, put = made.append, vals.append
     for g in c.gates:
-        op = g.op
+        op, a, b = g
         if op == OP_INPUT:
-            if g.a == k0:
+            if a == k0:
                 put(~bit)
                 continue
-            a, b = (g.a - 1 if g.a > k0 else g.a), 0
-        elif op == OP_CONST:
-            a, b = g.a, g.b
+            if a > k0:
+                g = INPUT(a - 1)
         elif op == OP_NOT:
-            a, b = vals[g.a], 0
+            a = vals[a]
             if a < 0:
                 put(~(~a ^ 1))
                 continue
-        else:
-            a, b = vals[g.a], vals[g.b]
+            g = (op, a, 0)
+        elif op != OP_CONST:
+            a, b = vals[a], vals[b]
             if a < 0 or b < 0:
                 short = ~0 if op == OP_AND else ~1
                 put(short if short in (a, b) else (b if a < 0 else a))
                 continue
+            g = (op, a, b)
         put(len(made))
-        emit((op, a, b))
+        emit(g)
     const_refs: dict[int, int] = {}
     outs = []
     for r in c.outputs:
@@ -252,22 +276,22 @@ def _fold(c: Circuit, k0: int, bit: int) -> tuple[list[tuple[str, int, int]], li
         if v < 0:
             if v not in const_refs:
                 const_refs[v] = len(made)
-                emit((OP_CONST, ~v, 0))
+                emit(CONST(~v))
             v = const_refs[v]
         outs.append(v)
     return made, outs
 
 
-def _last_readers(made: list[tuple[str, int, int]], refs: Sequence[int]) -> list[int]:
-    """For each ``(op, a, b)`` triple, the index of the last triple that
-    reads it, ``len(made)`` for one of the gates ``refs``, and -1 for a
-    triple that feeds none of them (dead).  One backward pass."""
-    last = [-1] * len(made)
+def _last_readers(gates: Sequence[tuple[str, int, int]], refs: Sequence[int]) -> list[int]:
+    """For each gate, the index of the last gate that reads it, ``len(gates)``
+    for one of the gates ``refs``, and -1 for a gate that feeds none of them
+    (dead).  One backward pass."""
+    last = [-1] * len(gates)
     for r in refs:
-        last[r] = len(made)
-    for idx in range(len(made) - 1, -1, -1):
+        last[r] = len(gates)
+    for idx in range(len(gates) - 1, -1, -1):
         if last[idx] >= 0:
-            op, a, b = made[idx]
+            op, a, b = gates[idx]
             if op == OP_NOT:
                 if last[a] < 0:
                     last[a] = idx
@@ -284,11 +308,11 @@ def _restrict(c: Circuit, fixed: tuple[int, int] | None, keep: Sequence[int] | N
     and ``restrict_half``: fold input ``fixed = (k0, bit)`` forward (None
     fixes nothing), then mark backward what feeds the kept outputs
     (``keep``, 0-based and in order; None keeps every output and sweeps
-    nothing).  Input gates always survive.  Gates are built for the
-    survivors only, into one circuit validated like any other.  Folding
-    before sweeping makes the result gate for gate the two-step one."""
+    nothing).  Input gates always survive; a logic gate is made for each
+    survivor, with its operands renumbered.  Folding before sweeping makes
+    the result gate for gate the two-step one."""
     if fixed is None:
-        made, outs, n = [(g.op, g.a, g.b) for g in c.gates], c.outputs, c.n
+        made, outs, n = c.gates, c.outputs, c.n
     else:
         made, outs = _fold(c, *fixed)
         n = c.n - 1
@@ -300,15 +324,16 @@ def _restrict(c: Circuit, fixed: tuple[int, int] | None, keep: Sequence[int] | N
         last = _last_readers(made, refs)
     remap = [0] * len(made)
     gates: list[Gate] = []
-    for idx, (op, a, b) in enumerate(made):
+    for idx, g in enumerate(made):
+        op, a, b = g
         if last[idx] >= 0 or op == OP_INPUT:
             if op == OP_NOT:
-                a, b = remap[a], 0
+                g = Gate(op, remap[a])
             elif op in _BINARY:
-                a, b = remap[a], remap[b]
+                g = Gate(op, remap[a], remap[b])
             remap[idx] = len(gates)
-            gates.append(Gate(op, a, b))
-    return Circuit(n, len(refs), tuple(gates), tuple(remap[r] for r in refs), name=c.name)
+            gates.append(g)
+    return _derived(n, tuple(gates), tuple(remap[r] for r in refs), c.name)
 
 
 def restrict_input(c: Circuit, position: int, bit: int) -> Circuit:
@@ -340,9 +365,8 @@ def project_outputs(c: Circuit, keep: Sequence[int]) -> Circuit:
 def projected_size(c: Circuit, keep: Sequence[int]) -> int:
     """``size(project_outputs(c, keep))`` from a liveness pass alone, without
     building the circuit."""
-    made = [(g.op, g.a, g.b) for g in c.gates]
-    last = _last_readers(made, [c.outputs[j] for j in keep])
-    cost = sum(GATE_COST.get(op, 0) for (op, _, _), reader in zip(made, last) if reader >= 0)
+    last = _last_readers(c.gates, [c.outputs[j] for j in keep])
+    cost = sum(GATE_COST.get(op, 0) for (op, _, _), reader in zip(c.gates, last) if reader >= 0)
     return cost + c.n + len(keep)
 
 
@@ -375,16 +399,18 @@ def pad_with_dead_gates(c: Circuit, count: int) -> Circuit:
     for _ in range(count):
         gates.append(NOT(ref))
         ref = len(gates) - 1
-    return Circuit(c.n, c.m, tuple(gates), c.outputs, name=c.name)
+    return _derived(c.n, tuple(gates), c.outputs, c.name)
 
 
 def identity_circuit(n: int, name: str = "id") -> Circuit:
+    _check_shape(n, n)
     gates = tuple(INPUT(k) for k in range(n))
-    return Circuit(n, n, gates, tuple(range(n)), name=name)
+    return _derived(n, gates, tuple(range(n)), name)
 
 
 def constant_circuit(n: int, bits: str, name: str = "k") -> Circuit:
     check_bits(bits)
+    _check_shape(n, len(bits))
     gates = [INPUT(k) for k in range(n)]
     outs = []
     refs: dict[str, int] = {}
@@ -393,12 +419,13 @@ def constant_circuit(n: int, bits: str, name: str = "k") -> Circuit:
             gates.append(CONST(int(b)))
             refs[b] = len(gates) - 1
         outs.append(refs[b])
-    return Circuit(n, len(bits), tuple(gates), tuple(outs), name=name)
+    return _derived(n, tuple(gates), tuple(outs), name)
 
 
 def circuit_from_table(table: Sequence[int], n: int, m: int, name: str = "t") -> Circuit:
     """Synthesise a circuit computing the given truth table (entry x is the
     m-bit output for input value x) as a shared-minterm multiplexer."""
+    _check_shape(n, m)
     if len(table) != 1 << n:
         raise DimensionError(f"table must have {1 << n} entries")
     for v in table:
@@ -432,12 +459,13 @@ def circuit_from_table(table: Sequence[int], n: int, m: int, name: str = "t") ->
             gates.append(OR(acc, minterm[x]))
             acc = len(gates) - 1
         outs.append(acc)
-    return Circuit(n, m, tuple(gates), tuple(outs), name=name)
+    return _derived(n, tuple(gates), tuple(outs), name)
 
 
 def random_circuit(rng, n: int, m: int, gate_count: int, name: str = "r") -> Circuit:
     """A random circuit whose gate list starts with all inputs, followed by
     ``gate_count`` random logic/constant gates; outputs reference random gates."""
+    _check_shape(n, m)
     gates: list[Gate] = [INPUT(k) for k in range(n)]
     for _ in range(gate_count):
         top = len(gates)
@@ -449,7 +477,7 @@ def random_circuit(rng, n: int, m: int, gate_count: int, name: str = "r") -> Cir
         else:
             gates.append(Gate(op, rng.randrange(top), rng.randrange(top)))
     outs = tuple(rng.randrange(len(gates)) for _ in range(m))
-    return Circuit(n, m, tuple(gates), outs, name=name)
+    return _derived(n, tuple(gates), outs, name)
 
 
 def successor_table(c: Circuit) -> list[str]:
@@ -487,15 +515,15 @@ _OUTPUT_RE = re.compile(rf"^output\s+({_NUMBER})\s*=\s*g({_NUMBER})$")
 
 def emit_netlist(c: Circuit) -> str:
     lines = [f"circuit {c.name} inputs={c.n} outputs={c.m}"]
-    for idx, g in enumerate(c.gates):
-        if g.op == OP_INPUT:
-            lines.append(f"g{idx} = INPUT {g.a}")
-        elif g.op == OP_CONST:
-            lines.append(f"g{idx} = CONST {g.a}")
-        elif g.op == OP_NOT:
-            lines.append(f"g{idx} = NOT g{g.a}")
+    for idx, (op, a, b) in enumerate(c.gates):
+        if op == OP_INPUT:
+            lines.append(f"g{idx} = INPUT {a}")
+        elif op == OP_CONST:
+            lines.append(f"g{idx} = CONST {a}")
+        elif op == OP_NOT:
+            lines.append(f"g{idx} = NOT g{a}")
         else:
-            lines.append(f"g{idx} = {g.op.upper()} g{g.a} g{g.b}")
+            lines.append(f"g{idx} = {op.upper()} g{a} g{b}")
     for j, r in enumerate(c.outputs):
         lines.append(f"output {j} = g{r}")
     return "\n".join(lines) + "\n"

@@ -253,7 +253,9 @@ class StateSpace:
         return 0 if placed is None else placed[1]
 
     def walk(self, x: str, limit: int | None = None):
-        """Yield the states from the initial one to the finished one."""
+        """Yield the states from the initial one to the finished one.  With
+        a ``limit``, a walk of more than ``limit`` steps yields its first
+        ``limit + 1`` states and then raises, before the state past the limit."""
         state = self.initial_state(x)
         yield state
         steps = 0
@@ -261,11 +263,11 @@ class StateSpace:
             nxt = self.successor(state, x)
             if nxt == state:
                 return
-            state = nxt
-            yield state
             steps += 1
             if limit is not None and steps > limit:
                 raise MalformedInstanceError(f"walk exceeded {limit} steps")
+            state = nxt
+            yield state
 
 
 @dataclass(eq=False)

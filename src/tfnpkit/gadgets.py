@@ -26,11 +26,11 @@ from .circuit import (
     OP_CONST,
     OP_INPUT,
     OP_NOT,
-    OP_OR,
     OR,
     Circuit,
     GATE_COST,
     Gate,
+    _derived,
     project_outputs,
 )
 from .errors import DimensionError
@@ -40,20 +40,16 @@ class GateBuilder:
     def __init__(self, n: int):
         self.n = n
         self.gates: list[Gate] = []
-        self._refs: dict[tuple[str, int, int], int] = {}
+        self._refs: dict[Gate, int] = {}
         self.inputs = [self.add(INPUT(k)) for k in range(n)]
 
     def add(self, gate: Gate) -> int:
-        """Reference to ``gate``: the existing one when an equal gate (AND/OR
-        operands in either order) was built before, else a new one."""
-        op, a, b = gate.op, gate.a, gate.b
-        if b < a and op in (OP_AND, OP_OR):
-            a, b = b, a
-            gate = Gate(op, a, b)
-        key = (op, a, b)
-        ref = self._refs.get(key)
+        """Reference to ``gate``: the existing one when an equal gate was
+        built before, else a new one.  ``and_`` and ``or_`` put the smaller
+        operand first, so AND/OR operands in either order find one gate."""
+        ref = self._refs.get(gate)
         if ref is None:
-            ref = self._refs[key] = len(self.gates)
+            ref = self._refs[gate] = len(self.gates)
             self.gates.append(gate)
         return ref
 
@@ -64,10 +60,10 @@ class GateBuilder:
         return self.add(NOT(a))
 
     def and_(self, a: int, b: int) -> int:
-        return self.add(AND(a, b))
+        return self.add(AND(a, b) if a <= b else AND(b, a))
 
     def or_(self, a: int, b: int) -> int:
-        return self.add(OR(a, b))
+        return self.add(OR(a, b) if a <= b else OR(b, a))
 
     def and_all(self, refs: Sequence[int]) -> int:
         if not refs:
@@ -142,21 +138,21 @@ class GateBuilder:
         if len(input_refs) != c.n:
             raise DimensionError("embedding needs one reference per input")
         refs: list[int] = []
-        for g in c.gates:
-            if g.op == OP_INPUT:
-                refs.append(input_refs[g.a])
-            elif g.op == OP_CONST:
-                refs.append(self.const(g.a))
-            elif g.op == OP_NOT:
-                refs.append(self.not_(refs[g.a]))
-            elif g.op == OP_AND:
-                refs.append(self.and_(refs[g.a], refs[g.b]))
-            elif g.op == OP_OR:
-                refs.append(self.or_(refs[g.a], refs[g.b]))
+        for op, a, b in c.gates:
+            if op == OP_INPUT:
+                refs.append(input_refs[a])
+            elif op == OP_CONST:
+                refs.append(self.const(a))
+            elif op == OP_NOT:
+                refs.append(self.not_(refs[a]))
+            elif op == OP_AND:
+                refs.append(self.and_(refs[a], refs[b]))
+            else:
+                refs.append(self.or_(refs[a], refs[b]))
         return [refs[r] for r in c.outputs]
 
     def circuit(self, outputs: Sequence[int], name: str = "c") -> Circuit:
-        return Circuit(self.n, len(outputs), tuple(self.gates), tuple(outputs), name=name)
+        return _derived(self.n, tuple(self.gates), tuple(outputs), name)
 
 
 # No caller in the toolkit; read by SPANS in bench/tracing.py and by the gadget tests.
@@ -186,24 +182,25 @@ def combine_pair(succ: Circuit, valuation: Circuit, name: str = "pair") -> Circu
         raise DimensionError("valuation must read the same inputs as the successor")
     gates = list(succ.gates)
     input_refs: dict[int, int] = {}
-    for idx, g in enumerate(gates):
-        if g.op == OP_INPUT:
-            input_refs.setdefault(g.a, idx)
+    for idx, (op, a, _) in enumerate(gates):
+        if op == OP_INPUT:
+            input_refs.setdefault(a, idx)
     refs: list[int] = []
     for g in valuation.gates:
-        if g.op == OP_INPUT:
-            if g.a in input_refs:
-                refs.append(input_refs[g.a])
+        op, a, b = g
+        if op == OP_INPUT:
+            if a in input_refs:
+                refs.append(input_refs[a])
                 continue
-            input_refs[g.a] = len(gates)
-        elif g.op == OP_NOT:
-            g = NOT(refs[g.a])
-        elif g.op in (OP_AND, OP_OR):
-            g = Gate(g.op, refs[g.a], refs[g.b])
+            input_refs[a] = len(gates)
+        elif op == OP_NOT:
+            g = NOT(refs[a])
+        elif op != OP_CONST:
+            g = Gate(op, refs[a], refs[b])
         refs.append(len(gates))
         gates.append(g)
     outputs = succ.outputs + tuple(refs[r] for r in valuation.outputs)
-    return Circuit(succ.n, len(outputs), tuple(gates), outputs, name=name)
+    return _derived(succ.n, tuple(gates), outputs, name)
 
 
 def split_pair(combined: Circuit, value_bits: int) -> tuple[Circuit, Circuit]:
@@ -259,9 +256,10 @@ def _freeze(
 
 
 def _operands(g: Gate) -> tuple[int, ...]:
-    if g.op not in GATE_COST:
+    op, a, b = g
+    if op not in GATE_COST:
         return ()
-    return (g.a,) if g.op == OP_NOT else (g.a, g.b)
+    return (a,) if op == OP_NOT else (a, b)
 
 
 class Net(GateBuilder):
@@ -319,7 +317,7 @@ class Net(GateBuilder):
             ref = net.dead.pop()
             g = net.gates[ref]
             net.gates[ref] = None
-            del net._refs[g.op, g.a, g.b]
+            del net._refs[g]
             net.cost -= GATE_COST.get(g.op, 0)
             for operand in _operands(g):
                 net._release(operand)
@@ -334,7 +332,7 @@ class Net(GateBuilder):
         held = net.inputs
         if redirect_to is not None:
             for k in range(net.n):
-                del net._refs[OP_INPUT, k, 0]
+                del net._refs[INPUT(k)]
             net.inputs = [net.add(INPUT(k)) for k in range(net.n)]
 
         def embed(staged: list[int]) -> tuple[list[int], list[int]]:
@@ -359,7 +357,7 @@ class Net(GateBuilder):
         """Node ``old`` becomes the fresh, unread node ``new``, which goes."""
         g = self.gates[old] = self.gates[new]
         self.gates[new] = None
-        self._refs[g.op, g.a, g.b] = old
+        self._refs[g] = old
         self.dead.discard(new)
         if self.counts[old] == 0:
             self.dead.add(old)

@@ -41,7 +41,7 @@ from typing import Callable
 
 from .bits import check_bits, from_int, to_int, zeros
 from .circuit import Circuit, emit_netlist, evaluate, parse_netlist, projected_size, restrict_half, restrict_output
-from .circuit import circuit_from_table, size as circuit_gate_size, successor_table
+from .circuit import _derived, circuit_from_table, size as circuit_gate_size, successor_table
 from .errors import DimensionError, NetlistError
 from .gadgets import Net, combine_pair, freeze_stage, redirect_zero_outputs, split_pair
 
@@ -535,7 +535,7 @@ def emit_instance(inst: CircuitInstance) -> str:
     parts = [f"problem {kind}"]
     for role in _ROLES[kind]:
         c: Circuit = getattr(inst, "pred" if role == "pred" else role)
-        parts.append(emit_netlist(Circuit(c.n, c.m, c.gates, c.outputs, name=role)).rstrip("\n"))
+        parts.append(emit_netlist(_derived(c.n, c.gates, c.outputs, role)).rstrip("\n"))
     if kind in _WITH_SOURCE:
         parts.append(f"source={inst.source}")
     return "\n".join(parts) + "\n"

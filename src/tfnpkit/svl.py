@@ -106,9 +106,9 @@ def compile_svl(prog: DsrProgram, x: str) -> SvlInstance:
     accepts a state at index i exactly when the state is valid and its
     position is i.  Uniqueness of solutions across the whole query tree
     makes valid states of one position unique, which is the promise; it is
-    asserted at desk scale up front."""
-    assert_unique_solutions(prog, x)
+    asserted at desk scale once ``compile_pls`` has accepted the width of ``x``."""
     compiled = compile_pls(prog, x)
+    assert_unique_solutions(prog, x)
     walk, target = compiled.instance, compiled.path_length
 
     def verifier(state: str, index: int) -> bool:

@@ -27,8 +27,10 @@ from tfnpkit import (
     successor_table,
 )
 from tfnpkit.bits import all_bitstrings, splice
-from tfnpkit.circuit import eval_table, pad_with_dead_gates, project_outputs
+from tfnpkit.circuit import constant_circuit, eval_table, pad_with_dead_gates, project_outputs
 from tfnpkit.errors import DimensionError, NetlistError, RestrictionError
+from tfnpkit.gadgets import combine_pair, freeze_stage, redirect_zero_outputs
+from tfnpkit.problems import SodInstance
 
 from conftest import naive_evaluate
 
@@ -362,3 +364,47 @@ def test_gate_validation():
         Circuit(1, 1, (INPUT(0), NOT(1)), (1,))
     with pytest.raises(DimensionError):
         Circuit(1, 2, (INPUT(0),), (0,))
+    for unused in (Gate("input", 0, 5), Gate("const", 1, 5), Gate("not", 0, 5)):
+        with pytest.raises(DimensionError, match="no second operand"):
+            Circuit(1, 1, (INPUT(0), unused), (1,))
+
+
+def _revalidated(c: Circuit) -> Circuit:
+    """``c`` after the check every derived circuit skips: built again through
+    ``Circuit(...)``, which must accept it and equal it, gate type included."""
+    assert all(type(g) is Gate for g in c.gates)
+    checked = Circuit(c.n, c.m, c.gates, c.outputs, name=c.name)
+    assert checked == c and checked.name == c.name
+    return c
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(restrictable(), st.data())
+def test_derived_circuits_pass_the_boundary_check(c, data):
+    """Every producer that skips validation (restrictions, builders, the
+    synthesisers and composed sink-of-DAG queries) makes circuits that the
+    validating constructor accepts unchanged."""
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    bit = data.draw(st.integers(0, 1))
+    word = "".join(rng.choice("01") for _ in range(c.m))
+    _revalidated(restrict_input(c, data.draw(st.integers(1, c.n)), bit))
+    _revalidated(project_outputs(c, data.draw(st.lists(st.integers(0, c.m - 1), min_size=1, max_size=c.m + 1))))
+    _revalidated(restrict_half(c, bit))
+    _revalidated(redirect_zero_outputs(c, word))
+    _revalidated(pad_with_dead_gates(c, data.draw(st.integers(0, 3))))
+    _revalidated(circuit_from_table([rng.randrange(1 << c.m) for _ in range(1 << c.n)], c.n, c.m))
+    _revalidated(identity_circuit(c.n))
+    _revalidated(constant_circuit(c.n, word))
+    n, value_bits = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 4))
+    succ = _revalidated(random_circuit(rng, n, n, data.draw(st.integers(0, 12))))
+    valuation = _revalidated(random_circuit(rng, n, value_bits, data.draw(st.integers(0, 12))))
+    pair = _revalidated(combine_pair(succ, valuation))
+    redirect = data.draw(st.sampled_from([None, "".join(rng.choice("01") for _ in range(n))]))
+    _revalidated(freeze_stage(pair, rng.randrange(1 << value_bits), redirect_to=redirect))
+    inst = SodInstance(succ, valuation)
+    while inst.value_bits > 1:
+        if data.draw(st.booleans()):
+            inst = inst.dropped()
+        else:
+            inst = inst.frozen(rng.randrange(1 << inst.value_bits), redirect_to=redirect)
+        _revalidated(inst.pair)

@@ -182,6 +182,7 @@ def test_exit_code_table(tmp_path, capsys):
         (("compile-pls", *combine, "--x", "10a"), 3),
         (("walk", *combine, "--x", "10a"), 3),
         (("svl-check", *combine, "--x", "10a"), 3),
+        (("svl-check", *combine, "--x", ""), 3),
         (("svl-check", *combine, "--x", "101", "--budget", "-1"), 3),
         (("walk", *combine, "--x", "101", "--max-steps", "-1"), 3),
         (("dsr-run", files["iter"], "--inflate", "-1"), 3),

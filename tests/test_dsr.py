@@ -29,7 +29,7 @@ from tfnpkit import (
     size,
     verify_solution,
 )
-from tfnpkit import dsr, problems
+from tfnpkit import circuit, dsr, problems
 from tfnpkit.bits import from_int, ones, zeros
 from tfnpkit.circuit import OP_INPUT, evaluate, output_masks, pad_with_dead_gates, successor_table
 from tfnpkit.errors import DimensionError, MonitorViolation, OracleContractError
@@ -510,13 +510,18 @@ def test_iteration_queries_are_two_step_halves_built_in_one_pass(monkeypatch):
     circuit: on monitored long paths at n = 2..7 with and without a source,
     and on a seeded sweep of random iteration instances."""
     validate = Circuit.__post_init__
+    derived = circuit._derived
     one_pass = problems.restrict_half
     constructed = [0]
-    built = []  # circuits constructed by each half
+    built = []  # circuits constructed by each half, validated or derived
 
     def counting_validate(self):
         constructed[0] += 1
         validate(self)
+
+    def counting_derived(*args):
+        constructed[0] += 1
+        return derived(*args)
 
     def counting_half(c, bit):
         before = constructed[0]
@@ -536,6 +541,7 @@ def test_iteration_queries_are_two_step_halves_built_in_one_pass(monkeypatch):
         return result
 
     monkeypatch.setattr(Circuit, "__post_init__", counting_validate)
+    monkeypatch.setattr(circuit, "_derived", counting_derived)
     monkeypatch.setattr(problems, "restrict_half", counting_half)
     monkeypatch.setattr(dsr, "drop_source", recording_drop)
     cases = []

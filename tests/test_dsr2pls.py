@@ -10,7 +10,7 @@ from tfnpkit import (
     solve_path,
     verify_solution,
 )
-from tfnpkit.errors import DimensionError, SizingError
+from tfnpkit.errors import DimensionError, MalformedInstanceError, SizingError
 
 
 @pytest.fixture
@@ -171,6 +171,21 @@ def test_walk_properties_and_extraction(prog):
             assert machine.is_valid(state, x)
             assert compiled.instance.valuation(state) == step + 1
         assert compiled.extract(states[-1]) == prog.solution(x)
+
+
+def test_walk_limit_counts_steps(prog):
+    """A walk of exactly ``limit`` steps passes; one step more yields the
+    first ``limit + 1`` states and raises before the state past the limit."""
+    for x in ("10", "101", "1011"):
+        machine = StateSpace(prog, len(x))
+        steps = machine.path_length() - 1
+        full = list(machine.walk(x))
+        assert list(machine.walk(x, limit=steps)) == full
+        seen = []
+        with pytest.raises(MalformedInstanceError, match=f"exceeded {steps - 1} steps"):
+            for state in machine.walk(x, limit=steps - 1):
+                seen.append(state)
+        assert seen == full[:steps]
 
 
 def test_state_width_is_below_declared_bound(prog):
