@@ -7,6 +7,10 @@ form the output word.  A gate is a plain ``(op, a, b)`` tuple (:class:`Gate`):
 the same value is a circuit's gate and a builder's hash key, a restriction
 works on ``(op, a, b)`` entries, and per-gate loops unpack it.
 
+The toolkit reads a circuit only at points, through :func:`point`, which
+caches them on the circuit beside its size: up to 16 inputs, the truth
+table built at the first point; wider, each point evaluated once.
+
 Circuits are validated once, at the boundary: ``Circuit(...)`` checks what
 it is given (``parse_netlist``, user code and tests go through it).  Every
 circuit the toolkit derives from valid ones (restrictions, builders,
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .bits import check_bits
+from .bits import check_bits, to_int
 from .errors import DimensionError, NetlistError, RestrictionError
 
 OP_INPUT = "input"
@@ -42,6 +46,10 @@ _LOGIC = (OP_NOT, OP_AND, OP_OR)
 
 #: What a logic gate adds to ``size``: itself plus its operand wires.
 GATE_COST = {OP_NOT: 2, OP_AND: 3, OP_OR: 3}
+
+#: Widest circuit that reads its points from a truth table, and the bound of
+#: the exhaustive scans.  A wider circuit's table would hold 2^n words.
+_TABLE_MAX_INPUTS = 16
 
 
 class Gate(NamedTuple):
@@ -110,6 +118,13 @@ class Circuit:
     def _size(self) -> int:
         return sum(GATE_COST.get(op, 0) for op, _, _ in self.gates) + self.n + len(self.outputs)
 
+    @cached_property
+    def _points(self) -> str | dict[str, str]:
+        """What :func:`point` reads: the truth table as one string of the
+        output words in input order, or for a wider circuit a memo of the
+        points evaluated so far."""
+        return "".join(successor_table(self)) if self.n <= _TABLE_MAX_INPUTS else {}
+
 
 def _check_shape(n: int, m: int) -> None:
     if n < 0 or m < 1:
@@ -162,6 +177,19 @@ def evaluate(c: Circuit, x: str) -> str:
     return "".join("1" if vals[r] else "0" for r in c.outputs)
 
 
+def point(c: Circuit, x: str) -> str:
+    """The output word of ``c`` at ``x``, read from the points cached on ``c``."""
+    points = c._points
+    if type(points) is str:
+        m = c.m
+        start = to_int(check_bits(x, c.n)) * m
+        return points[start : start + m]
+    hit = points.get(x)
+    if hit is None:
+        hit = points[x] = evaluate(c, x)
+    return hit
+
+
 _INPUT_MASKS: dict[tuple[int, int], int] = {}
 
 
@@ -187,8 +215,8 @@ def output_masks(c: Circuit) -> list[int]:
     Evaluates the whole truth table in one pass using word-parallel integer
     operations.  Gates that feed no output are skipped, and each gate's mask
     is freed after its last reader, so only the masks still to be read are
-    held at any time.  A root instance of up to 16 inputs reads its points
-    from this table, built at its first point (see ``problems``).
+    held at any time.  A circuit of up to 16 inputs reads its points from
+    this table, built at its first point and cached on it (see ``point``).
     """
     gates = c.gates
     last = _last_readers(gates, c.outputs)
@@ -431,6 +459,8 @@ def circuit_from_table(table: Sequence[int], n: int, m: int, name: str = "t") ->
     for v in table:
         if not 0 <= v < 1 << m:
             raise DimensionError(f"table entry {v} does not fit in {m} bits")
+    if n == 0:
+        return constant_circuit(0, format(table[0], f"0{m}b"), name)
     gates: list[Gate] = [INPUT(k) for k in range(n)]
     neg = []
     for k in range(n):
@@ -464,12 +494,15 @@ def circuit_from_table(table: Sequence[int], n: int, m: int, name: str = "t") ->
 
 def random_circuit(rng, n: int, m: int, gate_count: int, name: str = "r") -> Circuit:
     """A random circuit whose gate list starts with all inputs, followed by
-    ``gate_count`` random logic/constant gates; outputs reference random gates."""
+    ``gate_count`` random logic/constant gates; outputs reference random gates.
+    A gate with no earlier gate to read is a constant."""
     _check_shape(n, m)
+    if n == 0 and gate_count == 0:
+        raise DimensionError("a circuit with no inputs needs a gate to name as an output")
     gates: list[Gate] = [INPUT(k) for k in range(n)]
     for _ in range(gate_count):
         top = len(gates)
-        op = rng.choice((OP_NOT, OP_AND, OP_AND, OP_OR, OP_OR, OP_CONST))
+        op = rng.choice((OP_NOT, OP_AND, OP_AND, OP_OR, OP_OR, OP_CONST)) if top else OP_CONST
         if op == OP_CONST:
             gates.append(CONST(rng.randrange(2)))
         elif op == OP_NOT:

@@ -11,18 +11,15 @@ A sink-of-DAG instance is one circuit, ``pair``, on n inputs: its outputs
 are the n successor bits, then the valuation bits.  One evaluation reads
 both, and it is measured once, so the shared input ports count once.
 
-Only root instances read a circuit, and each reads it once.  A root of up
-to 16 inputs builds its word-parallel truth table (``successor_table``) at
-its first point and reads every point from it; a wider root evaluates
-each point once and remembers it.  The verifiers
-and the self-reductions read through ``IterInstance.step`` and
-``SodInstance.step_and_value``, and a ``with_source`` copy shares the
-points of the instance it was made from (its circuit is the same).  The
+Circuits are read through ``circuit.point``, which caches the points on
+the circuit, so every instance on one circuit object shares them.  Only
+root instances read a circuit; the verifiers and the self-reductions read
+through ``IterInstance.step`` and ``SodInstance.step_and_value``.  The
 self-reductions' queries read their root: an iteration half prepends its
 fixed prefix to the point, and a sink-of-DAG query applies its stage and
 reads its parent's memo.  A query's circuit is built only for sizing and
 for the next level (iteration) or only when read (sink-of-DAG, whose size
-comes from a hash-consed net); it is never evaluated.
+comes from a hash-consed net); it is never read.
 
 The sink-finding solution predicate requires a candidate to move
 (``succ(v) != v``) in both disjuncts: a point that is already a fixed point
@@ -36,12 +33,12 @@ from __future__ import annotations
 import copy
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
-from .bits import check_bits, from_int, to_int, zeros
-from .circuit import Circuit, emit_netlist, evaluate, parse_netlist, projected_size, restrict_half, restrict_output
-from .circuit import _derived, circuit_from_table, size as circuit_gate_size, successor_table
+from .bits import check_bits, from_int, zeros
+from .circuit import Circuit, emit_netlist, parse_netlist, point, projected_size, restrict_half, restrict_output
+from .circuit import _derived, circuit_from_table, size as circuit_gate_size
 from .errors import DimensionError, NetlistError
 from .gadgets import Net, combine_pair, freeze_stage, redirect_zero_outputs, split_pair
 
@@ -61,56 +58,15 @@ def _checked_source(source: str | None, n: int) -> str | None:
     return None if source is None else check_bits(source, n)
 
 
-#: Widest root that reads its points from a truth table: the bound of the
-#: exhaustive scans.  A wider root's table would hold 2^n words.
-_TABLE_MAX_INPUTS = 16
-
-
-class _RootPoints:
-    """The points of a root circuit, shared by the instance and its
-    ``with_source`` copies.  A root of up to 16 inputs builds its
-    word-parallel truth table at the first point asked for, keeps it as one
-    string of the output words in input order, and reads every point from
-    it.  A wider root evaluates each point asked for and remembers it.  A
-    ``valued`` root reads a successor word and a valuation (sink-of-DAG),
-    else an output word."""
-
-    def __init__(self, circuit: Circuit, valued: bool = False):
-        self.circuit, self.valued = circuit, valued
-        self.memo: dict | None = {} if circuit.n > _TABLE_MAX_INPUTS else None
-        self.table: str | None = None
-
-    def __call__(self, x: str):
-        memo = self.memo
-        if memo is not None:
-            hit = memo.get(x)
-            if hit is None:
-                hit = memo[x] = self._read(evaluate(self.circuit, x), 0, self.circuit.m)
-            return hit
-        table = self.table
-        if table is None:
-            table = self.table = "".join(successor_table(self.circuit))
-        m = self.circuit.m
-        start = to_int(check_bits(x, self.circuit.n)) * m
-        return self._read(table, start, start + m)
-
-    def _read(self, words: str, start: int, end: int):
-        """The word ``words[start:end]``, or its successor and valuation."""
-        if not self.valued:
-            return words[start:end]
-        split = start + self.circuit.n
-        return words[start:split], int(words[split:end], 2)
-
-
 @dataclass(frozen=True)
 class IterInstance:
     """Iteration instance; the walk starts at ``source``, or at the all-zero
     word when ``source`` is None.
 
-    Only a root evaluates its circuit.  A half (:meth:`half`) reads the
+    Only a root reads its circuit.  A half (:meth:`half`) reads the
     root it was cut from, with its fixed prefix prepended, and a
     :meth:`redirected` instance reads the instance it redirects; their
-    circuits are built for sizing and for the next halves, never evaluated."""
+    circuits are built for sizing and for the next halves, never read."""
 
     succ: Circuit
     source: str | None = None
@@ -165,7 +121,7 @@ class IterInstance:
     def _read(self) -> tuple[Callable[[str], str], str]:
         """How points are read: a reader of the root's words, and the prefix
         this instance's point is given there."""
-        return _RootPoints(self.succ), ""
+        return partial(point, self.succ), ""
 
     @cached_property
     def _halves(self) -> weakref.WeakValueDictionary[int, Circuit]:
@@ -216,6 +172,7 @@ class SodInstance:
         self.n, self.value_bits = n, value_bits
         self.source = _checked_source(source, n)
         self._parent, self._freeze, self._net = parent, freeze, net
+        self._steps: dict[str, tuple[str, int]] = {}  # a query's points, shared by its copies
         return self
 
     def dropped(self, source: str | None = None) -> "SodInstance":
@@ -248,9 +205,8 @@ class SodInstance:
         return net
 
     def with_source(self, source: str | None) -> "SodInstance":
-        other = copy.copy(self)  # shares the circuit, parent, net and any views already cut
-        points = "_root" if self._parent is None else "_steps"
-        vars(other).update({"source": _checked_source(source, self.n), points: getattr(self, points)})
+        other = copy.copy(self)  # shares the circuit, parent, net, points and any views already cut
+        other.source = _checked_source(source, self.n)
         return other
 
     @property
@@ -280,14 +236,6 @@ class SodInstance:
         return freeze_stage(parent, frozen_below, redirect_to=redirect_to)
 
     @cached_property
-    def _root(self) -> _RootPoints:
-        return _RootPoints(self.pair, valued=True)
-
-    @cached_property
-    def _steps(self) -> dict[str, tuple[str, int]]:
-        return {}
-
-    @cached_property
     def _views(self) -> tuple[Circuit, Circuit]:
         return split_pair(self.pair, self.value_bits)
 
@@ -303,7 +251,8 @@ class SodInstance:
         """Successor word and valuation at ``x``: a root reads its circuit's
         points, a query applies its stage to its parent's, once per point."""
         if self._parent is None:
-            return self._root(x)
+            word = point(self.pair, x)
+            return word[: self.n], int(word[self.n :], 2)
         hit = self._steps.get(x)
         if hit is None:
             hit = self._steps[x] = self._staged(x)
@@ -467,7 +416,7 @@ def well_formed(inst: ProblemInstance) -> bool:
         return inst.step_and_value(start)[0] != start
     if isinstance(inst, EolInstance):
         start = zeros(inst.succ.n)
-        return evaluate(inst.succ, start) != start and evaluate(inst.pred, start) == start
+        return point(inst.succ, start) != start and point(inst.pred, start) == start
     if isinstance(inst, ImplicitSodInstance):
         return inst.succ(inst.source) != inst.source
     if isinstance(inst, SvlInstance):
@@ -499,8 +448,8 @@ def verify_solution(inst: ProblemInstance, cand: str) -> bool:
         return inst.valuation(step) <= inst.valuation(cand)
     if isinstance(inst, EolInstance):
         start = zeros(inst.n)
-        fwd = evaluate(inst.succ, cand)
-        back = evaluate(inst.pred, cand)
+        fwd = point(inst.succ, cand)
+        back = point(inst.pred, cand)
         is_source = cand != start and fwd != cand and back == cand
         is_sink = back != cand and fwd == cand
         return is_source or is_sink

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 from .bits import all_bitstrings, zeros
-from .circuit import evaluate
+from .circuit import _TABLE_MAX_INPUTS, point
 from .errors import MalformedInstanceError, SolveBoundError
 from .problems import (
     ImplicitSodInstance,
@@ -23,8 +25,7 @@ def _stepper(inst: ProblemInstance):
         return inst.step
     if isinstance(inst, (ImplicitSodInstance, SvlInstance)):
         return inst.succ
-    succ = inst.succ
-    return lambda x: evaluate(succ, x)
+    return partial(point, inst.succ)
 
 
 def start_point(inst: ProblemInstance) -> str:
@@ -55,7 +56,7 @@ def solve_path(inst: ProblemInstance, budget: int | None = None) -> str:
     )
 
 
-def solve_exhaustive(inst: ProblemInstance, bound: int = 16) -> str:
+def solve_exhaustive(inst: ProblemInstance, bound: int = _TABLE_MAX_INPUTS) -> str:
     """Smallest verifying candidate in lexicographic order; refuses above
     ``bound`` input bits."""
     n = instance_bits(inst)
@@ -67,7 +68,7 @@ def solve_exhaustive(inst: ProblemInstance, bound: int = 16) -> str:
     raise MalformedInstanceError("no candidate verifies; the instance guarantee must be violated")
 
 
-def enumerate_solutions(inst: ProblemInstance, bound: int = 16) -> list[str]:
+def enumerate_solutions(inst: ProblemInstance, bound: int = _TABLE_MAX_INPUTS) -> list[str]:
     """All verifying candidates in lexicographic order."""
     n = instance_bits(inst)
     if n > bound:

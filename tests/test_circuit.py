@@ -338,7 +338,7 @@ def test_netlist_errors_name_lines():
 
 def test_circuit_from_table_roundtrip(rng):
     for _ in range(30):
-        n = rng.randrange(1, 5)
+        n = rng.randrange(0, 5)
         m = rng.randrange(1, 4)
         table = [rng.randrange(1 << m) for _ in range(1 << n)]
         c = circuit_from_table(table, n, m)
@@ -393,6 +393,11 @@ def test_derived_circuits_pass_the_boundary_check(c, data):
     _revalidated(redirect_zero_outputs(c, word))
     _revalidated(pad_with_dead_gates(c, data.draw(st.integers(0, 3))))
     _revalidated(circuit_from_table([rng.randrange(1 << c.m) for _ in range(1 << c.n)], c.n, c.m))
+    constant = _revalidated(circuit_from_table([rng.randrange(1 << c.m)], 0, c.m))
+    assert eval_table(constant) == [int(evaluate(constant, ""), 2)]
+    _revalidated(random_circuit(rng, 0, c.m, data.draw(st.integers(1, 12))))
+    with pytest.raises(DimensionError):
+        random_circuit(rng, 0, c.m, 0)
     _revalidated(identity_circuit(c.n))
     _revalidated(constant_circuit(c.n, word))
     n, value_bits = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 4))

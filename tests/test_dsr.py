@@ -386,8 +386,10 @@ def test_monitored_long_paths_evaluate_each_point_once(monkeypatch):
         assert sum(evaluations.values()) + sum(tables.values()) == read
     assert copies
     for original, copy in copies:
-        shared = "_root" if original._parent is None else "_steps"
-        assert getattr(copy, shared) is getattr(original, shared)
+        if original._parent is None:
+            assert copy.pair is original.pair
+        else:
+            assert copy._steps is original._steps
 
 
 def test_pairs_and_query_views_read_each_input_once(rng):

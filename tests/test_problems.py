@@ -38,8 +38,10 @@ from tfnpkit.errors import DimensionError, NetlistError
 from tfnpkit.gadgets import combine_pair
 from tfnpkit.problems import ImplicitSodInstance
 from tfnpkit.reductions import drop_source
+from tfnpkit.solvers import solve_exhaustive, solve_path
 
 from conftest import table_circuit
+from test_dsr import _count_reads
 
 
 def test_constant_ones_successor_is_well_formed():
@@ -335,7 +337,13 @@ def _assert_steps_like_evaluate(inst, c, x) -> None:
 
 
 def _points(inst):
-    return inst._read[0] if isinstance(inst, IterInstance) else inst._root
+    """The points cached on the circuit that ``inst`` reads, None before
+    its first point."""
+    return vars(inst.succ if isinstance(inst, IterInstance) else inst.pair).get("_points")
+
+
+def _read_at(inst, x):
+    return inst.step(x) if isinstance(inst, IterInstance) else inst.step_and_value(x)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -346,12 +354,16 @@ def test_root_points_match_evaluate_from_the_table(gate_list, value_bits, data):
     every point, asked in any order.  ``with_source`` copies share it."""
     order = data.draw(st.permutations(list(all_bitstrings(gate_list[0]))))
     for inst, c in _roots(gate_list, value_bits):
-        points = _points(inst)
-        assert points.table is None
+        assert _points(inst) is None
+        _assert_steps_like_evaluate(inst, c, order[0])
+        table = _points(inst)
+        assert type(table) is str
         for x in order * 2:
             _assert_steps_like_evaluate(inst, c, x)
-            assert points.table is not None and points.memo is None
-        assert _points(inst.with_source(order[0])) is points
+            assert _points(inst) is table
+        copy = inst.with_source(order[0])
+        _read_at(copy, order[-1])
+        assert _points(copy) is table
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -364,17 +376,43 @@ def test_wide_roots_evaluate_each_point_once(gate_list, value_bits, data):
     xs = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))
     xs = [from_int(x, n) for x in xs]
     for inst, c in _roots(gate_list, value_bits):
-        points = _points(inst)
         for x in xs * 2:
             _assert_steps_like_evaluate(inst, c, x)
-        assert points.table is None and set(points.memo) == set(xs)
-    inst = built = _roots(gate_list, value_bits)[0][0]
+        memo = _points(inst)
+        assert type(memo) is dict and set(memo) == set(xs)
+        copy = inst.with_source(xs[0])
+        _read_at(copy, xs[-1])
+        assert _points(copy) is memo and set(memo) == set(xs)
+    root = inst = built = _roots(gate_list, value_bits)[0][0]
     for width in range(n - 1, n - 4, -1):
         bit = data.draw(st.integers(0, 1))
         inst, built = inst.half(bit), IterInstance(restrict_half(built.succ, bit))
         for x in xs:
             _assert_steps_like_evaluate(inst, built.succ, x[n - width :])
-    assert _points(inst).table is None
+        assert _points(inst) is None
+    assert type(_points(root)) is dict
+
+
+def test_circuits_are_tabulated_once_whatever_holds_them(monkeypatch, rng):
+    """The points live on the circuit, not on the instance: instances built
+    separately on one circuit object, with and without a source, build one
+    table between them, and end-of-line ``well_formed``, ``verify_solution``
+    and the solvers read their circuits' tables too.  Nothing is evaluated."""
+    evaluations, tables = _count_reads(monkeypatch)
+    succ = random_instance("iter", 4, rng).succ
+    pair = random_instance("sink-of-dag", 4, rng, m=3).pair
+    xs = list(all_bitstrings(4))
+    for source in (None, xs[5], None, xs[5]):
+        inst = IterInstance(succ, source)
+        assert [inst.step(x) for x in xs] == [evaluate(succ, x) for x in xs]
+        inst = SodInstance.from_pair(pair, source)
+        assert [inst.step_and_value(x)[0] for x in xs] == [evaluate(pair, x)[:4] for x in xs]
+    eols = [random_instance("end-of-line", n, rng) for n in (1, 3, 5)]
+    for inst in eols:
+        assert well_formed(inst)
+        assert verify_solution(inst, solve_exhaustive(inst)) and verify_solution(inst, solve_path(inst))
+    circuits = [succ, pair] + [c for inst in eols for c in (inst.succ, inst.pred)]
+    assert not evaluations and tables == {id(c): 1 for c in circuits}
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
