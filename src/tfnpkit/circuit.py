@@ -7,9 +7,11 @@ form the output word.  A gate is a plain ``(op, a, b)`` tuple (:class:`Gate`):
 the same value is a circuit's gate and a builder's hash key, a restriction
 works on ``(op, a, b)`` entries, and per-gate loops unpack it.
 
-The toolkit reads a circuit only at points, through :func:`point`, which
-caches them on the circuit beside its size: up to 16 inputs, the truth
-table built at the first point; wider, each point evaluated once.
+A circuit that is read again and again (an iteration or sink-of-DAG
+instance's) is read through :func:`point`, which caches its points on the
+circuit beside its size: up to 16 inputs, the truth table built at the
+first point; wider, each point evaluated once.  A reader that takes each
+point once or twice (end-of-line checks and walks) calls :func:`evaluate`.
 
 Circuits are validated once, at the boundary: ``Circuit(...)`` checks what
 it is given (``parse_netlist``, user code and tests go through it).  Every

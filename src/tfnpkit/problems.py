@@ -11,10 +11,13 @@ A sink-of-DAG instance is one circuit, ``pair``, on n inputs: its outputs
 are the n successor bits, then the valuation bits.  One evaluation reads
 both, and it is measured once, so the shared input ports count once.
 
-Circuits are read through ``circuit.point``, which caches the points on
-the circuit, so every instance on one circuit object shares them.  Only
-root instances read a circuit; the verifiers and the self-reductions read
-through ``IterInstance.step`` and ``SodInstance.step_and_value``.  The
+Iteration and sink-of-DAG circuits are read through ``circuit.point``,
+which caches the points on the circuit, so every instance on one circuit
+object shares them.  Only root instances read a circuit; the verifiers and
+the self-reductions read through ``IterInstance.step`` and
+``SodInstance.step_and_value``.  End-of-line circuits are never
+self-reduced: a check or a walk reads each point of them once or twice, so
+they are evaluated and nothing is cached on them.  The
 self-reductions' queries read their root: an iteration half prepends its
 fixed prefix to the point, and a sink-of-DAG query applies its stage and
 reads its parent's memo.  A query's circuit is built only for sizing and
@@ -37,8 +40,8 @@ from functools import cached_property, partial
 from typing import Callable
 
 from .bits import check_bits, from_int, zeros
-from .circuit import Circuit, emit_netlist, parse_netlist, point, projected_size, restrict_half, restrict_output
-from .circuit import _derived, circuit_from_table, size as circuit_gate_size
+from .circuit import Circuit, emit_netlist, evaluate, parse_netlist, point, projected_size, restrict_half
+from .circuit import _derived, circuit_from_table, restrict_output, size as circuit_gate_size
 from .errors import DimensionError, NetlistError
 from .gadgets import Net, combine_pair, freeze_stage, redirect_zero_outputs, split_pair
 
@@ -416,7 +419,7 @@ def well_formed(inst: ProblemInstance) -> bool:
         return inst.step_and_value(start)[0] != start
     if isinstance(inst, EolInstance):
         start = zeros(inst.succ.n)
-        return point(inst.succ, start) != start and point(inst.pred, start) == start
+        return evaluate(inst.succ, start) != start and evaluate(inst.pred, start) == start
     if isinstance(inst, ImplicitSodInstance):
         return inst.succ(inst.source) != inst.source
     if isinstance(inst, SvlInstance):
@@ -448,8 +451,8 @@ def verify_solution(inst: ProblemInstance, cand: str) -> bool:
         return inst.valuation(step) <= inst.valuation(cand)
     if isinstance(inst, EolInstance):
         start = zeros(inst.n)
-        fwd = point(inst.succ, cand)
-        back = point(inst.pred, cand)
+        fwd = evaluate(inst.succ, cand)
+        back = evaluate(inst.pred, cand)
         is_source = cand != start and fwd != cand and back == cand
         is_sink = back != cand and fwd == cand
         return is_source or is_sink

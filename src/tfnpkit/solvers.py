@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from functools import partial
-
 from .bits import all_bitstrings, zeros
-from .circuit import _TABLE_MAX_INPUTS, point
+from .circuit import _TABLE_MAX_INPUTS, evaluate
 from .errors import MalformedInstanceError, SolveBoundError
 from .problems import (
     ImplicitSodInstance,
@@ -25,7 +23,8 @@ def _stepper(inst: ProblemInstance):
         return inst.step
     if isinstance(inst, (ImplicitSodInstance, SvlInstance)):
         return inst.succ
-    return partial(point, inst.succ)
+    succ = inst.succ
+    return lambda x: evaluate(succ, x)
 
 
 def start_point(inst: ProblemInstance) -> str:

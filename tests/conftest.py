@@ -1,6 +1,8 @@
+import collections
 import itertools
 import os
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 from tfnpkit import Circuit, circuit_from_table
-from tfnpkit.circuit import OP_AND, OP_CONST, OP_INPUT, OP_NOT
+from tfnpkit.circuit import OP_AND, OP_CONST, OP_INPUT, OP_NOT, evaluate, successor_table
 
 
 def naive_evaluate(c: Circuit, x: str) -> str:
@@ -41,6 +43,42 @@ def iter_tables(n: int):
 
 def table_circuit(table, n, m=None, name="succ"):
     return circuit_from_table(list(table), n, m if m is not None else n, name=name)
+
+
+def _count_reads(monkeypatch) -> tuple[collections.Counter, collections.Counter]:
+    """Route every toolkit binding of ``evaluate`` through a counter of
+    (circuit, point) pairs, and every binding of ``successor_table`` through
+    a counter of tabulated circuits; the circuits are kept so that ids stay
+    distinct."""
+    evaluations: collections.Counter = collections.Counter()
+    tables: collections.Counter = collections.Counter()
+    kept = {}
+
+    def counting_evaluate(c, x):
+        kept[id(c)] = c
+        evaluations[id(c), x] += 1
+        return evaluate(c, x)
+
+    def counting_table(c):
+        kept[id(c)] = c
+        tables[id(c)] += 1
+        return successor_table(c)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tfnpkit"):
+            if getattr(module, "evaluate", None) is evaluate:
+                monkeypatch.setattr(module, "evaluate", counting_evaluate)
+            if getattr(module, "successor_table", None) is successor_table:
+                monkeypatch.setattr(module, "successor_table", counting_table)
+    return evaluations, tables
+
+
+def _assert_only_roots_read(evaluations, tables, roots) -> None:
+    """Each root circuit tabulated at most once, each point evaluated at most
+    once, and no other circuit evaluated or tabulated."""
+    assert {c for c, _ in evaluations} | set(tables) <= {id(r) for r in roots}
+    assert max(tables.values(), default=0) <= 1
+    assert max(evaluations.values(), default=0) <= 1
 
 
 @pytest.fixture

@@ -1,7 +1,5 @@
-import collections
 import itertools
 import random
-import sys
 
 import pytest
 
@@ -31,12 +29,12 @@ from tfnpkit import (
 )
 from tfnpkit import circuit, dsr, problems
 from tfnpkit.bits import from_int, ones, zeros
-from tfnpkit.circuit import OP_INPUT, evaluate, output_masks, pad_with_dead_gates, successor_table
+from tfnpkit.circuit import OP_INPUT, evaluate, output_masks, pad_with_dead_gates
 from tfnpkit.errors import DimensionError, MonitorViolation, OracleContractError
 from tfnpkit.gadgets import Net, redirect_zero_inputs
 from tfnpkit.problems import instance_bits
 
-from conftest import iter_tables, table_circuit
+from conftest import _assert_only_roots_read, _count_reads, iter_tables, table_circuit
 
 
 def test_worked_two_bit_chain():
@@ -309,42 +307,6 @@ def test_dsr_sod_query_roundtrips_through_envelope(rng):
         again = parse_instance(emit_instance(sub))
         assert type(again) is type(sub)
         assert enumerate_solutions(again) == enumerate_solutions(sub)
-
-
-def _count_reads(monkeypatch) -> tuple[collections.Counter, collections.Counter]:
-    """Route every toolkit binding of ``evaluate`` through a counter of
-    (circuit, point) pairs, and every binding of ``successor_table`` through
-    a counter of tabulated circuits; the circuits are kept so that ids stay
-    distinct."""
-    evaluations: collections.Counter = collections.Counter()
-    tables: collections.Counter = collections.Counter()
-    kept = {}
-
-    def counting_evaluate(c, x):
-        kept[id(c)] = c
-        evaluations[id(c), x] += 1
-        return evaluate(c, x)
-
-    def counting_table(c):
-        kept[id(c)] = c
-        tables[id(c)] += 1
-        return successor_table(c)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("tfnpkit"):
-            if getattr(module, "evaluate", None) is evaluate:
-                monkeypatch.setattr(module, "evaluate", counting_evaluate)
-            if getattr(module, "successor_table", None) is successor_table:
-                monkeypatch.setattr(module, "successor_table", counting_table)
-    return evaluations, tables
-
-
-def _assert_only_roots_read(evaluations, tables, roots) -> None:
-    """Each root circuit tabulated at most once, each point evaluated at most
-    once, and no other circuit evaluated or tabulated."""
-    assert {c for c, _ in evaluations} | set(tables) <= {id(r) for r in roots}
-    assert max(tables.values(), default=0) <= 1
-    assert max(evaluations.values(), default=0) <= 1
 
 
 def _long_path(n: int):

@@ -17,7 +17,7 @@ from tfnpkit.dsr import dsr_iter_with_source, monitored, self_oracle
 from tfnpkit.errors import SolveBoundError
 from tfnpkit.problems import well_formed
 
-from test_dsr import _assert_only_roots_read, _count_reads
+from conftest import _assert_only_roots_read, _count_reads
 
 
 def naive_solution(x: str) -> str:

@@ -40,8 +40,7 @@ from tfnpkit.problems import ImplicitSodInstance
 from tfnpkit.reductions import drop_source
 from tfnpkit.solvers import solve_exhaustive, solve_path
 
-from conftest import table_circuit
-from test_dsr import _count_reads
+from conftest import _count_reads, table_circuit
 
 
 def test_constant_ones_successor_is_well_formed():
@@ -396,8 +395,7 @@ def test_wide_roots_evaluate_each_point_once(gate_list, value_bits, data):
 def test_circuits_are_tabulated_once_whatever_holds_them(monkeypatch, rng):
     """The points live on the circuit, not on the instance: instances built
     separately on one circuit object, with and without a source, build one
-    table between them, and end-of-line ``well_formed``, ``verify_solution``
-    and the solvers read their circuits' tables too.  Nothing is evaluated."""
+    table between them.  Nothing is evaluated."""
     evaluations, tables = _count_reads(monkeypatch)
     succ = random_instance("iter", 4, rng).succ
     pair = random_instance("sink-of-dag", 4, rng, m=3).pair
@@ -407,12 +405,25 @@ def test_circuits_are_tabulated_once_whatever_holds_them(monkeypatch, rng):
         assert [inst.step(x) for x in xs] == [evaluate(succ, x) for x in xs]
         inst = SodInstance.from_pair(pair, source)
         assert [inst.step_and_value(x)[0] for x in xs] == [evaluate(pair, x)[:4] for x in xs]
+    assert not evaluations and tables == {id(succ): 1, id(pair): 1}
+
+
+def test_end_of_line_reads_evaluate_and_cache_nothing(monkeypatch, rng):
+    """End-of-line checks and walks read each point once or twice, so they
+    evaluate: ``verify_solution`` costs one evaluation of each circuit and
+    builds no table, and nothing is cached on the circuits, so a walk keeps
+    no visited points."""
+    evaluations, tables = _count_reads(monkeypatch)
     eols = [random_instance("end-of-line", n, rng) for n in (1, 3, 5)]
     for inst in eols:
         assert well_formed(inst)
         assert verify_solution(inst, solve_exhaustive(inst)) and verify_solution(inst, solve_path(inst))
-    circuits = [succ, pair] + [c for inst in eols for c in (inst.succ, inst.pred)]
-    assert not evaluations and tables == {id(c): 1 for c in circuits}
+        evaluations.clear()
+        x = from_int(1, inst.n)
+        verify_solution(inst, x)
+        assert evaluations == {(id(inst.succ), x): 1, (id(inst.pred), x): 1}
+    assert not tables
+    assert not any("_points" in vars(c) for inst in eols for c in (inst.succ, inst.pred))
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
