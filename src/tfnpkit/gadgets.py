@@ -7,8 +7,9 @@ has already built, with AND/OR operands in either order, returns the
 existing reference, so embedded circuits that repeat each other's logic,
 such as the successor and valuation minterm trees of a sink-of-DAG pair,
 are built once.  The library covers the pieces the constructions need:
-compare-to-constant, vector equality, redirect-on-match input stages, and
-value-threshold freezes.
+compare-to-constant, vector equality and order, redirect-on-match input
+stages, the swap of the all-zero word with another, and value-threshold
+freezes.
 """
 
 from __future__ import annotations
@@ -108,6 +109,21 @@ class GateBuilder:
             prefix = eq if prefix is None else self.and_(prefix, eq)
         return self.or_all(terms)
 
+    def lt_refs(self, a_refs: Sequence[int], b_refs: Sequence[int]) -> int:
+        """Reference that is true iff the value on ``a_refs`` is strictly
+        below the value on ``b_refs`` (both MSB first)."""
+        if len(a_refs) != len(b_refs):
+            raise DimensionError("vector comparison needs equal widths")
+        terms = []
+        prefix: int | None = None
+        for a, b in zip(a_refs, b_refs):
+            na, nb = self.not_(a), self.not_(b)
+            below = self.and_(na, b)
+            terms.append(below if prefix is None else self.and_(prefix, below))
+            eq = self.or_(self.and_(a, b), self.and_(na, nb))
+            prefix = eq if prefix is None else self.and_(prefix, eq)
+        return self.or_all(terms)
+
     def mux(self, sel: int, then_refs: Sequence[int], else_refs: Sequence[int]) -> list[int]:
         if len(then_refs) != len(else_refs):
             raise DimensionError("mux arms need equal widths")
@@ -121,6 +137,18 @@ class GateBuilder:
         """``refs`` on every input except the all-zero one, where the
         result carries the hardcoded word ``bits`` instead."""
         return self.mux_const(self.eq_zero(self.inputs), bits, refs)
+
+    def swap_zero(self, bits: str, refs: Sequence[int]) -> list[int]:
+        """``refs`` with the all-zero word and the word ``bits`` exchanged:
+        either of the two is XORed with ``bits``, every other word passes."""
+        check_bits(bits, len(refs))
+        is_word = self.and_all([r if b == "1" else self.not_(r) for r, b in zip(refs, bits)])
+        sel = self.or_(self.eq_zero(refs), is_word)
+        nsel = self.not_(sel)
+        return [
+            self.or_(self.and_(sel, self.not_(r)), self.and_(nsel, r)) if b == "1" else r
+            for r, b in zip(refs, bits)
+        ]
 
     def mux_const(self, sel: int, bits: str, else_refs: Sequence[int]) -> list[int]:
         """Mux whose selected arm is a hardcoded word: bit 1 becomes OR with

@@ -54,12 +54,12 @@ def test_evaluate_matches_naive_interpreter(rng):
 
 
 def test_output_masks_match_evaluate(rng):
-    for _ in range(25):
-        c = random_circuit(rng, 5, 2, 12)
-        masks = output_masks(c)
-        for value, x in enumerate(all_bitstrings(5)):
-            got = "".join(str((m >> value) & 1) for m in masks)
-            assert got == evaluate(c, x)
+    for n in (1, 5, 9):
+        for c in [identity_circuit(n)] + [random_circuit(rng, n, 2, 12) for _ in range(25)]:
+            masks = output_masks(c)
+            for value, x in enumerate(all_bitstrings(n)):
+                got = "".join(str((m >> value) & 1) for m in masks)
+                assert got == evaluate(c, x)
 
 
 def test_evaluate_arity_error():

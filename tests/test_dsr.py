@@ -33,6 +33,7 @@ from tfnpkit.circuit import OP_INPUT, evaluate, output_masks, pad_with_dead_gate
 from tfnpkit.errors import DimensionError, MonitorViolation, OracleContractError
 from tfnpkit.gadgets import Net, redirect_zero_inputs
 from tfnpkit.problems import instance_bits
+from tfnpkit.solvers import solve_path
 
 from conftest import _assert_only_roots_read, _count_reads, iter_tables, table_circuit
 
@@ -214,6 +215,22 @@ class PickingOracle:
         return sols[self.picks[i] if i < len(self.picks) else 0]
 
 
+def _run_every_pick(inst, algorithm) -> int:
+    """Run ``algorithm`` on ``inst`` once for every valid answer sequence to
+    the root's queries, asserting each result verifies; returns the run
+    count."""
+    runs, todo = 0, [()]
+    while todo:
+        picks = todo.pop()
+        oracle = PickingOracle(inst, picks)
+        assert verify_solution(inst, algorithm(inst, oracle))
+        runs += 1
+        for i in range(len(picks), len(oracle.counts)):
+            lead = picks + (0,) * (i - len(picks))
+            todo.extend(lead + (a,) for a in range(1, oracle.counts[i]))
+    return runs
+
+
 def test_sink_of_dag_lifts_every_answer_pair_without_a_walk(monkeypatch):
     """Every valid (first, second) answer pair of the root's queries on the
     source-free two-bit stratum, with 32 seeded two-bit valuations per
@@ -230,17 +247,40 @@ def test_sink_of_dag_lifts_every_answer_pair_without_a_walk(monkeypatch):
         succ = table_circuit(table, 2)
         for vcode in random.Random(sum(table)).sample(range(256), 32):
             val = table_circuit([(vcode >> (2 * i)) & 3 for i in range(4)], 2, m=2, name="valuation")
-            inst = SodInstance(succ, val)
-            todo = [()]
-            while todo:
-                picks = todo.pop()
-                oracle = PickingOracle(inst, picks)
-                assert verify_solution(inst, dsr_sod(inst, oracle))
-                runs += 1
-                for i in range(len(picks), len(oracle.counts)):
-                    lead = picks + (0,) * (i - len(picks))
-                    todo.extend(lead + (a,) for a in range(1, oracle.counts[i]))
+            runs += _run_every_pick(SodInstance(succ, val), dsr_sod)
     assert runs > 10_000
+
+
+def test_iteration_answers_verify_under_every_oracle_answer(monkeypatch):
+    """Every valid answer to each of the root's queries, on every two-bit
+    iteration instance, with and without a source, and on 300 seeded
+    three-bit successor tables: every result verifies.  The upper-half lift
+    still walks on some three-bit runs; the walks are counted."""
+    walks = []
+
+    def counted_walk(inst):
+        walks.append(inst)
+        return solve_path(inst)
+
+    monkeypatch.setattr(dsr, "solve_path", counted_walk)
+    rng = random.Random(0x1DE5)
+    tables = [*iter_tables(2), *(tuple(rng.randrange(8) for _ in range(8)) for _ in range(300))]
+    counts = {2: [0, 0, 0], 3: [0, 0, 0]}  # n -> instances, runs, walks
+    for table in tables:
+        n = len(table).bit_length() - 1
+        succ = table_circuit(table, n)
+        cases = [(IterInstance(succ), dsr_iter)] if table[0] > 0 else []
+        sources = [from_int(s, n) for s in range(len(table)) if table[s] > s]
+        cases += [(IterWithSourceInstance(succ, source), dsr_iter_with_source) for source in sources]
+        before = len(walks)
+        for inst, algorithm in cases:
+            counts[n][0] += 1
+            counts[n][1] += _run_every_pick(inst, algorithm)
+        counts[n][2] += len(walks) - before
+    # two-bit queries have one solution each; the three-bit runs walked 124
+    # times when this was written, and a sound upper-half lift makes it 0
+    assert counts[2] == [576, 576, 0]
+    assert counts[3][:2] == [1307, 1687] and counts[3][2] <= 124
 
 
 def test_lying_oracle_raises_contract_error(rng):

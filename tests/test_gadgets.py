@@ -94,6 +94,23 @@ def test_builder_gadgets_share_every_repeated_gate(c, data):
     assert b.embed(c, b.inputs) == first and len(b.gates) == count
 
 
+def test_vector_comparison_and_zero_swap_are_exact():
+    """``lt_refs`` orders two k-bit vectors, k = 1..3, and ``swap_zero``
+    exchanges the all-zero word with each word at n = 1..4, on every input."""
+    for k in (1, 2, 3):
+        b = GateBuilder(2 * k)
+        c = b.circuit([b.lt_refs(b.inputs[:k], b.inputs[k:])])
+        for x in all_bitstrings(2 * k):
+            assert evaluate(c, x) == str(int(x[:k] < x[k:]))
+    for n in (1, 2, 3, 4):
+        zero = from_int(0, n)
+        for word in all_bitstrings(n):
+            b = GateBuilder(n)
+            c = b.circuit(b.swap_zero(word, b.inputs))
+            for x in all_bitstrings(n):
+                assert evaluate(c, x) == (word if x == zero else zero if x == word else x)
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(circuits(extra_outputs=2), st.data())
 def test_freeze_stage_shares_every_repeated_gate(pair, data):

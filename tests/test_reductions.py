@@ -7,6 +7,7 @@ from tfnpkit import (
     IterInstance,
     IterWithSourceInstance,
     SodInstance,
+    SodWithSourceInstance,
     add_source,
     drop_source,
     enumerate_solutions,
@@ -32,14 +33,20 @@ def _assert_pullback_total(inst, result):
 
 
 def test_iter_to_sod_construction():
-    inst = IterInstance(table_circuit([1, 1, 2, 3], 2))
+    """The target freezes every step that does not ascend and reads the
+    frozen successor S' as both its successor and its valuation."""
+    table = [2, 0, 3, 1]  # 0 -> 2 -> 3 ascend; 1 -> 0 and 3 -> 1 descend
+    frozen = [2, 1, 3, 3]
+    inst = IterInstance(table_circuit(table, 2))
     result = iter_to_sod(inst)
-    assert result.target.succ is inst.succ and result.target.valuation is inst.succ
-    # forward: iteration solutions verify on the target unchanged
-    for cand in all_bitstrings(2):
-        if verify_solution(inst, cand):
-            assert verify_solution(result.target, cand)
-            assert result.pullback(cand) == cand
+    target = result.target
+    for x in range(4):
+        word = from_int(x, 2)
+        assert evaluate(target.succ, word) == from_int(frozen[x], 2)
+        assert evaluate(target.valuation, word) == from_int(frozen[x], 2)
+    assert well_formed(target)
+    assert enumerate_solutions(target) == enumerate_solutions(inst) == ["10"]
+    assert result.pullback("10") == "10"
 
 
 def test_iter_to_sod_pullback_exhaustive_n2():
@@ -148,6 +155,54 @@ def test_drop_source_iteration_target_keeps_the_solutions(monkeypatch):
         for w in solutions:
             assert result.pullback(w) == w
     assert len(cases) > 250
+
+
+def _swap(zero: str, src: str, w: str) -> str:
+    return src if w == zero else zero if w == src else w
+
+
+def test_pullbacks_are_local_maps(monkeypatch):
+    """``iter_to_sod`` keeps exactly the source's solutions and pulls back
+    by the identity; ``drop_source`` on sink-of-DAG relabels the instance by
+    the swap pi of the all-zero word and the source, so its solutions are
+    exactly pi of the source's and it pulls back by pi.  Every target is well
+    formed and no pullback walks: on every n = 2 successor table, with
+    seeded two-bit valuations and every moving nonzero source, and on a
+    seeded sample at n = 3, 4."""
+
+    def no_walk(inst):
+        raise AssertionError("a reduction pullback walked")
+
+    monkeypatch.setattr(reductions, "solve_path", no_walk)
+    iters, sods = [], []
+    vrng = random.Random(0x5A7)
+    for table in itertools.product(range(4), repeat=4):
+        succ = table_circuit(table, 2)
+        if table[0] > 0:
+            iters.append(IterInstance(succ))
+        val = table_circuit([vrng.randrange(4) for _ in range(4)], 2, m=2, name="valuation")
+        sods += [SodWithSourceInstance(succ, val, from_int(s, 2)) for s in range(1, 4) if table[s] != s]
+    rng = random.Random(0x10CA1)
+    for n in (3, 4):
+        for _ in range(60):
+            iters.append(random_instance("iter", n, rng))
+            inst = random_instance("sink-of-dag-with-source", n, rng, m=3)
+            if inst.source != zeros(n):
+                sods.append(inst)
+    for inst in iters:
+        result = iter_to_sod(inst)
+        assert well_formed(result.target)
+        solutions = enumerate_solutions(inst)
+        assert enumerate_solutions(result.target) == solutions
+        assert all(result.pullback(w) == w for w in solutions)
+    for inst in sods:
+        result = drop_source(inst)
+        assert well_formed(result.target)
+        zero, src = zeros(inst.n), inst.source
+        solutions = sorted(_swap(zero, src, w) for w in enumerate_solutions(inst))
+        assert enumerate_solutions(result.target) == solutions
+        assert all(result.pullback(w) == _swap(zero, src, w) for w in solutions)
+    assert len(iters) == 312 and len(sods) > 576
 
 
 def test_drop_source_identity_when_source_is_zero(rng):
