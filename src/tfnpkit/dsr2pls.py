@@ -11,7 +11,10 @@ initial state therefore walks a path whose last state carries the answer.
 One recursive pass over a table validates it, computes its successor and
 places it on the walk, so validity, the step and the position cannot
 disagree.  The compiled valuation is that position, and 0 on any string
-that is not a valid table for the compiled instance.
+that is not a valid table for the compiled instance.  The state space
+remembers its last pass, so a walk that asks a state's position and then
+its successor validates each state once; it keeps that one pass only, since
+a memo of every placed state would hold the whole walk.
 """
 
 from __future__ import annotations
@@ -75,6 +78,12 @@ class StateSpace:
     So invalid strings are fixed points by construction, and the valuation
     :func:`compile_pls` builds on these tables is 0 on every string that is
     not valid for its ``x``.
+
+    The space remembers its last placement: the last ``(state, x)`` pair
+    and the pass's result.  :meth:`walk` yields a state and then asks its
+    successor, so a caller that reads the yielded state's position in
+    between pays one pass per state, not two.  Only that one pass is kept:
+    a memo of every placed state would grow with the walk.
     """
 
     def __init__(self, prog: DsrProgram, n: int):
@@ -92,6 +101,7 @@ class StateSpace:
             widths[k] = self._cw[k] + self._p[k] * self._cw[k - 1] + widths[k - 1] - self._cw[k - 1]
             lengths[k] = 2 + self._p[k] * lengths[k - 1]  # initial and finished, plus each sub-walk
         self._width, self._length = widths, lengths
+        self._last: tuple = (_BAD, _BAD, None)  # (state, x, pass result); no pair matches _BAD
 
     def width(self, k: int | None = None) -> int:
         return self._width[self.n if k is None else k]
@@ -234,10 +244,16 @@ class StateSpace:
         return state[:base] + cell + state[base + w :], pos
 
     def _step_top(self, state: str, x: str) -> tuple[str, int] | None:
+        last_state, last_x, placed = self._last
+        if state == last_state and x == last_x:
+            return placed  # the pass just made for this pair, ``x`` already checked
         check_bits(x, self.n)
         if len(state) != self.width() or not is_bits(state):
-            return None
-        return self._step(state, x, self.n, ())
+            placed = None
+        else:
+            placed = self._step(state, x, self.n, ())
+        self._last = state, x, placed
+        return placed
 
     def is_valid(self, state: str, x: str) -> bool:
         return self._step_top(state, x) is not None

@@ -427,6 +427,14 @@ def well_formed(inst: ProblemInstance) -> bool:
     raise TypeError(f"unknown instance type: {type(inst).__name__}")
 
 
+def eol_solution(cand: str, fwd: str, back: str) -> bool:
+    """End-of-line predicate on a point and its successor and predecessor:
+    a source other than the all-zero word, or a sink."""
+    is_source = fwd != cand and back == cand and cand != zeros(len(cand))
+    is_sink = back != cand and fwd == cand
+    return is_source or is_sink
+
+
 def verify_solution(inst: ProblemInstance, cand: str) -> bool:
     """Does ``cand`` satisfy the solution predicate?  Costs at most two
     successor evaluations (plus two valuation reads where applicable)."""
@@ -450,12 +458,7 @@ def verify_solution(inst: ProblemInstance, cand: str) -> bool:
             return True
         return inst.valuation(step) <= inst.valuation(cand)
     if isinstance(inst, EolInstance):
-        start = zeros(inst.n)
-        fwd = evaluate(inst.succ, cand)
-        back = evaluate(inst.pred, cand)
-        is_source = cand != start and fwd != cand and back == cand
-        is_sink = back != cand and fwd == cand
-        return is_source or is_sink
+        return eol_solution(cand, evaluate(inst.succ, cand), evaluate(inst.pred, cand))
     if isinstance(inst, SvlInstance):
         return bool(inst.verifier(cand, inst.target))
     raise TypeError(f"unknown instance type: {type(inst).__name__}")

@@ -6,25 +6,35 @@ from .bits import all_bitstrings, zeros
 from .circuit import _TABLE_MAX_INPUTS, evaluate
 from .errors import MalformedInstanceError, SolveBoundError
 from .problems import (
-    ImplicitSodInstance,
+    EolInstance,
     IterInstance,
     ProblemInstance,
     SodInstance,
-    SvlInstance,
+    eol_solution,
     instance_bits,
     verify_solution,
 )
 
 
-def _stepper(inst: ProblemInstance):
+def _path_step(inst: ProblemInstance):
+    """Map a point to None where it solves the instance, else to its
+    successor.  An end-of-line point is evaluated once in each direction,
+    and its forward word is the step."""
+    if isinstance(inst, EolInstance):
+        succ, pred = inst.succ, inst.pred
+
+        def eol_step(x):
+            fwd = evaluate(succ, x)
+            return None if eol_solution(x, fwd, evaluate(pred, x)) else fwd
+
+        return eol_step
     if isinstance(inst, SodInstance):
-        return lambda x: inst.step_and_value(x)[0]
-    if isinstance(inst, IterInstance):
-        return inst.step
-    if isinstance(inst, (ImplicitSodInstance, SvlInstance)):
-        return inst.succ
-    succ = inst.succ
-    return lambda x: evaluate(succ, x)
+        step = lambda x: inst.step_and_value(x)[0]
+    elif isinstance(inst, IterInstance):
+        step = inst.step
+    else:
+        step = inst.succ
+    return lambda x: None if verify_solution(inst, x) else step(x)
 
 
 def start_point(inst: ProblemInstance) -> str:
@@ -41,12 +51,12 @@ def solve_path(inst: ProblemInstance, budget: int | None = None) -> str:
     n = instance_bits(inst)
     if budget is None:
         budget = 1 << n
-    step = _stepper(inst)
+    step = _path_step(inst)
     x = start_point(inst)
     for _ in range(budget + 1):
-        if verify_solution(inst, x):
-            return x
         nxt = step(x)
+        if nxt is None:
+            return x
         if nxt == x:
             break  # a non-verifying fixed point can never progress
         x = nxt

@@ -137,7 +137,8 @@ def check_promise(
     """Walk the line and check the verifier both ways at each index: the
     on-path state must verify at its index and nowhere else (sampled), and
     sampled off-path strings must fail.  A budget below the target yields a
-    partial report."""
+    partial report.  The line advances right after the on-path checks, so a
+    compiled line steps on the pass its verifier just made."""
     rng = rng or random.Random(0)
     limit = inst.target if budget is None else min(inst.target, budget)
     violations: list[str] = []
@@ -150,16 +151,16 @@ def check_promise(
             wrong = rng.randrange(1, inst.target + 1)
             if wrong != index and inst.verifier(state, wrong):
                 violations.append(f"on-path state of index {index} accepted at {wrong}")
+        nxt = inst.succ(state) if index < limit else state
         for _ in range(samples_per_index):
             if rng.random() < 0.5:
-                sample = "".join(rng.choice("01") for _ in range(width))
+                sample = format(rng.getrandbits(width), f"0{width}b")
             else:
                 flip = rng.randrange(width)
                 sample = state[:flip] + ("1" if state[flip] == "0" else "0") + state[flip + 1 :]
             if sample != state and inst.verifier(sample, index):
                 violations.append(f"off-path sample accepted at index {index}")
-        if index < limit:
-            state = inst.succ(state)
+        state = nxt
     return PromiseReport(
         ok=not violations,
         checked=limit,

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfnpkit import (
     HalvingIterProgram,
@@ -171,6 +173,86 @@ def test_walk_properties_and_extraction(prog):
             assert machine.is_valid(state, x)
             assert compiled.instance.valuation(state) == step + 1
         assert compiled.extract(states[-1]) == prog.solution(x)
+
+
+def _count_passes(monkeypatch) -> list[int]:
+    """Wrap ``StateSpace._step`` and count its top-level calls; the recursion
+    into a sub-table passes a non-empty path."""
+    passes = [0]
+    step = StateSpace._step
+
+    def counting_step(self, state, x, k, path):
+        passes[0] += not path
+        return step(self, state, x, k, path)
+
+    monkeypatch.setattr(StateSpace, "_step", counting_step)
+    return passes
+
+
+def test_walk_with_positions_makes_one_pass_per_state(monkeypatch, prog, rng):
+    """A walk that reads the position of every yielded state and extracts
+    the answer from the last one validates each state once: the step after
+    a position reads the pass the position made."""
+    passes = _count_passes(monkeypatch)
+    top = random_instance("iter-with-source", 3, rng)
+    counts = []
+    for program, x in ((prog, "10110100"), (HalvingIterProgram(top), top.source)):
+        compiled = compile_pls(program, x)
+        passes[0] = 0
+        for index, state in enumerate(compiled.machine.walk(x), start=1):
+            assert compiled.instance.valuation(state) == index
+        compiled.extract(state)
+        assert passes[0] == compiled.path_length
+        counts.append(passes[0])
+    assert counts[0] == 510
+
+
+_REMEMBERED_XS = ("101", "011")
+_REMEMBERED_VALID = sorted(
+    {s for x in _REMEMBERED_XS for s in StateSpace(RecursiveCombineProblem(), 3).walk(x)}
+)
+
+
+@st.composite
+def _table_strings(draw):
+    """A valid table of either instance, one of its one-bit flips, or a
+    string one bit too short or too long."""
+    state = draw(st.sampled_from(_REMEMBERED_VALID))
+    shape = draw(st.sampled_from(("valid", "flip", "short", "long")))
+    if shape == "flip":
+        i = draw(st.integers(0, len(state) - 1))
+        return state[:i] + ("1" if state[i] == "0" else "0") + state[i + 1 :]
+    return {"valid": state, "short": state[:-1], "long": state + "0"}[shape]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(("successor", "position", "is_valid")),
+            st.none() | _table_strings(),  # None asks about the previous state again
+            st.none() | st.sampled_from(_REMEMBERED_XS + ("10", "1x1")),
+        ),
+        min_size=1,
+        max_size=25,
+    )
+)
+def test_remembered_pass_is_never_stale(calls):
+    """Interleaved questions to one state space, many of them about the pair
+    it answered last, get the answers of a fresh state space, and a bad
+    ``x`` still raises."""
+    machine = StateSpace(RecursiveCombineProblem(), 3)
+    state, x = _REMEMBERED_VALID[0], _REMEMBERED_XS[0]
+    for method, next_state, next_x in calls:
+        state = state if next_state is None else next_state
+        x = x if next_x is None else next_x
+        fresh = StateSpace(RecursiveCombineProblem(), 3)
+        if x in _REMEMBERED_XS:
+            assert getattr(machine, method)(state, x) == getattr(fresh, method)(state, x)
+        else:
+            for space in (machine, fresh):
+                with pytest.raises(DimensionError):
+                    getattr(space, method)(state, x)
 
 
 def test_walk_limit_counts_steps(prog):

@@ -11,10 +11,11 @@ from tfnpkit import (
     verify_solution,
     well_formed,
 )
+from tfnpkit.bits import from_int
 from tfnpkit.errors import MalformedInstanceError, SolveBoundError
 from tfnpkit.circuit import identity_circuit
 
-from conftest import table_circuit
+from conftest import _count_reads, table_circuit
 
 
 def test_path_on_two_step_chain():
@@ -34,6 +35,20 @@ def test_path_on_end_of_line():
     succ = table_circuit([4, 1, 2, 3, 4, 5, 6, 7], 3)
     pred = table_circuit([0, 1, 2, 3, 0, 5, 6, 7], 3)
     assert solve_path(EolInstance(succ, pred)) == "100"
+
+
+def test_end_of_line_walk_reads_each_point_once_each_way(monkeypatch):
+    """A walk steps on the successor word it read to check the point, so a
+    walk over k points makes k successor and k predecessor evaluations."""
+    evaluations, tables = _count_reads(monkeypatch)
+    n = 6
+    last = (1 << n) - 1
+    succ = table_circuit([min(v + 1, last) for v in range(1 << n)], n)
+    pred = table_circuit([max(v - 1, 0) for v in range(1 << n)], n)
+    assert solve_path(EolInstance(succ, pred)) == "1" * n
+    walked = [from_int(v, n) for v in range(1 << n)]
+    assert evaluations == {(id(c), x): 1 for c in (succ, pred) for x in walked}
+    assert not tables
 
 
 def test_exhaustive_returns_lexicographic_minimum(rng):
