@@ -23,8 +23,12 @@ The canonical size measure counts logic gates (NOT/AND/OR) plus wires,
 where every input bit contributes one port wire, every gate operand one
 wire, and every output one wire.  Under this measure removing an input
 (with constant propagation) and removing an output (with dead-gate
-elimination) both strictly shrink the circuit.  One pass implements both
-restrictions, alone or together (``restrict_half``, the iteration query).
+elimination) both strictly shrink the circuit.  One constant-folding loop
+(``_fold``) serves every restriction.  The iteration query, input 1 fixed
+and output 1 dropped, is a :class:`Half`: folded entries whose exact size
+the backward liveness pass sums, halved again without building gates.
+Its circuit is swept from the entries only when read, and
+``restrict_half`` is that circuit.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 from .bits import check_bits, to_int
@@ -212,7 +217,7 @@ def output_masks(c: Circuit) -> list[int]:
     this table, built at its first point and cached on it (see ``point``).
     """
     gates = c.gates
-    last = _last_readers(gates, c.outputs)
+    last, _ = _liveness(gates, c.outputs)
     full = (1 << (1 << c.n)) - 1
     vals: list[int | None] = [None] * len(gates)
     for idx, (op, a, b) in enumerate(gates):
@@ -256,25 +261,39 @@ def _check_drop(c: Circuit, position: int) -> None:
         raise RestrictionError(f"output position {position} out of range 1..{c.m}")
 
 
-def _fold(c: Circuit, k0: int, bit: int) -> tuple[list[tuple[str, int, int]], list[int]]:
-    """Fix input ``k0`` (0-based) to ``bit`` and fold the constant forward:
-    a folded value ``v >= 0`` names an entry of the result, ``v < 0`` is the
-    constant ``~v``.  INPUT and CONST entries are final gates; a logic entry
-    is its bare ``(op, a, b)`` over the entries, which the sweep renumbers
-    into a gate, so each surviving gate is made once.  Outputs that fold to
-    a constant get one CONST gate per value, in output order.  Returns the
-    entries and the output references into them."""
+def _fold(
+    entries: Sequence[tuple[str, int, int]],
+    outputs: Sequence[int],
+    live: Sequence[int] | None,
+    k0: int,
+    bit: int,
+    shift: int,
+) -> tuple[list[tuple[str, int, int]], list[int]]:
+    """Fix input ``k0`` (0-based) to ``bit`` and fold the constant forward
+    over ``entries`` (a circuit's gates, or a :class:`Half`'s entries) and
+    their ``outputs``: a folded value ``v >= 0`` names an entry of the
+    result, ``v < 0`` is the constant ``~v``.  An entry that ``live`` marks
+    dead (-1) is skipped, unless it is an INPUT, which a sweep keeps; None
+    folds every entry.  INPUT and CONST entries are final gates, an INPUT
+    above ``k0`` moved down by ``shift``; a logic entry is its bare
+    ``(op, a, b)`` over the entries, which the sweep renumbers into a gate,
+    so each surviving gate is made once.  Outputs that fold to a constant
+    get one CONST gate per value, in output order.  Returns the entries and
+    the output references into them."""
     made: list[tuple[str, int, int]] = []
-    vals: list[int] = []
+    vals: list[int | None] = []
     emit, put = made.append, vals.append
-    for g in c.gates:
+    for g, reader in zip(entries, repeat(0) if live is None else live):
         op, a, b = g
         if op == OP_INPUT:
             if a == k0:
                 put(~bit)
                 continue
-            if a > k0:
-                g = INPUT(a - 1)
+            if shift and a > k0:
+                g = INPUT(a - shift)
+        elif reader < 0:
+            put(None)  # no live entry reads it
+            continue
         elif op == OP_NOT:
             a = vals[a]
             if a < 0:
@@ -292,7 +311,7 @@ def _fold(c: Circuit, k0: int, bit: int) -> tuple[list[tuple[str, int, int]], li
         emit(g)
     const_refs: dict[int, int] = {}
     outs = []
-    for r in c.outputs:
+    for r in outputs:
         v = vals[r]
         if v < 0:
             if v not in const_refs:
@@ -303,58 +322,96 @@ def _fold(c: Circuit, k0: int, bit: int) -> tuple[list[tuple[str, int, int]], li
     return made, outs
 
 
-def _last_readers(gates: Sequence[tuple[str, int, int]], refs: Sequence[int]) -> list[int]:
+def _liveness(gates: Sequence[tuple[str, int, int]], refs: Sequence[int]) -> tuple[list[int], int]:
     """For each gate, the index of the last gate that reads it, ``len(gates)``
     for one of the gates ``refs``, and -1 for a gate that feeds none of them
-    (dead).  One backward pass."""
+    (dead); and what the live logic gates add to ``size``.  One backward
+    pass."""
     last = [-1] * len(gates)
     for r in refs:
         last[r] = len(gates)
+    cost = 0
     for idx in range(len(gates) - 1, -1, -1):
         if last[idx] >= 0:
             op, a, b = gates[idx]
             if op == OP_NOT:
+                cost += GATE_COST[op]
                 if last[a] < 0:
                     last[a] = idx
             elif op in _BINARY:
+                cost += GATE_COST[op]
                 if last[a] < 0:
                     last[a] = idx
                 if last[b] < 0:
                     last[b] = idx
-    return last
+    return last, cost
 
 
-def _restrict(c: Circuit, fixed: tuple[int, int] | None, keep: Sequence[int] | None) -> Circuit:
-    """The one restriction pass behind ``restrict_input``, ``project_outputs``
-    and ``restrict_half``: fold input ``fixed = (k0, bit)`` forward (None
-    fixes nothing), then mark backward what feeds the kept outputs
-    (``keep``, 0-based and in order; None keeps every output and sweeps
-    nothing).  Input gates always survive; a logic gate is made for each
-    survivor, with its operands renumbered.  Folding before sweeping makes
-    the result gate for gate the two-step one."""
-    if fixed is None:
-        made, outs, n = c.gates, c.outputs, c.n
-    else:
-        made, outs = _fold(c, *fixed)
-        n = c.n - 1
-    if keep is None:
-        refs = outs
-        last = [0] * len(made)  # keeps every gate
-    else:
-        refs = [outs[j] for j in keep]
-        last = _last_readers(made, refs)
-    remap = [0] * len(made)
+def _sweep(
+    n: int,
+    entries: Sequence[tuple[str, int, int]],
+    refs: Sequence[int],
+    last: Sequence[int],
+    depth: int,
+    name: str,
+) -> Circuit:
+    """The circuit on the ``entries`` that ``last`` marks live and every
+    INPUT entry, with outputs ``refs``: a logic gate is made for each
+    survivor, with its operands renumbered, and an INPUT's index moves down
+    by ``depth`` (a :class:`Half`'s entries keep their root's)."""
+    remap = [0] * len(entries)
     gates: list[Gate] = []
-    for idx, g in enumerate(made):
+    for idx, g in enumerate(entries):
         op, a, b = g
         if last[idx] >= 0 or op == OP_INPUT:
             if op == OP_NOT:
                 g = Gate(op, remap[a])
             elif op in _BINARY:
                 g = Gate(op, remap[a], remap[b])
+            elif depth and op == OP_INPUT:
+                g = INPUT(a - depth)
             remap[idx] = len(gates)
             gates.append(g)
-    return _derived(n, tuple(gates), tuple(remap[r] for r in refs), c.name)
+    return _derived(n, tuple(gates), tuple(remap[r] for r in refs), name)
+
+
+class Half:
+    """The half of a circuit whose leading input is fixed to ``bit`` and
+    whose output 1 is dropped, kept as the fold of its parent's entries and
+    not as gates.  The parent is a circuit or a half: the fold skips what
+    the parent's sweep would drop, and INPUT entries keep their root index,
+    so they are never rebuilt.  The half holds its entries as bare
+    ``(op, a, b)`` tuples, its output references and the liveness that one
+    backward pass over them gives, and that pass also sums its exact
+    ``size``.  :attr:`circuit` sweeps the entries into gates on first read,
+    gate for gate the chain of ``restrict_half`` calls."""
+
+    __slots__ = ("n", "depth", "name", "entries", "outputs", "last", "size", "_circuit", "__weakref__")
+
+    def __init__(self, parent: "Circuit | Half", bit: int):
+        _check_fix(parent, 1, bit)
+        _check_drop(parent, 1)
+        if isinstance(parent, Half):
+            entries, live, depth = parent.entries, parent.last, parent.depth
+        else:
+            entries, live, depth = parent.gates, None, 0
+        self.entries, outs = _fold(entries, parent.outputs, live, depth, bit, 0)
+        self.outputs = outs[1:]
+        self.last, cost = _liveness(self.entries, self.outputs)
+        self.n, self.depth, self.name = parent.n - 1, depth + 1, parent.name
+        self.size = cost + self.n + len(self.outputs)
+        self._circuit: Circuit | None = None
+
+    @property
+    def m(self) -> int:
+        return len(self.outputs)
+
+    @property
+    def circuit(self) -> Circuit:
+        """The half's circuit, swept from its entries on first read."""
+        if self._circuit is None:
+            self._circuit = _sweep(self.n, self.entries, self.outputs, self.last, self.depth, self.name)
+        return self._circuit
 
 
 def restrict_input(c: Circuit, position: int, bit: int) -> Circuit:
@@ -367,7 +424,8 @@ def restrict_input(c: Circuit, position: int, bit: int) -> Circuit:
     Constants surviving to an output are materialised as CONST gates.
     """
     _check_fix(c, position, bit)
-    return _restrict(c, (position - 1, bit), None)
+    made, outs = _fold(c.gates, c.outputs, None, position - 1, bit, 1)
+    return _sweep(c.n - 1, made, outs, [0] * len(made), 0, c.name)
 
 
 def project_outputs(c: Circuit, keep: Sequence[int]) -> Circuit:
@@ -380,15 +438,14 @@ def project_outputs(c: Circuit, keep: Sequence[int]) -> Circuit:
             raise RestrictionError(f"output index {j} out of range 0..{c.m - 1}")
     if not keep:
         raise RestrictionError("a circuit must keep at least one output")
-    return _restrict(c, None, keep)
+    refs = [c.outputs[j] for j in keep]
+    return _sweep(c.n, c.gates, refs, _liveness(c.gates, refs)[0], 0, c.name)
 
 
 def projected_size(c: Circuit, keep: Sequence[int]) -> int:
     """``size(project_outputs(c, keep))`` from a liveness pass alone, without
     building the circuit."""
-    last = _last_readers(c.gates, [c.outputs[j] for j in keep])
-    cost = sum(GATE_COST.get(op, 0) for (op, _, _), reader in zip(c.gates, last) if reader >= 0)
-    return cost + c.n + len(keep)
+    return _liveness(c.gates, [c.outputs[j] for j in keep])[1] + c.n + len(keep)
 
 
 def restrict_output(c: Circuit, position: int) -> Circuit:
@@ -404,9 +461,7 @@ def restrict_half(c: Circuit, bit: int) -> Circuit:
     ``bit`` and output 1 dropped, in one pass.  Gate for gate equal to
     ``restrict_output(restrict_input(c, 1, bit), 1)``; the constant is
     folded (output 1's CONST gate included) before the dead gates are swept."""
-    _check_fix(c, 1, bit)
-    _check_drop(c, 1)
-    return _restrict(c, (0, bit), range(1, c.m))
+    return Half(c, bit).circuit
 
 
 def pad_with_dead_gates(c: Circuit, count: int) -> Circuit:

@@ -7,6 +7,7 @@ violation, 3 usage error (including unreadable or unparseable inputs).
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -289,10 +290,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built at the first call of :func:`main` in a process and
+    kept: a build costs about fifty parses, and a parse keeps no state in
+    it (each returns a new namespace)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:

@@ -4,9 +4,11 @@ self-oracle, and query-discipline monitors.
 Each algorithm takes one kind (any other raises :class:`DimensionError`)
 and solves it with at most two queries to an oracle for strictly smaller
 instances.  Iteration with a source halves the vertex space on the leading
-bit (:meth:`IterInstance.half`): a query's circuit is materialised, built
-in one pass that fixes input 1 and drops output 1 (``restrict_half``), for
-the monitor to size and the next level to halve, but its points are read
+bit (:meth:`IterInstance.half`): a query is a :class:`~tfnpkit.circuit.Half`,
+the fold of its parent's entries that fixes input 1 and drops output 1.
+The monitor reads its exact size from that fold and the next level halves
+the fold, so no gate is built; its circuit, gate for gate the
+``restrict_half`` chain's, is built only when read.  Its points are read
 from the root with the fixed prefix prepended.  Source-free iteration runs
 that algorithm from the all-zero word and asks each query through
 :func:`~tfnpkit.reductions.drop_source`, whose target reads the query's

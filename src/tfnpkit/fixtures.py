@@ -12,11 +12,10 @@ sub-instance determined by the cell's slot path.
 from __future__ import annotations
 
 from .bits import complement, parity, xor_bits, zeros
-from .circuit import size as circuit_size
 from .dsr import dsr_iter_with_source
 from .dsr2pls import DsrProgram, Path
 from .errors import SolveBoundError
-from .problems import IterInstance, verify_solution
+from .problems import IterInstance, circuit_size, verify_solution
 from .solvers import solve_path  # unused here; bench/tracing.py counts walks through this binding
 
 
@@ -88,8 +87,8 @@ class HalvingIterProgram(DsrProgram):
         self._instances: dict[Path, IterInstance] = {(): top}
 
     def instance_for(self, path: Path) -> IterInstance:
-        """The path's instance, one per path, so each half circuit is built
-        once and a query can be told by its circuit."""
+        """The path's instance, one per path, so each half is made once and
+        a query can be told by its circuit without building it."""
         if path not in self._instances:
             self._instances[path] = self.instance_for(path[:-1]).half(path[-1] - 1)
         return self._instances[path]
@@ -115,7 +114,7 @@ class HalvingIterProgram(DsrProgram):
 
         def scripted(sub: IterInstance, parent: IterInstance) -> str:
             # both halves stay held by their paths, so a query's circuit is one of theirs
-            slot = next(j for j in (1, 2) if self.instance_for(path + (j,)).succ is sub.succ)
+            slot = next(j for j in (1, 2) if self.instance_for(path + (j,)).shares_circuit(sub))
             if slot > len(answered):
                 raise _Unanswered(slot, sub.source)
             return answered[slot - 1][1]
@@ -141,7 +140,7 @@ class HalvingIterProgram(DsrProgram):
 
     # circuit-mode sizing report for the compiler's growth check
     def circuit_io_dims(self) -> tuple[int, int]:
-        return self.top.succ.n, self.top.succ.m
+        return self.top.n, self.top.n
 
     def query_instance_size(self, path: Path) -> int:
-        return circuit_size(self.instance_for(path).succ) + (self.top.succ.n - len(path))
+        return circuit_size(self.instance_for(path)) + (self.top.n - len(path))

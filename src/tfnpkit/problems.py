@@ -20,9 +20,10 @@ self-reduced: a check or a walk reads each point of them once or twice, so
 they are evaluated and nothing is cached on them.  The
 self-reductions' queries read their root: an iteration half prepends its
 fixed prefix to the point, and a sink-of-DAG query applies its stage and
-reads its parent's memo.  A query's circuit is built only for sizing and
-for the next level (iteration) or only when read (sink-of-DAG, whose size
-comes from a hash-consed net); it is never read.
+reads its parent's memo.  A query's circuit is built only when it is read:
+an iteration half is sized from the fold of its parent's entries
+(:class:`~tfnpkit.circuit.Half`), and a sink-of-DAG query from a hash-consed
+net.  Neither is read at a point.
 
 The sink-finding solution predicate requires a candidate to move
 (``succ(v) != v``) in both disjuncts: a point that is already a fixed point
@@ -40,7 +41,7 @@ from functools import cached_property, partial
 from typing import Callable
 
 from .bits import check_bits, from_int, zeros
-from .circuit import Circuit, emit_netlist, evaluate, parse_netlist, point, projected_size, restrict_half
+from .circuit import Circuit, Half, emit_netlist, evaluate, parse_netlist, point, projected_size
 from .circuit import _derived, circuit_from_table, restrict_output, size as circuit_gate_size
 from .errors import DimensionError, NetlistError
 from .gadgets import Net, combine_pair, freeze_stage, redirect_zero_outputs, split_pair
@@ -61,42 +62,74 @@ def _checked_source(source: str | None, n: int) -> str | None:
     return None if source is None else check_bits(source, n)
 
 
-@dataclass(frozen=True)
 class IterInstance:
     """Iteration instance; the walk starts at ``source``, or at the all-zero
     word when ``source`` is None.
 
-    Only a root reads its circuit.  A half (:meth:`half`) reads the
-    root it was cut from, with its fixed prefix prepended, and a
-    :meth:`redirected` instance reads the instance it redirects; their
-    circuits are built for sizing and for the next halves, never read."""
+    Only a root reads its circuit.  A half (:meth:`half`) is a
+    :class:`~tfnpkit.circuit.Half`: it is sized from its parent's folded
+    entries, and its circuit is built only when ``succ`` is read (by
+    :meth:`redirected`, the envelope writer, equality or a test).  It reads
+    the root it was cut from, with its fixed prefix prepended, and a
+    :meth:`redirected` instance reads the instance it redirects."""
 
-    succ: Circuit
     source: str | None = None
+    _half: Half | None = None  # a root holds ``succ`` itself
 
-    def __post_init__(self):
-        _require_square(self.succ, "successor")
-        _checked_source(self.source, self.succ.n)
+    def __init__(self, succ: Circuit, source: str | None = None):
+        _require_square(succ, "successor")
+        self.succ = succ
+        self.source = _checked_source(source, succ.n)
+
+    @cached_property
+    def succ(self) -> Circuit:
+        """The successor circuit: a root's as given, a half's built on first
+        read and shared by the half's copies."""
+        return self._half.circuit
+
+    @property
+    def _form(self) -> Circuit | Half:
+        """What is sized and halved: the root's circuit, or the half."""
+        half = self._half
+        return self.succ if half is None else half
 
     @property
     def n(self) -> int:
-        return self.succ.n
+        return self._form.n
+
+    @property
+    def size(self) -> int:
+        """Circuit size of ``succ``; a half's is read without building it."""
+        half = self._half
+        return circuit_gate_size(self.succ) if half is None else half.size
+
+    def shares_circuit(self, other: "IterInstance") -> bool:
+        """Are both instances on one circuit, built or not?  A half is shared
+        by its parent's ``with_source`` copies while some instance holds it."""
+        return self._form is other._form
 
     def with_source(self, source: str | None) -> "IterInstance":
-        return self._reading(self.succ, source, self._read, self._halves)  # same successor, same points
+        """The same successor with another source: the copy shares the
+        circuit or half, the points and the halves."""
+        other = IterInstance.__new__(IterInstance)
+        vars(other).update(vars(self), source=_checked_source(source, self.n), _halves=self._halves)
+        return other
 
     def half(self, bit: int, source: str | None = None) -> "IterInstance":
         """Query on the half-space whose leading bit is ``bit`` (input 1
-        fixed, output 1 dropped).  Its circuit is built in one pass by
-        ``restrict_half``, gate for gate the two-step restriction, so the
-        monitor sizes exactly that circuit.  It is cached weakly: built once
-        while some instance holds it, not kept alive by the parent.  Its
-        points are this instance's, read with the bit prepended."""
-        c = self._halves.get(bit)
-        if c is None:
-            c = self._halves[bit] = restrict_half(self.succ, bit)
+        fixed, output 1 dropped).  It is measured from this instance's
+        folded entries (:class:`~tfnpkit.circuit.Half`), exactly the size of
+        the two-step restriction, which it builds only when ``succ`` is
+        read.  It is cached weakly: made once while some instance holds it,
+        not kept alive by the parent.  Its points are this instance's, read
+        with the bit prepended."""
+        h = self._halves.get(bit)
+        if h is None:
+            h = self._halves[bit] = Half(self._form, bit)
         read, prefix = self._read
-        return self._reading(c, source, (read, prefix + str(bit)))
+        inst = IterInstance.__new__(IterInstance)
+        vars(inst).update(_half=h, source=_checked_source(source, h.n), _read=(read, prefix + str(bit)))
+        return inst
 
     def redirected(self) -> "IterInstance":
         """Source-free instance that steps the all-zero word to this
@@ -106,19 +139,10 @@ class IterInstance:
         source = self.source
         if source is None:
             raise DimensionError("only an instance with a source can be redirected")
-        succ = redirect_zero_outputs(self.succ, source, name="succ")
+        target = IterInstance(redirect_zero_outputs(self.succ, source, name="succ"))
         zero, step = zeros(self.n), self.step
-        return self._reading(succ, None, (lambda x: source if x == zero else step(x), ""))
-
-    @staticmethod
-    def _reading(succ: Circuit, source: str | None, read, halves=None) -> "IterInstance":
-        """Instance on ``succ`` whose points are read by ``read`` (see
-        ``_read``), sharing the half circuits ``halves`` if given."""
-        inst = IterInstance(succ, source)
-        vars(inst)["_read"] = read
-        if halves is not None:
-            vars(inst)["_halves"] = halves
-        return inst
+        vars(target)["_read"] = (lambda x: source if x == zero else step(x), "")
+        return target
 
     @cached_property
     def _read(self) -> tuple[Callable[[str], str], str]:
@@ -127,7 +151,7 @@ class IterInstance:
         return partial(point, self.succ), ""
 
     @cached_property
-    def _halves(self) -> weakref.WeakValueDictionary[int, Circuit]:
+    def _halves(self) -> weakref.WeakValueDictionary[int, Half]:
         return weakref.WeakValueDictionary()
 
     def step(self, x: str) -> str:
@@ -136,6 +160,17 @@ class IterInstance:
         if not prefix:
             return read(x)
         return read(prefix + x)[len(prefix) :]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IterInstance):
+            return NotImplemented
+        return (self.succ, self.source) == (other.succ, other.source)
+
+    def __hash__(self) -> int:
+        return hash((self.succ, self.source))
+
+    def __repr__(self) -> str:
+        return f"IterInstance(n={self.n}, source={self.source!r})"
 
 
 class SodInstance:
@@ -393,16 +428,14 @@ def io_dims(inst: CircuitInstance) -> tuple[int, int]:
         return inst.n, inst.n + inst.value_bits
     if isinstance(inst, EolInstance):
         return inst.succ.n, inst.succ.m + inst.pred.m
-    return inst.succ.n, inst.succ.m
+    return inst.n, inst.n
 
 
 def circuit_size(inst: CircuitInstance) -> int:
     """Circuit size; a sink-of-DAG instance is measured once, as its pair."""
-    if isinstance(inst, SodInstance):
-        return inst.size
     if isinstance(inst, EolInstance):
         return circuit_gate_size(inst.succ) + circuit_gate_size(inst.pred)
-    return circuit_gate_size(inst.succ)
+    return inst.size
 
 
 def instance_size(inst: CircuitInstance) -> int:

@@ -11,8 +11,9 @@ from tfnpkit import (
     verify_solution,
     well_formed,
 )
+from tfnpkit import cli
 from tfnpkit.bits import all_bitstrings
-from tfnpkit.cli import main
+from tfnpkit.cli import USAGE_ERROR, main
 
 
 def run_cli(*argv):
@@ -129,6 +130,32 @@ def test_main_callable_in_process(tmp_path, capsys):
     rc = main(["factor", "15"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "3"
+
+
+def test_one_parser_serves_every_call_like_a_fresh_process(tmp_path, capsys, monkeypatch):
+    """One process builds the parser once and runs ``gen``, a usage error
+    that names ``--trace`` before it fails, then ``solve`` and ``dsr-run``
+    on the generated file: each call's exit code, output and errors are a
+    fresh process's, so the failed parse left nothing behind (a leaked
+    ``--trace`` would print trace lines)."""
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    path = tmp_path / "inst.txt"
+    gen = ("gen", "--kind", "iter", "--n", "4", "--seed", "5")
+    calls = [gen, ("dsr-run", str(path), "--trace", "--mode", "bogus"), ("solve", str(path)), ("dsr-run", str(path))]
+    fresh = []
+    for argv in calls:
+        rc = main(list(argv))
+        out, err = capsys.readouterr()
+        if argv is gen:
+            path.write_text(out)
+        fresh.append(run_cli(*argv))
+        assert (rc, out, err) == fresh[-1], argv
+    assert fresh[1][0] == USAGE_ERROR and fresh[1][2].startswith("usage: tfnpkit dsr-run")
+    assert fresh[3][0] == 0 and "#" not in fresh[3][1]
+    assert len(builds) == 1
 
 
 def test_shape_errors_in_instance_files_exit_three(tmp_path):

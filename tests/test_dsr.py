@@ -27,7 +27,7 @@ from tfnpkit import (
     size,
     verify_solution,
 )
-from tfnpkit import circuit, dsr, problems
+from tfnpkit import circuit, dsr, gadgets, problems
 from tfnpkit.bits import from_int, ones, zeros
 from tfnpkit.circuit import OP_INPUT, evaluate, output_masks, pad_with_dead_gates
 from tfnpkit.errors import DimensionError, MonitorViolation, OracleContractError
@@ -489,65 +489,106 @@ class HalfCheckingOracle(SelfReductionOracle):
     must be an iteration instance whose successor is, gate for gate, a half
     of its parent's made in two steps (input 1 fixed, then output 1
     dropped), or for a source-free upper query with a nonzero pivot suffix
-    the ``drop_source`` target of that half that ``dropped`` recorded."""
+    the ``drop_source`` target of that half that ``dropped`` recorded.  A
+    half's circuit is built at this first read of it, as one circuit, and
+    the monitor's size is that circuit's."""
 
-    def __init__(self, dropped):
+    def __init__(self, dropped, constructed):
         super().__init__()
         self.dropped = dropped
+        self.constructed = constructed
         self.checked = 0
 
     def __call__(self, inst, parent=None):
         assert isinstance(inst, IterInstance)
         expected = [restrict_output(restrict_input(parent.succ, 1, bit), 1) for bit in (0, 1)]
-        if id(inst.succ) in self.dropped:
-            source = self.dropped[id(inst.succ)][1]
+        before = len(self.constructed)
+        succ = inst.succ
+        assert len(self.constructed) - before == (inst._half is not None)
+        if id(succ) in self.dropped:
+            source = self.dropped[id(succ)][1]
             expected = [drop_source(IterInstance(expected[1], source)).target.succ]
-        assert inst.succ in expected
+        assert succ in expected
+        assert problems.circuit_size(inst) == size(succ)
         self.checked += 1
         return super().__call__(inst, parent)
+
+
+def _recording_constructions(monkeypatch) -> list:
+    """Record every circuit constructed, validated or derived, through any
+    toolkit binding; the circuits are kept so that ids stay distinct."""
+    validate, derived = Circuit.__post_init__, circuit._derived
+    constructed = []
+
+    def recording_validate(self):
+        constructed.append(self)
+        validate(self)
+
+    def recording_derived(*args):
+        constructed.append(derived(*args))
+        return constructed[-1]
+
+    monkeypatch.setattr(Circuit, "__post_init__", recording_validate)
+    for module in (circuit, gadgets, problems):
+        monkeypatch.setattr(module, "_derived", recording_derived)
+    return constructed
+
+
+def _recording_drops(monkeypatch) -> tuple[dict, list]:
+    """Route ``dsr``'s ``drop_source`` through a recorder: the successor of
+    each patched target maps to (target, source, query), and the queries
+    whose target is the query itself, sharing its circuit, are counted."""
+    dropped, unpatched = {}, [0]
+
+    def recording_drop(sub):
+        result = drop_source(sub)
+        if result.target.shares_circuit(sub):
+            unpatched[0] += 1
+        else:
+            dropped[id(result.target.succ)] = (result.target, sub.source, sub)
+        return result
+
+    monkeypatch.setattr(dsr, "drop_source", recording_drop)
+    return dropped, unpatched
 
 
 def test_iteration_queries_are_two_step_halves_built_in_one_pass(monkeypatch):
     """Every iteration query's successor is the two-step half of its
     parent's, or for a source-free upper query whose pivot suffix is
-    nonzero, ``drop_source`` of that half; each half constructs exactly one
-    circuit: on monitored long paths at n = 2..7 with and without a source,
-    and on a seeded sweep of random iteration instances."""
-    validate = Circuit.__post_init__
-    derived = circuit._derived
-    one_pass = problems.restrict_half
-    constructed = [0]
-    built = []  # circuits constructed by each half, validated or derived
+    nonzero, ``drop_source`` of that half: on monitored long paths at
+    n = 2..7 with and without a source, and on a seeded sweep of random
+    iteration instances.  Making a half constructs no circuit, and reading
+    its ``succ`` constructs exactly one.  A monitored long-path run that
+    reads no query constructs the root and, for each ``drop_source`` that
+    redirects, the query's half and the redirected target, and nothing
+    else."""
+    constructed = _recording_constructions(monkeypatch)
+    made = []  # circuits constructed by each half as it is made
+    init = circuit.Half.__init__
 
-    def counting_validate(self):
-        constructed[0] += 1
-        validate(self)
+    def counting_init(self, parent, bit):
+        before = len(constructed)
+        init(self, parent, bit)
+        made.append(len(constructed) - before)
 
-    def counting_derived(*args):
-        constructed[0] += 1
-        return derived(*args)
+    monkeypatch.setattr(circuit.Half, "__init__", counting_init)
+    dropped, unpatched = _recording_drops(monkeypatch)
 
-    def counting_half(c, bit):
-        before = constructed[0]
-        half = one_pass(c, bit)
-        built.append(constructed[0] - before)
-        return half
+    def assert_built_only_redirects(inst, roots=()) -> int:
+        """Run ``inst`` monitored: the circuits constructed are ``roots``
+        and the query half and target of each redirecting ``drop_source``.
+        Returns the number of redirects."""
+        dropped.clear()
+        run_dsr(inst, monitored(self_oracle(), "circuit-dsr-poly-blowup", c=2))
+        redirects = [c for target, _, sub in dropped.values() for c in (sub.succ, target.succ)]
+        assert sorted(map(id, constructed)) == sorted(map(id, [*roots, *redirects]))
+        constructed.clear()
+        return len(dropped)
 
-    dropped = {}  # successor of each patched drop_source target -> (target, source)
-    unpatched = [0]  # drop_source calls whose target is the half itself
-
-    def recording_drop(sub):
-        result = drop_source(sub)
-        if result.target.succ is sub.succ:
-            unpatched[0] += 1
-        else:
-            dropped[id(result.target.succ)] = (result.target, sub.source)
-        return result
-
-    monkeypatch.setattr(Circuit, "__post_init__", counting_validate)
-    monkeypatch.setattr(circuit, "_derived", counting_derived)
-    monkeypatch.setattr(problems, "restrict_half", counting_half)
-    monkeypatch.setattr(dsr, "drop_source", recording_drop)
+    for source in (None, from_int(1, 7)):
+        constructed.clear()
+        root = _long_path(7)
+        assert_built_only_redirects(IterInstance(root, source), [root])
     cases = []
     for n in range(2, 8):
         cases += [IterInstance(_long_path(n)), IterInstance(_long_path(n), from_int(1, n))]
@@ -555,14 +596,19 @@ def test_iteration_queries_are_two_step_halves_built_in_one_pass(monkeypatch):
     for _ in range(200):
         for kind in ("iter", "iter-with-source"):
             cases.append(random_instance(kind, rng.randrange(2, 6), rng))
+    constructed.clear()
+    assert sum(assert_built_only_redirects(inst) for inst in cases) > 25
+    dropped.clear()
     checked = 0
+    made.clear()
+    unpatched[0] = 0
     for inst in cases:
-        oracle = HalfCheckingOracle(dropped)
+        oracle = HalfCheckingOracle(dropped, constructed)
         answer = run_dsr(inst, monitored(oracle, "circuit-dsr-poly-blowup", c=2))
         assert verify_solution(inst, answer)
         checked += oracle.checked
     assert checked > 750 and len(dropped) > 25 and unpatched[0] > 300
-    assert len(built) == checked and set(built) == {1}
+    assert len(made) == checked and set(made) == {0}
 
 
 def test_long_path_sink_of_dag_evaluates_only_the_root(monkeypatch):

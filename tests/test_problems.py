@@ -33,9 +33,9 @@ from tfnpkit import (
     well_formed,
 )
 from tfnpkit.bits import all_bitstrings, from_int, to_int
-from tfnpkit.circuit import eval_table, restrict_half, size
+from tfnpkit.circuit import eval_table, restrict_half, restrict_input, restrict_output, size
 from tfnpkit.errors import DimensionError, NetlistError
-from tfnpkit.gadgets import combine_pair
+from tfnpkit.gadgets import combine_pair, redirect_zero_outputs
 from tfnpkit.problems import ImplicitSodInstance
 from tfnpkit.reductions import drop_source
 from tfnpkit.solvers import solve_exhaustive, solve_path
@@ -444,3 +444,74 @@ def test_half_chains_step_like_their_restrict_half_chain(gate_list, data):
         assert inst.succ == built.succ
         for x in all_bitstrings(width):
             assert inst.step(x) == evaluate(built.succ, x)
+
+
+@st.composite
+def _halving_roots(draw):
+    """A square circuit on 2 to 6 inputs whose gates mix duplicate INPUT
+    gates, CONST gates mid-circuit (the fold keeps them as entries) and
+    logic gates, some of which feed nothing.  For each input k, AND(k, k)
+    and its NOT fold to the two constants once input k is fixed, and the
+    outputs pick them, each other, or random gates: so outputs share one
+    gate, and output 1 folds to a constant that a later output shares after
+    one with the other constant (the order the CONST gates are made in)."""
+    n = draw(st.integers(2, 6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    gates = [INPUT(k) for k in range(n)]
+    folds = []
+    for k in range(n):
+        gates.append(AND(k, k))
+        gates.append(NOT(len(gates) - 1))
+        folds.append((len(gates) - 2, len(gates) - 1))
+    for _ in range(draw(st.integers(0, 40))):
+        op = rng.choice(("input", "const", "not", "and", "or"))
+        top = len(gates)
+        if op == "input":
+            gates.append(INPUT(rng.randrange(n)))
+        elif op == "const":
+            gates.append(CONST(rng.randrange(2)))
+        elif op == "not":
+            gates.append(NOT(rng.randrange(top)))
+        else:
+            gates.append((AND if op == "and" else OR)(rng.randrange(top), rng.randrange(top)))
+    outs = []
+    for j in range(n):
+        pick = draw(st.sampled_from(("gate", "fold", "not-fold", "previous") if j else ("gate", "fold")))
+        if pick == "gate":
+            outs.append(rng.randrange(len(gates)))
+        elif pick == "previous":
+            outs.append(outs[-1])
+        else:
+            outs.append(folds[rng.randrange(n)][pick == "not-fold"])
+    if n >= 3 and draw(st.booleans()):
+        same, other = folds[0]
+        outs[0], outs[1], outs[-1] = same, other, same
+    return Circuit(n, n, tuple(gates), tuple(outs))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_halving_roots(), st.data())
+def test_measured_halves_are_the_restrict_half_chain(root, data):
+    """A chain of ``half`` calls down to one input, some links through
+    ``redirected``: at every step the half's size, read before its circuit
+    is built, is ``size()`` of the ``restrict_half`` chain's circuit, which
+    is the two-step restriction; ``succ`` read afterwards is that circuit
+    gate for gate, and ``step`` is ``evaluate`` of it at every point."""
+    inst, built = IterInstance(root), root
+    for width in range(root.n - 1, 0, -1):
+        bit = data.draw(st.integers(0, 1))
+        inst, chained = inst.half(bit), restrict_half(built, bit)
+        assert chained == restrict_output(restrict_input(built, 1, bit), 1)
+        built = chained
+        assert instance_size(inst) == size(built) and io_dims(inst) == (width, width)
+        assert inst._half._circuit is None  # measured, not built
+        for x in all_bitstrings(width):
+            assert inst.step(x) == evaluate(built, x)
+        assert inst.succ == built
+        if data.draw(st.booleans()):
+            source = from_int(data.draw(st.integers(0, (1 << width) - 1)), width)
+            inst = inst.with_source(source).redirected()
+            built = redirect_zero_outputs(built, source, name="succ")
+            assert inst.succ == built and instance_size(inst) == size(built)
+            for x in all_bitstrings(width):
+                assert inst.step(x) == evaluate(built, x)
