@@ -14,10 +14,10 @@ first point; wider, each point evaluated once.  A reader that takes each
 point once or twice (end-of-line checks and walks) calls :func:`evaluate`.
 
 Circuits are validated once, at the boundary: ``Circuit(...)`` checks what
-it is given (``parse_netlist``, user code and tests go through it).  Every
-circuit the toolkit derives from valid ones (restrictions, builders,
-synthesisers) is built by :func:`_derived` without the check, and a test
-runs each such producer and validates its output again.
+it is given, and :func:`parse_netlist` checks each row as it reads it.  The
+parser and every producer of circuits derived from valid ones (restrictions,
+builders, synthesisers) build by :func:`_derived` without the check, and a
+test validates each producer's output again.  :func:`point` trusts its word.
 
 The canonical size measure counts logic gates (NOT/AND/OR) plus wires,
 where every input bit contributes one port wire, every gate operand one
@@ -139,9 +139,9 @@ def _check_shape(n: int, m: int) -> None:
 
 
 def _derived(n: int, gates: tuple[Gate, ...], outputs: tuple[int, ...], name: str) -> Circuit:
-    """A circuit derived from valid ones, built without ``Circuit``'s check:
-    its producer keeps the rules by construction (a test runs each producer
-    and validates the result)."""
+    """A circuit built without ``Circuit``'s check: its producer keeps the
+    rules by construction or checked them row by row (the netlist parser);
+    a test runs each producer and validates the result."""
     c = object.__new__(Circuit)
     c.__dict__.update(n=n, m=len(outputs), gates=gates, outputs=outputs, name=name)
     return c
@@ -185,11 +185,12 @@ def evaluate(c: Circuit, x: str) -> str:
 
 
 def point(c: Circuit, x: str) -> str:
-    """The output word of ``c`` at ``x``, read from the points cached on ``c``."""
+    """The output word of ``c`` at ``x``, read from the points cached on ``c``;
+    ``x`` is an n-bit word checked where it entered or read from a circuit."""
     points = c._points
     if type(points) is str:
         m = c.m
-        start = to_int(check_bits(x, c.n)) * m
+        start = to_int(x) * m
         return points[start : start + m]
     hit = points.get(x)
     if hit is None:
@@ -576,7 +577,9 @@ def successor_table(c: Circuit) -> list[str]:
 #   output <j> = g<id>
 #
 # Lines are independent; '#' starts a comment; gate ids must be defined
-# before they are referenced.
+# before they are referenced.  Rows are read once, in order, and an error
+# names the first offending row: a repeated id at its second definition, a
+# reference to a gate defined on its own row or below as forward.
 
 #: Largest input or output count a netlist header may declare.  Desk-scale
 #: work stays well below it: exhaustive scans stop at 16 inputs, and the
@@ -611,9 +614,7 @@ def emit_netlist(c: Circuit) -> str:
 
 
 def _strip(line: str) -> str:
-    if "#" in line:
-        line = line[: line.index("#")]
-    return line.strip()
+    return line.partition("#")[0].strip()
 
 
 def parse_netlist(text: str, first_line: int = 1) -> Circuit:
@@ -636,30 +637,23 @@ def parse_netlist(text: str, first_line: int = 1) -> Circuit:
     if m == 0:
         raise NetlistError("a circuit needs at least one output", lineno)
 
-    declared: dict[int, int] = {}
-    for pos, (lineno, row) in enumerate(rows[1:], start=1):
-        g = _GATE_RE.match(row)
-        if g:
-            gid = int(g.group(1))
-            if gid in declared:
-                raise NetlistError(f"duplicate gate id g{gid}", lineno)
-            declared[gid] = pos
-
     gates: list[Gate] = []
     index_of: dict[int, int] = {}
     outputs: dict[int, int] = {}
 
     def resolve(gid: int, pos: int, lineno: int) -> int:
-        if gid not in declared:
-            raise NetlistError(f"dangling reference g{gid}", lineno)
-        if declared[gid] >= pos:
-            raise NetlistError(f"forward reference g{gid}", lineno)
-        return index_of[gid]
+        ref = index_of.get(gid)
+        if ref is None:
+            below = any((g := _GATE_RE.match(row)) and int(g.group(1)) == gid for _, row in rows[pos:])
+            raise NetlistError(f"{'forward' if below else 'dangling'} reference g{gid}", lineno)
+        return ref
 
     for pos, (lineno, row) in enumerate(rows[1:], start=1):
         g = _GATE_RE.match(row)
         if g:
             gid, op, rest = int(g.group(1)), g.group(2), g.group(3).strip()
+            if gid in index_of:
+                raise NetlistError(f"duplicate gate id g{gid}", lineno)
             args = rest.split()
             if op == "INPUT":
                 if len(args) != 1 or not _NUMBER_RE.fullmatch(args[0]):
@@ -701,4 +695,4 @@ def parse_netlist(text: str, first_line: int = 1) -> Circuit:
         raise NetlistError(
             f"missing output declarations: {len(missing)} of {m} ({shown}{more})", rows[-1][0]
         )
-    return Circuit(n, m, tuple(gates), tuple(outputs[j] for j in range(m)), name=name)
+    return _derived(n, tuple(gates), tuple(outputs[j] for j in range(m)), name)

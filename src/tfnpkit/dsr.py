@@ -21,12 +21,13 @@ make (successor then valuation outputs).  Only the root circuit is read
 (see ``problems``).  Oracle answers are verified against the queried
 sub-instance (a bad answer raises :class:`OracleContractError`).
 
-The case analyses lift almost every sub-answer directly.  One lift is not
+The case analyses lift almost every sub-answer directly, unverified: the
+reads that choose it prove it (see ``_upper_start``).  One lift is not
 universally sound when the oracle may return *any* valid sub-solution
 rather than one reachable from the sub-instance's start: the iteration
 upper-half answer, whose true successor may dip into the lower half.  That
-lift is verified, and on failure the algorithm finishes by walking the
-original instance from its pivot, so the returned word always verifies.
+lift alone is verified, and on failure the algorithm finishes by walking
+the original instance from its pivot, so the returned word always verifies.
 The sink-of-DAG lifts are sound by construction and never walk.
 """
 
@@ -92,27 +93,26 @@ def _ensure(inst: CircuitInstance, candidate: str, restart: str) -> str:
 
 def _upper_start(inst: IterInstance, source: str, low_answer: str | None) -> tuple[str, str]:
     """After the lower-half phase, either ('solution', v) or ('upper', u)
-    where u lies in the upper half with a strictly ascending step."""
+    where u lies in the upper half with a strictly ascending step.
+
+    Every v solves (S(v) > v and S(S(v)) <= S(v)), so it is not verified
+    again.  A word 1... is above every word 0..., and ``here = S(prev)`` is
+    above ``prev``: the source steps to 1... (else the lower half was
+    asked), and the lifted 0w, w a verified answer of the lower half H
+    (S on 0... without its leading bit), steps to 1... or to 0H(w) > 0w.
+    From 0H(w) a step to 0H(H(w)) <= 0H(w) makes 0w a solution, and a step
+    to 1... rises.  Then ``prev`` solves iff the step at ``here`` stalls."""
     if source[0] == "1":
         return "upper", source
     step = inst.step
-    first = step(source)
-    if first[0] == "1":
-        if step(first) <= first:
-            return "solution", source
-        return "upper", first
-    lifted = "0" + low_answer
-    after = step(lifted)
-    if after[0] == "1":
-        if step(after) <= after:
-            return "solution", lifted
-        return "upper", after
-    after2 = step(after)
-    if after2[0] == "0":
-        return "solution", lifted
-    if step(after2) <= after2:
-        return "solution", after
-    return "upper", after2
+    prev = source if low_answer is None else "0" + low_answer
+    here = step(prev)
+    if here[0] == "0":
+        after = step(here)
+        if after[0] == "0":
+            return "solution", prev
+        prev, here = here, after
+    return ("solution", prev) if step(here) <= here else ("upper", here)
 
 
 def dsr_iter_with_source(inst: IterInstance, oracle: Oracle) -> str:
@@ -126,7 +126,7 @@ def dsr_iter_with_source(inst: IterInstance, oracle: Oracle) -> str:
         low_answer = _ask(oracle, inst.half(0, source[1:]), inst)
     kind, value = _upper_start(inst, source, low_answer)
     if kind == "solution":
-        return _ensure(inst, value, source)
+        return value
     pivot = value
     upper_answer = _ask(oracle, inst.half(1, pivot[1:]), inst)
     return _ensure(inst, "1" + upper_answer, pivot)

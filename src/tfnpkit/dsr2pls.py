@@ -245,9 +245,10 @@ class StateSpace:
 
     def _step_top(self, state: str, x: str) -> tuple[str, int] | None:
         last_state, last_x, placed = self._last
-        if state == last_state and x == last_x:
-            return placed  # the pass just made for this pair, ``x`` already checked
-        check_bits(x, self.n)
+        if x != last_x:
+            check_bits(x, self.n)  # a compiled walk keeps one ``x``, checked at its first pass
+        elif state == last_state:
+            return placed  # the pass just made for this pair
         if len(state) != self.width() or not is_bits(state):
             placed = None
         else:

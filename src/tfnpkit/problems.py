@@ -15,9 +15,11 @@ Iteration and sink-of-DAG circuits are read through ``circuit.point``,
 which caches the points on the circuit, so every instance on one circuit
 object shares them.  Only root instances read a circuit; the verifiers and
 the self-reductions read through ``IterInstance.step`` and
-``SodInstance.step_and_value``.  End-of-line circuits are never
-self-reduced: a check or a walk reads each point of them once or twice, so
-they are evaluated and nothing is cached on them.  The
+``SodInstance.step_and_value``, which trust their words: ``verify_solution``,
+the constructors and ``with_source`` check the words that enter, and the
+query constructors take sources derived from them.  End-of-line circuits
+are never self-reduced: a check or a walk reads each point of them once or
+twice, so they are evaluated and nothing is cached on them.  The
 self-reductions' queries read their root: an iteration half prepends its
 fixed prefix to the point, and a sink-of-DAG query applies its stage and
 reads its parent's memo.  A query's circuit is built only when it is read:
@@ -42,7 +44,7 @@ from typing import Callable
 
 from .bits import check_bits, from_int, zeros
 from .circuit import Circuit, Half, emit_netlist, evaluate, parse_netlist, point, projected_size
-from .circuit import _derived, circuit_from_table, restrict_output, size as circuit_gate_size
+from .circuit import _derived, _strip, circuit_from_table, restrict_output, size as circuit_gate_size
 from .errors import DimensionError, NetlistError
 from .gadgets import Net, combine_pair, freeze_stage, redirect_zero_outputs, split_pair
 
@@ -122,13 +124,13 @@ class IterInstance:
         the two-step restriction, which it builds only when ``succ`` is
         read.  It is cached weakly: made once while some instance holds it,
         not kept alive by the parent.  Its points are this instance's, read
-        with the bit prepended."""
+        with the bit prepended, and its source is not checked again."""
         h = self._halves.get(bit)
         if h is None:
             h = self._halves[bit] = Half(self._form, bit)
         read, prefix = self._read
         inst = IterInstance.__new__(IterInstance)
-        vars(inst).update(_half=h, source=_checked_source(source, h.n), _read=(read, prefix + str(bit)))
+        vars(inst).update(_half=h, source=source, _read=(read, prefix + str(bit)))
         return inst
 
     def redirected(self) -> "IterInstance":
@@ -155,7 +157,8 @@ class IterInstance:
         return weakref.WeakValueDictionary()
 
     def step(self, x: str) -> str:
-        """Successor word at ``x``, read from the root."""
+        """Successor word at ``x``, read from the root; ``x`` is an n-bit
+        word checked where it entered or read from a circuit."""
         read, prefix = self._read
         if not prefix:
             return read(x)
@@ -199,16 +202,16 @@ class SodInstance:
 
     def _init(self, pair: Circuit, source: str | None) -> "SodInstance":
         vars(self)["pair"] = pair
-        return self._set(pair.n, pair.m - pair.n, source, None, None, None)
+        return self._set(pair.n, pair.m - pair.n, _checked_source(source, pair.n), None, None, None)
 
     def _set(self, n: int, value_bits: int, source, parent, freeze, net) -> "SodInstance":
         """Set the fields: for a query, the parent and its stage (``freeze``
         is ``(frozen_below, redirect_to)``, or None for a drop), and the net
-        that measures it unless it is raw."""
+        that measures it unless it is raw.  A query's source is not checked."""
         if value_bits < 1:
             raise DimensionError("pair circuit needs at least one valuation output")
         self.n, self.value_bits = n, value_bits
-        self.source = _checked_source(source, n)
+        self.source = source
         self._parent, self._freeze, self._net = parent, freeze, net
         self._steps: dict[str, tuple[str, int]] = {}  # a query's points, shared by its copies
         return self
@@ -287,7 +290,8 @@ class SodInstance:
 
     def step_and_value(self, x: str) -> tuple[str, int]:
         """Successor word and valuation at ``x``: a root reads its circuit's
-        points, a query applies its stage to its parent's, once per point."""
+        points, a query applies its stage to its parent's, once per point;
+        ``x`` is an n-bit word checked where it entered or read from a circuit."""
         if self._parent is None:
             word = point(self.pair, x)
             return word[: self.n], int(word[self.n :], 2)
@@ -550,7 +554,7 @@ def parse_instance(text: str) -> CircuitInstance:
         block_start = None
 
     for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.split("#", 1)[0].strip()
+        stripped = _strip(raw)
         if not stripped:
             continue
         if stripped.startswith("problem "):

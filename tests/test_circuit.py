@@ -322,6 +322,11 @@ def test_netlist_errors_name_lines():
         parse_netlist("circuit c inputs=1 outputs=1\ng0 = NOT g9\noutput 0 = g0\n")
     with pytest.raises(NetlistError, match="missing output"):
         parse_netlist("circuit c inputs=1 outputs=2\ng0 = INPUT 0\noutput 0 = g0\n")
+    # the first offending row in file order, though a later row repeats an id
+    with pytest.raises(NetlistError, match="line 2: forward reference g1"):
+        parse_netlist("circuit c inputs=1 outputs=1\ng0 = NOT g1\ng1 = INPUT 0\ng1 = INPUT 0\noutput 0 = g0\n")
+    with pytest.raises(NetlistError, match="line 2: forward reference g0"):
+        parse_netlist("circuit c inputs=1 outputs=1\ng0 = NOT g0\noutput 0 = g0\n")
     for header in ("inputs=1 outputs=4000000", "inputs=99999999999 outputs=1", "inputs=65 outputs=1"):
         with pytest.raises(NetlistError, match="line 1: declared width"):
             parse_netlist(f"circuit c {header}\ng0 = INPUT 0\noutput 0 = g0\n")
@@ -381,12 +386,14 @@ def _revalidated(c: Circuit) -> Circuit:
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(restrictable(), st.data())
 def test_derived_circuits_pass_the_boundary_check(c, data):
-    """Every producer that skips validation (restrictions, builders, the
-    synthesisers and composed sink-of-DAG queries) makes circuits that the
-    validating constructor accepts unchanged."""
+    """Every producer that skips validation (the netlist parser,
+    restrictions, builders, the synthesisers and composed sink-of-DAG
+    queries) makes circuits that the validating constructor accepts
+    unchanged."""
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     bit = data.draw(st.integers(0, 1))
     word = "".join(rng.choice("01") for _ in range(c.m))
+    _revalidated(parse_netlist(emit_netlist(c)))
     _revalidated(restrict_input(c, data.draw(st.integers(1, c.n)), bit))
     _revalidated(project_outputs(c, data.draw(st.lists(st.integers(0, c.m - 1), min_size=1, max_size=c.m + 1))))
     _revalidated(restrict_half(c, bit))

@@ -3,6 +3,7 @@ import itertools
 import random
 import re
 import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,6 +37,7 @@ from tfnpkit.bits import all_bitstrings, from_int, to_int
 from tfnpkit.circuit import eval_table, restrict_half, restrict_input, restrict_output, size
 from tfnpkit.errors import DimensionError, NetlistError
 from tfnpkit.gadgets import combine_pair, redirect_zero_outputs
+from tfnpkit import problems
 from tfnpkit.problems import ImplicitSodInstance
 from tfnpkit.reductions import drop_source
 from tfnpkit.solvers import solve_exhaustive, solve_path
@@ -281,15 +283,27 @@ def _mutated_envelopes(draw):
 @given(st.one_of(st.text(), _mutated_envelopes()))
 @example("problem iter\ncircuit succ inputs=0 outputs=0\n")
 @example("problem iter\ncircuit succ inputs=1 outputs=1\ng0 = INPUT \u00b2\noutput 0 = g0\n")
+@example("problem iter\ncircuit succ inputs=1 outputs=1\ng0 = CONST 2\noutput 0 = g0\n")
 def test_parsers_raise_only_netlist_errors(text):
     """On any text, both parsers return or raise NetlistError: shape and
-    number errors never escape as another exception."""
+    number errors never escape as another exception.  Every block the
+    netlist parser accepts, alone or inside an envelope, is accepted by the
+    validating constructor unchanged: the parser's checks are its checks."""
+    parsed = []
+
+    def recording(*args, **kwargs):
+        parsed.append(parse_netlist(*args, **kwargs))
+        return parsed[-1]
+
     # the netlist parser gets the text after the problem line: the first block
-    for parse in (parse_instance, lambda t: parse_netlist("\n".join(t.splitlines()[1:]))):
-        try:
-            parse(text)
-        except NetlistError:
-            pass
+    with mock.patch.object(problems, "parse_netlist", recording):
+        for parse in (parse_instance, lambda t: recording("\n".join(t.splitlines()[1:]))):
+            try:
+                parse(text)
+            except NetlistError:
+                pass
+    for c in parsed:
+        assert Circuit(c.n, c.m, c.gates, c.outputs, name=c.name) == c
 
 
 @st.composite
