@@ -577,9 +577,16 @@ def successor_table(c: Circuit) -> list[str]:
 #   output <j> = g<id>
 #
 # Lines are independent; '#' starts a comment; gate ids must be defined
-# before they are referenced.  Rows are read once, in order, and an error
-# names the first offending row: a repeated id at its second definition, a
-# reference to a gate defined on its own row or below as forward.
+# before they are referenced.  Whitespace is any ``str.isspace`` character
+# (what ``str.split`` and the ``re`` class ``\s`` both take), and a number
+# is 1 to 18 ASCII digits.  After its op a gate row holds exactly its
+# arguments: INPUT one number, CONST one digit 0 or 1, NOT one reference
+# g<number>, AND and OR two references with whitespace between them; the
+# op may run into its first argument (``ANDg0 g0``).  Rows are read once,
+# in order, and an error names the first offending row: a repeated id at
+# its second definition, a reference to a gate defined on its own row or
+# below as forward.  Within a row the checks run in the order duplicate
+# id, unknown op, bad arguments, input range, reference.
 
 #: Largest input or output count a netlist header may declare.  Desk-scale
 #: work stays well below it: exhaustive scans stop at 16 inputs, and the
@@ -591,10 +598,19 @@ _MISSING_SHOWN = 8
 
 #: A number in a netlist: ASCII digits, few enough for ``int`` to accept.
 _NUMBER = "[0-9]{1,18}"
-_NUMBER_RE = re.compile(_NUMBER)
 _HEADER_RE = re.compile(rf"^circuit\s+(\S+)\s+inputs=({_NUMBER})\s+outputs=({_NUMBER})$")
 _GATE_RE = re.compile(rf"^g({_NUMBER})\s*=\s*([A-Z]+)\s*(.*)$")
 _OUTPUT_RE = re.compile(rf"^output\s+({_NUMBER})\s*=\s*g({_NUMBER})$")
+_REFS_RE = re.compile(rf"g({_NUMBER})\s+g({_NUMBER})")
+#: Per gate op: the fullmatch of its arguments (the text after the op) and
+#: the gate op it builds.
+_GATE_FORMS = {
+    "INPUT": (re.compile(f"({_NUMBER})").fullmatch, OP_INPUT),
+    "CONST": (re.compile("([01])").fullmatch, OP_CONST),
+    "NOT": (re.compile(f"g({_NUMBER})").fullmatch, OP_NOT),
+    "AND": (_REFS_RE.fullmatch, OP_AND),
+    "OR": (_REFS_RE.fullmatch, OP_OR),
+}
 
 
 def emit_netlist(c: Circuit) -> str:
@@ -641,39 +657,41 @@ def parse_netlist(text: str, first_line: int = 1) -> Circuit:
     index_of: dict[int, int] = {}
     outputs: dict[int, int] = {}
 
-    def resolve(gid: int, pos: int, lineno: int) -> int:
-        ref = index_of.get(gid)
-        if ref is None:
-            below = any((g := _GATE_RE.match(row)) and int(g.group(1)) == gid for _, row in rows[pos:])
-            raise NetlistError(f"{'forward' if below else 'dangling'} reference g{gid}", lineno)
-        return ref
+    def unresolved(gid: int, pos: int, lineno: int) -> NetlistError:
+        below = any((g := _GATE_RE.match(row)) and int(g.group(1)) == gid for _, row in rows[pos:])
+        return NetlistError(f"{'forward' if below else 'dangling'} reference g{gid}", lineno)
 
     for pos, (lineno, row) in enumerate(rows[1:], start=1):
         g = _GATE_RE.match(row)
         if g:
-            gid, op, rest = int(g.group(1)), g.group(2), g.group(3).strip()
+            gid, op, rest = int(g[1]), g[2], g[3]
             if gid in index_of:
                 raise NetlistError(f"duplicate gate id g{gid}", lineno)
-            args = rest.split()
-            if op == "INPUT":
-                if len(args) != 1 or not _NUMBER_RE.fullmatch(args[0]):
-                    raise NetlistError(f"bad INPUT arguments: {rest!r}", lineno)
-                k = int(args[0])
-                if not 0 <= k < n:
-                    raise NetlistError(f"input index {k} out of range", lineno)
-                gate = INPUT(k)
-            elif op == "CONST":
-                if len(args) != 1 or args[0] not in ("0", "1"):
-                    raise NetlistError(f"bad CONST arguments: {rest!r}", lineno)
-                gate = CONST(int(args[0]))
-            elif op in ("NOT", "AND", "OR"):
-                want = 1 if op == "NOT" else 2
-                if len(args) != want or not all(a.startswith("g") and _NUMBER_RE.fullmatch(a[1:]) for a in args):
-                    raise NetlistError(f"bad {op} arguments: {rest!r}", lineno)
-                refs = [resolve(int(a[1:]), pos, lineno) for a in args]
-                gate = NOT(refs[0]) if op == "NOT" else Gate(op.lower(), refs[0], refs[1])
-            else:
+            form = _GATE_FORMS.get(op)
+            if form is None:
                 raise NetlistError(f"unknown gate op {op!r}", lineno)
+            fullmatch, kind = form
+            args = fullmatch(rest)
+            if args is None:
+                raise NetlistError(f"bad {op} arguments: {rest!r}", lineno)
+            if kind == OP_INPUT:
+                k = int(args[1])
+                if k >= n:
+                    raise NetlistError(f"input index {k} out of range", lineno)
+                gate = Gate(kind, k)
+            elif kind == OP_CONST:
+                gate = Gate(kind, int(args[1]))
+            else:
+                a = index_of.get(int(args[1]))
+                if a is None:
+                    raise unresolved(int(args[1]), pos, lineno)
+                if kind == OP_NOT:
+                    gate = Gate(kind, a)
+                else:
+                    b = index_of.get(int(args[2]))
+                    if b is None:
+                        raise unresolved(int(args[2]), pos, lineno)
+                    gate = Gate(kind, a, b)
             index_of[gid] = len(gates)
             gates.append(gate)
             continue
@@ -684,7 +702,10 @@ def parse_netlist(text: str, first_line: int = 1) -> Circuit:
                 raise NetlistError(f"output index {j} out of range", lineno)
             if j in outputs:
                 raise NetlistError(f"duplicate output {j}", lineno)
-            outputs[j] = resolve(gid, pos, lineno)
+            ref = index_of.get(gid)
+            if ref is None:
+                raise unresolved(gid, pos, lineno)
+            outputs[j] = ref
             continue
         raise NetlistError(f"unparseable line: {row!r}", lineno)
 

@@ -101,8 +101,9 @@ class HalvingIterProgram(DsrProgram):
 
     def _ascending(self, inst: str, path: Path) -> IterInstance | None:
         """The path's instance with source ``inst``, or None when it does not
-        ascend from there (the padded case)."""
-        here = self.instance_for(path).with_source(inst)
+        ascend from there (the padded case).  The state space has checked
+        the cell word ``inst``."""
+        here = self.instance_for(path)._sourced(inst)
         return here if here.step(inst) > inst else None
 
     def _replay(self, inst: str, answered, path: Path) -> str | None:

@@ -113,8 +113,12 @@ class IterInstance:
     def with_source(self, source: str | None) -> "IterInstance":
         """The same successor with another source: the copy shares the
         circuit or half, the points and the halves."""
+        return self._sourced(_checked_source(source, self.n))
+
+    def _sourced(self, source: str | None) -> "IterInstance":
+        """``with_source`` for a source already checked as n bits."""
         other = IterInstance.__new__(IterInstance)
-        vars(other).update(vars(self), source=_checked_source(source, self.n), _halves=self._halves)
+        vars(other).update(vars(self), source=source, _halves=self._halves)
         return other
 
     def half(self, bit: int, source: str | None = None) -> "IterInstance":

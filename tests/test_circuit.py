@@ -1,7 +1,8 @@
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tfnpkit import (
@@ -339,6 +340,88 @@ def test_netlist_errors_name_lines():
         f"output {j} = g0\n" for j in range(64)
     )
     assert parse_netlist(wide).n == 64
+    # each gate form's arguments, and the duplicate id checked before them
+    for row, message in (
+        ("g1 = AND g0", "bad AND arguments: 'g0'"),
+        ("g1 = INPUT 0 0", "bad INPUT arguments: '0 0'"),
+        ("g1 = CONST 2", "bad CONST arguments: '2'"),
+        ("g1 = NOT 0", "bad NOT arguments: '0'"),
+        ("g0 = AND g0", "duplicate gate id g0"),
+    ):
+        with pytest.raises(NetlistError) as err:
+            parse_netlist(f"circuit c inputs=1 outputs=1\ng0 = INPUT 0\n{row}\noutput 0 = g0\n")
+        assert str(err.value) == f"line 3: {message}"
+    glued = parse_netlist("circuit c inputs=1 outputs=1\ng0 = INPUT 0\ng1 = ANDg0 g0\noutput 0 = g1\n")
+    assert glued.gates == (INPUT(0), AND(0, 0))
+
+
+_ROW_NUMBER = re.compile("[0-9]{1,18}")
+
+
+def _split_read_row(row: str, n: int, defined: dict[int, int]) -> Gate | str:
+    """The gate row ``g2 = ...`` read by splitting its arguments on
+    whitespace and checking each token: the gate, or the error message."""
+    shape = re.fullmatch(r"g([0-9]{1,18})\s*=\s*([A-Z]+)\s*(.*)", row)
+    if shape is None:
+        return f"unparseable line: {row!r}"
+    op, rest = shape[2], shape[3].strip()
+    args = rest.split()
+    if op not in ("INPUT", "CONST", "NOT", "AND", "OR"):
+        return f"unknown gate op {op!r}"
+    bad = f"bad {op} arguments: {rest!r}"
+    if op == "INPUT":
+        if len(args) != 1 or not _ROW_NUMBER.fullmatch(args[0]):
+            return bad
+        k = int(args[0])
+        return INPUT(k) if k < n else f"input index {k} out of range"
+    if op == "CONST":
+        return CONST(int(args[0])) if args in (["0"], ["1"]) else bad
+    if len(args) != (1 if op == "NOT" else 2):
+        return bad
+    if not all(a.startswith("g") and _ROW_NUMBER.fullmatch(a[1:]) for a in args):
+        return bad
+    refs = []
+    for a in args:
+        gid = int(a[1:])
+        if gid not in defined:
+            return f"{'forward' if gid == 2 else 'dangling'} reference g{gid}"
+        refs.append(defined[gid])
+    return Gate(op.lower(), *refs)
+
+
+_ROW_OPS = st.sampled_from(["INPUT", "CONST", "NOT", "AND", "OR", "and", "FROB"])
+_ROW_SEPARATORS = st.sampled_from(["", " ", "\t", "\u00a0", "\u2003"])
+#: A number, a reference (g0, g00, g2 on its own row, g1...1 dangling) or a
+#: near miss: 19 digits, non-ASCII digits, a bare ``g``.
+_ROW_TOKENS = st.builds(
+    str.__add__,
+    st.sampled_from(["g", ""]),
+    st.sampled_from(["0", "00", "1", "2", "1" * 18, "1" * 19, "\u00b2", "\u0663", ""]),
+)
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(
+    _ROW_OPS,
+    st.lists(st.tuples(_ROW_SEPARATORS, _ROW_TOKENS), max_size=3),
+    _ROW_SEPARATORS,
+)
+@example("AND", [("", "g0"), (" ", "g0")], " ")
+@example("AND", [(" ", "g0"), ("", "g0")], " ")
+@example("INPUT", [(" ", "1" * 19)], " ")
+def test_gate_rows_read_as_split_tokens(op, args, after_equals):
+    """A one-gate row, its arguments glued or split by any whitespace, reads
+    as a reader that splits on whitespace and checks each token reads it:
+    the same gate, or the same message."""
+    row = f"g2 ={after_equals}{op}" + "".join(sep + token for sep, token in args)
+    text = f"circuit c inputs=2 outputs=1\ng0 = INPUT 0\ng1 = INPUT 1\n{row}\noutput 0 = g0\n"
+    want = _split_read_row(row, 2, {0: 0, 1: 1})
+    if isinstance(want, Gate):
+        assert parse_netlist(text).gates[2] == want
+    else:
+        with pytest.raises(NetlistError) as err:
+            parse_netlist(text)
+        assert str(err.value) == f"line 4: {want}"
 
 
 def test_circuit_from_table_roundtrip(rng):
