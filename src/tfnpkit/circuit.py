@@ -9,9 +9,11 @@ works on ``(op, a, b)`` entries, and per-gate loops unpack it.
 
 A circuit that is read again and again (an iteration or sink-of-DAG
 instance's) is read through :func:`point`, which caches its points on the
-circuit beside its size: up to 16 inputs, the truth table built at the
-first point; wider, each point evaluated once.  A reader that takes each
-point once or twice (end-of-line checks and walks) calls :func:`evaluate`.
+circuit beside its size: up to 16 inputs, the truth table; wider, each
+point evaluated once.  A circuit synthesised from a table
+(:func:`circuit_from_table`) carries that table from the start, and any
+other builds it at its first point.  A reader that takes each point once or
+twice (end-of-line checks and walks) calls :func:`evaluate`.
 
 Circuits are validated once, at the boundary: ``Circuit(...)`` checks what
 it is given, and :func:`parse_netlist` checks each row as it reads it.  The
@@ -129,7 +131,8 @@ class Circuit:
     def _points(self) -> str | dict[str, str]:
         """What :func:`point` reads: the truth table as one string of the
         output words in input order, or for a wider circuit a memo of the
-        points evaluated so far."""
+        points evaluated so far.  A table-born circuit is given its table
+        (``_seeded``); any other builds it here."""
         return "".join(successor_table(self)) if self.n <= _TABLE_MAX_INPUTS else {}
 
 
@@ -214,8 +217,9 @@ def output_masks(c: Circuit) -> list[int]:
     Evaluates the whole truth table in one pass using word-parallel integer
     operations.  Gates that feed no output are skipped, and each gate's mask
     is freed after its last reader, so only the masks still to be read are
-    held at any time.  A circuit of up to 16 inputs reads its points from
-    this table, built at its first point and cached on it (see ``point``).
+    held at any time.  A circuit of up to 16 inputs that was not born with
+    its table reads its points from this one, built at its first point and
+    cached on it (see ``point``).
     """
     gates = c.gates
     last, _ = _liveness(gates, c.outputs)
@@ -280,20 +284,49 @@ def _fold(
     ``(op, a, b)`` over the entries, which the sweep renumbers into a gate,
     so each surviving gate is made once.  Outputs that fold to a constant
     get one CONST gate per value, in output order.  Returns the entries and
-    the output references into them."""
+    the output references into them.  Ops are compared with ``==``: a valid
+    circuit may carry op strings that are equal to the ``OP_*`` constants
+    without being the same objects."""
     made: list[tuple[str, int, int]] = []
     vals: list[int | None] = []
     emit, put = made.append, vals.append
     for g, reader in zip(entries, repeat(0) if live is None else live):
         op, a, b = g
-        if op == OP_INPUT:
+        # AND/OR are the bulk of the entries, so they are tested first.  A
+        # constant operand of AND short-circuits at 0 (~0) and passes the
+        # other operand at 1 (~1); OR the other way round.
+        if op == OP_AND:
+            if reader < 0:
+                put(None)  # no live entry reads it
+                continue
+            a, b = vals[a], vals[b]
+            if a < 0:
+                put(b if a == ~1 else a)
+                continue
+            if b < 0:
+                put(a if b == ~1 else b)
+                continue
+            g = (op, a, b)
+        elif op == OP_OR:
+            if reader < 0:
+                put(None)
+                continue
+            a, b = vals[a], vals[b]
+            if a < 0:
+                put(b if a == ~0 else a)
+                continue
+            if b < 0:
+                put(a if b == ~0 else b)
+                continue
+            g = (op, a, b)
+        elif op == OP_INPUT:
             if a == k0:
                 put(~bit)
                 continue
             if shift and a > k0:
                 g = INPUT(a - shift)
         elif reader < 0:
-            put(None)  # no live entry reads it
+            put(None)
             continue
         elif op == OP_NOT:
             a = vals[a]
@@ -301,13 +334,6 @@ def _fold(
                 put(~(~a ^ 1))
                 continue
             g = (op, a, 0)
-        elif op != OP_CONST:
-            a, b = vals[a], vals[b]
-            if a < 0 or b < 0:
-                short = ~0 if op == OP_AND else ~1
-                put(short if short in (a, b) else (b if a < 0 else a))
-                continue
-            g = (op, a, b)
         put(len(made))
         emit(g)
     const_refs: dict[int, int] = {}
@@ -327,25 +353,28 @@ def _liveness(gates: Sequence[tuple[str, int, int]], refs: Sequence[int]) -> tup
     """For each gate, the index of the last gate that reads it, ``len(gates)``
     for one of the gates ``refs``, and -1 for a gate that feeds none of them
     (dead); and what the live logic gates add to ``size``.  One backward
-    pass."""
-    last = [-1] * len(gates)
+    pass counts the live NOT and AND/OR gates, and each count is priced once
+    (AND and OR cost the same)."""
+    top = len(gates)
+    last = [-1] * top
     for r in refs:
-        last[r] = len(gates)
-    cost = 0
-    for idx in range(len(gates) - 1, -1, -1):
+        last[r] = top
+    binary = nots = 0
+    idx = top
+    for op, a, b in reversed(gates):
+        idx -= 1
         if last[idx] >= 0:
-            op, a, b = gates[idx]
-            if op == OP_NOT:
-                cost += GATE_COST[op]
-                if last[a] < 0:
-                    last[a] = idx
-            elif op in _BINARY:
-                cost += GATE_COST[op]
+            if op == OP_AND or op == OP_OR:
+                binary += 1
                 if last[a] < 0:
                     last[a] = idx
                 if last[b] < 0:
                     last[b] = idx
-    return last, cost
+            elif op == OP_NOT:
+                nots += 1
+                if last[a] < 0:
+                    last[a] = idx
+    return last, binary * GATE_COST[OP_AND] + nots * GATE_COST[OP_NOT]
 
 
 def _sweep(
@@ -501,7 +530,9 @@ def constant_circuit(n: int, bits: str, name: str = "k") -> Circuit:
 
 def circuit_from_table(table: Sequence[int], n: int, m: int, name: str = "t") -> Circuit:
     """Synthesise a circuit computing the given truth table (entry x is the
-    m-bit output for input value x) as a shared-minterm multiplexer."""
+    m-bit output for input value x) as a shared-minterm multiplexer.  A
+    circuit narrow enough to read its points from a table (see ``point``)
+    carries this one from the start."""
     _check_shape(n, m)
     if len(table) != 1 << n:
         raise DimensionError(f"table must have {1 << n} entries")
@@ -509,7 +540,7 @@ def circuit_from_table(table: Sequence[int], n: int, m: int, name: str = "t") ->
         if not 0 <= v < 1 << m:
             raise DimensionError(f"table entry {v} does not fit in {m} bits")
     if n == 0:
-        return constant_circuit(0, format(table[0], f"0{m}b"), name)
+        return _seeded(constant_circuit(0, format(table[0], f"0{m}b"), name), table)
     gates: list[Gate] = [INPUT(k) for k in range(n)]
     neg = []
     for k in range(n):
@@ -538,7 +569,23 @@ def circuit_from_table(table: Sequence[int], n: int, m: int, name: str = "t") ->
             gates.append(OR(acc, minterm[x]))
             acc = len(gates) - 1
         outs.append(acc)
-    return _derived(n, tuple(gates), tuple(outs), name)
+    return _seeded(_derived(n, tuple(gates), tuple(outs), name), table)
+
+
+def _seeded(c: Circuit, table: Sequence[int]) -> Circuit:
+    """``c``, which computes ``table``, with the table's words as its points
+    when it is narrow enough to read them from a table."""
+    if c.n <= _TABLE_MAX_INPUTS:
+        top = 1 << c.m  # a 1 above the word's m bits: bin() then keeps its zeros
+        vars(c)["_points"] = "".join([bin(v | top)[3:] for v in table])
+    return c
+
+
+def _table_words(c: Circuit) -> str | None:
+    """The truth table ``c`` holds already, seeded or built, as one string of
+    output words in input order; None when it holds none."""
+    points = vars(c).get("_points")
+    return points if type(points) is str else None
 
 
 def random_circuit(rng, n: int, m: int, gate_count: int, name: str = "r") -> Circuit:
@@ -641,6 +688,12 @@ def parse_netlist(text: str, first_line: int = 1) -> Circuit:
             rows.append((first_line + offset, stripped))
     if not rows:
         raise NetlistError("empty netlist", first_line)
+    return _read_rows(rows)
+
+
+def _read_rows(rows: list[tuple[int, str]]) -> Circuit:
+    """The circuit on a netlist's ``(lineno, row)`` rows, each stripped of
+    its comment and whitespace and not empty, the header first."""
     lineno, header = rows[0]
     match = _HEADER_RE.match(header)
     if not match:

@@ -12,9 +12,11 @@ the fold, so no gate is built; its circuit, gate for gate the
 from the root with the fixed prefix prepended.  Source-free iteration runs
 that algorithm from the all-zero word and asks each query through
 :func:`~tfnpkit.reductions.drop_source`, whose target reads the query's
-points.  The sink-of-DAG problems halve the valuation range on its leading
-bit.  A sink-of-DAG query is composed over the instance that asks it
-(:meth:`SodInstance.dropped`, :meth:`SodInstance.frozen`): it reads its
+points.  At one bit the iteration algorithm answers its source: a
+well-formed one-bit instance steps from 0 to 1, so 0 is its only solution,
+and no search is made.  The sink-of-DAG problems halve the valuation range
+on its leading bit.  A sink-of-DAG query is composed over the instance that
+asks it (:meth:`SodInstance.dropped`, :meth:`SodInstance.frozen`): it reads its
 points through the parent's memo, and it is measured, without being
 built, as exactly the circuit ``restrict_output``/``freeze_stage`` would
 make (successor then valuation outputs).  Only the root circuit is read
@@ -55,7 +57,7 @@ from .problems import (
     well_formed,
 )
 from .reductions import drop_source
-from .solvers import solve_exhaustive, solve_path
+from .solvers import solve_path
 
 Oracle = Callable[..., str]
 
@@ -119,7 +121,8 @@ def dsr_iter_with_source(inst: IterInstance, oracle: Oracle) -> str:
     _require(inst, KIND_ITER_WS)
     source = inst.source
     if inst.n <= 1:
-        return solve_exhaustive(inst)
+        # S(src) > src makes src = 0 and S(0) = 1, and S(1) <= 1: 0 solves
+        return source
     low_answer = None
     if source[0] == "0" and inst.step(source)[0] == "0":
         # a walk that starts in or at once enters the upper half has no lower query
@@ -231,8 +234,9 @@ def run_dsr(inst: CircuitInstance, oracle: Oracle) -> str:
 
 class SelfReductionOracle:
     """Answers queries by recursively running the matching algorithm, which
-    ends in its own base case: exhaustive search at one bit for the
-    iteration problems, the single-valuation-bit rule for sink-of-DAG."""
+    ends in its own base case: at one bit the iteration problems answer
+    their source, the only solution of a well-formed one-bit instance (it
+    steps from 0 to 1), and sink-of-DAG uses the single-valuation-bit rule."""
 
     def __init__(self):
         self._entry: Oracle = self

@@ -15,6 +15,7 @@ freezes.
 from __future__ import annotations
 
 import copy
+from itertools import repeat
 from typing import Callable, Sequence
 
 from .bits import check_bits, from_int
@@ -31,7 +32,9 @@ from .circuit import (
     Circuit,
     GATE_COST,
     Gate,
+    Half,
     _derived,
+    _table_words,
     project_outputs,
 )
 from .errors import DimensionError
@@ -160,15 +163,23 @@ class GateBuilder:
             out.append(self.or_(sel, e) if b == "1" else self.and_(nsel, e))
         return out
 
-    def embed(self, c: Circuit, input_refs: Sequence[int]) -> list[int]:
+    def embed(self, c: Circuit | Half, input_refs: Sequence[int]) -> list[int]:
         """Append a copy of ``c`` reading its inputs from ``input_refs``;
-        returns the references carrying its outputs."""
+        returns the references carrying its outputs.  A :class:`Half` is
+        copied from its live entries, gate for gate as its circuit would be,
+        without building that circuit."""
         if len(input_refs) != c.n:
             raise DimensionError("embedding needs one reference per input")
-        refs: list[int] = []
-        for op, a, b in c.gates:
+        if isinstance(c, Half):
+            entries, live, depth = c.entries, c.last, c.depth
+        else:
+            entries, live, depth = c.gates, repeat(0), 0
+        refs: list[int | None] = []
+        for (op, a, b), reader in zip(entries, live):
             if op == OP_INPUT:
-                refs.append(input_refs[a])
+                refs.append(input_refs[a - depth])
+            elif reader < 0:
+                refs.append(None)  # dead: no live entry reads it
             elif op == OP_CONST:
                 refs.append(self.const(a))
             elif op == OP_NOT:
@@ -192,9 +203,10 @@ def redirect_zero_inputs(c: Circuit, target: str, name: str | None = None) -> Ci
     return b.circuit(outs, name=name or c.name)
 
 
-def redirect_zero_outputs(c: Circuit, word: str, name: str | None = None) -> Circuit:
+def redirect_zero_outputs(c: Circuit | Half, word: str, name: str | None = None) -> Circuit:
     """Wrap ``c`` with an output stage giving the hardcoded ``word`` on the
-    all-zero input and ``c``'s outputs on every other input."""
+    all-zero input and ``c``'s outputs on every other input; a half is
+    embedded from its entries (see ``GateBuilder.embed``)."""
     b = GateBuilder(c.n)
     return b.circuit(b.redirect_zero(word, b.embed(c, b.inputs)), name=name or c.name)
 
@@ -203,7 +215,9 @@ def combine_pair(succ: Circuit, valuation: Circuit, name: str = "pair") -> Circu
     """One circuit computing successor and valuation on shared inputs, with
     the successor bits first.  The valuation's gates follow, renumbered; its
     INPUT gates read the successor's (one is appended for an input the
-    successor has no gate for), so the pair has no duplicate inputs."""
+    successor has no gate for), so the pair has no duplicate inputs.  When
+    both hold their truth tables (a table-born circuit carries its own), the
+    pair's is their words joined point by point, with no evaluation."""
     if succ.n != succ.m:
         raise DimensionError(f"successor circuit must have n == m, got {succ.n} -> {succ.m}")
     if valuation.n != succ.n:
@@ -228,7 +242,14 @@ def combine_pair(succ: Circuit, valuation: Circuit, name: str = "pair") -> Circu
         refs.append(len(gates))
         gates.append(g)
     outputs = succ.outputs + tuple(refs[r] for r in valuation.outputs)
-    return _derived(succ.n, tuple(gates), outputs, name)
+    pair = _derived(succ.n, tuple(gates), outputs, name)
+    s_words, v_words = _table_words(succ), _table_words(valuation)
+    if s_words is not None and v_words is not None:
+        n, m = succ.m, valuation.m
+        vars(pair)["_points"] = "".join(
+            [s_words[x * n : x * n + n] + v_words[x * m : x * m + m] for x in range(1 << succ.n)]
+        )
+    return pair
 
 
 def split_pair(combined: Circuit, value_bits: int) -> tuple[Circuit, Circuit]:

@@ -43,8 +43,9 @@ from functools import cached_property, partial
 from typing import Callable
 
 from .bits import check_bits, from_int, zeros
-from .circuit import Circuit, Half, emit_netlist, evaluate, parse_netlist, point, projected_size
-from .circuit import _derived, _strip, circuit_from_table, restrict_output, size as circuit_gate_size
+from .circuit import Circuit, Half, emit_netlist, evaluate, point, projected_size
+from .circuit import _derived, _read_rows, _strip, circuit_from_table, restrict_output
+from .circuit import size as circuit_gate_size
 from .errors import DimensionError, NetlistError
 from .gadgets import Net, combine_pair, freeze_stage, redirect_zero_outputs, split_pair
 
@@ -70,10 +71,11 @@ class IterInstance:
 
     Only a root reads its circuit.  A half (:meth:`half`) is a
     :class:`~tfnpkit.circuit.Half`: it is sized from its parent's folded
-    entries, and its circuit is built only when ``succ`` is read (by
-    :meth:`redirected`, the envelope writer, equality or a test).  It reads
-    the root it was cut from, with its fixed prefix prepended, and a
-    :meth:`redirected` instance reads the instance it redirects."""
+    entries, and its circuit is built only when ``succ`` is read (by the
+    envelope writer, equality or a test; :meth:`redirected` embeds the
+    half's entries).  It reads the root it was cut from, with its fixed
+    prefix prepended, and a :meth:`redirected` instance reads the instance
+    it redirects."""
 
     source: str | None = None
     _half: Half | None = None  # a root holds ``succ`` itself
@@ -141,11 +143,13 @@ class IterInstance:
         """Source-free instance that steps the all-zero word to this
         instance's source and every other word as this instance does (the
         target of ``drop_source``).  Its circuit wraps this one in
-        ``redirect_zero_outputs``; its points are read through this one."""
+        ``redirect_zero_outputs``, which embeds a half's live entries
+        directly, so a half's own circuit is not built; its points are read
+        through this one."""
         source = self.source
         if source is None:
             raise DimensionError("only an instance with a source can be redirected")
-        target = IterInstance(redirect_zero_outputs(self.succ, source, name="succ"))
+        target = IterInstance(redirect_zero_outputs(self._form, source, name="succ"))
         zero, step = zeros(self.n), self.step
         vars(target)["_read"] = (lambda x: source if x == zero else step(x), "")
         return target
@@ -538,31 +542,31 @@ def emit_instance(inst: CircuitInstance) -> str:
 
 
 def parse_instance(text: str) -> CircuitInstance:
-    lines = text.splitlines()
     kind: str | None = None
     blocks: dict[str, Circuit] = {}
     starts: dict[str, int] = {}
     source: str | None = None
     source_line: int | None = None
-    block_start: int | None = None
+    block: list[tuple[int, str]] | None = None  # the open circuit block's rows, header first
 
-    def close_block(end: int) -> None:
-        nonlocal block_start
-        if block_start is None:
+    def close_block() -> None:
+        nonlocal block
+        if block is None:
             return
-        c = parse_netlist("\n".join(lines[block_start - 1 : end]), first_line=block_start)
+        c = _read_rows(block)
+        block_start = block[0][0]
         if c.name in blocks:
             raise NetlistError(f"duplicate circuit block {c.name!r}", block_start)
         blocks[c.name] = c
         starts[c.name] = block_start
-        block_start = None
+        block = None
 
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = _strip(raw)
         if not stripped:
             continue
         if stripped.startswith("problem "):
-            close_block(lineno - 1)
+            close_block()
             if kind is not None:
                 raise NetlistError("duplicate problem line", lineno)
             kind = stripped.split(None, 1)[1].strip()
@@ -570,19 +574,20 @@ def parse_instance(text: str) -> CircuitInstance:
                 raise NetlistError(f"unknown problem kind {kind!r}", lineno)
             continue
         if stripped.startswith("circuit "):
-            close_block(lineno - 1)
-            block_start = lineno
+            close_block()
+            block = [(lineno, stripped)]
             continue
         if stripped.startswith("source="):
-            close_block(lineno - 1)
+            close_block()
             if source is not None:
                 raise NetlistError("duplicate source line", lineno)
             source = stripped[len("source=") :].strip()
             source_line = lineno
             continue
-        if block_start is None:
+        if block is None:
             raise NetlistError(f"unexpected line outside circuit block: {stripped!r}", lineno)
-    close_block(len(lines))
+        block.append((lineno, stripped))
+    close_block()
 
     if kind is None:
         raise NetlistError("missing problem line")

@@ -12,7 +12,7 @@ import pytest
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
-from tfnpkit import Circuit, circuit_from_table
+from tfnpkit import Circuit, circuit_from_table, emit_netlist, parse_netlist
 from tfnpkit.circuit import OP_AND, OP_CONST, OP_INPUT, OP_NOT, evaluate, successor_table
 
 
@@ -45,6 +45,12 @@ def table_circuit(table, n, m=None, name="succ"):
     return circuit_from_table(list(table), n, m if m is not None else n, name=name)
 
 
+def parsed(c: Circuit) -> Circuit:
+    """``c`` read back from its netlist: the same gates, and unlike a
+    table-born circuit it carries no truth table."""
+    return parse_netlist(emit_netlist(c))
+
+
 def _count_reads(monkeypatch) -> tuple[collections.Counter, collections.Counter]:
     """Route every toolkit binding of ``evaluate`` through a counter of
     (circuit, point) pairs, and every binding of ``successor_table`` through
@@ -74,8 +80,9 @@ def _count_reads(monkeypatch) -> tuple[collections.Counter, collections.Counter]
 
 
 def _assert_only_roots_read(evaluations, tables, roots) -> None:
-    """Each root circuit tabulated at most once, each point evaluated at most
-    once, and no other circuit evaluated or tabulated."""
+    """Each root circuit tabulated at most once (a table-born root, which
+    carries its table, never), each point evaluated at most once, and no
+    other circuit evaluated or tabulated."""
     assert {c for c, _ in evaluations} | set(tables) <= {id(r) for r in roots}
     assert max(tables.values(), default=0) <= 1
     assert max(evaluations.values(), default=0) <= 1

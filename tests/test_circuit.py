@@ -28,12 +28,12 @@ from tfnpkit import (
     successor_table,
 )
 from tfnpkit.bits import all_bitstrings, splice
-from tfnpkit.circuit import constant_circuit, eval_table, pad_with_dead_gates, project_outputs
+from tfnpkit.circuit import Half, constant_circuit, eval_table, pad_with_dead_gates, point, project_outputs
 from tfnpkit.errors import DimensionError, NetlistError, RestrictionError
 from tfnpkit.gadgets import combine_pair, freeze_stage, redirect_zero_outputs
 from tfnpkit.problems import SodInstance
 
-from conftest import naive_evaluate
+from conftest import naive_evaluate, parsed
 
 
 def test_identity_passthrough():
@@ -457,6 +457,66 @@ def test_gate_validation():
             Circuit(1, 1, (INPUT(0), unused), (1,))
 
 
+def _fresh_ops(c: Circuit) -> Circuit:
+    """``c`` with each op string built anew: equal to the ``OP_*`` constants
+    without being the same objects."""
+    gates = tuple(Gate("".join(list(op)), a, b) for op, a, b in c.gates)
+    assert not any(g.op is h.op for g, h in zip(gates, c.gates))
+    return Circuit(c.n, c.m, gates, c.outputs, name=c.name)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(restrictable(), st.data())
+def test_ops_are_compared_by_equality(c, data):
+    """A valid circuit may carry op strings that equal the canonical ones
+    without being them.  Its input restrictions, its halves and their
+    halves are those of the canonical circuit: entries, liveness and sizes."""
+    fresh = _fresh_ops(c)
+    position = data.draw(st.integers(1, c.n))
+
+    def same_halves(parent, canonical) -> None:
+        for bit in (0, 1):
+            half, want = Half(parent, bit), Half(canonical, bit)
+            assert (half.entries, half.outputs, half.last) == (want.entries, want.outputs, want.last)
+            assert half.size == want.size
+            if half.n and half.m >= 2:
+                same_halves(half, want)
+
+    for bit in (0, 1):
+        assert restrict_input(fresh, position, bit) == restrict_input(c, position, bit)
+    same_halves(fresh, c)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 4), st.data())
+def test_table_born_circuits_carry_their_points(n, m, data):
+    """A table-born circuit's points are its gates' truth table, and so are
+    the points a pair of two table-born circuits joins; a pair with a
+    parsed half holds none until it is read."""
+    table = data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1 << n, max_size=1 << n))
+    c = circuit_from_table(table, n, m)
+    assert vars(c)["_points"] == "".join(successor_table(c))
+    if n:
+        steps = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1 << n, max_size=1 << n))
+        succ = circuit_from_table(steps, n, n)
+        pair = combine_pair(succ, c)
+        assert vars(pair)["_points"] == "".join(successor_table(pair))
+        assert "_points" not in vars(combine_pair(succ, parsed(c)))
+
+
+def test_wide_table_born_circuits_read_through_the_memo(monkeypatch):
+    """A table-born circuit too wide to read a table gets no seed, nor does
+    a pair of two: each reads its points through the memo."""
+    monkeypatch.setattr("tfnpkit.circuit._TABLE_MAX_INPUTS", 2)
+    succ = circuit_from_table([(3 * x + 1) % 8 for x in range(8)], 3, 3)
+    pair = combine_pair(succ, circuit_from_table([x % 4 for x in range(8)], 3, 2))
+    for c in (succ, pair):
+        assert "_points" not in vars(c)
+        xs = list(all_bitstrings(3))
+        assert [point(c, x) for x in xs] == [evaluate(c, x) for x in xs]
+        assert vars(c)["_points"] == {x: evaluate(c, x) for x in xs}
+
+
 def _revalidated(c: Circuit) -> Circuit:
     """``c`` after the check every derived circuit skips: built again through
     ``Circuit(...)``, which must accept it and equal it, gate type included."""
@@ -481,6 +541,9 @@ def test_derived_circuits_pass_the_boundary_check(c, data):
     _revalidated(project_outputs(c, data.draw(st.lists(st.integers(0, c.m - 1), min_size=1, max_size=c.m + 1))))
     _revalidated(restrict_half(c, bit))
     _revalidated(redirect_zero_outputs(c, word))
+    # a half is embedded from its entries, gate for gate as its circuit
+    redirected_half = _revalidated(redirect_zero_outputs(Half(c, bit), word[1:]))
+    assert redirected_half == redirect_zero_outputs(restrict_half(c, bit), word[1:])
     _revalidated(pad_with_dead_gates(c, data.draw(st.integers(0, 3))))
     _revalidated(circuit_from_table([rng.randrange(1 << c.m) for _ in range(1 << c.n)], c.n, c.m))
     constant = _revalidated(circuit_from_table([rng.randrange(1 << c.m)], 0, c.m))

@@ -35,7 +35,7 @@ from tfnpkit.gadgets import Net, redirect_zero_inputs
 from tfnpkit.problems import instance_bits
 from tfnpkit.solvers import solve_path
 
-from conftest import _assert_only_roots_read, _count_reads, iter_tables, table_circuit
+from conftest import _assert_only_roots_read, _count_reads, iter_tables, parsed, table_circuit
 
 
 def test_worked_two_bit_chain():
@@ -355,16 +355,21 @@ def _long_path(n: int):
 
 def test_monitored_long_paths_evaluate_each_point_once(monkeypatch):
     """Verifiers, pivots, queries, halves and the parent's re-check of a
-    child's answer all read the root's points: each root circuit is
-    tabulated at most once (here at its first point, as n <= 16), each
-    point evaluated at most once, and no query or half circuit is evaluated
-    or tabulated."""
+    child's answer all read the root's points: each point is evaluated at
+    most once, and no query or half circuit is evaluated or tabulated.  A
+    table-born root carries its table and builds none; the same root read
+    back from its netlist is tabulated once, at its first point (n <= 16)."""
     identity = table_circuit(range(32), 5, name="valuation")
     cases = [
         SodInstance(_long_path(5), identity),
         SodInstance(_long_path(5), identity, "00011"),
         IterInstance(_long_path(6)),
         IterInstance(_long_path(6), "000101"),
+    ]
+    born = len(cases)
+    cases += [
+        SodInstance(parsed(_long_path(5)), parsed(identity), "00011"),
+        IterInstance(parsed(_long_path(6))),
     ]
     copies = []
     with_source = SodInstance.with_source
@@ -376,13 +381,13 @@ def test_monitored_long_paths_evaluate_each_point_once(monkeypatch):
     monkeypatch.setattr(SodInstance, "with_source", recording)
     evaluations, tables = _count_reads(monkeypatch)
     roots = []
-    for inst in cases:
+    for index, inst in enumerate(cases):
         n = inst.n
         roots.append(inst.pair if isinstance(inst, SodInstance) else inst.succ)
         answer = run_dsr(inst, monitored(self_oracle(), "circuit-dsr-poly-blowup", c=2))
         assert answer == from_int((1 << n) - 2, n)  # the unique solution
         _assert_only_roots_read(evaluations, tables, roots)
-        assert tables[id(roots[-1])] == 1 and not evaluations
+        assert tables[id(roots[-1])] == (index >= born) and not evaluations
         read = sum(evaluations.values()) + sum(tables.values())
         assert verify_solution(inst.with_source(from_int(1, n)), answer)
         assert sum(evaluations.values()) + sum(tables.values()) == read
@@ -560,8 +565,8 @@ def test_iteration_queries_are_two_step_halves_built_in_one_pass(monkeypatch):
     iteration instances.  Making a half constructs no circuit, and reading
     its ``succ`` constructs exactly one.  A monitored long-path run that
     reads no query constructs the root and, for each ``drop_source`` that
-    redirects, the query's half and the redirected target, and nothing
-    else."""
+    redirects, the redirected target, and nothing else: the target embeds
+    the query's half from its entries, so the half's circuit is not built."""
     constructed = _recording_constructions(monkeypatch)
     made = []  # circuits constructed by each half as it is made
     init = circuit.Half.__init__
@@ -576,12 +581,12 @@ def test_iteration_queries_are_two_step_halves_built_in_one_pass(monkeypatch):
 
     def assert_built_only_redirects(inst, roots=()) -> int:
         """Run ``inst`` monitored: the circuits constructed are ``roots``
-        and the query half and target of each redirecting ``drop_source``.
-        Returns the number of redirects."""
+        and the target of each redirecting ``drop_source``.  Returns the
+        number of redirects."""
         dropped.clear()
         run_dsr(inst, monitored(self_oracle(), "circuit-dsr-poly-blowup", c=2))
-        redirects = [c for target, _, sub in dropped.values() for c in (sub.succ, target.succ)]
-        assert sorted(map(id, constructed)) == sorted(map(id, [*roots, *redirects]))
+        targets = [target.succ for target, _, _ in dropped.values()]
+        assert sorted(map(id, constructed)) == sorted(map(id, [*roots, *targets]))
         constructed.clear()
         return len(dropped)
 
@@ -613,17 +618,25 @@ def test_iteration_queries_are_two_step_halves_built_in_one_pass(monkeypatch):
 
 def test_long_path_sink_of_dag_evaluates_only_the_root(monkeypatch):
     """Queries read their parent's memo: a monitored run reads no circuit
-    but the root's, which it tabulates once and never evaluates, and it
-    hash-conses the root once (the drop chain is asked before its freezes)."""
-    inst = SodInstance(_long_path(5), table_circuit(range(32), 5, name="valuation"))
+    but the root's and never evaluates it, and it hash-conses the root once
+    (the drop chain is asked before its freezes).  A root paired from
+    table-born circuits carries their joined table and builds none; a root
+    paired from parsed circuits is tabulated once (n <= 16: at its first
+    point)."""
     evaluations, tables = _count_reads(monkeypatch)
     hashed = []
     of = Net.of.__func__
     monkeypatch.setattr(Net, "of", classmethod(lambda cls, c: hashed.append(c) or of(cls, c)))
-    trace = QueryTrace()
-    answer = run_dsr(inst, monitored(self_oracle(), "circuit-dsr-poly-blowup", c=2, trace=trace))
-    assert answer == from_int(30, 5)
-    assert len(trace) == 30
-    _assert_only_roots_read(evaluations, tables, [inst.pair])
-    assert tables == {id(inst.pair): 1} and not evaluations  # n <= 16: tabulated at the first point
-    assert len(hashed) == 1 and hashed[0] is inst.pair
+    succ, valuation = _long_path(5), table_circuit(range(32), 5, name="valuation")
+    cases = [SodInstance(succ, valuation), SodInstance(parsed(succ), parsed(valuation))]
+    for tabulated, inst in enumerate(cases):
+        evaluations.clear()
+        tables.clear()
+        hashed.clear()
+        trace = QueryTrace()
+        answer = run_dsr(inst, monitored(self_oracle(), "circuit-dsr-poly-blowup", c=2, trace=trace))
+        assert answer == from_int(30, 5)
+        assert len(trace) == 30
+        _assert_only_roots_read(evaluations, tables, [inst.pair])
+        assert tables == ({id(inst.pair): 1} if tabulated else {}) and not evaluations
+        assert len(hashed) == 1 and hashed[0] is inst.pair

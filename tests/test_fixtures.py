@@ -4,6 +4,7 @@ import pytest
 
 from tfnpkit import (
     HalvingIterProgram,
+    IterInstance,
     RecursiveCombineProblem,
     compile_pls,
     compile_svl,
@@ -17,7 +18,7 @@ from tfnpkit.dsr import dsr_iter_with_source, monitored, self_oracle
 from tfnpkit.errors import SolveBoundError
 from tfnpkit.problems import well_formed
 
-from conftest import _assert_only_roots_read, _count_reads
+from conftest import _assert_only_roots_read, _count_reads, parsed
 
 
 def naive_solution(x: str) -> str:
@@ -134,17 +135,19 @@ def test_selfhost_walk_answers_like_the_monitored_algorithm():
 
 def test_selfhost_walk_evaluates_each_point_a_bounded_number_of_times(monkeypatch):
     """Every slot path's instance reads the top instance's points: a walk
-    tabulates the top circuit once and evaluates no point, and no half
-    circuit is evaluated or tabulated."""
+    evaluates no point, and no half circuit is evaluated or tabulated.  A
+    table-born top circuit carries its table and builds none; the same
+    top circuit read back from its netlist is tabulated once."""
     evaluations, tables = _count_reads(monkeypatch)
     rng = random.Random(3)
     for n in (4, 5):
         for _ in range(3):
-            top = random_instance("iter-with-source", n, rng)
-            evaluations.clear()
-            tables.clear()
-            compiled = compile_pls(HalvingIterProgram(top), top.source)
-            *_, last = compiled.machine.walk(top.source, limit=5000)
-            assert verify_solution(top, compiled.extract(last))
-            _assert_only_roots_read(evaluations, tables, [top.succ])
-            assert tables == {id(top.succ): 1} and not evaluations
+            born = random_instance("iter-with-source", n, rng)
+            for top in (born, IterInstance(parsed(born.succ), born.source)):
+                evaluations.clear()
+                tables.clear()
+                compiled = compile_pls(HalvingIterProgram(top), top.source)
+                *_, last = compiled.machine.walk(top.source, limit=5000)
+                assert verify_solution(top, compiled.extract(last))
+                _assert_only_roots_read(evaluations, tables, [top.succ])
+                assert tables == ({} if top is born else {id(top.succ): 1}) and not evaluations

@@ -3,6 +3,7 @@ import itertools
 import random
 import re
 import weakref
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -37,12 +38,12 @@ from tfnpkit.bits import all_bitstrings, from_int, to_int
 from tfnpkit.circuit import eval_table, restrict_half, restrict_input, restrict_output, size
 from tfnpkit.errors import DimensionError, NetlistError
 from tfnpkit.gadgets import combine_pair, redirect_zero_outputs
-from tfnpkit import problems
+from tfnpkit import circuit, problems
 from tfnpkit.problems import ImplicitSodInstance
 from tfnpkit.reductions import drop_source
 from tfnpkit.solvers import solve_exhaustive, solve_path
 
-from conftest import _count_reads, table_circuit
+from conftest import _count_reads, parsed, table_circuit
 
 
 def test_constant_ones_successor_is_well_formed():
@@ -289,20 +290,21 @@ def test_parsers_raise_only_netlist_errors(text):
     number errors never escape as another exception.  Every block the
     netlist parser accepts, alone or inside an envelope, is accepted by the
     validating constructor unchanged: the parser's checks are its checks."""
-    parsed = []
+    accepted = []
 
-    def recording(*args, **kwargs):
-        parsed.append(parse_netlist(*args, **kwargs))
-        return parsed[-1]
+    def recording(read, *args):
+        accepted.append(read(*args))
+        return accepted[-1]
 
-    # the netlist parser gets the text after the problem line: the first block
-    with mock.patch.object(problems, "parse_netlist", recording):
-        for parse in (parse_instance, lambda t: recording("\n".join(t.splitlines()[1:]))):
+    # the netlist parser gets the text after the problem line: the first block;
+    # an envelope's blocks go to the row reader behind it
+    with mock.patch.object(problems, "_read_rows", partial(recording, circuit._read_rows)):
+        for parse in (parse_instance, lambda t: recording(parse_netlist, "\n".join(t.splitlines()[1:]))):
             try:
                 parse(text)
             except NetlistError:
                 pass
-    for c in parsed:
+    for c in accepted:
         assert Circuit(c.n, c.m, c.gates, c.outputs, name=c.name) == c
 
 
@@ -408,27 +410,33 @@ def test_wide_roots_evaluate_each_point_once(gate_list, value_bits, data):
 
 def test_circuits_are_tabulated_once_whatever_holds_them(monkeypatch, rng):
     """The points live on the circuit, not on the instance: instances built
-    separately on one circuit object, with and without a source, build one
-    table between them.  Nothing is evaluated."""
+    separately on one parsed circuit object, with and without a source,
+    build one table between them.  A table-born circuit, and a pair of two,
+    carries its table and builds none.  Nothing is evaluated."""
     evaluations, tables = _count_reads(monkeypatch)
-    succ = random_instance("iter", 4, rng).succ
-    pair = random_instance("sink-of-dag", 4, rng, m=3).pair
+    born_succ = random_instance("iter", 4, rng).succ
+    born = random_instance("sink-of-dag", 4, rng, m=3)
+    succ, pair = parsed(born_succ), combine_pair(parsed(born.succ), parsed(born.valuation))
     xs = list(all_bitstrings(4))
     for source in (None, xs[5], None, xs[5]):
-        inst = IterInstance(succ, source)
-        assert [inst.step(x) for x in xs] == [evaluate(succ, x) for x in xs]
-        inst = SodInstance.from_pair(pair, source)
-        assert [inst.step_and_value(x)[0] for x in xs] == [evaluate(pair, x)[:4] for x in xs]
+        for step_circuit, pair_circuit in ((succ, pair), (born_succ, born.pair)):
+            inst = IterInstance(step_circuit, source)
+            assert [inst.step(x) for x in xs] == [evaluate(step_circuit, x) for x in xs]
+            inst = SodInstance.from_pair(pair_circuit, source)
+            assert [inst.step_and_value(x)[0] for x in xs] == [evaluate(pair_circuit, x)[:4] for x in xs]
     assert not evaluations and tables == {id(succ): 1, id(pair): 1}
 
 
 def test_end_of_line_reads_evaluate_and_cache_nothing(monkeypatch, rng):
     """End-of-line checks and walks read each point once or twice, so they
     evaluate: ``verify_solution`` costs one evaluation of each circuit and
-    builds no table, and nothing is cached on the circuits, so a walk keeps
-    no visited points."""
+    builds no table, and nothing is cached on the circuits, table-born
+    (which carry their table from the start) or parsed, so a walk keeps no
+    visited points."""
     evaluations, tables = _count_reads(monkeypatch)
     eols = [random_instance("end-of-line", n, rng) for n in (1, 3, 5)]
+    eols.append(EolInstance(parsed(eols[1].succ), parsed(eols[1].pred)))
+    held = [(c, set(vars(c))) for inst in eols for c in (inst.succ, inst.pred)]
     for inst in eols:
         assert well_formed(inst)
         assert verify_solution(inst, solve_exhaustive(inst)) and verify_solution(inst, solve_path(inst))
@@ -437,7 +445,8 @@ def test_end_of_line_reads_evaluate_and_cache_nothing(monkeypatch, rng):
         verify_solution(inst, x)
         assert evaluations == {(id(inst.succ), x): 1, (id(inst.pred), x): 1}
     assert not tables
-    assert not any("_points" in vars(c) for inst in eols for c in (inst.succ, inst.pred))
+    assert all(set(vars(c)) == names for c, names in held)
+    assert not any("_points" in vars(c) for c in (eols[-1].succ, eols[-1].pred))
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
