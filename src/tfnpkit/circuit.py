@@ -39,6 +39,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .bits import check_bits, to_int
@@ -125,7 +126,8 @@ class Circuit:
 
     @cached_property
     def _size(self) -> int:
-        return sum(GATE_COST.get(op, 0) for op, _, _ in self.gates) + self.n + len(self.outputs)
+        gate_costs = map(GATE_COST.get, map(itemgetter(0), self.gates), repeat(0))
+        return sum(gate_costs) + self.n + len(self.outputs)
 
     @cached_property
     def _points(self) -> str | dict[str, str]:
@@ -680,14 +682,14 @@ def _strip(line: str) -> str:
     return line.partition("#")[0].strip()
 
 
-def parse_netlist(text: str, first_line: int = 1) -> Circuit:
+def parse_netlist(text: str) -> Circuit:
     rows: list[tuple[int, str]] = []
-    for offset, raw in enumerate(text.splitlines()):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = _strip(raw)
         if stripped:
-            rows.append((first_line + offset, stripped))
+            rows.append((lineno, stripped))
     if not rows:
-        raise NetlistError("empty netlist", first_line)
+        raise NetlistError("empty netlist", 1)
     return _read_rows(rows)
 
 

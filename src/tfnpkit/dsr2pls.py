@@ -10,16 +10,26 @@ and loops on the finished configuration.  Following the successor from the
 initial state therefore walks a path whose last state carries the answer.
 One recursive pass over a table validates it, computes its successor and
 places it on the walk, so validity, the step and the position cannot
-disagree.  The compiled valuation is that position, and 0 on any string
-that is not a valid table for the compiled instance.  The state space
-remembers its last pass, so a walk that asks a state's position and then
-its successor validates each state once; it keeps that one pass only, since
-a memo of every placed state would hold the whole walk.
+disagree.  The pass reads and writes each level in place, by its offsets in
+the one state string, so no sub-table is copied out or spliced back.  The
+compiled valuation is that position, and 0 on any string that is not a
+valid table for the compiled instance.  The state space remembers its last
+pass, so a walk that asks a state's position and then its successor
+validates each state once; it keeps that one pass only, since a memo of
+every placed state would hold the whole walk.
+
+Only for unique-solution programs are the valid tables exactly the walk of
+``x``, which :mod:`tfnpkit.svl` relies on.  Where answers are not unique,
+valid tables lie off the walk: for a ``HalvingIterProgram`` on ``x = 010``
+that also accepts ``000``, flipping bit 4 (the root's answer flag) of the
+initial state gives a finished root cell carrying ``000``.  Each such table
+lies on a path whose position rises by one per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 from .bits import check_bits, is_bits, zeros
@@ -71,6 +81,13 @@ class StateSpace:
     bits]; an absent component has flag 0 and all-zero field bits, and any
     other encoding makes the whole table invalid.
 
+    Every cell is addressed by its offset in the one state string.  A level
+    is two offsets: ``at``, where its root cell starts, and ``rows``, where
+    its row one starts; its deeper cells run to the end of the string.  The
+    top level is ``(0, c_n)``, c_k being the width of a size-k cell, and the
+    child of slot j of a size-k level is ``(rows + (j-1)*c_{k-1}, rows +
+    query_count(k)*c_{k-1})``.
+
     One recursive pass, :meth:`_step`, validates a table, advances it and
     places it on the walk: :meth:`successor` is the identity where the pass
     fails, :meth:`is_valid` reports whether it succeeds, and
@@ -96,15 +113,16 @@ class StateSpace:
         if self._p[1] != 0:
             raise DimensionError("size-1 instances must make no queries")
         self._cw = {k: 2 + k + self._q[k] for k in range(1, n + 1)}
-        widths, lengths = {1: self._cw[1]}, {1: 2}
-        for k in range(2, n + 1):
-            widths[k] = self._cw[k] + self._p[k] * self._cw[k - 1] + widths[k - 1] - self._cw[k - 1]
-            lengths[k] = 2 + self._p[k] * lengths[k - 1]  # initial and finished, plus each sub-walk
-        self._width, self._length = widths, lengths
+        row_widths = (self._p[k + 1] * self._cw[k] for k in range(n - 1, 0, -1))
+        # offsets of top-level rows 1 .. n-1, then the end of the table
+        *self._rows, self._width = accumulate(row_widths, initial=self._cw[n])
+        self._length = {1: 2}
+        for k in range(2, n + 1):  # initial and finished, plus one sub-walk per query
+            self._length[k] = 2 + self._p[k] * self._length[k - 1]
         self._last: tuple = (_BAD, _BAD, None)  # (state, x, pass result); no pair matches _BAD
 
-    def width(self, k: int | None = None) -> int:
-        return self._width[self.n if k is None else k]
+    def width(self) -> int:
+        return self._width
 
     def path_length(self, k: int | None = None) -> int:
         """Number of states on the walk of a size-k instance."""
@@ -130,65 +148,38 @@ class StateSpace:
             return _BAD
         return inst, sol
 
-    def root_cell(self, state: str, k: int | None = None):
-        k = self.n if k is None else k
-        return self._read_cell(state[: self._cw[k]], k)
+    def _cells(self, state: str, at: int, k: int, count: int):
+        """The ``count`` size-k cells that start at offset ``at``."""
+        w = self._cw[k]
+        return [self._read_cell(state[c : c + w], k) for c in range(at, at + count * w, w)]
 
-    def row_one_cells(self, state: str, k: int | None = None):
-        k = self.n if k is None else k
-        if k == 1:
-            return []
-        w = self._cw[k - 1]
-        base = self._cw[k]
-        return [
-            self._read_cell(state[base + j * w : base + (j + 1) * w], k - 1)
-            for j in range(self._p[k])
-        ]
+    def root_cell(self, state: str):
+        return self._read_cell(state[: self._cw[self.n]], self.n)
 
     def row_cells(self, state: str, depth: int):
         """Cells of top-level row ``depth`` (1-based); used by the position
         arithmetic, which scans occupancy without recursing."""
         if not 1 <= depth <= self.n - 1:
             raise DimensionError(f"row {depth} out of range")
-        base = self._cw[self.n]
-        for i in range(1, depth):
-            base += self._p[self.n - i + 1] * self._cw[self.n - i]
-        w = self._cw[self.n - depth]
-        return [
-            self._read_cell(state[base + j * w : base + (j + 1) * w], self.n - depth)
-            for j in range(self._p[self.n - depth + 1])
-        ]
-
-    def _subtable(self, state: str, j: int, k: int) -> str:
-        w = self._cw[k - 1]
-        base = self._cw[k]
-        cell = state[base + (j - 1) * w : base + j * w]
-        tail = state[base + self._p[k] * w :]
-        return cell + tail
-
-    def _embed_subtable(self, state: str, j: int, k: int, sub: str) -> str:
-        w = self._cw[k - 1]
-        base = self._cw[k]
-        cell, tail = sub[:w], sub[w:]
-        row_rest = state[base + j * w : base + self._p[k] * w]
-        return state[: base + (j - 1) * w] + cell + row_rest + tail
+        k = self.n - depth
+        return self._cells(state, self._rows[depth - 1], k, self._p[k + 1])
 
     # -- semantics --
 
     def initial_state(self, x: str) -> str:
         check_bits(x, self.n)
-        return self._make_cell(self.n, x, None) + zeros(self.width() - self._cw[self.n])
+        return self._make_cell(self.n, x, None) + zeros(self._width - self._cw[self.n])
 
-    def _scan_row_one(self, state: str, x: str, k: int, path: Path):
-        """Validity conditions over row one: the filled cells form a prefix,
-        their instances replay the program's query schedule, every answer
-        verifies, and only the last filled cell may be unanswered.  Returns
-        (answered_prefix, pending), where ``pending`` is the instance of an
-        unanswered last cell or None, or returns None for an invalid row."""
+    def _scan_row_one(self, state: str, x: str, k: int, path: Path, rows: int):
+        """Validity conditions over the row one at ``rows``: the filled cells
+        form a prefix, their instances replay the program's query schedule,
+        every answer verifies, and only the last filled cell may be
+        unanswered.  Returns (answered_prefix, pending), where ``pending`` is
+        the instance of an unanswered last cell or None, or None if invalid."""
         answered: list[tuple[str, str]] = []
         pending: str | None = None
         blank_seen = False
-        for slot, cell in enumerate(self.row_one_cells(state, k), start=1):
+        for slot, cell in enumerate(self._cells(state, rows, k - 1, self._p[k]), start=1):
             if cell is _BAD:
                 return None
             inst, sol = cell
@@ -207,41 +198,44 @@ class StateSpace:
                 answered.append((inst, sol))
         return tuple(answered), pending
 
-    def _step(self, state: str, x: str, k: int, path: Path) -> tuple[str, int] | None:
-        """Successor and 1-based walk position of a size-k table for instance
-        ``x``, or None when the table is invalid: one pass validates,
-        advances and places it."""
-        root = self.root_cell(state, k)
+    def _step(
+        self, state: str, x: str, k: int, path: Path, at: int, rows: int
+    ) -> tuple[str, int] | None:
+        """Whole successor string and 1-based walk position of the size-k
+        level at offsets ``(at, rows)`` for instance ``x``, or None when the
+        level is invalid: one pass validates, advances and places it."""
+        cw = self._cw[k]
+        root = self._read_cell(state[at : at + cw], k)
         if root is _BAD or root[0] != x:
             return None
         sol = root[1]
         if sol is not None:
-            if "1" in state[self._cw[k] :] or not self.prog.verify(x, sol, path):
+            if "1" in state[rows:] or not self.prog.verify(x, sol, path):
                 return None
             return state, self._length[k]  # finished: the state is its own successor
         if k == 1:
-            return self._make_cell(k, x, self.prog.finalize(x, (), path)), 1
-        scan = self._scan_row_one(state, x, k, path)
+            cell = self._make_cell(k, x, self.prog.finalize(x, (), path))
+            return state[:at] + cell + state[at + cw :], 1
+        scan = self._scan_row_one(state, x, k, path, rows)
         if scan is None:
             return None
         answered, pending = scan
         # the root's state, then one whole sub-walk per answered query
         pos = 1 + len(answered) * self._length[k - 1]
+        w = self._cw[k - 1]
+        deeper = rows + self._p[k] * w
         if pending is not None:
             j = len(answered) + 1
-            sub = self._step(self._subtable(state, j, k), pending, k - 1, path + (j,))
-            if sub is None:
-                return None
-            return self._embed_subtable(state, j, k, sub[0]), pos + sub[1]
-        w = self._cw[k - 1]
-        if "1" in state[self._cw[k] + self._p[k] * w :]:
+            sub = self._step(state, pending, k - 1, path + (j,), rows + (j - 1) * w, deeper)
+            return None if sub is None else (sub[0], pos + sub[1])
+        if "1" in state[deeper:]:
             return None
         if len(answered) == self._p[k]:
-            y = self.prog.finalize(x, answered, path)
-            return self._make_cell(k, x, y) + zeros(self.width(k) - self._cw[k]), pos
-        base = self._cw[k] + len(answered) * w
+            cell = self._make_cell(k, x, self.prog.finalize(x, answered, path))
+            return state[:at] + cell + state[at + cw : rows] + zeros(len(state) - rows), pos
+        slot = rows + len(answered) * w
         cell = self._make_cell(k - 1, self.prog.next_query(x, answered, path), None)
-        return state[:base] + cell + state[base + w :], pos
+        return state[:slot] + cell + state[slot + w :], pos
 
     def _step_top(self, state: str, x: str) -> tuple[str, int] | None:
         last_state, last_x, placed = self._last
@@ -252,7 +246,7 @@ class StateSpace:
         if len(state) != self.width() or not is_bits(state):
             placed = None
         else:
-            placed = self._step(state, x, self.n, ())
+            placed = self._step(state, x, self.n, (), 0, self._cw[self.n])
         self._last = state, x, placed
         return placed
 

@@ -22,6 +22,8 @@ from .errors import InvalidStateError, PromiseViolation
 from .dsr2pls import _BAD, DsrProgram, StateSpace, compile_pls
 from .problems import SvlInstance
 
+_SAMPLES_PER_INDEX = 10  # off-path strings checked at each index of a promise check
+
 
 def path_length(prog: DsrProgram, size: int) -> int:
     """Total number of states on the walk of a size-``size`` instance: two
@@ -64,7 +66,7 @@ def position(prog: DsrProgram, state: str, machine: StateSpace) -> int:
 def position_recursive(prog: DsrProgram, state: str, machine: StateSpace) -> int:
     """Sub-table form: the position the validating pass computes, one (for
     the root) plus the full sub-paths of the answered queries plus the
-    recursive position of the pending sub-table."""
+    recursive position of the pending query's level."""
     return _validated(state, machine)[1]
 
 
@@ -131,7 +133,6 @@ class PromiseReport:
 def check_promise(
     inst: SvlInstance,
     budget: int | None = None,
-    samples_per_index: int = 10,
     rng: random.Random | None = None,
 ) -> PromiseReport:
     """Walk the line and check the verifier both ways at each index: the
@@ -152,7 +153,7 @@ def check_promise(
             if wrong != index and inst.verifier(state, wrong):
                 violations.append(f"on-path state of index {index} accepted at {wrong}")
         nxt = inst.succ(state) if index < limit else state
-        for _ in range(samples_per_index):
+        for _ in range(_SAMPLES_PER_INDEX):
             if rng.random() < 0.5:
                 sample = format(rng.getrandbits(width), f"0{width}b")
             else:

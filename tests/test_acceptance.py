@@ -332,7 +332,7 @@ def test_criterion_5_verifiable_line_suite():
         for x in all_bitstrings(n):
             inst = compile_svl(prog, x)
             assert inst.target == path_length(prog, n)
-            report = check_promise(inst, samples_per_index=10, rng=rng)
+            report = check_promise(inst, rng=rng)
             assert report.ok and not report.partial, report.violations[:3]
             machine = StateSpace(prog, n)
             positions = []
@@ -407,15 +407,15 @@ def test_criterion_7_negative_controls(tmp_path):
     machine = StateSpace(prog, 3)
     states = list(machine.walk(x))
     two_filled = next(
-        s for s in states if all(c[0] is not None for c in machine.row_one_cells(s))
+        s for s in states if all(c[0] is not None for c in machine.row_cells(s, 1))
     )
     base, w = machine._cw[3], machine._cw[2]
     gap = two_filled[:base] + "0" * w + two_filled[base + w :]
     assert not machine.is_valid(gap, x)
     answered = next(
-        s for s in states if (c := machine.row_one_cells(s)[0])[0] is not None and c[1] is not None
+        s for s in states if (c := machine.row_cells(s, 1)[0])[0] is not None and c[1] is not None
     )
-    inst1, sol1 = machine.row_one_cells(answered)[0]
+    inst1, sol1 = machine.row_cells(answered, 1)[0]
     wrong_cell = "1" + inst1 + "1" + sol1[:-1] + ("0" if sol1[-1] == "1" else "1")
     planted = answered[:base] + wrong_cell + answered[base + w :]
     assert not machine.is_valid(planted, x)

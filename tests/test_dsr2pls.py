@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,7 +50,7 @@ def test_gap_state_is_invalid(prog):
     walk = list(machine.walk(x))
     # find a state whose first row has both slots filled, then blank slot one
     for state in walk:
-        cells = machine.row_one_cells(state)
+        cells = machine.row_cells(state, 1)
         if cells[0][0] is not None and cells[1][0] is not None:
             base = machine._cw[3]
             w = machine._cw[2]
@@ -63,7 +65,7 @@ def test_wrong_sub_solution_is_invalid(prog):
     x = "101"
     machine = StateSpace(prog, 3)
     for state in machine.walk(x):
-        cells = machine.row_one_cells(state)
+        cells = machine.row_cells(state, 1)
         if cells[0][0] is not None and cells[0][1] is not None:
             inst, sol = cells[0]
             wrong = sol[:-1] + ("0" if sol[-1] == "1" else "1")
@@ -136,6 +138,48 @@ def test_halving_state_graph_is_closed_n2(rng):
                 assert nxt == state
 
 
+def _one_bit_flips(walk):
+    for state in walk:
+        for i in range(len(state)):
+            yield state[:i] + ("1" if state[i] == "0" else "0") + state[i + 1 :]
+
+
+def test_one_bit_flips_of_nested_walks(prog):
+    """Every one-bit flip of every walk state at n = 3 and 4, where the pass
+    recurses through two and three levels.  For the unique-solution
+    fixture a flip is valid exactly when it is a walk state, steps to the
+    next one (the sink to itself) and is valued by its index, or is a
+    fixed point valued 0.  For the halving program, whose answers need not
+    be unique, an invalid flip is a fixed point valued 0, and a valid one
+    is finished (a fixed point valued ``path_length``) or steps to a valid
+    state valued one higher."""
+    for x in ("101", "0110"):
+        compiled = compile_pls(prog, x)
+        machine, valuation = compiled.machine, compiled.instance.valuation
+        walk = list(machine.walk(x))
+        nexts = dict(zip(walk, walk[1:] + walk[-1:]))
+        indices = {state: i for i, state in enumerate(walk, start=1)}
+        for state in _one_bit_flips(walk):
+            expected = nexts.get(state)
+            assert machine.is_valid(state, x) == (expected is not None)
+            assert machine.successor(state, x) == (state if expected is None else expected)
+            assert valuation(state) == indices.get(state, 0)
+    for n in (3, 4):
+        for seed in (1, 2):
+            top = random_instance("iter-with-source", n, random.Random(seed))
+            compiled = compile_pls(HalvingIterProgram(top), top.source)
+            machine, x, valuation = compiled.machine, top.source, compiled.instance.valuation
+            for state in _one_bit_flips(machine.walk(x)):
+                nxt = machine.successor(state, x)
+                if not machine.is_valid(state, x):
+                    assert nxt == state and valuation(state) == 0
+                elif nxt == state:
+                    assert valuation(state) == compiled.path_length
+                else:
+                    assert machine.is_valid(nxt, x)
+                    assert valuation(nxt) == valuation(state) + 1
+
+
 def test_valuation_is_zero_off_the_walk_of_x(prog):
     compiled = compile_pls(prog, "101")
     other = list(compiled.machine.walk("111"))
@@ -158,7 +202,7 @@ def test_first_step_writes_first_query(prog):
     x = "101"
     machine = StateSpace(prog, 3)
     state = machine.successor(machine.initial_state(x), x)
-    cells = machine.row_one_cells(state)
+    cells = machine.row_cells(state, 1)
     assert cells[0] == (prog.next_query(x, ()), None)
     assert cells[1][0] is None
 
@@ -181,9 +225,9 @@ def _count_passes(monkeypatch) -> list[int]:
     passes = [0]
     step = StateSpace._step
 
-    def counting_step(self, state, x, k, path):
+    def counting_step(self, state, x, k, path, at, rows):
         passes[0] += not path
-        return step(self, state, x, k, path)
+        return step(self, state, x, k, path, at, rows)
 
     monkeypatch.setattr(StateSpace, "_step", counting_step)
     return passes

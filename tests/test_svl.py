@@ -80,7 +80,7 @@ def test_compile_svl_full_promise(prog):
     for x in ("0", "01", "101", "0110"):
         inst = compile_svl(prog, x)
         assert inst.target == path_length(prog, len(x))
-        report = check_promise(inst, samples_per_index=10)
+        report = check_promise(inst)
         assert report.ok and not report.partial
         assert report.checked == inst.target
 
