@@ -15,6 +15,13 @@ point evaluated once.  A circuit synthesised from a table
 other builds it at its first point.  A reader that takes each point once or
 twice (end-of-line checks and walks) calls :func:`evaluate`.
 
+A table-born circuit has a fixed gate layout, which tests compare gate for
+gate: the n INPUT gates, one NOT per input, the minterm AND chains in order
+of x, each output's OR chain in output order, and at most one CONST 0,
+shared by the outputs that are never 1 and placed where the first of them
+would start its chain.  The synthesiser makes the gates of each chain step
+and each OR chain in one pass over their operand columns.
+
 Circuits are validated once, at the boundary: ``Circuit(...)`` checks what
 it is given, and :func:`parse_netlist` checks each row as it reads it.  The
 parser and every producer of circuits derived from valid ones (restrictions,
@@ -38,7 +45,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -247,11 +254,6 @@ def output_masks(c: Circuit) -> list[int]:
                 vals[b] = None
         vals[idx] = v
     return [vals[r] for r in c.outputs]
-
-
-def eval_table(c: Circuit) -> list[int]:
-    """Truth table as integers: entry x is the m-bit output on input value x."""
-    return [int(word, 2) for word in successor_table(c)]
 
 
 def _check_fix(c: Circuit, position: int, bit: int) -> None:
@@ -534,52 +536,69 @@ def circuit_from_table(table: Sequence[int], n: int, m: int, name: str = "t") ->
     """Synthesise a circuit computing the given truth table (entry x is the
     m-bit output for input value x) as a shared-minterm multiplexer.  A
     circuit narrow enough to read its points from a table (see ``point``)
-    carries this one from the start."""
+    carries this one from the start.
+
+    The gate layout is part of the contract: the n INPUT gates, then one NOT
+    per input (``n + k`` negates input k), then the minterm AND chains in
+    order of x, each ``n - 1`` gates folding x's literals from input 0 on
+    (input k's literal is gate k where x's bit k is 1, ``n + k`` where it
+    is 0; at n = 1 a minterm is its literal).  Then, output by output, the
+    OR chain of the minterms of the rows where the output is 1, in order of
+    x; an output that is 1 on one row is that row's minterm, and one that
+    is never 1 reads a single CONST 0, placed where the first such output's
+    chain would start.  At n = 0 the circuit is the constant's
+    (``constant_circuit``).  The gates of each chain step and of each OR
+    chain are made in one pass over their operand columns."""
     _check_shape(n, m)
     if len(table) != 1 << n:
         raise DimensionError(f"table must have {1 << n} entries")
-    for v in table:
-        if not 0 <= v < 1 << m:
-            raise DimensionError(f"table entry {v} does not fit in {m} bits")
+    if min(table) < 0 or max(table) >= 1 << m:
+        v = next(v for v in table if not 0 <= v < 1 << m)
+        raise DimensionError(f"table entry {v} does not fit in {m} bits")
+    top = 1 << m  # a 1 above the word's m bits: bin() then keeps its zeros
+    words = "".join([bin(v | top)[3:] for v in table])
     if n == 0:
-        return _seeded(constant_circuit(0, format(table[0], f"0{m}b"), name), table)
-    gates: list[Gate] = [INPUT(k) for k in range(n)]
-    neg = []
-    for k in range(n):
-        gates.append(NOT(k))
-        neg.append(len(gates) - 1)
-    minterm = []
-    for x in range(1 << n):
-        lits = [(k if (x >> (n - 1 - k)) & 1 else neg[k]) for k in range(n)]
-        acc = lits[0]
-        for lit in lits[1:]:
-            gates.append(AND(acc, lit))
-            acc = len(gates) - 1
-        minterm.append(acc)
+        return _seeded(constant_circuit(0, words, name), words)
+    new = tuple.__new__
+    points, steps = 1 << n, n - 1
+
+    def literal(k: int) -> list[int]:
+        """Input k's literal in each minterm, x = 0 up: runs of its NOT (x's
+        bit k is 0) then of the input, 2^(n-1-k) long, 2^k times over."""
+        block = points >> k + 1
+        return ([n + k] * block + [k] * block) * (1 << k)
+
+    # Step i of every minterm's chain is made in one pass and placed at
+    # stride n - 1; it reads step i - 1, or input 0's literal at step 0.
+    gates = [*map(INPUT, range(n)), *map(NOT, range(n)), *repeat(None, points * steps)]
+    minterm: Sequence[int] = literal(0)
+    for i in range(steps):
+        gates[2 * n + i :: steps] = map(new, repeat(Gate), zip(repeat(OP_AND), minterm, literal(i + 1)))
+        minterm = range(2 * n + i, 2 * n + i + points * steps, steps)
+    minterm = list(minterm)  # one int per minterm, shared by every OR that reads it
     outs = []
     zero_ref = None
     for j in range(m):
-        rows = [x for x in range(1 << n) if (table[x] >> (m - 1 - j)) & 1]
+        rows = list(compress(minterm, map("1".__eq__, words[j::m])))
         if not rows:
             if zero_ref is None:
+                zero_ref = len(gates)
                 gates.append(CONST(0))
-                zero_ref = len(gates) - 1
             outs.append(zero_ref)
             continue
-        acc = minterm[rows[0]]
-        for x in rows[1:]:
-            gates.append(OR(acc, minterm[x]))
-            acc = len(gates) - 1
-        outs.append(acc)
-    return _seeded(_derived(n, tuple(gates), tuple(outs), name), table)
+        base = len(gates)
+        acc = chain(rows[:1], range(base, base + len(rows) - 2))
+        gates += map(new, repeat(Gate), zip(repeat(OP_OR), acc, islice(rows, 1, None)))
+        outs.append(len(gates) - 1 if len(rows) > 1 else rows[0])
+    return _seeded(_derived(n, tuple(gates), tuple(outs), name), words)
 
 
-def _seeded(c: Circuit, table: Sequence[int]) -> Circuit:
-    """``c``, which computes ``table``, with the table's words as its points
-    when it is narrow enough to read them from a table."""
+def _seeded(c: Circuit, words: str) -> Circuit:
+    """``c`` with ``words``, its truth table as one string of output words in
+    input order, as its points when it is narrow enough to read them from a
+    table."""
     if c.n <= _TABLE_MAX_INPUTS:
-        top = 1 << c.m  # a 1 above the word's m bits: bin() then keeps its zeros
-        vars(c)["_points"] = "".join([bin(v | top)[3:] for v in table])
+        vars(c)["_points"] = words
     return c
 
 

@@ -35,6 +35,11 @@ def naive_evaluate(c: Circuit, x: str) -> str:
     return "".join("1" if value(r) else "0" for r in c.outputs)
 
 
+def eval_table(c: Circuit) -> list[int]:
+    """Truth table as integers: entry x is the m-bit output on input value x."""
+    return [int(word, 2) for word in successor_table(c)]
+
+
 def iter_tables(n: int):
     """All successor tables on n bits, as lists."""
     space = 1 << n

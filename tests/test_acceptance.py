@@ -50,7 +50,6 @@ from tfnpkit import (
     verify_solution,
 )
 from tfnpkit.bits import all_bitstrings, from_int, splice, to_int
-from tfnpkit.circuit import eval_table
 from tfnpkit.errors import PromiseViolation
 from tfnpkit.numbertheory import (
     PRIME,
@@ -61,7 +60,7 @@ from tfnpkit.numbertheory import (
 )
 from tfnpkit.problems import kind_of
 
-from conftest import table_circuit
+from conftest import eval_table, table_circuit
 
 
 def _report(criterion: int, message: str, started: float, budget: float):

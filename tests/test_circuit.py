@@ -28,12 +28,25 @@ from tfnpkit import (
     successor_table,
 )
 from tfnpkit.bits import all_bitstrings, splice
-from tfnpkit.circuit import Half, constant_circuit, eval_table, pad_with_dead_gates, point, project_outputs
+from tfnpkit.circuit import (
+    OP_CONST,
+    OP_INPUT,
+    OP_NOT,
+    _TABLE_MAX_INPUTS,
+    Half,
+    _check_shape,
+    _derived,
+    _table_words,
+    constant_circuit,
+    pad_with_dead_gates,
+    point,
+    project_outputs,
+)
 from tfnpkit.errors import DimensionError, NetlistError, RestrictionError
 from tfnpkit.gadgets import combine_pair, freeze_stage, redirect_zero_outputs
 from tfnpkit.problems import SodInstance
 
-from conftest import naive_evaluate, parsed
+from conftest import eval_table, naive_evaluate, parsed
 
 
 def test_identity_passthrough():
@@ -515,6 +528,183 @@ def test_wide_table_born_circuits_read_through_the_memo(monkeypatch):
         xs = list(all_bitstrings(3))
         assert [point(c, x) for x in xs] == [evaluate(c, x) for x in xs]
         assert vars(c)["_points"] == {x: evaluate(c, x) for x in xs}
+
+
+# Gate-by-gate references for the table synthesiser and the pair join: the
+# bulk builders must match them gate for gate.
+
+
+def _loop_circuit_from_table(table, n: int, m: int, name: str = "t") -> Circuit:
+    _check_shape(n, m)
+    if len(table) != 1 << n:
+        raise DimensionError(f"table must have {1 << n} entries")
+    for v in table:
+        if not 0 <= v < 1 << m:
+            raise DimensionError(f"table entry {v} does not fit in {m} bits")
+    if n == 0:
+        return _loop_seeded(constant_circuit(0, format(table[0], f"0{m}b"), name), table)
+    gates: list[Gate] = [INPUT(k) for k in range(n)]
+    neg = []
+    for k in range(n):
+        gates.append(NOT(k))
+        neg.append(len(gates) - 1)
+    minterm = []
+    for x in range(1 << n):
+        lits = [(k if (x >> (n - 1 - k)) & 1 else neg[k]) for k in range(n)]
+        acc = lits[0]
+        for lit in lits[1:]:
+            gates.append(AND(acc, lit))
+            acc = len(gates) - 1
+        minterm.append(acc)
+    outs = []
+    zero_ref = None
+    for j in range(m):
+        rows = [x for x in range(1 << n) if (table[x] >> (m - 1 - j)) & 1]
+        if not rows:
+            if zero_ref is None:
+                gates.append(CONST(0))
+                zero_ref = len(gates) - 1
+            outs.append(zero_ref)
+            continue
+        acc = minterm[rows[0]]
+        for x in rows[1:]:
+            gates.append(OR(acc, minterm[x]))
+            acc = len(gates) - 1
+        outs.append(acc)
+    return _loop_seeded(_derived(n, tuple(gates), tuple(outs), name), table)
+
+
+def _loop_seeded(c: Circuit, table) -> Circuit:
+    if c.n <= _TABLE_MAX_INPUTS:
+        top = 1 << c.m  # a 1 above the word's m bits: bin() then keeps its zeros
+        vars(c)["_points"] = "".join([bin(v | top)[3:] for v in table])
+    return c
+
+
+def _loop_combine_pair(succ: Circuit, valuation: Circuit, name: str = "pair") -> Circuit:
+    if succ.n != succ.m:
+        raise DimensionError(f"successor circuit must have n == m, got {succ.n} -> {succ.m}")
+    if valuation.n != succ.n:
+        raise DimensionError("valuation must read the same inputs as the successor")
+    gates = list(succ.gates)
+    input_refs: dict[int, int] = {}
+    for idx, (op, a, _) in enumerate(gates):
+        if op == OP_INPUT:
+            input_refs.setdefault(a, idx)
+    refs: list[int] = []
+    for g in valuation.gates:
+        op, a, b = g
+        if op == OP_INPUT:
+            if a in input_refs:
+                refs.append(input_refs[a])
+                continue
+            input_refs[a] = len(gates)
+        elif op == OP_NOT:
+            g = NOT(refs[a])
+        elif op != OP_CONST:
+            g = Gate(op, refs[a], refs[b])
+        refs.append(len(gates))
+        gates.append(g)
+    outputs = succ.outputs + tuple(refs[r] for r in valuation.outputs)
+    pair = _derived(succ.n, tuple(gates), outputs, name)
+    s_words, v_words = _table_words(succ), _table_words(valuation)
+    if s_words is not None and v_words is not None:
+        n, m = succ.m, valuation.m
+        vars(pair)["_points"] = "".join(
+            [s_words[x * n : x * n + n] + v_words[x * m : x * m + m] for x in range(1 << succ.n)]
+        )
+    return pair
+
+
+def _assert_same_build(got: Circuit, want: Circuit) -> None:
+    assert got.gates == want.gates
+    assert all(type(g) is Gate for g in got.gates)
+    assert (got.n, got.m, got.outputs, got.name) == (want.n, want.m, want.outputs, want.name)
+    assert vars(got).get("_points") == vars(want).get("_points")
+
+
+@st.composite
+def tables(draw, n: int, m: int) -> list[int]:
+    """A table on n inputs and m outputs, each output column free, never 1
+    (the shared CONST 0), 1 on one row (a bare minterm) or always 1."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    table = [rng.randrange(1 << m) for _ in range(1 << n)]
+    for j in range(m):
+        bit = 1 << (m - 1 - j)
+        form = draw(st.sampled_from(("free", "zero", "one row", "all")))
+        if form == "zero":
+            table = [v & ~bit for v in table]
+        elif form == "all":
+            table = [v | bit for v in table]
+        elif form == "one row":
+            row = draw(st.integers(0, (1 << n) - 1))
+            table = [v | bit if x == row else v & ~bit for x, v in enumerate(table)]
+    return table
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.integers(0, 9), st.integers(1, 6), st.data())
+def test_table_synthesis_matches_the_gate_loop(n, m, data):
+    """The bulk synthesiser builds the loop's circuit gate for gate: the same
+    gates (each a ``Gate``), outputs, name and seeded points."""
+    table = data.draw(tables(n, m))
+    _assert_same_build(circuit_from_table(table, n, m, "t"), _loop_circuit_from_table(table, n, m, "t"))
+
+
+def _variant(c: Circuit, form: str, k: int, data) -> Circuit:
+    """``c`` as given, or parsed with its INPUT gates relabelled by a
+    permutation, with input k's gates made CONST 0, or with a second gate
+    for input k that its first output reads."""
+    if form == "as given":
+        return c
+    gates, outputs = list(parsed(c).gates), c.outputs
+    if form == "permuted":
+        perm = data.draw(st.permutations(range(c.n)))
+        gates = [INPUT(perm[g.a]) if g.op == OP_INPUT else g for g in gates]
+    elif form == "missing":
+        gates = [CONST(0) if g == INPUT(k) else g for g in gates]
+    else:
+        gates.append(INPUT(k))
+        outputs = (len(gates) - 1,) + outputs[1:]
+    return Circuit(c.n, c.m, tuple(gates), outputs, name=c.name)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 4), st.data())
+def test_pair_join_matches_the_gate_loop(n, m, data):
+    """The bulk pair join builds the loop's pair gate for gate, for every
+    form of successor and valuation: also where a valuation input is read
+    through an appended gate (the successor has no gate for it), and
+    through a second gate of its own."""
+    forms = ("as given", "permuted", "missing", "duplicated")
+    k = data.draw(st.integers(0, n - 1))
+    succ = circuit_from_table(data.draw(tables(n, n)), n, n, "s")
+    val = circuit_from_table(data.draw(tables(n, m)), n, m, "v")
+    for succ_form in forms:
+        for val_form in forms:
+            s, v = _variant(succ, succ_form, k, data), _variant(val, val_form, k, data)
+            _assert_same_build(combine_pair(s, v, "p"), _loop_combine_pair(s, v, "p"))
+
+
+def test_table_synthesis_keeps_its_shape_and_range_errors():
+    for table, n, m, message in (
+        ([0, 1, 0], 2, 1, "table must have 4 entries"),
+        ([0, 1], 2, 1, "table must have 4 entries"),
+        ([0, 4, 1, 0], 2, 2, "table entry 4 does not fit in 2 bits"),
+        ([0, 3, -1, 7], 2, 2, "table entry -1 does not fit in 2 bits"),
+        ([2], 0, 1, "table entry 2 does not fit in 1 bits"),
+        ([0, 0], 1, 0, "bad circuit shape n=1, m=0"),
+        ([0], -1, 1, "bad circuit shape n=-1, m=1"),
+    ):
+        for build in (circuit_from_table, _loop_circuit_from_table):
+            with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+                build(table, n, m)
+    succ, val = circuit_from_table([1, 0], 1, 1), circuit_from_table([0, 1, 1, 0], 2, 1)
+    for join in (combine_pair, _loop_combine_pair):
+        with pytest.raises(DimensionError, match="^valuation must read the same inputs as the successor$"):
+            join(succ, val)
+        with pytest.raises(DimensionError, match="^successor circuit must have n == m, got 2 -> 1$"):
+            join(val, val)
 
 
 def _revalidated(c: Circuit) -> Circuit:

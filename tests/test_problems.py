@@ -35,7 +35,7 @@ from tfnpkit import (
     well_formed,
 )
 from tfnpkit.bits import all_bitstrings, from_int, to_int
-from tfnpkit.circuit import eval_table, restrict_half, restrict_input, restrict_output, size
+from tfnpkit.circuit import restrict_half, restrict_input, restrict_output, size
 from tfnpkit.errors import DimensionError, NetlistError
 from tfnpkit.gadgets import combine_pair, redirect_zero_outputs
 from tfnpkit import circuit, problems
@@ -43,7 +43,7 @@ from tfnpkit.problems import ImplicitSodInstance
 from tfnpkit.reductions import drop_source
 from tfnpkit.solvers import solve_exhaustive, solve_path
 
-from conftest import _count_reads, parsed, table_circuit
+from conftest import _count_reads, eval_table, parsed, table_circuit
 
 
 def test_constant_ones_successor_is_well_formed():
