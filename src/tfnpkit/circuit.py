@@ -20,7 +20,11 @@ gate: the n INPUT gates, one NOT per input, the minterm AND chains in order
 of x, each output's OR chain in output order, and at most one CONST 0,
 shared by the outputs that are never 1 and placed where the first of them
 would start its chain.  The synthesiser makes the gates of each chain step
-and each OR chain in one pass over their operand columns.
+and each OR chain in one pass over their operand columns.  The INPUT, NOT
+and minterm AND gates depend on n alone, and live table-born circuits of
+one width share them as the same objects: a synthesis takes them from the
+last circuit made at its width while that circuit lives.  Nothing else
+holds them, so they go with the last circuit that does.
 
 Circuits are validated once, at the boundary: ``Circuit(...)`` checks what
 it is given, and :func:`parse_netlist` checks each row as it reads it.  The
@@ -43,6 +47,7 @@ Its circuit is swept from the entries only when read, and
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
@@ -68,6 +73,11 @@ GATE_COST = {OP_NOT: 2, OP_AND: 3, OP_OR: 3}
 #: the exhaustive scans.  A wider circuit's table would hold 2^n words.
 _TABLE_MAX_INPUTS = 16
 
+#: Per width n, the last circuit ``circuit_from_table`` made at n, held only
+#: weakly: while it lives, the next synthesis at n takes its INPUT, NOT and
+#: minterm AND gates, which depend on n alone, as the same objects.
+_TABLE_BORN: weakref.WeakValueDictionary[int, Circuit] = weakref.WeakValueDictionary()
+
 
 class Gate(NamedTuple):
     """One gate, the tuple ``(op, a, b)``: ``a`` is the input index for
@@ -80,24 +90,29 @@ class Gate(NamedTuple):
     b: int = 0
 
 
+# Gates are made by ``tuple.__new__(Gate, (op, a, b))``, which skips the
+# named tuple's Python-level ``__new__`` and makes the same ``Gate``.
+_new = tuple.__new__
+
+
 def INPUT(k: int) -> Gate:
-    return Gate(OP_INPUT, k)
+    return _new(Gate, (OP_INPUT, k, 0))
 
 
 def CONST(bit: int) -> Gate:
-    return Gate(OP_CONST, bit)
+    return _new(Gate, (OP_CONST, bit, 0))
 
 
 def NOT(a: int) -> Gate:
-    return Gate(OP_NOT, a)
+    return _new(Gate, (OP_NOT, a, 0))
 
 
 def AND(a: int, b: int) -> Gate:
-    return Gate(OP_AND, a, b)
+    return _new(Gate, (OP_AND, a, b))
 
 
 def OR(a: int, b: int) -> Gate:
-    return Gate(OP_OR, a, b)
+    return _new(Gate, (OP_OR, a, b))
 
 
 @dataclass(frozen=True)
@@ -399,9 +414,9 @@ def _sweep(
         op, a, b = g
         if last[idx] >= 0 or op == OP_INPUT:
             if op == OP_NOT:
-                g = Gate(op, remap[a])
+                g = _new(Gate, (op, remap[a], 0))
             elif op in _BINARY:
-                g = Gate(op, remap[a], remap[b])
+                g = _new(Gate, (op, remap[a], remap[b]))
             elif depth and op == OP_INPUT:
                 g = INPUT(a - depth)
             remap[idx] = len(gates)
@@ -548,7 +563,13 @@ def circuit_from_table(table: Sequence[int], n: int, m: int, name: str = "t") ->
     is never 1 reads a single CONST 0, placed where the first such output's
     chain would start.  At n = 0 the circuit is the constant's
     (``constant_circuit``).  The gates of each chain step and of each OR
-    chain are made in one pass over their operand columns."""
+    chain are made in one pass over their operand columns.
+
+    The INPUT, NOT and minterm AND gates, the first 2n + 2^n(n - 1), depend
+    on n alone.  While the last circuit made here at width n lives, a new
+    one takes them from it as the same objects and builds only its OR
+    chains and CONST 0; only the circuits that hold that prefix keep it
+    alive."""
     _check_shape(n, m)
     if len(table) != 1 << n:
         raise DimensionError(f"table must have {1 << n} entries")
@@ -559,8 +580,8 @@ def circuit_from_table(table: Sequence[int], n: int, m: int, name: str = "t") ->
     words = "".join([bin(v | top)[3:] for v in table])
     if n == 0:
         return _seeded(constant_circuit(0, words, name), words)
-    new = tuple.__new__
     points, steps = 1 << n, n - 1
+    prefix = 2 * n + points * steps  # the INPUT, NOT and minterm AND gates
 
     def literal(k: int) -> list[int]:
         """Input k's literal in each minterm, x = 0 up: runs of its NOT (x's
@@ -568,14 +589,19 @@ def circuit_from_table(table: Sequence[int], n: int, m: int, name: str = "t") ->
         block = points >> k + 1
         return ([n + k] * block + [k] * block) * (1 << k)
 
-    # Step i of every minterm's chain is made in one pass and placed at
-    # stride n - 1; it reads step i - 1, or input 0's literal at step 0.
-    gates = [*map(INPUT, range(n)), *map(NOT, range(n)), *repeat(None, points * steps)]
-    minterm: Sequence[int] = literal(0)
-    for i in range(steps):
-        gates[2 * n + i :: steps] = map(new, repeat(Gate), zip(repeat(OP_AND), minterm, literal(i + 1)))
-        minterm = range(2 * n + i, 2 * n + i + points * steps, steps)
-    minterm = list(minterm)  # one int per minterm, shared by every OR that reads it
+    held = _TABLE_BORN.get(n)
+    if held is not None:
+        gates = list(held.gates[:prefix])
+    else:
+        # Step i of every minterm's chain is made in one pass and placed at
+        # stride n - 1; it reads step i - 1, or input 0's literal at step 0.
+        gates = [*map(INPUT, range(n)), *map(NOT, range(n)), *repeat(None, points * steps)]
+        for i in range(steps):
+            prev = range(2 * n + i - 1, prefix, steps) if i else literal(0)
+            gates[2 * n + i :: steps] = map(_new, repeat(Gate), zip(repeat(OP_AND), prev, literal(i + 1)))
+    # One int per minterm, its chain's last step, shared by every OR that
+    # reads it; at n = 1 a minterm is its literal.
+    minterm = list(range(2 * n + steps - 1, prefix, steps)) if steps else literal(0)
     outs = []
     zero_ref = None
     for j in range(m):
@@ -588,9 +614,11 @@ def circuit_from_table(table: Sequence[int], n: int, m: int, name: str = "t") ->
             continue
         base = len(gates)
         acc = chain(rows[:1], range(base, base + len(rows) - 2))
-        gates += map(new, repeat(Gate), zip(repeat(OP_OR), acc, islice(rows, 1, None)))
+        gates += map(_new, repeat(Gate), zip(repeat(OP_OR), acc, islice(rows, 1, None)))
         outs.append(len(gates) - 1 if len(rows) > 1 else rows[0])
-    return _seeded(_derived(n, tuple(gates), tuple(outs), name), words)
+    c = _seeded(_derived(n, tuple(gates), tuple(outs), name), words)
+    _TABLE_BORN[n] = c
+    return c
 
 
 def _seeded(c: Circuit, words: str) -> Circuit:
@@ -625,7 +653,7 @@ def random_circuit(rng, n: int, m: int, gate_count: int, name: str = "r") -> Cir
         elif op == OP_NOT:
             gates.append(NOT(rng.randrange(top)))
         else:
-            gates.append(Gate(op, rng.randrange(top), rng.randrange(top)))
+            gates.append(_new(Gate, (op, rng.randrange(top), rng.randrange(top))))
     outs = tuple(rng.randrange(len(gates)) for _ in range(m))
     return _derived(n, tuple(gates), outs, name)
 
@@ -752,20 +780,20 @@ def _read_rows(rows: list[tuple[int, str]]) -> Circuit:
                 k = int(args[1])
                 if k >= n:
                     raise NetlistError(f"input index {k} out of range", lineno)
-                gate = Gate(kind, k)
+                gate = _new(Gate, (kind, k, 0))
             elif kind == OP_CONST:
-                gate = Gate(kind, int(args[1]))
+                gate = _new(Gate, (kind, int(args[1]), 0))
             else:
                 a = index_of.get(int(args[1]))
                 if a is None:
                     raise unresolved(int(args[1]), pos, lineno)
                 if kind == OP_NOT:
-                    gate = Gate(kind, a)
+                    gate = _new(Gate, (kind, a, 0))
                 else:
                     b = index_of.get(int(args[2]))
                     if b is None:
                         raise unresolved(int(args[2]), pos, lineno)
-                    gate = Gate(kind, a, b)
+                    gate = _new(Gate, (kind, a, b))
             index_of[gid] = len(gates)
             gates.append(gate)
             continue

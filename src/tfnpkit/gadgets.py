@@ -367,9 +367,9 @@ class Net(GateBuilder):
         if ref == len(self.counts):  # a new node
             self.counts.append(0)
             g = self.gates[ref]
-            if g.op != OP_INPUT:
+            if g[0] != OP_INPUT:
                 self.dead.add(ref)
-                self.cost += GATE_COST.get(g.op, 0)
+                self.cost += GATE_COST.get(g[0], 0)
                 for operand in _operands(g):
                     self._hold(operand)
         return ref
@@ -384,7 +384,7 @@ class Net(GateBuilder):
             g = net.gates[ref]
             net.gates[ref] = None
             del net._refs[g]
-            net.cost -= GATE_COST.get(g.op, 0)
+            net.cost -= GATE_COST.get(g[0], 0)
             for operand in _operands(g):
                 net._release(operand)
         return net
@@ -442,5 +442,5 @@ class Net(GateBuilder):
 
     def _release(self, ref: int) -> None:
         self.counts[ref] -= 1
-        if self.counts[ref] == 0 and self.gates[ref].op != OP_INPUT:
+        if self.counts[ref] == 0 and self.gates[ref][0] != OP_INPUT:
             self.dead.add(ref)

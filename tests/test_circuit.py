@@ -1,5 +1,7 @@
+import gc
 import random
 import re
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +34,7 @@ from tfnpkit.circuit import (
     OP_CONST,
     OP_INPUT,
     OP_NOT,
+    _TABLE_BORN,
     _TABLE_MAX_INPUTS,
     Half,
     _check_shape,
@@ -646,9 +649,50 @@ def tables(draw, n: int, m: int) -> list[int]:
 @given(st.integers(0, 9), st.integers(1, 6), st.data())
 def test_table_synthesis_matches_the_gate_loop(n, m, data):
     """The bulk synthesiser builds the loop's circuit gate for gate: the same
-    gates (each a ``Gate``), outputs, name and seeded points."""
+    gates (each a ``Gate``), outputs, name and seeded points.  A second
+    table of the same width, synthesised while the first circuit is held,
+    takes the first's INPUT, NOT and minterm AND gates as the same objects."""
     table = data.draw(tables(n, m))
-    _assert_same_build(circuit_from_table(table, n, m, "t"), _loop_circuit_from_table(table, n, m, "t"))
+    first = circuit_from_table(table, n, m, "t")
+    _assert_same_build(first, _loop_circuit_from_table(table, n, m, "t"))
+    m2 = data.draw(st.integers(1, 6))
+    table2 = data.draw(tables(n, m2))
+    second = circuit_from_table(table2, n, m2, "t")
+    _assert_same_build(second, _loop_circuit_from_table(table2, n, m2, "t"))
+    if n:
+        prefix = 2 * n + (1 << n) * (n - 1)
+        assert all(a is b for a, b in zip(first.gates[:prefix], second.gates[:prefix], strict=True))
+
+
+def test_table_born_circuits_are_freed_once_dropped():
+    """Nothing holds a table-born circuit, or its chain prefix, but its
+    readers: once dropped it is freed, and the next synthesis at its width
+    builds the prefix afresh, gate for gate the loop's."""
+    table = [(5 * x + 3) % 32 for x in range(32)]
+    c = circuit_from_table(table, 5, 5)
+    freed = weakref.ref(c)
+    del c
+    gc.collect()
+    assert freed() is None
+    assert 5 not in _TABLE_BORN
+    _assert_same_build(circuit_from_table(table, 5, 5, "t"), _loop_circuit_from_table(table, 5, 5, "t"))
+
+
+def test_long_path_roots_of_one_width_share_their_chain_prefix():
+    """Seven n = 10 long-path roots, as the iteration bench makes them and
+    held together, hold one copy of the 9,236 INPUT, NOT and minterm AND
+    gates between them: every other gate object is their own."""
+    n, space, prefix = 10, 1 << 10, 9236
+    rng = random.Random(22)
+    roots = []
+    for _ in range(7):
+        path = [0] + [x for x in range(1, space) if rng.random() < 0.9]
+        succ = list(range(space))
+        for a, b in zip(path, path[1:]):
+            succ[a] = b
+        roots.append(circuit_from_table(succ, n, n, "succ"))
+    distinct = {id(g) for c in roots for g in c.gates}
+    assert len(distinct) == prefix + sum(len(c.gates) - prefix for c in roots)
 
 
 def _variant(c: Circuit, form: str, k: int, data) -> Circuit:
