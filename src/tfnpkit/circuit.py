@@ -491,10 +491,33 @@ def project_outputs(c: Circuit, keep: Sequence[int]) -> Circuit:
     return _sweep(c.n, c.gates, refs, _liveness(c.gates, refs)[0], 0, c.name)
 
 
-def projected_size(c: Circuit, keep: Sequence[int]) -> int:
-    """``size(project_outputs(c, keep))`` from a liveness pass alone, without
-    building the circuit."""
-    return _liveness(c.gates, [c.outputs[j] for j in keep])[1] + c.n + len(keep)
+def drop_sizes(c: Circuit, position: int) -> list[int]:
+    """``size()`` after d chained ``restrict_output(·, position)`` calls, at
+    index d = 0..m - position, from one backward pass: output j (0-based)
+    survives d drops while ``d <= j + 1 - position`` or ``j < position - 1``,
+    and a logic gate lives in the drop of d while an output it feeds does."""
+    span, p = c.m - position, position - 1
+    life = [-1] * len(c.gates)
+    for j, r in enumerate(c.outputs):
+        life[r] = max(life[r], j - p if j >= p else span)
+    costs = [0] * (span + 1)
+    binary, nots = GATE_COST[OP_AND], GATE_COST[OP_NOT]
+    idx = len(c.gates)
+    for op, a, b in reversed(c.gates):
+        idx -= 1
+        d = life[idx]
+        if d > 0:  # a gate that lives at d = 0 only counts in ``c`` itself
+            if op == OP_AND or op == OP_OR:
+                costs[d] += binary
+                if life[b] < d:
+                    life[b] = d
+            elif op == OP_NOT:
+                costs[d] += nots
+            else:
+                continue
+            if life[a] < d:
+                life[a] = d
+    return [size(c)] + [sum(costs[d:]) + c.n + c.m - d for d in range(1, span + 1)]
 
 
 def restrict_output(c: Circuit, position: int) -> Circuit:

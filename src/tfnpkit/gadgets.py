@@ -14,28 +14,26 @@ freezes.
 
 from __future__ import annotations
 
-import copy
+from functools import reduce
 from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Sequence
 
 from .bits import check_bits, from_int
 from .circuit import (
-    AND,
     CONST,
     INPUT,
-    NOT,
     OP_AND,
     OP_CONST,
     OP_INPUT,
     OP_NOT,
     OP_OR,
-    OR,
     Circuit,
     GATE_COST,
     Gate,
     Half,
     _derived,
+    _new,
     _table_words,
     project_outputs,
 )
@@ -63,29 +61,19 @@ class GateBuilder:
         return self.add(CONST(bit))
 
     def not_(self, a: int) -> int:
-        return self.add(NOT(a))
+        return self.add(_new(Gate, (OP_NOT, a, 0)))
 
     def and_(self, a: int, b: int) -> int:
-        return self.add(AND(a, b) if a <= b else AND(b, a))
+        return self.add(_new(Gate, (OP_AND, a, b) if a <= b else (OP_AND, b, a)))
 
     def or_(self, a: int, b: int) -> int:
-        return self.add(OR(a, b) if a <= b else OR(b, a))
+        return self.add(_new(Gate, (OP_OR, a, b) if a <= b else (OP_OR, b, a)))
 
     def and_all(self, refs: Sequence[int]) -> int:
-        if not refs:
-            return self.const(1)
-        acc = refs[0]
-        for r in refs[1:]:
-            acc = self.and_(acc, r)
-        return acc
+        return reduce(self.and_, refs) if refs else self.const(1)
 
     def or_all(self, refs: Sequence[int]) -> int:
-        if not refs:
-            return self.const(0)
-        acc = refs[0]
-        for r in refs[1:]:
-            acc = self.or_(acc, r)
-        return acc
+        return reduce(self.or_, refs) if refs else self.const(0)
 
     def eq_zero(self, refs: Sequence[int]) -> int:
         return self.and_all([self.not_(r) for r in refs])
@@ -160,10 +148,7 @@ class GateBuilder:
         the selector, bit 0 an AND with its negation."""
         check_bits(bits, len(else_refs))
         nsel = self.not_(sel)
-        out = []
-        for b, e in zip(bits, else_refs):
-            out.append(self.or_(sel, e) if b == "1" else self.and_(nsel, e))
-        return out
+        return [self.or_(sel, e) if b == "1" else self.and_(nsel, e) for b, e in zip(bits, else_refs)]
 
     def embed(self, c: Circuit | Half, input_refs: Sequence[int]) -> list[int]:
         """Append a copy of ``c`` reading its inputs from ``input_refs``;
@@ -172,24 +157,27 @@ class GateBuilder:
         without building that circuit."""
         if len(input_refs) != c.n:
             raise DimensionError("embedding needs one reference per input")
+        return self._embed(c, input_refs)
+
+    def _embed(self, c: Circuit | Half, input_refs: Sequence[int]) -> list[int]:
+        """``embed`` in one loop: one :meth:`add` per live gate, under the
+        key ``and_``/``or_``/``not_``/``const`` would make."""
         if isinstance(c, Half):
             entries, live, depth = c.entries, c.last, c.depth
         else:
             entries, live, depth = c.gates, repeat(0), 0
-        refs: list[int | None] = []
+        add, refs = self.add, []
+        put = refs.append
         for (op, a, b), reader in zip(entries, live):
             if op == OP_INPUT:
-                refs.append(input_refs[a - depth])
+                put(input_refs[a - depth])
             elif reader < 0:
-                refs.append(None)  # dead: no live entry reads it
-            elif op == OP_CONST:
-                refs.append(self.const(a))
-            elif op == OP_NOT:
-                refs.append(self.not_(refs[a]))
-            elif op == OP_AND:
-                refs.append(self.and_(refs[a], refs[b]))
+                put(None)  # dead: no live entry reads it
+            elif op == OP_AND or op == OP_OR:
+                a, b = refs[a], refs[b]
+                put(add(_new(Gate, (op, a, b) if a <= b else (op, b, a))))
             else:
-                refs.append(self.or_(refs[a], refs[b]))
+                put(add(_new(Gate, (op, refs[a], 0)) if op == OP_NOT else CONST(a)))
         return [refs[r] for r in c.outputs]
 
     def circuit(self, outputs: Sequence[int], name: str = "c") -> Circuit:
@@ -251,10 +239,9 @@ def combine_pair(succ: Circuit, valuation: Circuit, name: str = "pair") -> Circu
         start = idx + 1
     refs += range(top + len(kept), top + len(kept) + len(vgates) - start)
     kept += vgates[start:]
-    new = tuple.__new__
     made = [
-        new(Gate, (op, refs[a], refs[b])) if op == OP_AND or op == OP_OR
-        else new(Gate, (op, refs[a], 0)) if op == OP_NOT
+        _new(Gate, (op, refs[a], refs[b])) if op == OP_AND or op == OP_OR
+        else _new(Gate, (op, refs[a], 0)) if op == OP_NOT
         else g  # an appended INPUT, or a CONST
         for g, (op, a, b) in zip(kept, kept)
     ]
@@ -301,10 +288,7 @@ def freeze_stage(
 
 
 def _freeze(
-    b: GateBuilder,
-    embed: Callable[[list[int]], tuple[list[int], list[int]]],
-    frozen_below: int,
-    redirect_to: str | None,
+    b: GateBuilder, embed: Callable[[list[int]], tuple[list[int], list[int]]], frozen_below: int, redirect_to: str | None
 ) -> list[int]:
     """The freeze step's one sequence: stage, embed, threshold, mux.
 
@@ -321,13 +305,6 @@ def _freeze(
     return b.mux(frozen, staged, s_refs) + v_refs[1:]
 
 
-def _operands(g: Gate) -> tuple[int, ...]:
-    op, a, b = g
-    if op not in GATE_COST:
-        return ()
-    return (a,) if op == OP_NOT else (a, b)
-
-
 class Net(GateBuilder):
     """A hash-consed gate table with reference counts: the form in which a
     sink-of-DAG query holds its circuit.
@@ -338,23 +315,23 @@ class Net(GateBuilder):
     deletes every dead node, as ``project_outputs`` would.  The table holds
     exactly the gates of the circuit the builder path makes for the same
     steps (``freeze_stage`` and ``restrict_output``, from a parent that is
-    hash-consed), so ``size`` equals that circuit's ``size()``.
-    """
+    hash-consed), so ``size`` equals that circuit's ``size()``.  A node's
+    bookkeeping is one method body each way: :meth:`add` looks the gate up,
+    makes the node, prices it and counts its operands, and :meth:`drop`'s
+    one loop deletes dead nodes and releases their operands."""
 
     def __init__(self, n: int):
-        self.counts: list[int] = []
-        self.dead: set[int] = set()
-        self.cost = 0
-        self.outputs: list[int] = []
+        self.counts, self.dead, self.cost, self.outputs = [], set(), 0, []
         super().__init__(n)
 
     @classmethod
     def of(cls, c: Circuit) -> "Net":
-        """The net of ``c`` hash-consed: one node per distinct gate.  A gate
-        of ``c`` that feeds no output stays, dead, until the next drop, as
-        it does in a builder that embeds ``c``."""
+        """The net of ``c`` hash-consed, one :meth:`add` per gate (``embed``'s
+        loop, without its per-call check).  A gate of ``c`` that feeds no
+        output stays, dead, until the next drop, as it does in a builder that
+        embeds ``c``."""
         net = cls(c.n)
-        net._set_outputs(net.embed(c, net.inputs))
+        net._set_outputs(net._embed(c, net.inputs))
         return net
 
     @property
@@ -363,30 +340,51 @@ class Net(GateBuilder):
         return self.cost + self.n + len(self.outputs)
 
     def add(self, gate: Gate) -> int:
-        ref = super().add(gate)
-        if ref == len(self.counts):  # a new node
+        """``GateBuilder.add`` with the node's bookkeeping: a new node other
+        than an INPUT starts dead, adds its cost and holds its operands."""
+        ref = self._refs.get(gate)
+        if ref is None:
+            ref = self._refs[gate] = len(self.gates)
+            self.gates.append(gate)
             self.counts.append(0)
-            g = self.gates[ref]
-            if g[0] != OP_INPUT:
-                self.dead.add(ref)
-                self.cost += GATE_COST.get(g[0], 0)
-                for operand in _operands(g):
-                    self._hold(operand)
+            op, a, b = gate
+            if op != OP_INPUT:
+                counts, dead = self.counts, self.dead
+                dead.add(ref)
+                if op != OP_CONST:
+                    self.cost += GATE_COST[op]
+                    dead.discard(a)
+                    counts[a] += 1
+                    if op != OP_NOT:
+                        dead.discard(b)
+                        counts[b] += 1
         return ref
 
     def drop(self, position: int) -> "Net":
         """A copy without output ``position`` (0-based) and without every
         gate that then feeds no output; INPUT nodes stay."""
         net = self._copy()
-        net._release(net.outputs.pop(position))
-        while net.dead:
-            ref = net.dead.pop()
-            g = net.gates[ref]
-            net.gates[ref] = None
-            del net._refs[g]
-            net.cost -= GATE_COST.get(g[0], 0)
-            for operand in _operands(g):
-                net._release(operand)
+        gates, refs, counts, dead = net.gates, net._refs, net.counts, net.dead
+        net._set_outputs(net.outputs[:position] + net.outputs[position + 1 :])
+        cost, binary, nots = net.cost, GATE_COST[OP_AND], GATE_COST[OP_NOT]
+        while dead:
+            ref = dead.pop()
+            op, a, b = g = gates[ref]
+            gates[ref] = None
+            del refs[g]
+            if op == OP_AND or op == OP_OR:
+                cost -= binary
+                counts[b] -= 1
+                if not counts[b] and gates[b][0] != OP_INPUT:
+                    dead.add(b)
+            elif op == OP_NOT:
+                cost -= nots
+            else:
+                continue
+            counts[a] -= 1
+            if not counts[a] and gates[a][0] != OP_INPUT:
+                dead.add(a)
+        net.cost = cost
         return net
 
     def freeze(self, frozen_below: int, redirect_to: str | None = None) -> "Net":
@@ -403,44 +401,31 @@ class Net(GateBuilder):
 
         def embed(staged: list[int]) -> tuple[list[int], list[int]]:
             for old, new in zip(held, staged):
-                if old != new:
-                    net._take_over(old, new)
+                if old != new:  # node ``old`` becomes the fresh, unread node ``new``, which goes
+                    g = net.gates[old] = net.gates[new]
+                    net.gates[new] = None
+                    net._refs[g] = old
+                    net.dead.discard(new)
+                    if net.counts[old] == 0:
+                        net.dead.add(old)
             return held, net.outputs
 
         net._set_outputs(_freeze(net, embed, frozen_below, redirect_to))
         return net
 
     def _copy(self) -> "Net":
-        net = copy.copy(self)
-        net.gates = self.gates.copy()
-        net._refs = self._refs.copy()
-        net.counts = self.counts.copy()
-        net.dead = self.dead.copy()
-        net.outputs = self.outputs.copy()
+        net = object.__new__(type(self))
+        vars(net).update(vars(self))
+        for name in ("gates", "_refs", "counts", "dead", "outputs"):
+            setattr(net, name, getattr(self, name).copy())
         return net
-
-    def _take_over(self, old: int, new: int) -> None:
-        """Node ``old`` becomes the fresh, unread node ``new``, which goes."""
-        g = self.gates[old] = self.gates[new]
-        self.gates[new] = None
-        self._refs[g] = old
-        self.dead.discard(new)
-        if self.counts[old] == 0:
-            self.dead.add(old)
 
     def _set_outputs(self, refs: list[int]) -> None:
         for ref in refs:
-            self._hold(ref)
-        for ref in self.outputs:
-            self._release(ref)
-        self.outputs = refs
-
-    def _hold(self, ref: int) -> None:
-        if self.counts[ref] == 0:
             self.dead.discard(ref)
-        self.counts[ref] += 1
-
-    def _release(self, ref: int) -> None:
-        self.counts[ref] -= 1
-        if self.counts[ref] == 0 and self.gates[ref][0] != OP_INPUT:
-            self.dead.add(ref)
+            self.counts[ref] += 1
+        for ref in self.outputs:
+            self.counts[ref] -= 1
+            if self.counts[ref] == 0 and self.gates[ref][0] != OP_INPUT:
+                self.dead.add(ref)
+        self.outputs = refs

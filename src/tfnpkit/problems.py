@@ -18,14 +18,15 @@ the self-reductions read through ``IterInstance.step`` and
 ``SodInstance.step_and_value``, which trust their words: ``verify_solution``,
 the constructors and ``with_source`` check the words that enter, and the
 query constructors take sources derived from them.  End-of-line circuits
-are never self-reduced: a check or a walk reads each point of them once or
-twice, so they are evaluated and nothing is cached on them.  The
-self-reductions' queries read their root: an iteration half prepends its
-fixed prefix to the point, and a sink-of-DAG query applies its stage and
-reads its parent's memo.  A query's circuit is built only when it is read:
-an iteration half is sized from the fold of its parent's entries
-(:class:`~tfnpkit.circuit.Half`), and a sink-of-DAG query from a hash-consed
-net.  Neither is read at a point.
+are never self-reduced: a check or a walk reads each point once or twice,
+so they are evaluated and nothing is cached on them.  A self-reduction
+query reads its root (an iteration half with its prefix, a sink-of-DAG
+query through its stage and its parent's memo) and is sized with no
+circuit built: a half from its parent's folded entries
+(:class:`~tfnpkit.circuit.Half`), the root's chain of sink-of-DAG drops
+from one backward pass over the root that sizes every depth, and a query
+below a freeze from a :class:`~tfnpkit.gadgets.Net`, whose ``add`` and
+``drop`` each keep a node's counts in one method body.
 
 The sink-finding solution predicate requires a candidate to move
 (``succ(v) != v``) in both disjuncts: a point that is already a fixed point
@@ -43,7 +44,7 @@ from functools import cached_property, partial
 from typing import Callable
 
 from .bits import check_bits, from_int, zeros
-from .circuit import Circuit, Half, emit_netlist, evaluate, point, projected_size
+from .circuit import Circuit, Half, drop_sizes, emit_netlist, evaluate, point
 from .circuit import _derived, _read_rows, _strip, circuit_from_table, restrict_output
 from .circuit import size as circuit_gate_size
 from .errors import DimensionError, NetlistError
@@ -191,14 +192,14 @@ class SodInstance:
     built from, or slices of the pair cut on first read.
 
     A self-reduction query (:meth:`dropped`, :meth:`frozen`) is composed
-    over its parent instance.  It reads a point by applying its stage
-    and reading the parent's memo, so only the root circuit is read.  Its size comes from a :class:`~tfnpkit.gadgets.Net`,
-    and its ``pair`` is built through ``restrict_output``/``freeze_stage``
-    only when read.  The root and its chain of drops are raw: they keep the
-    root's duplicate and dead gates, which a net would not, so a raw drop is
-    sized by a liveness count on the root.  The first freeze below a raw
-    instance starts from the root's net, hash-consed once and dropped along
-    the chain."""
+    over its parent: it reads a point by applying its stage to the parent's
+    memo, so only the root circuit is read, and its ``pair`` is built
+    (``restrict_output``/``freeze_stage``) only when read.  The root and its
+    chain of drops are raw: they keep the root's duplicate and dead gates,
+    and one backward pass over the root sizes the drop of every depth.  A
+    query below a freeze is sized from its :class:`~tfnpkit.gadgets.Net`;
+    the first freeze below a raw instance starts from the root's net,
+    hash-consed once and dropped along the chain."""
 
     def __init__(self, succ: Circuit, valuation: Circuit, source: str | None = None):
         self._init(combine_pair(succ, valuation), source)
@@ -231,22 +232,17 @@ class SodInstance:
 
     def frozen(self, frozen_below: int, *, redirect_to: str | None = None, source: str | None = None) -> "SodInstance":
         """Query of the valuation-halving step (see ``freeze_stage``)."""
-        if self._net is None:
-            net = self._raw_net().freeze(frozen_below, redirect_to)
-            vars(self).pop("_hashed", None)  # a depth-first run needs it no more
-        else:
-            net = self._net.freeze(frozen_below, redirect_to)
+        net = (self._raw_net() if self._net is None else self._net).freeze(frozen_below, redirect_to)
+        vars(self).pop("_hashed", None)  # a raw instance's net: a depth-first run needs it no more
         freeze = (frozen_below, redirect_to)
         return SodInstance.__new__(SodInstance)._set(self.n, self.value_bits - 1, source, self, freeze, net)
 
     def _raw_net(self) -> Net:
-        """The hash-consed net of a raw instance, made on first need: the
-        root hash-conses its pair, and a raw drop drops its parent's net.
-        Each instance keeps its net until its first freeze.  So the root is
-        hash-consed once only if every drop is asked before the freeze of
-        its parent, as ``dsr_sod`` does (depth first, drop before freeze).
-        A drop asked of an instance that has been frozen already, or a
-        ``with_source`` copy made before the net, hash-conses the root again."""
+        """The net of a raw instance, made on first need and kept until its
+        first freeze: the root hash-conses its pair (``Net.of``), a raw drop
+        drops its parent's net.  So the root is hash-consed once if every
+        drop is asked before its parent's freeze, as ``dsr_sod`` does; a
+        later drop, or a ``with_source`` copy made before the net, does it again."""
         net = vars(self).get("_hashed")
         if net is None:
             net = Net.of(self.pair) if self._parent is None else self._parent._raw_net().drop(self.n)
@@ -261,19 +257,15 @@ class SodInstance:
     @property
     def size(self) -> int:
         """Circuit size of ``pair``, without building a query's circuit: a
-        composed query's is read from its net, a raw drop's counted on the
-        root."""
-        return self._raw_size if self._net is None else self._net.size
+        composed query's is read from its net, a raw one's from the root."""
+        return self._drop_sizes[0] if self._net is None else self._net.size
 
     @cached_property
-    def _raw_size(self) -> int:
-        root, dropped = self, 0
-        while root._parent is not None:
-            root, dropped = root._parent, dropped + 1
-        if not dropped:
-            return circuit_gate_size(self.pair)
-        n, m = self.n, root.pair.m
-        return projected_size(root.pair, [*range(n), *range(n + dropped, m)])
+    def _drop_sizes(self) -> list[int]:
+        """A raw instance's size, then its chain of drops': the root's come
+        from one pass (``drop_sizes``), a raw drop's are its parent's after the first."""
+        parent = self._parent
+        return drop_sizes(self.pair, self.n + 1) if parent is None else parent._drop_sizes[1:]
 
     @cached_property
     def pair(self) -> Circuit:

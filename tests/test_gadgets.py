@@ -8,20 +8,23 @@ from tfnpkit import gadgets
 from tfnpkit.bits import all_bitstrings, from_int, to_int
 from tfnpkit.circuit import (
     CONST,
+    GATE_COST,
     INPUT,
     OP_AND,
+    OP_CONST,
     OP_INPUT,
     OP_NOT,
     OP_OR,
     Circuit,
     Gate,
+    drop_sizes,
     evaluate,
     output_masks,
     random_circuit,
     restrict_output,
     size,
 )
-from tfnpkit.gadgets import GateBuilder, combine_pair, freeze_stage, redirect_zero_inputs
+from tfnpkit.gadgets import GateBuilder, Net, combine_pair, freeze_stage, redirect_zero_inputs
 from tfnpkit.problems import SodInstance, circuit_size
 
 
@@ -168,3 +171,88 @@ def test_composed_queries_match_the_builder_path(value_bits, data):
             out = evaluate(built, x)
             assert inst.step_and_value(x) == (out[:n], to_int(out[n:]))
         assert inst.pair == built
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(2, 5), st.data())
+def test_raw_drops_are_sized_from_one_pass(value_bits, data):
+    """The root's one backward pass sizes the raw drop of every depth d >= 1
+    as ``size()`` of d chained ``restrict_output`` calls, on pairs with
+    duplicate, constant and dead gates; the root keeps the list, and each
+    raw drop reads its entry."""
+    pair = data.draw(circuits(extra_outputs=value_bits))
+    n = pair.n
+    root = SodInstance.from_pair(pair)
+    sizes = drop_sizes(pair, n + 1)
+    assert len(sizes) == value_bits and sizes[0] == size(pair)
+    inst, built = root, pair
+    for d in range(1, value_bits):
+        inst, built = inst.dropped(), restrict_output(built, n + 1)
+        assert sizes[d] == size(built) == circuit_size(inst)
+    assert vars(root)["_drop_sizes"] == sizes
+
+
+class EmbeddingNet(Net):
+    """Reference for ``Net.of``: the circuit copied gate by gate through the
+    builder's ``const``/``not_``/``and_``/``or_`` calls."""
+
+    @classmethod
+    def of(cls, c: Circuit) -> Net:
+        net = cls(c.n)
+        refs: list[int] = []
+        for op, a, b in c.gates:
+            if op == OP_INPUT:
+                refs.append(net.inputs[a])
+            elif op == OP_CONST:
+                refs.append(net.const(a))
+            elif op == OP_NOT:
+                refs.append(net.not_(refs[a]))
+            else:
+                refs.append((net.and_ if op == OP_AND else net.or_)(refs[a], refs[b]))
+        net._set_outputs([refs[r] for r in c.outputs])
+        return net
+
+
+def assert_bookkept(net: Net) -> None:
+    """The incremental counts, dead set and cost equal the ones recounted
+    from the table: a node is counted once per node in the table that reads
+    it and once per output that names it."""
+    counts, cost = [0] * len(net.gates), 0
+    for g in net.gates:
+        if g is not None and g.op in GATE_COST:
+            cost += GATE_COST[g.op]
+            for r in (g.a,) if g.op == OP_NOT else (g.a, g.b):
+                counts[r] += 1
+    for r in net.outputs:
+        counts[r] += 1
+    live = [ref for ref, g in enumerate(net.gates) if g is not None]
+    assert net.counts == counts and net.cost == cost
+    assert net.dead == {ref for ref in live if counts[ref] == 0 and net.gates[ref].op != OP_INPUT}
+    assert net._refs == {net.gates[ref]: ref for ref in live}
+    assert [net.gates[ref] for ref in net.inputs] == [INPUT(k) for k in range(net.n)]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(2, 5), st.data())
+def test_net_bookkeeping_matches_a_recount(value_bits, data):
+    """``Net.of`` makes the table the embedding builder makes, and after
+    every drop and freeze of a random chain, each net on it (the parents,
+    which their children copy, included) keeps its counts, dead set and
+    cost equal to a recount."""
+    pair = data.draw(circuits(extra_outputs=value_bits))
+    n = pair.n
+    net, reference = Net.of(pair), EmbeddingNet.of(pair)
+    assert (net.gates, net._refs, net.counts, net.cost) == (
+        reference.gates, reference._refs, reference.counts, reference.cost)
+    assert net.dead == reference.dead and net.outputs == reference.outputs
+    chain = [net]
+    for _ in range(data.draw(st.integers(1, value_bits - 1))):
+        if data.draw(st.booleans()):
+            net = net.drop(n)
+        else:
+            frozen_below = data.draw(st.integers(0, (1 << (len(net.outputs) - n)) - 1))
+            redirect_to = data.draw(st.one_of(st.none(), st.integers(0, (1 << n) - 1).map(lambda v: from_int(v, n))))
+            net = net.freeze(frozen_below, redirect_to)
+        chain.append(net)
+        for held in chain:
+            assert_bookkept(held)
