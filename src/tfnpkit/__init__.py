@@ -91,4 +91,4 @@ from .problems import (
 )
 from .reductions import ReductionResult, add_source, drop_source, iter_to_sod, sod_to_iter
 from .solvers import enumerate_solutions, solve_exhaustive, solve_path
-from .svl import PromiseReport, check_promise, compile_svl, path_length, position, position_recursive
+from .svl import PromiseReport, check_promise, compile_svl, path_length, position

@@ -15,8 +15,10 @@ the one state string, so no sub-table is copied out or spliced back.  The
 compiled valuation is that position, and 0 on any string that is not a
 valid table for the compiled instance.  The state space remembers its last
 pass, so a walk that asks a state's position and then its successor
-validates each state once; it keeps that one pass only, since a memo of
-every placed state would hold the whole walk.
+validates each state once, and each level's last row scan, so that pass
+re-scans only the rows that differ from the ones it read before: a walk
+step changes one row.  It keeps one pass and one scan per level only, since
+a memo of every placed state would hold the whole walk.
 
 Only for unique-solution programs are the valid tables exactly the walk of
 ``x``, which :mod:`tfnpkit.svl` relies on.  Where answers are not unique,
@@ -49,7 +51,8 @@ class DsrProgram:
     indices from the root; programs whose relation depends on the position
     in the query tree (rather than on the instance bits alone) may use it,
     all others ignore it.  Replays must be deterministic: the same instance
-    and answered prefix always yield the same next query.
+    and answered prefix always yield the same next query, and the same
+    answer always verifies or always fails.
     """
 
     def query_count(self, size: int) -> int:
@@ -101,6 +104,14 @@ class StateSpace:
     successor, so a caller that reads the yielded state's position in
     between pays one pass per state, not two.  Only that one pass is kept:
     a memo of every placed state would grow with the walk.
+
+    Each level also remembers its last row-one scan, keyed by the row's
+    cells, the level's instance and its slot path; a level's ``rows``
+    offset depends on its size alone, so the key names the cells the scan
+    read.  A pass reads a level's scan again when that key is unchanged,
+    which, replays being deterministic, gives the same answer.  A walk step
+    writes one row, so its next pass re-scans that row and at most one
+    row of a level the step has just opened, and no other.
     """
 
     def __init__(self, prog: DsrProgram, n: int):
@@ -120,6 +131,7 @@ class StateSpace:
         for k in range(2, n + 1):  # initial and finished, plus one sub-walk per query
             self._length[k] = 2 + self._p[k] * self._length[k - 1]
         self._last: tuple = (_BAD, _BAD, None)  # (state, x, pass result); no pair matches _BAD
+        self._scans: dict[int, tuple] = {}  # k -> ((row one, x, path), its scan)
 
     def width(self) -> int:
         return self._width
@@ -170,16 +182,17 @@ class StateSpace:
         check_bits(x, self.n)
         return self._make_cell(self.n, x, None) + zeros(self._width - self._cw[self.n])
 
-    def _scan_row_one(self, state: str, x: str, k: int, path: Path, rows: int):
-        """Validity conditions over the row one at ``rows``: the filled cells
-        form a prefix, their instances replay the program's query schedule,
-        every answer verifies, and only the last filled cell may be
-        unanswered.  Returns (answered_prefix, pending), where ``pending`` is
-        the instance of an unanswered last cell or None, or None if invalid."""
+    def _scan_row_one(self, row: str, x: str, k: int, path: Path):
+        """Validity conditions over the cells of a size-k level's row one:
+        the filled cells form a prefix, their instances replay the program's
+        query schedule, every answer verifies, and only the last filled cell
+        may be unanswered.  Returns (answered_prefix, pending), where
+        ``pending`` is the instance of an unanswered last cell or None, or
+        None if invalid."""
         answered: list[tuple[str, str]] = []
         pending: str | None = None
         blank_seen = False
-        for slot, cell in enumerate(self._cells(state, rows, k - 1, self._p[k]), start=1):
+        for slot, cell in enumerate(self._cells(row, 0, k - 1, self._p[k]), start=1):
             if cell is _BAD:
                 return None
             inst, sol = cell
@@ -216,14 +229,18 @@ class StateSpace:
         if k == 1:
             cell = self._make_cell(k, x, self.prog.finalize(x, (), path))
             return state[:at] + cell + state[at + cw :], 1
-        scan = self._scan_row_one(state, x, k, path, rows)
+        w = self._cw[k - 1]
+        deeper = rows + self._p[k] * w
+        key = state[rows:deeper], x, path  # ``rows`` depends on k alone
+        last_key, scan = self._scans.get(k, (None, None))
+        if key != last_key:
+            scan = self._scan_row_one(key[0], x, k, path)
+            self._scans[k] = key, scan
         if scan is None:
             return None
         answered, pending = scan
         # the root's state, then one whole sub-walk per answered query
         pos = 1 + len(answered) * self._length[k - 1]
-        w = self._cw[k - 1]
-        deeper = rows + self._p[k] * w
         if pending is not None:
             j = len(answered) + 1
             sub = self._step(state, pending, k - 1, path + (j,), rows + (j - 1) * w, deeper)

@@ -4,9 +4,10 @@ for unique-solution programs.
 Positions are 1-based indices along the walk of a compiled program.  The
 occupancy of a valid state determines its position: each level contributes
 one step for its open cell plus a full sub-path length for every completed
-cell before it.  Two independent forms are exposed and must agree: an
-occupancy scan over the rows, and the position that the validating pass of
-:class:`~tfnpkit.dsr2pls.StateSpace` computes while it advances a table.
+cell before it.  :func:`position` computes it by an occupancy scan over
+the rows, without recursing; it must agree with the position that the
+validating pass of :class:`~tfnpkit.dsr2pls.StateSpace` computes while it
+advances a table, which ``StateSpace.position`` returns.
 The verifiable line is built from the compiled walk of
 :func:`~tfnpkit.dsr2pls.compile_pls`: its successor, source, target and
 valuation.
@@ -31,19 +32,12 @@ def path_length(prog: DsrProgram, size: int) -> int:
     return StateSpace(prog, size).path_length()
 
 
-def _validated(state: str, machine: StateSpace):
-    """Root cell and validating-pass position of a state on the walk of its
-    own root instance; raises off valid states."""
-    root = machine.root_cell(state)
-    pos = 0 if root is _BAD or root[0] is None else machine.position(state, root[0])
-    if pos == 0:
-        raise InvalidStateError("position is defined only for valid states")
-    return root, pos
-
-
 def position(prog: DsrProgram, state: str, machine: StateSpace) -> int:
-    """Occupancy form: scan each row's filled prefix without recursing."""
-    root, _ = _validated(state, machine)
+    """Occupancy form: scan each row's filled prefix without recursing.
+    Raises unless the state is valid on the walk of its own root instance."""
+    root = machine.root_cell(state)
+    if root is _BAD or root[0] is None or machine.position(state, root[0]) == 0:
+        raise InvalidStateError("position is defined only for valid states")
     n = machine.n
     length = machine.path_length
     if root[1] is not None:
@@ -61,13 +55,6 @@ def position(prog: DsrProgram, state: str, machine: StateSpace) -> int:
             total += length(n - depth) - 1
             break
     return total
-
-
-def position_recursive(prog: DsrProgram, state: str, machine: StateSpace) -> int:
-    """Sub-table form: the position the validating pass computes, one (for
-    the root) plus the full sub-paths of the answered queries plus the
-    recursive position of the pending query's level."""
-    return _validated(state, machine)[1]
 
 
 def _unique_solution(prog: DsrProgram, inst: str, path) -> str:

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tfnpkit import (
@@ -297,6 +297,99 @@ def test_remembered_pass_is_never_stale(calls):
             for space in (machine, fresh):
                 with pytest.raises(DimensionError):
                     getattr(space, method)(state, x)
+
+
+class _SlotParityProgram(RecursiveCombineProblem):
+    """The combine fixture with the last answer bit flipped where the slot
+    path sums to an odd number, so one row of cells under one instance is
+    valid at one slot of its parent and not at the other.  The halving
+    program's rows at n = 3 read the same at both slots."""
+
+    def finalize(self, inst, answered, path=()):
+        sol = self.solution(inst)
+        return sol[:-1] + str(int(sol[-1]) ^ sum(path) % 2)
+
+    def verify(self, inst, sol, path=()):
+        return sol == self.finalize(inst, (), path)
+
+
+def _scan_case(program, xs):
+    return program, xs, [list(StateSpace(program, len(x)).walk(x)) for x in xs]
+
+
+_HALVING_TOP = random_instance("iter-with-source", 3, random.Random(1))
+_SCAN_CASES = {
+    "combine": _scan_case(RecursiveCombineProblem(), ("101", "001")),
+    # each instance asks the other's queries in the opposite slots
+    "slot-parity": _scan_case(_SlotParityProgram(), ("101", "011")),
+    "halving": _scan_case(
+        HalvingIterProgram(_HALVING_TOP),
+        (_HALVING_TOP.source, str(1 - int(_HALVING_TOP.source[0])) + _HALVING_TOP.source[1:]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SCAN_CASES))
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(("successor", "position", "is_valid")),
+            # a walk and an index on it; None asks about the last state again
+            st.none() | st.tuples(st.integers(0, 1), st.integers(0, 13)),
+            st.none() | st.integers(0, 27),  # a bit to flip
+            # the instance asked with; None: the one the root cell names
+            st.none() | st.integers(0, 1),
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+# a scan, then the row one cell on at the same row, or the same row under
+# the instance one root bit away, or at the other slot of its parent
+@example(calls=[("position", (0, 3), None, 0), ("position", None, 27, 0)])
+@example(calls=[("position", (0, 3), None, 0), ("position", None, 1, None)])
+@example(calls=[("position", (0, 3), None, 0), ("position", (1, 9), 23, None)])
+def test_level_scans_are_never_stale(case, calls):
+    """Interleaved questions to one state space about walk states of two
+    instances, asked with either one, and about their one-bit flips, get
+    the answers of a fresh state space: a level's remembered row scan is
+    read only for the same row, instance and slot path."""
+    program, xs, walks = _SCAN_CASES[case]
+    n = len(xs[0])
+    machine = StateSpace(program, n)
+    state = walks[0][0]
+    for method, on_walk, flip, asked in calls:
+        if on_walk is not None:
+            state = walks[on_walk[0]][on_walk[1]]
+        if flip is not None:
+            state = state[:flip] + ("1" if state[flip] == "0" else "0") + state[flip + 1 :]
+        x = state[1 : 1 + n] if asked is None else xs[asked]
+        fresh = StateSpace(program, n)
+        assert getattr(machine, method)(state, x) == getattr(fresh, method)(state, x)
+
+
+def test_walk_reads_at_most_two_row_scans_per_state(monkeypatch, prog):
+    """A walk that reads every state's position scans, per state, the row
+    its last step changed and at most the row one of a level that step
+    opened; every other level's row one is read from that level's last
+    scan.  Without the per-level scans the pass at n = 8 scans up to seven
+    rows per state."""
+    scans = [0]
+    scan = StateSpace._scan_row_one
+
+    def counting_scan(self, *args):
+        scans[0] += 1
+        return scan(self, *args)
+
+    monkeypatch.setattr(StateSpace, "_scan_row_one", counting_scan)
+    top = random_instance("iter-with-source", 5, random.Random(1))
+    for program, x in ((prog, "10110100"), (HalvingIterProgram(top), top.source)):
+        compiled = compile_pls(program, x)
+        for index, state in enumerate(compiled.machine.walk(x), start=1):
+            scans[0] = 0
+            assert compiled.instance.valuation(state) == index
+            assert scans[0] <= 2
 
 
 def test_walk_limit_counts_steps(prog):

@@ -9,7 +9,6 @@ from tfnpkit import (
     enumerate_solutions,
     path_length,
     position,
-    position_recursive,
     random_instance,
 )
 from tfnpkit.dsr2pls import DsrProgram
@@ -67,7 +66,7 @@ def test_position_forms_agree_on_every_state(prog):
     for x in ("10", "110", "1011"):
         machine = StateSpace(prog, len(x))
         for state in machine.walk(x):
-            assert position(prog, state, machine) == position_recursive(prog, state, machine)
+            assert position(prog, state, machine) == machine.position(state, machine.root_cell(state)[0])
 
 
 def test_position_rejects_invalid_states(prog):
