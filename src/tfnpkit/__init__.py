@@ -20,7 +20,6 @@ from .circuit import (
     emit_netlist,
     evaluate,
     identity_circuit,
-    layers,
     output_masks,
     parse_netlist,
     project_outputs,

@@ -1,4 +1,4 @@
-"""Boolean circuit IR: evaluation, layering, restrictions, and netlist text I/O.
+"""Boolean circuit IR: evaluation, size, restrictions, and netlist text I/O.
 
 A circuit is an immutable list of gates in topological order over the
 alphabet {INPUT, CONST, NOT, AND, OR}; operands are integer references to
@@ -178,20 +178,6 @@ def size(c: Circuit) -> int:
     """Logic gate count plus wire count (input ports, operands, outputs),
     computed once per circuit and cached on it."""
     return c._size
-
-
-def layers(c: Circuit) -> tuple[int, ...]:
-    """Layer of each gate: inputs and constants sit at layer 1, and every
-    other gate strictly above all of its operands.  Single linear pass."""
-    out = []
-    for op, a, b in c.gates:
-        if op == OP_INPUT or op == OP_CONST:
-            out.append(1)
-        elif op == OP_NOT:
-            out.append(out[a] + 1)
-        else:
-            out.append(max(out[a], out[b]) + 1)
-    return tuple(out)
 
 
 def evaluate(c: Circuit, x: str) -> str:

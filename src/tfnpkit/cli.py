@@ -143,10 +143,12 @@ def _inflate_instance(inst, count: int):
 
 
 def _dsr_oracle(args, trace: QueryTrace):
-    inner = monitored(self_oracle(), args.mode, c=args.c, trace=trace)
+    monitor = monitored(self_oracle(), args.mode, c=args.c, trace=trace)
     if not args.inflate:
-        return inner
-    return lambda inst, parent=None: inner(_inflate_instance(inst, args.inflate), parent)
+        return monitor
+    inflating = lambda inst, parent=None: monitor(_inflate_instance(inst, args.inflate), parent)
+    monitor.inner._entry = inflating  # deeper queries re-enter through the padding, not the bare monitor
+    return inflating
 
 
 def _cmd_dsr_run(args) -> int:

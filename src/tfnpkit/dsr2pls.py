@@ -39,7 +39,6 @@ from .dsr import MODE_CIRCUIT, MODE_DSR
 from .errors import DimensionError, MalformedInstanceError, SizingError
 from .problems import ImplicitSodInstance, SuccessorOracle
 
-Answered = tuple[tuple[str, str], ...]
 Path = tuple[int, ...]
 _BLOWUP_EXPONENT = 2  # circuit-dsr sizing: each query level may add (inputs*outputs)**2
 
@@ -300,7 +299,6 @@ class StateSpace:
 
 @dataclass(eq=False)
 class CompiledPls:
-    program: DsrProgram
     x: str
     machine: StateSpace
     instance: ImplicitSodInstance
@@ -376,7 +374,6 @@ def compile_pls(prog: DsrProgram, x: str, *, mode: str = "dsr") -> CompiledPls:
         source=machine.initial_state(x),
     )
     return CompiledPls(
-        program=prog,
         x=x,
         machine=machine,
         instance=instance,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import repeat
-from operator import itemgetter
 from typing import Callable, Sequence
 
 from .bits import check_bits, from_int
@@ -207,46 +206,32 @@ def combine_pair(succ: Circuit, valuation: Circuit, name: str = "pair") -> Circu
     INPUT gates read the successor's (one is appended for an input the
     successor has no gate for), so the pair has no duplicate inputs.  When
     both hold their truth tables (a table-born circuit carries its own), the
-    pair's is their words joined point by point, with no evaluation.  The
-    appended gates are made with no Python call per gate."""
+    pair's is their words joined point by point, with no evaluation."""
     if succ.n != succ.m:
         raise DimensionError(f"successor circuit must have n == m, got {succ.n} -> {succ.m}")
     if valuation.n != succ.n:
         raise DimensionError("valuation must read the same inputs as the successor")
-    gates, vgates = succ.gates, valuation.gates
-    top = len(gates)
+    gates = list(succ.gates)
     input_refs: dict[int, int] = {}
-    for k in range(succ.n):
-        g = (OP_INPUT, k, 0)
-        if g in gates:
-            input_refs[k] = gates.index(g)
-    # The pair's index of each valuation gate, and the valuation gates it
-    # appends: all but the INPUT gates of inputs that have one already.
-    refs: list[int] = []
-    kept: list[Gate] = []
-    start = 0
-    ops = list(map(itemgetter(0), vgates))
-    idx = -1
-    for _ in range(ops.count(OP_INPUT)):
-        idx = ops.index(OP_INPUT, idx + 1)
-        k = vgates[idx][1]
-        if k not in input_refs:
-            input_refs[k] = top + len(kept) + idx - start
-            continue
-        refs += range(top + len(kept), top + len(kept) + idx - start)
-        kept += vgates[start:idx]
-        refs.append(input_refs[k])
-        start = idx + 1
-    refs += range(top + len(kept), top + len(kept) + len(vgates) - start)
-    kept += vgates[start:]
-    made = [
-        _new(Gate, (op, refs[a], refs[b])) if op == OP_AND or op == OP_OR
-        else _new(Gate, (op, refs[a], 0)) if op == OP_NOT
-        else g  # an appended INPUT, or a CONST
-        for g, (op, a, b) in zip(kept, kept)
-    ]
-    outputs = succ.outputs + tuple(map(refs.__getitem__, valuation.outputs))
-    pair = _derived(succ.n, (*gates, *made), outputs, name)
+    for idx, (op, a, _) in enumerate(gates):
+        if op == OP_INPUT:
+            input_refs.setdefault(a, idx)
+    refs: list[int] = []  # the pair's index of each valuation gate
+    for g in valuation.gates:
+        op, a, b = g
+        if op == OP_INPUT:
+            if a in input_refs:
+                refs.append(input_refs[a])
+                continue
+            input_refs[a] = len(gates)
+        elif op == OP_NOT:
+            g = _new(Gate, (op, refs[a], 0))
+        elif op != OP_CONST:
+            g = _new(Gate, (op, refs[a], refs[b]))
+        refs.append(len(gates))
+        gates.append(g)
+    outputs = succ.outputs + tuple(refs[r] for r in valuation.outputs)
+    pair = _derived(succ.n, tuple(gates), outputs, name)
     s_words, v_words = _table_words(succ), _table_words(valuation)
     if s_words is not None and v_words is not None:
         n, m = succ.m, valuation.m

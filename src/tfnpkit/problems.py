@@ -376,6 +376,10 @@ class ImplicitSodInstance:
     def n(self) -> int:
         return self.succ.n
 
+    def step_and_value(self, x: str) -> tuple[str, int]:
+        """Successor word and valuation at ``x``, as :class:`SodInstance` reads them."""
+        return self.succ(x), self.valuation(x)
+
 
 @dataclass(frozen=True, eq=False)
 class SvlInstance:
@@ -414,11 +418,6 @@ def kind_of(inst: ProblemInstance) -> str:
     return type(inst).__name__
 
 
-def instance_bits(inst: ProblemInstance) -> int:
-    """Width of candidate solutions."""
-    return inst.n
-
-
 def source_bits(inst: CircuitInstance) -> int:
     """Length of the explicit source; 0 for an instance that starts at 0^n."""
     source = getattr(inst, "source", None)
@@ -449,7 +448,7 @@ def instance_size(inst: CircuitInstance) -> int:
 
 def well_formed(inst: ProblemInstance) -> bool:
     """Does the instance satisfy the guarantee its kind promises?"""
-    if isinstance(inst, (IterInstance, SodInstance)):
+    if isinstance(inst, (IterInstance, SodInstance, ImplicitSodInstance)):
         start = zeros(inst.n) if inst.source is None else inst.source
         if isinstance(inst, IterInstance):
             return inst.step(start) > start
@@ -457,8 +456,6 @@ def well_formed(inst: ProblemInstance) -> bool:
     if isinstance(inst, EolInstance):
         start = zeros(inst.succ.n)
         return evaluate(inst.succ, start) != start and evaluate(inst.pred, start) == start
-    if isinstance(inst, ImplicitSodInstance):
-        return inst.succ(inst.source) != inst.source
     if isinstance(inst, SvlInstance):
         return bool(inst.verifier(inst.source, 1))
     raise TypeError(f"unknown instance type: {type(inst).__name__}")
@@ -475,25 +472,18 @@ def eol_solution(cand: str, fwd: str, back: str) -> bool:
 def verify_solution(inst: ProblemInstance, cand: str) -> bool:
     """Does ``cand`` satisfy the solution predicate?  Costs at most two
     successor evaluations (plus two valuation reads where applicable)."""
-    check_bits(cand, instance_bits(inst))
+    check_bits(cand, inst.n)
     if isinstance(inst, IterInstance):
         step = inst.step(cand)
         if step <= cand:
             return False
         return inst.step(step) <= step
-    if isinstance(inst, SodInstance):
+    if isinstance(inst, (SodInstance, ImplicitSodInstance)):
         step, value = inst.step_and_value(cand)
         if step == cand:
             return False
         after, step_value = inst.step_and_value(step)
         return after == step or step_value <= value
-    if isinstance(inst, ImplicitSodInstance):
-        step = inst.succ(cand)
-        if step == cand:
-            return False
-        if inst.succ(step) == step:
-            return True
-        return inst.valuation(step) <= inst.valuation(cand)
     if isinstance(inst, EolInstance):
         return eol_solution(cand, evaluate(inst.succ, cand), evaluate(inst.pred, cand))
     if isinstance(inst, SvlInstance):
@@ -526,7 +516,7 @@ def emit_instance(inst: CircuitInstance) -> str:
         raise TypeError(f"{type(inst).__name__} has no file form")
     parts = [f"problem {kind}"]
     for role in _ROLES[kind]:
-        c: Circuit = getattr(inst, "pred" if role == "pred" else role)
+        c: Circuit = getattr(inst, role)
         parts.append(emit_netlist(_derived(c.n, c.gates, c.outputs, role)).rstrip("\n"))
     if kind in _WITH_SOURCE:
         parts.append(f"source={inst.source}")
@@ -643,15 +633,14 @@ def random_instance(kind: str, n: int, rng, m: int | None = None) -> CircuitInst
         while True:
             table = [rng.randrange(space) for _ in range(space)]
             values = [rng.randrange(1 << m) for _ in range(space)]
+            if kind == KIND_SOD and table[0] != 0:
+                source = None
+            elif kind == KIND_SOD_WS and (starts := [x for x in range(space) if table[x] != x]):
+                source = from_int(rng.choice(starts), n)
+            else:
+                continue  # checked before synthesis: a rejected draw builds no circuit
             succ = circuit_from_table(table, n, n, name="succ")
-            val = circuit_from_table(values, n, m, name="valuation")
-            if kind == KIND_SOD:
-                if table[0] != 0:
-                    return SodInstance(succ, val)
-                continue
-            starts = [x for x in range(space) if table[x] != x]
-            if starts:
-                return SodInstance(succ, val, from_int(rng.choice(starts), n))
+            return SodInstance(succ, circuit_from_table(values, n, m, name="valuation"), source)
     if kind == KIND_EOL:
         # a consistent directed path from the all-zero node; everything else
         # is an isolated fixed point of both circuits

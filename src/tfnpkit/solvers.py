@@ -11,7 +11,6 @@ from .problems import (
     ProblemInstance,
     SodInstance,
     eol_solution,
-    instance_bits,
     verify_solution,
 )
 
@@ -44,13 +43,11 @@ def start_point(inst: ProblemInstance) -> str:
     return zeros(inst.n) if source is None else source
 
 
-def solve_path(inst: ProblemInstance, budget: int | None = None) -> str:
+def solve_path(inst: ProblemInstance) -> str:
     """Iterate the successor from the source until the solution predicate
-    holds; the step budget (default 2^n) turns guarantee violations into
-    explicit errors instead of non-termination."""
-    n = instance_bits(inst)
-    if budget is None:
-        budget = 1 << n
+    holds; the step budget of 2^n turns guarantee violations into explicit
+    errors instead of non-termination."""
+    budget = 1 << inst.n
     step = _path_step(inst)
     x = start_point(inst)
     for _ in range(budget + 1):
@@ -68,7 +65,7 @@ def solve_path(inst: ProblemInstance, budget: int | None = None) -> str:
 def solve_exhaustive(inst: ProblemInstance, bound: int = _TABLE_MAX_INPUTS) -> str:
     """Smallest verifying candidate in lexicographic order; refuses above
     ``bound`` input bits."""
-    n = instance_bits(inst)
+    n = inst.n
     if n > bound:
         raise SolveBoundError(f"exhaustive scan refused: {n} bits exceeds bound {bound}")
     for cand in all_bitstrings(n):
@@ -79,7 +76,7 @@ def solve_exhaustive(inst: ProblemInstance, bound: int = _TABLE_MAX_INPUTS) -> s
 
 def enumerate_solutions(inst: ProblemInstance, bound: int = _TABLE_MAX_INPUTS) -> list[str]:
     """All verifying candidates in lexicographic order."""
-    n = instance_bits(inst)
+    n = inst.n
     if n > bound:
         raise SolveBoundError(f"exhaustive scan refused: {n} bits exceeds bound {bound}")
     return [cand for cand in all_bitstrings(n) if verify_solution(inst, cand)]

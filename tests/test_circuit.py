@@ -19,7 +19,6 @@ from tfnpkit import (
     emit_netlist,
     evaluate,
     identity_circuit,
-    layers,
     output_masks,
     parse_netlist,
     random_circuit,
@@ -159,19 +158,6 @@ def test_restriction_errors():
     one = Circuit(1, 1, (INPUT(0),), (0,))
     with pytest.raises(RestrictionError):
         restrict_output(one, 1)
-
-
-def test_layers_property(rng):
-    for _ in range(25):
-        c = random_circuit(rng, 4, 2, 12)
-        lay = layers(c)
-        for idx, g in enumerate(c.gates):
-            if g.op == "not":
-                assert lay[idx] > lay[g.a]
-            elif g.op in ("and", "or"):
-                assert lay[idx] > max(lay[g.a], lay[g.b])
-            else:
-                assert lay[idx] == 1
 
 
 def test_project_outputs_agrees_with_iterated_restriction(rng):

@@ -1,9 +1,12 @@
 import random
+import re
 import subprocess
 import sys
 
 from tfnpkit import (
     IterInstance,
+    SodInstance,
+    circuit_from_table,
     emit_instance,
     identity_circuit,
     parse_instance,
@@ -95,6 +98,36 @@ def test_dsr_run_inflation_trips_monitor(tmp_path):
         rc, _, err = run_cli("dsr-run", str(path), "--inflate", "500")
         assert rc == 2
         assert "blowup budget" in err
+
+
+def _traced_queries(capsys, path, *extra) -> list[tuple[int, int]]:
+    """Depth and size of each ``--trace`` record of a ``dsr-run``."""
+    assert main(["dsr-run", str(path), "--trace", *extra]) == 0
+    records = capsys.readouterr().out.splitlines()[1:]
+    return [tuple(map(int, re.search(r"depth=(\d+) .* size=(\d+) ", line).groups())) for line in records]
+
+
+def test_dsr_run_inflation_pads_queries_at_every_depth(tmp_path, capsys):
+    """``--inflate K`` pads every query of the run, at every depth, with K
+    dead NOT gates, so each traced size grows by at least 2K."""
+    n = 5
+    succ = circuit_from_table([min(x + 1, (1 << n) - 1) for x in range(1 << n)], n, n)
+    path = tmp_path / "long-path.txt"
+    for inst in (IterInstance(succ), SodInstance(succ, identity_circuit(n))):
+        path.write_text(emit_instance(inst))
+        plain = _traced_queries(capsys, path)
+        padded = _traced_queries(capsys, path, "--inflate", "7")
+        assert len(padded) == len(plain) and max(depth for depth, _ in plain) >= 2
+        for (depth, size), (padded_depth, padded_size) in zip(plain, padded):
+            assert padded_depth == depth and padded_size >= size + 14
+
+
+def test_dsr_mode_inflation_trips_the_strict_monitor(tmp_path, capsys):
+    inst = random_instance("iter", 3, random.Random(1))
+    path = tmp_path / "iter.txt"
+    path.write_text(emit_instance(inst))
+    assert main(["dsr-run", str(path), "--mode", "dsr", "--inflate", "500"]) == 2
+    assert "is not below the parent's" in capsys.readouterr().err
 
 
 def test_walk_step_lines_and_answer():

@@ -32,7 +32,6 @@ from tfnpkit.bits import from_int, ones, zeros
 from tfnpkit.circuit import OP_INPUT, evaluate, output_masks, pad_with_dead_gates
 from tfnpkit.errors import DimensionError, MonitorViolation, OracleContractError
 from tfnpkit.gadgets import Net, redirect_zero_inputs
-from tfnpkit.problems import instance_bits
 from tfnpkit.solvers import solve_path
 
 from conftest import _assert_only_roots_read, _count_reads, iter_tables, parsed, table_circuit
@@ -285,7 +284,7 @@ def test_iteration_answers_verify_under_every_oracle_answer(monkeypatch):
 
 def test_lying_oracle_raises_contract_error(rng):
     def liar(inst, parent=None):
-        n = instance_bits(inst)
+        n = inst.n
         for cand in (zeros(n), ones(n)):
             if not verify_solution(inst, cand):
                 return cand

@@ -13,8 +13,10 @@ from tfnpkit import (
     random_instance,
     solve_path,
     verify_solution,
+    well_formed,
 )
 from tfnpkit.errors import DimensionError, MalformedInstanceError, SizingError
+from tfnpkit.problems import ImplicitSodInstance
 
 
 @pytest.fixture
@@ -178,6 +180,38 @@ def test_one_bit_flips_of_nested_walks(prog):
                 else:
                     assert machine.is_valid(nxt, x)
                     assert valuation(nxt) == valuation(state) + 1
+
+
+def _implicit_solution(inst, cand: str) -> bool:
+    """The sink-finding predicate written out over an implicit instance's
+    successor and valuation procedures: the reference for the problem
+    layer's one sink-of-DAG predicate."""
+    step = inst.succ(cand)
+    if step == cand:
+        return False
+    if inst.succ(step) == step:
+        return True
+    return inst.valuation(step) <= inst.valuation(cand)
+
+
+def test_compiled_instances_keep_the_implicit_predicate(prog):
+    """On every walk state and every one-bit flip of both fixtures at n = 3,
+    ``verify_solution`` on the compiled instance agrees with the reference
+    predicate, and ``well_formed`` from that state as source agrees with
+    its source moving."""
+    top = random_instance("iter-with-source", 3, random.Random(1))
+    for program, x in ((prog, "101"), (HalvingIterProgram(top), top.source)):
+        compiled = compile_pls(program, x)
+        inst, walk = compiled.instance, list(compiled.machine.walk(x))
+        assert well_formed(inst)
+        accepted = 0
+        for state in [*walk, *_one_bit_flips(walk)]:
+            expected = _implicit_solution(inst, state)
+            assert verify_solution(inst, state) == expected
+            accepted += expected
+            moved = ImplicitSodInstance(succ=inst.succ, valuation=inst.valuation, source=state)
+            assert well_formed(moved) == (inst.succ(state) != state)
+        assert accepted >= 1
 
 
 def test_valuation_is_zero_off_the_walk_of_x(prog):

@@ -245,6 +245,24 @@ def test_random_instances_are_well_formed(rng):
             assert well_formed(random_instance(kind, 3, rng))
 
 
+def test_sink_of_dag_draws_are_checked_before_synthesis(monkeypatch, rng):
+    """A rejected draw builds no circuit: at n = 1 half the sink-of-DAG
+    tables step 0 to itself, yet each returned instance costs exactly two
+    syntheses, its successor's and its valuation's."""
+    synthesise, calls = problems.circuit_from_table, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return synthesise(*args, **kwargs)
+
+    monkeypatch.setattr(problems, "circuit_from_table", counting)
+    for kind in ("sink-of-dag", "sink-of-dag-with-source"):
+        for _ in range(20):
+            calls.clear()
+            assert well_formed(random_instance(kind, 1, rng))
+            assert len(calls) == 2
+
+
 def test_eol_generator_builds_consistent_paths(rng):
     inst = random_instance("end-of-line", 3, rng)
     succ, pred = eval_table(inst.succ), eval_table(inst.pred)

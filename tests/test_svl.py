@@ -10,6 +10,8 @@ from tfnpkit import (
     path_length,
     position,
     random_instance,
+    verify_solution,
+    well_formed,
 )
 from tfnpkit.dsr2pls import DsrProgram
 from tfnpkit.errors import InvalidStateError, PromiseViolation
@@ -143,3 +145,15 @@ def test_unique_selfhost_instance_compiles(rng):
         break
     if prog is None:
         pytest.skip("no unique-solution instance found in the sample")
+
+
+def test_compiled_line_solves_at_its_target_only(prog):
+    """The problem layer's verifiable-line branches on a compiled line at 3
+    bits: the line is well formed from its source, not from a later state,
+    and of the walk's states only the one at the target index solves it."""
+    inst = compile_svl(prog, "101")
+    walk = list(StateSpace(prog, 3).walk("101"))
+    assert len(walk) == inst.target and well_formed(inst)
+    assert [verify_solution(inst, state) for state in walk] == [False] * (inst.target - 1) + [True]
+    later = SvlInstance(succ=inst.succ, source=walk[1], target=inst.target, verifier=inst.verifier)
+    assert not well_formed(later)
