@@ -146,8 +146,8 @@ def _dsr_oracle(args, trace: QueryTrace):
     monitor = monitored(self_oracle(), args.mode, c=args.c, trace=trace)
     if not args.inflate:
         return monitor
-    inflating = lambda inst, parent=None: monitor(_inflate_instance(inst, args.inflate), parent)
-    monitor.inner._entry = inflating  # deeper queries re-enter through the padding, not the bare monitor
+    # deeper queries re-enter through the padding, not the bare monitor
+    inflating = lambda inst, parent=None: monitor(_inflate_instance(inst, args.inflate), parent, entry=inflating)
     return inflating
 
 

@@ -10,7 +10,9 @@ The monitor reads its exact size from that fold and the next level halves
 the fold, so no gate is built; its circuit, gate for gate the
 ``restrict_half`` chain's, is built only when read.  Its points are read
 from the root with the fixed prefix prepended.  Source-free iteration runs
-that algorithm from the all-zero word and asks each query through
+the same case analysis on the instance itself, from the all-zero word: a
+query from the all-zero word is the source-free half, and only a query
+from another start is asked through
 :func:`~tfnpkit.reductions.drop_source`, whose target reads the query's
 points.  At one bit the iteration algorithm answers its source: a
 well-formed one-bit instance steps from 0 to 1, so 0 is its only solution,
@@ -75,8 +77,9 @@ def _require(inst: CircuitInstance, kind: str) -> None:
         raise MalformedInstanceError(f"{kind} instance violates its guarantee")
 
 
-def _ask(oracle: Oracle, sub: CircuitInstance, parent: CircuitInstance) -> str:
-    answer = oracle(sub, parent)
+def _ask(oracle: Oracle, sub: CircuitInstance, parent: CircuitInstance, asked: CircuitInstance | None = None) -> str:
+    """The oracle's answer to ``asked`` (default ``sub``), verified on ``sub``."""
+    answer = oracle(sub if asked is None else asked, parent)
     if not verify_solution(sub, answer):
         raise OracleContractError(
             f"oracle answer {answer!r} does not verify on the queried {kind_of(sub)} instance"
@@ -117,39 +120,51 @@ def _upper_start(inst: IterInstance, source: str, low_answer: str | None) -> tup
     return ("solution", prev) if step(here) <= here else ("upper", here)
 
 
-def dsr_iter_with_source(inst: IterInstance, oracle: Oracle) -> str:
-    _require(inst, KIND_ITER_WS)
-    source = inst.source
+def _dsr_iter_from(inst: IterInstance, source: str, query: Callable[[int, str], str]) -> str:
+    """The case analysis from ``source``, shared by both iteration kinds:
+    ``query(bit, start)`` answers the half whose leading bit is ``bit``
+    from ``start``, its verified answer a word of the half."""
     if inst.n <= 1:
         # S(src) > src makes src = 0 and S(0) = 1, and S(1) <= 1: 0 solves
         return source
     low_answer = None
     if source[0] == "0" and inst.step(source)[0] == "0":
         # a walk that starts in or at once enters the upper half has no lower query
-        low_answer = _ask(oracle, inst.half(0, source[1:]), inst)
+        low_answer = query(0, source[1:])
     kind, value = _upper_start(inst, source, low_answer)
     if kind == "solution":
         return value
     pivot = value
-    upper_answer = _ask(oracle, inst.half(1, pivot[1:]), inst)
-    return _ensure(inst, "1" + upper_answer, pivot)
+    return _ensure(inst, "1" + query(1, pivot[1:]), pivot)
+
+
+def dsr_iter_with_source(inst: IterInstance, oracle: Oracle) -> str:
+    _require(inst, KIND_ITER_WS)
+    return _dsr_iter_from(inst, inst.source, lambda bit, start: _ask(oracle, inst.half(bit, start), inst))
 
 
 def dsr_iter(inst: IterInstance, oracle: Oracle) -> str:
-    """The with-source algorithm run from the all-zero word, each query
-    asked through :func:`drop_source`: the oracle and the monitor see a
-    source-free query of this source-free instance, and its answer needs no
-    pullback.  For a query with successor S and source src, the target T
-    has T(0) = src and T(w) = S(w) elsewhere, and every solution of T
-    solves the query: 0 solves no T, as T(src) = S(src) > src = T(0) (the
-    query is well formed); and for w != 0 with S(w) > w >= 1,
+    """The with-source algorithm run on this instance from the all-zero
+    word, each query asked of a source-free instance, so its answer needs
+    no pullback.  A query from the all-zero word is the source-free half
+    itself: it steps as the half with that source does, and
+    ``verify_solution`` ignores the source, so the two have the same
+    solutions.  A query from any other start is asked through
+    :func:`drop_source`, and its answer is verified against the half with
+    that source.  For that query, with successor S and source src, the
+    target T has T(0) = src and T(w) = S(w) elsewhere, and every solution
+    of T solves the query: 0 solves no T, as T(src) = S(src) > src = T(0)
+    (the query is well formed); and for w != 0 with S(w) > w >= 1,
     T(S(w)) = S(S(w)), so w solves T exactly when it solves S."""
     _require(inst, KIND_ITER)
 
-    def ask(sub: IterInstance, parent: IterInstance) -> str:
-        return oracle(drop_source(sub).target, inst)
+    def query(bit: int, start: str) -> str:
+        if "1" not in start:
+            return _ask(oracle, inst.half(bit), inst)
+        sub = inst.half(bit, start)
+        return _ask(oracle, sub, inst, asked=drop_source(sub).target)
 
-    return dsr_iter_with_source(inst.with_source(zeros(inst.n)), ask)
+    return _dsr_iter_from(inst, zeros(inst.n), query)
 
 
 # --- sink-of-DAG problems ----------------------------------------------------
@@ -236,13 +251,12 @@ class SelfReductionOracle:
     """Answers queries by recursively running the matching algorithm, which
     ends in its own base case: at one bit the iteration problems answer
     their source, the only solution of a well-formed one-bit instance (it
-    steps from 0 to 1), and sink-of-DAG uses the single-valuation-bit rule."""
+    steps from 0 to 1), and sink-of-DAG uses the single-valuation-bit rule.
+    The recursion asks its queries of ``entry``, the outermost layer that
+    handed this query down (a monitor, or what wraps one), else of itself."""
 
-    def __init__(self):
-        self._entry: Oracle = self
-
-    def __call__(self, inst: CircuitInstance, parent: CircuitInstance | None = None) -> str:
-        return run_dsr(inst, self._entry)
+    def __call__(self, inst: CircuitInstance, parent: CircuitInstance | None = None, entry: Oracle | None = None) -> str:
+        return run_dsr(inst, entry or self)
 
 
 def self_oracle() -> SelfReductionOracle:
@@ -286,6 +300,10 @@ class MonitoredOracle:
     input and output bit counts to be component-wise bounded and strictly
     smaller in total.  ``circuit-dsr-poly-blowup`` additionally bounds the
     query's circuit size by the parent's plus (inputs*outputs)**c.
+
+    The inner oracle is called as ``inner(inst, parent, entry=...)``, with
+    ``entry`` the outermost layer: this monitor, or the layer that passed
+    its own ``entry`` in.  A recursive inner oracle asks its queries of it.
     """
 
     def __init__(self, inner: Oracle, mode: str, c: int = 2, trace: QueryTrace | None = None):
@@ -296,8 +314,6 @@ class MonitoredOracle:
         self.c = c
         self.trace = trace if trace is not None else QueryTrace()
         self._depth = 0
-        if isinstance(inner, SelfReductionOracle):
-            inner._entry = self
 
     def check(self, parent: CircuitInstance, sub: CircuitInstance) -> tuple[Dims, Dims]:
         """Raise on a query that breaks the mode's size discipline; return the
@@ -324,7 +340,7 @@ class MonitoredOracle:
                 )
         return parent_dims, sub_dims
 
-    def __call__(self, inst: CircuitInstance, parent: CircuitInstance | None = None) -> str:
+    def __call__(self, inst: CircuitInstance, parent: CircuitInstance | None = None, entry: Oracle | None = None) -> str:
         if parent is None:
             parent_dims, query_dims = None, _dims(inst)
         else:
@@ -333,7 +349,7 @@ class MonitoredOracle:
         self.trace.records.append(record)
         self._depth += 1
         try:
-            answer = self.inner(inst, parent)
+            answer = self.inner(inst, parent, entry=entry or self)
         finally:
             self._depth -= 1
         record.answer = answer

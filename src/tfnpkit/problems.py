@@ -85,6 +85,7 @@ class IterInstance:
         _require_square(succ, "successor")
         self.succ = succ
         self.source = _checked_source(source, succ.n)
+        self._halves: list[weakref.ref[Half] | None] = [None, None]  # shared by with_source copies
 
     @cached_property
     def succ(self) -> Circuit:
@@ -121,7 +122,7 @@ class IterInstance:
     def _sourced(self, source: str | None) -> "IterInstance":
         """``with_source`` for a source already checked as n bits."""
         other = IterInstance.__new__(IterInstance)
-        vars(other).update(vars(self), source=source, _halves=self._halves)
+        vars(other).update(vars(self), source=source)
         return other
 
     def half(self, bit: int, source: str | None = None) -> "IterInstance":
@@ -129,15 +130,21 @@ class IterInstance:
         fixed, output 1 dropped).  It is measured from this instance's
         folded entries (:class:`~tfnpkit.circuit.Half`), exactly the size of
         the two-step restriction, which it builds only when ``succ`` is
-        read.  It is cached weakly: made once while some instance holds it,
-        not kept alive by the parent.  Its points are this instance's, read
-        with the bit prepended, and its source is not checked again."""
-        h = self._halves.get(bit)
+        read.  The fold is held in one of two weak slots that this instance
+        shares with its ``with_source`` copies: made once while some
+        instance holds it, not kept alive by the parent, and the same fold
+        whatever the source, so a source-free query is this half with
+        ``source`` None.  Its points are this instance's, read with the bit
+        prepended, and its source is not checked again."""
+        slots = self._halves
+        held = slots[bit]
+        h = None if held is None else held()
         if h is None:
-            h = self._halves[bit] = Half(self._form, bit)
+            h = Half(self._form, bit)
+            slots[bit] = weakref.ref(h)
         read, prefix = self._read
         inst = IterInstance.__new__(IterInstance)
-        vars(inst).update(_half=h, source=source, _read=(read, prefix + str(bit)))
+        vars(inst).update(_half=h, source=source, _read=(read, prefix + str(bit)), _halves=[None, None])
         return inst
 
     def redirected(self) -> "IterInstance":
@@ -160,10 +167,6 @@ class IterInstance:
         """How points are read: a reader of the root's words, and the prefix
         this instance's point is given there."""
         return partial(point, self.succ), ""
-
-    @cached_property
-    def _halves(self) -> weakref.WeakValueDictionary[int, Half]:
-        return weakref.WeakValueDictionary()
 
     def step(self, x: str) -> str:
         """Successor word at ``x``, read from the root; ``x`` is an n-bit

@@ -205,9 +205,9 @@ class PickingOracle:
         self.root, self.picks, self.counts = root, picks, []
         self.below = self_oracle()
 
-    def __call__(self, inst, parent=None):
+    def __call__(self, inst, parent=None, entry=None):
         if parent is not self.root:
-            return self.below(inst, parent)
+            return self.below(inst, parent, entry)
         sols = enumerate_solutions(inst)
         i = len(self.counts)
         self.counts.append(len(sols))
@@ -282,6 +282,66 @@ def test_iteration_answers_verify_under_every_oracle_answer(monkeypatch):
     assert counts[3][:2] == [1307, 1687] and counts[3][2] <= 124
 
 
+def _dsr_iter_through_drop_source(inst, oracle):
+    """The reference source-free route: the with-source algorithm on a
+    zero-source copy, each query asked through ``drop_source`` with the
+    source-free instance as parent."""
+
+    def ask(sub, parent):
+        return oracle(drop_source(sub).target, inst)
+
+    return dsr_iter_with_source(inst.with_source(zeros(inst.n)), ask)
+
+
+def _reference_dsr(inst, oracle):
+    if inst.source is None:
+        return _dsr_iter_through_drop_source(inst, oracle)
+    return dsr_iter_with_source(inst, oracle)
+
+
+class ReferenceOracle:
+    """The recursive self-oracle on the reference route at every depth."""
+
+    def __call__(self, inst, parent=None, entry=None):
+        return _reference_dsr(inst, entry or self)
+
+
+def _traced(algorithm, inst, inner):
+    """The answer and the monitored trace of ``algorithm`` on ``inst``."""
+    trace = QueryTrace()
+    answer = algorithm(inst, monitored(inner, "circuit-dsr-poly-blowup", c=2, trace=trace))
+    return answer, trace.records
+
+
+def test_iteration_queries_trace_like_the_drop_source_route():
+    """Both iteration kinds, run monitored, record the query trace (parent
+    and query dimensions, depth, answer) and the answer that the reference
+    route records, which asks every source-free query through
+    ``drop_source``: on long paths at n = 2..7 and on a seeded sweep of
+    random instances, under the recursive self-oracle and under every valid
+    answer to the root's queries."""
+
+    def both_routes(inst, picking):
+        ran = _traced(run_dsr, inst, picking)
+        assert ran == _traced(_reference_dsr, inst, PickingOracle(inst, picking.picks))
+        return ran[0]
+
+    cases = []
+    for n in range(2, 8):
+        cases += [IterInstance(_long_path(n)), IterInstance(_long_path(n), from_int(1, n))]
+    rng = random.Random(0x7ACE)
+    for _ in range(300):
+        for kind in ("iter", "iter-with-source"):
+            cases.append(random_instance(kind, rng.randrange(2, 7), rng))
+    queries = runs = 0
+    for inst in cases:
+        ran = _traced(run_dsr, inst, self_oracle())
+        assert ran == _traced(_reference_dsr, inst, ReferenceOracle())
+        queries += len(ran[1])
+        runs += _run_every_pick(inst, both_routes)
+    assert queries > 1000 and runs > 2000
+
+
 def test_lying_oracle_raises_contract_error(rng):
     def liar(inst, parent=None):
         n = inst.n
@@ -290,15 +350,16 @@ def test_lying_oracle_raises_contract_error(rng):
                 return cand
         return zeros(n)
 
-    raised = 0
-    for _ in range(200):
-        inst = random_instance("iter-with-source", 3, rng)
-        try:
-            answer = dsr_iter_with_source(inst, liar)
-            assert verify_solution(inst, answer)
-        except OracleContractError:
-            raised += 1
-    assert raised > 0
+    raised = {"iter-with-source": 0, "iter": 0}
+    for kind in raised:
+        for _ in range(200):
+            inst = random_instance(kind, 3, rng)
+            try:
+                answer = run_dsr(inst, liar)
+                assert verify_solution(inst, answer)
+            except OracleContractError:
+                raised[kind] += 1
+    assert all(raised.values())
 
 
 def test_monitor_boundary_equal_shape_is_violation(rng):
@@ -432,13 +493,13 @@ class SizeCheckingOracle(SelfReductionOracle):
         self.trace = QueryTrace()
         self.checked = 0
 
-    def __call__(self, inst, parent=None):
+    def __call__(self, inst, parent=None, entry=None):
         assert type(inst) is SodInstance
         assert self.trace.records[-1].query_dims[2] == size(inst.pair)
         self.checked += 1
         if self.answer is not None:
             return self.answer(inst, parent)
-        return super().__call__(inst, parent)
+        return super().__call__(inst, parent, entry)
 
 
 def _checked_run(inst, answer=None) -> int:
@@ -495,17 +556,22 @@ class HalfCheckingOracle(SelfReductionOracle):
     dropped), or for a source-free upper query with a nonzero pivot suffix
     the ``drop_source`` target of that half that ``dropped`` recorded.  A
     half's circuit is built at this first read of it, as one circuit, and
-    the monitor's size is that circuit's."""
+    the monitor's size is that circuit's.  ``direct`` counts the queries
+    asked as source-free halves: no source, and the fold one of the
+    parent's half slots holds."""
 
     def __init__(self, dropped, constructed):
         super().__init__()
         self.dropped = dropped
         self.constructed = constructed
         self.checked = 0
+        self.direct = 0
 
-    def __call__(self, inst, parent=None):
+    def __call__(self, inst, parent=None, entry=None):
         assert isinstance(inst, IterInstance)
         expected = [restrict_output(restrict_input(parent.succ, 1, bit), 1) for bit in (0, 1)]
+        folds = [held() for held in parent._halves if held is not None]
+        self.direct += inst.source is None and inst._half is not None and any(h is inst._half for h in folds)
         before = len(self.constructed)
         succ = inst.succ
         assert len(self.constructed) - before == (inst._half is not None)
@@ -515,7 +581,7 @@ class HalfCheckingOracle(SelfReductionOracle):
         assert succ in expected
         assert problems.circuit_size(inst) == size(succ)
         self.checked += 1
-        return super().__call__(inst, parent)
+        return super().__call__(inst, parent, entry)
 
 
 def _recording_constructions(monkeypatch) -> list:
@@ -538,22 +604,21 @@ def _recording_constructions(monkeypatch) -> list:
     return constructed
 
 
-def _recording_drops(monkeypatch) -> tuple[dict, list]:
+def _recording_drops(monkeypatch) -> dict:
     """Route ``dsr``'s ``drop_source`` through a recorder: the successor of
-    each patched target maps to (target, source, query), and the queries
-    whose target is the query itself, sharing its circuit, are counted."""
-    dropped, unpatched = {}, [0]
+    each target maps to (target, source, query).  Every call redirects: a
+    query from the all-zero word is asked as the source-free half itself,
+    never through ``drop_source``."""
+    dropped = {}
 
     def recording_drop(sub):
         result = drop_source(sub)
-        if result.target.shares_circuit(sub):
-            unpatched[0] += 1
-        else:
-            dropped[id(result.target.succ)] = (result.target, sub.source, sub)
+        assert not result.target.shares_circuit(sub)
+        dropped[id(result.target.succ)] = (result.target, sub.source, sub)
         return result
 
     monkeypatch.setattr(dsr, "drop_source", recording_drop)
-    return dropped, unpatched
+    return dropped
 
 
 def test_iteration_queries_are_two_step_halves_built_in_one_pass(monkeypatch):
@@ -561,11 +626,14 @@ def test_iteration_queries_are_two_step_halves_built_in_one_pass(monkeypatch):
     parent's, or for a source-free upper query whose pivot suffix is
     nonzero, ``drop_source`` of that half: on monitored long paths at
     n = 2..7 with and without a source, and on a seeded sweep of random
-    iteration instances.  Making a half constructs no circuit, and reading
-    its ``succ`` constructs exactly one.  A monitored long-path run that
-    reads no query constructs the root and, for each ``drop_source`` that
-    redirects, the redirected target, and nothing else: the target embeds
-    the query's half from its entries, so the half's circuit is not built."""
+    iteration instances.  Every other source-free query is asked as the
+    source-free half itself, on the fold its parent holds, and
+    ``drop_source`` is called only to redirect.  Making a half constructs
+    no circuit, and reading its ``succ`` constructs exactly one.  A
+    monitored long-path run that reads no query constructs the root and,
+    for each ``drop_source`` that redirects, the redirected target, and
+    nothing else: the target embeds the query's half from its entries, so
+    the half's circuit is not built."""
     constructed = _recording_constructions(monkeypatch)
     made = []  # circuits constructed by each half as it is made
     init = circuit.Half.__init__
@@ -576,7 +644,7 @@ def test_iteration_queries_are_two_step_halves_built_in_one_pass(monkeypatch):
         made.append(len(constructed) - before)
 
     monkeypatch.setattr(circuit.Half, "__init__", counting_init)
-    dropped, unpatched = _recording_drops(monkeypatch)
+    dropped = _recording_drops(monkeypatch)
 
     def assert_built_only_redirects(inst, roots=()) -> int:
         """Run ``inst`` monitored: the circuits constructed are ``roots``
@@ -603,15 +671,15 @@ def test_iteration_queries_are_two_step_halves_built_in_one_pass(monkeypatch):
     constructed.clear()
     assert sum(assert_built_only_redirects(inst) for inst in cases) > 25
     dropped.clear()
-    checked = 0
+    checked = direct = 0
     made.clear()
-    unpatched[0] = 0
     for inst in cases:
         oracle = HalfCheckingOracle(dropped, constructed)
         answer = run_dsr(inst, monitored(oracle, "circuit-dsr-poly-blowup", c=2))
         assert verify_solution(inst, answer)
         checked += oracle.checked
-    assert checked > 750 and len(dropped) > 25 and unpatched[0] > 300
+        direct += oracle.direct
+    assert checked > 750 and len(dropped) > 25 and direct > 300
     assert len(made) == checked and set(made) == {0}
 
 
