@@ -421,7 +421,7 @@ class Half:
     ``size``.  :attr:`circuit` sweeps the entries into gates on first read,
     gate for gate the chain of ``restrict_half`` calls."""
 
-    __slots__ = ("n", "depth", "name", "entries", "outputs", "last", "size", "_circuit", "__weakref__")
+    __slots__ = ("n", "depth", "name", "entries", "outputs", "last", "size", "_circuit")
 
     def __init__(self, parent: "Circuit | Half", bit: int):
         _check_fix(parent, 1, bit)

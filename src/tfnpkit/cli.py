@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 verification failure, 2 contract or monitor
-violation, 3 usage error (including unreadable or unparseable inputs).
+violation, 3 usage error (including unreadable or unparseable inputs and
+requests over a size bound).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import (
     PromiseViolation,
     PullbackContractError,
     SizingError,
+    SolveBoundError,
     TfnpError,
 )
 from .fixtures import HalvingIterProgram, RecursiveCombineProblem
@@ -74,7 +76,12 @@ def _load_instance(path: str):
 
 def _fixture_program(selector: str, x: str):
     if selector == "fixture:recursive-combine":
-        return RecursiveCombineProblem()
+        prog = RecursiveCombineProblem()
+        if len(x) > prog.max_bits:
+            print(f"error: --x has {len(x)} bits but the combine fixture answers at most {prog.max_bits}",
+                  file=sys.stderr)
+            raise SystemExit(USAGE_ERROR)
+        return prog
     if selector.startswith("selfhost:"):
         inst = _load_instance(selector[len("selfhost:") :])
         if kind_of(inst) != KIND_ITER_WS:
@@ -313,7 +320,7 @@ def main(argv=None) -> int:
             PromiseViolation, SizingError) as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return CONTRACT_ERROR
-    except ValueError as exc:  # bad arguments, including the toolkit's shape errors
+    except (ValueError, SolveBoundError) as exc:  # bad arguments, shape errors, over-bound requests
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except TfnpError as exc:

@@ -17,7 +17,10 @@ from another start is asked through
 points.  At one bit the iteration algorithm answers its source: a
 well-formed one-bit instance steps from 0 to 1, so 0 is its only solution,
 and no search is made.  The sink-of-DAG problems halve the valuation range
-on its leading bit.  A sink-of-DAG query is composed over the instance that
+on its leading bit, and both kinds share one case analysis too: the
+single-valuation-bit base case, the query without the leading valuation
+bit, and the pivot, its answer's step; they differ only in the query asked
+from the pivot.  A sink-of-DAG query is composed over the instance that
 asks it (:meth:`SodInstance.dropped`, :meth:`SodInstance.frozen`): it reads its
 points through the parent's memo, and it is measured, without being
 built, as exactly the circuit ``restrict_output``/``freeze_stage`` would
@@ -170,23 +173,23 @@ def dsr_iter(inst: IterInstance, oracle: Oracle) -> str:
 # --- sink-of-DAG problems ----------------------------------------------------
 
 
-def _one_step_answer(inst, source: str) -> str:
-    """Base case with a single valuation bit: the source or its step answers."""
-    if verify_solution(inst, source):
-        return source
-    candidate = inst.step_and_value(source)[0]
-    if not verify_solution(inst, candidate):
-        raise MalformedInstanceError("single-bit valuation instance has no one-step answer")
-    return candidate
-
-
-def _derive_pivot(inst, answer: str) -> str | None:
-    """None when the sub-answer already solves the full instance; otherwise
-    the answer's step, whose valuation has the leading bit set and whose own
-    step moves."""
-    if verify_solution(inst, answer):
-        return None
-    return inst.step_and_value(answer)[0]
+def _dsr_sod_from(inst: SodInstance, oracle: Oracle, start: str, last: Callable[[str], str]) -> str:
+    """The case analysis from ``start``, shared by both sink-of-DAG kinds.
+    With a single valuation bit the start or its step answers.  Otherwise
+    the dropped query is asked first; its answer solves the instance, or
+    its step is the pivot, whose valuation has the leading bit set and whose
+    own step moves, and ``last(pivot)`` answers from there."""
+    if inst.value_bits == 1:
+        if verify_solution(inst, start):
+            return start
+        candidate = inst.step_and_value(start)[0]
+        if not verify_solution(inst, candidate):
+            raise MalformedInstanceError("single-bit valuation instance has no one-step answer")
+        return candidate
+    first = _ask(oracle, inst.dropped(inst.source), inst)
+    if verify_solution(inst, first):
+        return first
+    return last(inst.step_and_value(first)[0])
 
 
 def dsr_sod_with_source(inst: SodInstance, oracle: Oracle) -> str:
@@ -194,13 +197,8 @@ def dsr_sod_with_source(inst: SodInstance, oracle: Oracle) -> str:
     which has the leading bit set, so a sub-solution's step is frozen (lower
     valuation), a sink, or no higher in the full valuation: it lifts as is."""
     _require(inst, KIND_SOD_WS)
-    if inst.value_bits == 1:
-        return _one_step_answer(inst, inst.source)
-    first = _ask(oracle, inst.dropped(inst.source), inst)
-    pivot = _derive_pivot(inst, first)
-    if pivot is None:
-        return first
-    return _ask(oracle, inst.frozen(inst.step_and_value(pivot)[1], source=pivot), inst)
+    last = lambda pivot: _ask(oracle, inst.frozen(inst.step_and_value(pivot)[1], source=pivot), inst)
+    return _dsr_sod_from(inst, oracle, inst.source, last)
 
 
 def dsr_sod(inst: SodInstance, oracle: Oracle) -> str:
@@ -213,20 +211,18 @@ def dsr_sod(inst: SodInstance, oracle: Oracle) -> str:
     solves the instance."""
     _require(inst, KIND_SOD)
     start = zeros(inst.n)
-    if inst.value_bits == 1:
-        return _one_step_answer(inst, start)
-    first = _ask(oracle, inst.dropped(), inst)
-    pivot = _derive_pivot(inst, first)
-    if pivot is None:
-        return first
-    step, threshold = inst.step_and_value(pivot)
-    start_value = inst.step_and_value(start)[1]
-    if start_value >= threshold:
-        return _ask(oracle, inst.frozen(start_value), inst)
-    if step == start:
-        return pivot
-    second = _ask(oracle, inst.frozen(threshold, redirect_to=pivot), inst)
-    return pivot if second == start else second
+
+    def last(pivot: str) -> str:
+        step, threshold = inst.step_and_value(pivot)
+        start_value = inst.step_and_value(start)[1]
+        if start_value >= threshold:
+            return _ask(oracle, inst.frozen(start_value), inst)
+        if step == start:
+            return pivot
+        second = _ask(oracle, inst.frozen(threshold, redirect_to=pivot), inst)
+        return pivot if second == start else second
+
+    return _dsr_sod_from(inst, oracle, start, last)
 
 
 _DISPATCH = {

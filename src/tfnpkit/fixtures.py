@@ -4,15 +4,16 @@
 exercise the state-graph and verifiable-line pipelines end to end: it is
 not hard, and without the recursion there is no obvious fast verifier; it
 exists purely as plumbing ballast.  ``HalvingIterProgram`` runs the
-iteration-with-source self-reduction, ``dsr_iter_with_source`` itself, over
-one fixed top-level instance, with cells carrying source words and the
-sub-instance determined by the cell's slot path.
+iteration self-reduction's case analysis, the core that
+``dsr_iter_with_source`` runs, over one fixed top-level instance, with
+cells carrying source words, the sub-instance determined by the cell's
+slot path, and each query answered by its slot.
 """
 
 from __future__ import annotations
 
 from .bits import complement, parity, xor_bits, zeros
-from .dsr import dsr_iter_with_source
+from .dsr import _dsr_iter_from
 from .dsr2pls import DsrProgram, Path
 from .errors import SolveBoundError
 from .problems import IterInstance, circuit_size, verify_solution
@@ -65,8 +66,8 @@ class RecursiveCombineProblem(DsrProgram):
 
 
 class _Unanswered(Exception):
-    """Raised by a replay's scripted oracle at the first slot with no answer
-    yet; its args are the slot and the source of the slot's query."""
+    """Raised by a replay's query at the first slot with no answer yet; its
+    args are the slot and the start of the slot's query."""
 
 
 class HalvingIterProgram(DsrProgram):
@@ -75,11 +76,17 @@ class HalvingIterProgram(DsrProgram):
 
     A cell's slot path fixes its instance (slot 1 the lower half of its
     parent's, slot 2 the upper, see :meth:`IterInstance.half`) and its bits
-    are the source.  A replay runs :func:`~tfnpkit.dsr.dsr_iter_with_source`
-    against an oracle that answers from the answered prefix.  Only the
-    padding rules are the program's own: a slot the algorithm does not need
-    holds the all-zero source, and a source with no ascent is answered by
-    the all-zero word, which keeps the relation total over every word.
+    are the source.  A replay runs the iteration case analysis,
+    :func:`~tfnpkit.dsr._dsr_iter_from`, on the path's instance from the
+    cell's source, and answers its query on the half with leading bit b
+    from slot b + 1 of the answered prefix.  The state space has already
+    made the checks the algorithm's entry point would repeat: a cell is
+    replayed only when it ascends (:meth:`verify`, the guarantee), and every
+    answered cell passed :meth:`verify` on its slot's instance, the
+    predicate an oracle answer is checked with.  Only the padding rules are
+    the program's own: a slot the algorithm does not need holds the
+    all-zero source, and a source with no ascent is answered by the
+    all-zero word, which keeps the relation total over every word.
     """
 
     def __init__(self, top: IterInstance):
@@ -87,8 +94,9 @@ class HalvingIterProgram(DsrProgram):
         self._instances: dict[Path, IterInstance] = {(): top}
 
     def instance_for(self, path: Path) -> IterInstance:
-        """The path's instance, one per path, so each half is made once and
-        a query can be told by its circuit without building it."""
+        """The path's instance, one per path, so each half is made once.
+        Its source is never read: the replay and :meth:`verify` take the
+        cell word as the source."""
         if path not in self._instances:
             self._instances[path] = self.instance_for(path[:-1]).half(path[-1] - 1)
         return self._instances[path]
@@ -100,10 +108,9 @@ class HalvingIterProgram(DsrProgram):
         return size
 
     def _ascending(self, inst: str, path: Path) -> IterInstance | None:
-        """The path's instance with source ``inst``, or None when it does not
-        ascend from there (the padded case).  The state space has checked
-        the cell word ``inst``."""
-        here = self.instance_for(path)._sourced(inst)
+        """The path's instance when it ascends from the cell word ``inst``,
+        else None (the padded case).  The state space has checked ``inst``."""
+        here = self.instance_for(path)
         return here if here.step(inst) > inst else None
 
     def _replay(self, inst: str, answered, path: Path) -> str | None:
@@ -113,14 +120,12 @@ class HalvingIterProgram(DsrProgram):
         if here is None:
             return None
 
-        def scripted(sub: IterInstance, parent: IterInstance) -> str:
-            # both halves stay held by their paths, so a query's circuit is one of theirs
-            slot = next(j for j in (1, 2) if self.instance_for(path + (j,)).shares_circuit(sub))
-            if slot > len(answered):
-                raise _Unanswered(slot, sub.source)
-            return answered[slot - 1][1]
+        def query(bit: int, start: str) -> str:
+            if bit >= len(answered):
+                raise _Unanswered(bit + 1, start)
+            return answered[bit][1]
 
-        return dsr_iter_with_source(here, scripted)
+        return _dsr_iter_from(here, inst, query)
 
     def next_query(self, inst: str, answered, path: Path = ()) -> str:
         try:

@@ -38,7 +38,6 @@ introduced by the halving constructions masquerade as solutions.
 from __future__ import annotations
 
 import copy
-import weakref
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable
@@ -85,7 +84,6 @@ class IterInstance:
         _require_square(succ, "successor")
         self.succ = succ
         self.source = _checked_source(source, succ.n)
-        self._halves: list[weakref.ref[Half] | None] = [None, None]  # shared by with_source copies
 
     @cached_property
     def succ(self) -> Circuit:
@@ -109,20 +107,11 @@ class IterInstance:
         half = self._half
         return circuit_gate_size(self.succ) if half is None else half.size
 
-    def shares_circuit(self, other: "IterInstance") -> bool:
-        """Are both instances on one circuit, built or not?  A half is shared
-        by its parent's ``with_source`` copies while some instance holds it."""
-        return self._form is other._form
-
     def with_source(self, source: str | None) -> "IterInstance":
         """The same successor with another source: the copy shares the
-        circuit or half, the points and the halves."""
-        return self._sourced(_checked_source(source, self.n))
-
-    def _sourced(self, source: str | None) -> "IterInstance":
-        """``with_source`` for a source already checked as n bits."""
+        circuit or half and the points."""
         other = IterInstance.__new__(IterInstance)
-        vars(other).update(vars(self), source=source)
+        vars(other).update(vars(self), source=_checked_source(source, self.n))
         return other
 
     def half(self, bit: int, source: str | None = None) -> "IterInstance":
@@ -130,21 +119,13 @@ class IterInstance:
         fixed, output 1 dropped).  It is measured from this instance's
         folded entries (:class:`~tfnpkit.circuit.Half`), exactly the size of
         the two-step restriction, which it builds only when ``succ`` is
-        read.  The fold is held in one of two weak slots that this instance
-        shares with its ``with_source`` copies: made once while some
-        instance holds it, not kept alive by the parent, and the same fold
-        whatever the source, so a source-free query is this half with
-        ``source`` None.  Its points are this instance's, read with the bit
-        prepended, and its source is not checked again."""
-        slots = self._halves
-        held = slots[bit]
-        h = None if held is None else held()
-        if h is None:
-            h = Half(self._form, bit)
-            slots[bit] = weakref.ref(h)
+        read.  Each call makes a new fold, and the fold does not depend on
+        the source, so a source-free query is this half with ``source``
+        None.  Its points are this instance's, read with the bit prepended,
+        and its source is not checked again."""
         read, prefix = self._read
         inst = IterInstance.__new__(IterInstance)
-        vars(inst).update(_half=h, source=source, _read=(read, prefix + str(bit)), _halves=[None, None])
+        vars(inst).update(_half=Half(self._form, bit), source=source, _read=(read, prefix + str(bit)))
         return inst
 
     def redirected(self) -> "IterInstance":

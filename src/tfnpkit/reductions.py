@@ -88,8 +88,12 @@ def sod_to_iter(inst: SodInstance) -> ReductionResult:
 
     When the all-zero word already answers the source (its valuation does
     not rise), the canonical start would violate the target guarantee, so a
-    trivially solvable target is emitted and the pullback is constant.
+    trivially solvable target is emitted and the pullback is constant.  The
+    rail starts at the all-zero word, so an instance with a source is
+    refused.
     """
+    if inst.source is not None:
+        raise DimensionError(f"sod_to_iter needs an instance without a source, got {kind_of(inst)}")
     succ, val = inst.succ, inst.valuation
     n, m = succ.n, val.m
 

@@ -219,6 +219,8 @@ def test_exit_code_table(tmp_path, capsys):
         files[kind].write_text(emit_instance(random_instance(kind, 3, random.Random(1))))
     stuck = tmp_path / "stuck.txt"  # the identity successor breaks the iteration guarantee
     stuck.write_text(emit_instance(IterInstance(identity_circuit(2))))
+    wide = tmp_path / "wide.txt"  # above the exhaustive solver's 16-input bound
+    wide.write_text(emit_instance(IterInstance(identity_circuit(17))))
     no_outputs = tmp_path / "no-outputs.txt"
     no_outputs.write_text("problem iter\ncircuit succ inputs=0 outputs=0\n")
     inst = parse_instance(files["iter"].read_text())
@@ -244,6 +246,9 @@ def test_exit_code_table(tmp_path, capsys):
         (("svl-check", *combine, "--x", "10a"), 3),
         (("svl-check", *combine, "--x", ""), 3),
         (("svl-check", *combine, "--x", "101", "--budget", "-1"), 3),
+        # over-bound requests: the combine fixture answers up to 12 bits
+        (("compile-pls", *combine, "--x", "1" * 13), 3),
+        (("solve", wide, "--exhaustive"), 3),
         (("walk", *combine, "--x", "101", "--max-steps", "-1"), 3),
         (("dsr-run", files["iter"], "--inflate", "-1"), 3),
         (("dsr-run", files["iter"], "--c", "-3"), 3),

@@ -557,8 +557,8 @@ class HalfCheckingOracle(SelfReductionOracle):
     the ``drop_source`` target of that half that ``dropped`` recorded.  A
     half's circuit is built at this first read of it, as one circuit, and
     the monitor's size is that circuit's.  ``direct`` counts the queries
-    asked as source-free halves: no source, and the fold one of the
-    parent's half slots holds."""
+    asked as source-free halves: no source, and the parent's reader with
+    one more bit of prefix."""
 
     def __init__(self, dropped, constructed):
         super().__init__()
@@ -570,8 +570,9 @@ class HalfCheckingOracle(SelfReductionOracle):
     def __call__(self, inst, parent=None, entry=None):
         assert isinstance(inst, IterInstance)
         expected = [restrict_output(restrict_input(parent.succ, 1, bit), 1) for bit in (0, 1)]
-        folds = [held() for held in parent._halves if held is not None]
-        self.direct += inst.source is None and inst._half is not None and any(h is inst._half for h in folds)
+        (read, prefix), (parent_read, parent_prefix) = inst._read, parent._read
+        one_deeper = len(prefix) == len(parent_prefix) + 1 and prefix.startswith(parent_prefix)
+        self.direct += inst.source is None and read is parent_read and one_deeper
         before = len(self.constructed)
         succ = inst.succ
         assert len(self.constructed) - before == (inst._half is not None)
@@ -613,7 +614,7 @@ def _recording_drops(monkeypatch) -> dict:
 
     def recording_drop(sub):
         result = drop_source(sub)
-        assert not result.target.shares_circuit(sub)
+        assert result.target._half is None
         dropped[id(result.target.succ)] = (result.target, sub.source, sub)
         return result
 
@@ -627,7 +628,7 @@ def test_iteration_queries_are_two_step_halves_built_in_one_pass(monkeypatch):
     nonzero, ``drop_source`` of that half: on monitored long paths at
     n = 2..7 with and without a source, and on a seeded sweep of random
     iteration instances.  Every other source-free query is asked as the
-    source-free half itself, on the fold its parent holds, and
+    source-free half itself, reading its parent's points, and
     ``drop_source`` is called only to redirect.  Making a half constructs
     no circuit, and reading its ``succ`` constructs exactly one.  A
     monitored long-path run that reads no query constructs the root and,

@@ -10,13 +10,19 @@ from tfnpkit import (
     StateSpace,
     all_bitstrings,
     compile_pls,
+    from_int,
     random_instance,
     solve_path,
     verify_solution,
     well_formed,
+    zeros,
 )
+from tfnpkit.dsr import dsr_iter_with_source
 from tfnpkit.errors import DimensionError, MalformedInstanceError, SizingError
-from tfnpkit.problems import ImplicitSodInstance
+from tfnpkit.fixtures import _Unanswered
+from tfnpkit.problems import ImplicitSodInstance, IterInstance
+
+from conftest import table_circuit
 
 
 @pytest.fixture
@@ -128,14 +134,21 @@ def test_state_graph_exhaustive_n2(prog):
 
 
 def test_halving_state_graph_is_closed_n2(rng):
+    """Valid states step to valid states, invalid ones are fixed points,
+    and every answered row-one cell of a valid state passes the program's
+    ``verify``: the state space makes the answer check that the replay
+    does not repeat."""
     for _ in range(3):
         top = random_instance("iter-with-source", 2, rng)
-        machine = StateSpace(HalvingIterProgram(top), 2)
+        prog = HalvingIterProgram(top)
+        machine = StateSpace(prog, 2)
         x = top.source
         for state in all_bitstrings(machine.width()):
             nxt = machine.successor(state, x)
             if machine.is_valid(state, x):
                 assert machine.is_valid(nxt, x)
+                for slot, (inst, sol) in enumerate(machine.row_cells(state, 1), start=1):
+                    assert sol is None or prog.verify(inst, sol, (slot,))
             else:
                 assert nxt == state
 
@@ -466,6 +479,46 @@ def test_self_hosted_walks(rng):
             assert len(states) == compiled.path_length
             answer = compiled.extract(states[-1])
             assert verify_solution(top, answer)
+
+
+class _AskingReplay(HalvingIterProgram):
+    """Reference replay through the algorithm's entry point:
+    ``dsr_iter_with_source`` on the path's instance with the cell word as
+    source, which checks the guarantee and verifies every answer on its
+    query (``_ask``), against an oracle that reads each query's slot from
+    the last bit of its reader prefix."""
+
+    def _replay(self, inst, answered, path):
+        here = self.instance_for(path).with_source(inst)
+        if here.step(inst) <= inst:
+            return None
+
+        def scripted(sub, parent):
+            slot = int(sub._read[1][-1]) + 1
+            if slot > len(answered):
+                raise _Unanswered(slot, sub.source)
+            return answered[slot - 1][1]
+
+        return dsr_iter_with_source(here, scripted)
+
+
+def test_self_hosted_walks_replay_like_the_checked_entry_point():
+    """The replay by slot compiles the same walk, state for state, and
+    extracts the same answer as the reference replay that asks every query
+    through ``dsr_iter_with_source``: on long paths at n = 2..5 from two
+    sources and on seeded random tops."""
+    tops = []
+    for n in range(2, 6):
+        path = table_circuit([min(x + 1, (1 << n) - 1) for x in range(1 << n)], n)
+        tops += [IterInstance(path, zeros(n)), IterInstance(path, from_int(1, n))]
+        tops += [random_instance("iter-with-source", n, random.Random(seed)) for seed in range(8)]
+    for top in tops:
+        by_slot = compile_pls(HalvingIterProgram(top), top.source)
+        asked = compile_pls(_AskingReplay(top), top.source)
+        walk = list(by_slot.machine.walk(top.source))
+        assert walk == list(asked.machine.walk(top.source))
+        assert by_slot.extract(walk[-1]) == asked.extract(walk[-1])
+        assert verify_solution(top, by_slot.extract(walk[-1]))
 
 
 def test_circuit_mode_sizing_accepts_halving_program(rng):

@@ -99,6 +99,17 @@ def test_sod_to_iter_pullback_random(rng):
         _assert_pullback_total(inst, result)
 
 
+def test_sod_to_iter_refuses_a_source():
+    """The rail starts at the all-zero word, so an instance with a source is
+    refused: this well-formed one is stuck at the all-zero word, and a
+    target built from there would have a failing pullback."""
+    succ = table_circuit([0, 2, 3, 3], 2)
+    inst = SodWithSourceInstance(succ, table_circuit([0, 1, 2, 3], 2, name="valuation"), "01")
+    assert well_formed(inst)
+    with pytest.raises(DimensionError):
+        sod_to_iter(inst)
+
+
 def test_add_source_settles_at_zero(rng):
     inst = random_instance("iter", 3, rng)
     result = add_source(inst)
