@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 verification failure, 2 contract or monitor
-violation, 3 usage error (including unreadable or unparseable inputs and
-requests over a size bound).
+violation or malformed instance, 3 usage error (including unreadable or
+unparseable inputs and requests over a size bound).  Every refusal is
+raised where it is found, and :func:`main` maps it to its code.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .dsr import MODES, QueryTrace, monitored, run_dsr, self_oracle
 from .dsr2pls import compile_pls
 from .circuit import pad_with_dead_gates
 from .errors import (
+    MalformedInstanceError,
     MonitorViolation,
     NetlistError,
     OracleContractError,
@@ -65,34 +67,26 @@ def _load_instance(path: str):
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     try:
         return parse_instance(text)
     except NetlistError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _fixture_program(selector: str, x: str):
     if selector == "fixture:recursive-combine":
-        prog = RecursiveCombineProblem()
-        if len(x) > prog.max_bits:
-            print(f"error: --x has {len(x)} bits but the combine fixture answers at most {prog.max_bits}",
-                  file=sys.stderr)
-            raise SystemExit(USAGE_ERROR)
-        return prog
+        return RecursiveCombineProblem()
     if selector.startswith("selfhost:"):
         inst = _load_instance(selector[len("selfhost:") :])
         if kind_of(inst) != KIND_ITER_WS:
-            print("error: selfhost programs need an iter-with-source instance", file=sys.stderr)
-            raise SystemExit(USAGE_ERROR)
+            raise ValueError("selfhost programs need an iter-with-source instance")
         if len(x) != inst.n:
-            print(f"error: --x has {len(x)} bits but the selfhost instance has {inst.n}", file=sys.stderr)
-            raise SystemExit(USAGE_ERROR)
+            raise ValueError(f"--x has {len(x)} bits but the selfhost instance has {inst.n}")
+        if inst.step(x) <= x:
+            raise MalformedInstanceError(f"the selfhost instance does not ascend from --x {x}")
         return HalvingIterProgram(inst)
-    print(f"error: unknown problem selector {selector!r}", file=sys.stderr)
-    raise SystemExit(USAGE_ERROR)
+    raise ValueError(f"unknown problem selector {selector!r}")
 
 
 def _cmd_gen(args) -> int:
@@ -129,8 +123,7 @@ def _cmd_reduce(args) -> int:
     inst = _load_instance(args.file)
     fn = _REDUCTIONS.get((kind_of(inst), args.to))
     if fn is None:
-        print(f"error: no reduction from {kind_of(inst)} to {args.to}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"no reduction from {kind_of(inst)} to {args.to}")
     result = fn(inst)
     sys.stdout.write(emit_instance(result.target))
     try:
@@ -160,9 +153,6 @@ def _dsr_oracle(args, trace: QueryTrace):
 
 def _cmd_dsr_run(args) -> int:
     inst = _load_instance(args.file)
-    if kind_of(inst) == KIND_EOL:
-        print(f"error: no self-reduction for {KIND_EOL}", file=sys.stderr)
-        return USAGE_ERROR
     trace = QueryTrace()
     oracle = _dsr_oracle(args, trace)
     answer = run_dsr(inst, oracle)
@@ -273,20 +263,18 @@ def build_parser() -> _Parser:
                    help="pad every query circuit with dead gates (monitor demo)")
     p.set_defaults(fn=_cmd_dsr_run)
 
-    p = sub.add_parser("compile-pls", help="compile a query program into a state graph")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--x", required=True, type=check_bits)
+    program = argparse.ArgumentParser(add_help=False)  # the query program the next three commands compile
+    program.add_argument("--problem", required=True)
+    program.add_argument("--x", required=True, type=check_bits)
+
+    p = sub.add_parser("compile-pls", parents=[program], help="compile a query program into a state graph")
     p.set_defaults(fn=_cmd_compile_pls)
 
-    p = sub.add_parser("walk", help="walk a compiled state graph to its answer")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--x", required=True, type=check_bits)
+    p = sub.add_parser("walk", parents=[program], help="walk a compiled state graph to its answer")
     p.add_argument("--max-steps", type=_count, default=None)
     p.set_defaults(fn=_cmd_walk)
 
-    p = sub.add_parser("svl-check", help="desk-scale verifiable-line promise check")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--x", required=True, type=check_bits)
+    p = sub.add_parser("svl-check", parents=[program], help="desk-scale verifiable-line promise check")
     p.add_argument("--budget", type=_count, default=None)
     p.set_defaults(fn=_cmd_svl_check)
 
@@ -314,8 +302,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.fn(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     except (MonitorViolation, OracleContractError, PullbackContractError,
             PromiseViolation, SizingError) as exc:
         print(f"violation: {exc}", file=sys.stderr)

@@ -236,7 +236,7 @@ _DISPATCH = {
 def run_dsr(inst: CircuitInstance, oracle: Oracle) -> str:
     fn = _DISPATCH.get(kind_of(inst))
     if fn is None:
-        raise TypeError(f"no self-reduction for {kind_of(inst)}")
+        raise DimensionError(f"no self-reduction for {kind_of(inst)}")
     return fn(inst, oracle)
 
 

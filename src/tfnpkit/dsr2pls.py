@@ -35,12 +35,11 @@ from itertools import accumulate
 from typing import Sequence
 
 from .bits import check_bits, is_bits, zeros
-from .dsr import MODE_CIRCUIT, MODE_DSR
 from .errors import DimensionError, MalformedInstanceError, SizingError
 from .problems import ImplicitSodInstance, SuccessorOracle
 
 Path = tuple[int, ...]
-_BLOWUP_EXPONENT = 2  # circuit-dsr sizing: each query level may add (inputs*outputs)**2
+_BLOWUP_EXPONENT = 2  # circuit sizing: each query level may add (inputs*outputs)**2
 
 
 class DsrProgram:
@@ -319,7 +318,15 @@ class CompiledPls:
         return root[1]
 
 
-def _check_circuit_sizing(prog: DsrProgram, n: int) -> None:
+def check_circuit_sizing(prog: DsrProgram, n: int) -> None:
+    """Circuit-DSR sizing of a program's size-``n`` query tree: the query
+    at every slot path of depth d may be at most d * (inputs*outputs)**2
+    larger than the root's, inputs and outputs being the program's
+    ``circuit_io_dims``.  A query over that budget, or a program that does
+    not report query sizes (``query_instance_size``), raises
+    :class:`SizingError`."""
+    if not hasattr(prog, "query_instance_size"):
+        raise SizingError("program does not report query sizes for circuit sizing")
     dims = prog.circuit_io_dims()
     budget_unit = (dims[0] * dims[1]) ** _BLOWUP_EXPONENT
     base = prog.query_instance_size(())
@@ -339,33 +346,25 @@ def _check_circuit_sizing(prog: DsrProgram, n: int) -> None:
         frontier = nxt
 
 
-def compile_pls(prog: DsrProgram, x: str, *, mode: str = "dsr") -> CompiledPls:
+def compile_pls(prog: DsrProgram, x: str) -> CompiledPls:
     """Package the program's walk on ``x`` as an implicit sink-of-DAG
     instance: the successor advances state tables, the valuation is the
     position along the unique path (0 for invalid states), and the source is
     the initial state.  The answer is read off the root cell of the final
-    state.  ``mode`` is ``dsr`` or ``circuit-dsr``; any other raises
-    :class:`ValueError`.
+    state.
 
-    In ``circuit-dsr`` mode, programs that report per-query circuit sizes
-    are checked against a budget of (inputs*outputs)**2 per query level (a
-    violation raises :class:`SizingError`); in ``dsr`` mode the state width
-    is compared against the query-count * solution-length * size^2 bound
-    and a discrepancy is recorded as a flag rather than an error.
+    The program is asked every width up to ``len(x)`` at once, so a
+    program that refuses a width refuses the compile.  The state width is
+    compared against the query-count * solution-length * size^2 bound and
+    a discrepancy is recorded as a flag rather than an error; the circuit
+    growth budget is :func:`check_circuit_sizing`'s.
     """
-    if mode not in (MODE_DSR, MODE_CIRCUIT):
-        raise ValueError(f"unknown compile mode {mode!r}: expected {MODE_DSR!r} or {MODE_CIRCUIT!r}")
     n = len(x)
     machine = StateSpace(prog, n)
     flags: list[str] = []
-    if mode == MODE_CIRCUIT:
-        if not hasattr(prog, "query_instance_size"):
-            raise SizingError("program does not report query sizes for circuit-mode checking")
-        _check_circuit_sizing(prog, n)
-    else:
-        bound = prog.query_count(n) * prog.solution_len(n) * n * n
-        if machine.width() >= bound:
-            flags.append(f"state width {machine.width()} is not below the bound {bound}")
+    bound = prog.query_count(n) * prog.solution_len(n) * n * n
+    if machine.width() >= bound:
+        flags.append(f"state width {machine.width()} is not below the bound {bound}")
 
     succ = SuccessorOracle(fn=lambda s: machine.successor(s, x), n=machine.width())
     instance = ImplicitSodInstance(

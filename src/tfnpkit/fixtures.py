@@ -26,7 +26,9 @@ class RecursiveCombineProblem(DsrProgram):
     The answer for a single bit is that bit; the answer for a longer word is
     the answer for its prefix XOR the answer for the prefix's complement,
     with the word's parity bit appended.  Exactly two sub-queries per level,
-    answers as long as their instances.
+    answers as long as their instances.  Words wider than ``max_bits`` are
+    refused with :class:`SolveBoundError`, by :meth:`solution_len` too, so
+    the state space of a wider word is refused when it is built.
     """
 
     def __init__(self, max_bits: int = 12):
@@ -51,6 +53,8 @@ class RecursiveCombineProblem(DsrProgram):
         return 2 if size >= 2 else 0
 
     def solution_len(self, size: int) -> int:
+        if size > self.max_bits:
+            raise SolveBoundError(f"the combine fixture answers at most {self.max_bits} bits, not {size}")
         return size
 
     def next_query(self, inst: str, answered, path: Path = ()) -> str:
@@ -144,7 +148,7 @@ class HalvingIterProgram(DsrProgram):
         here = self._ascending(inst, path)
         return sol == zeros(len(inst)) if here is None else verify_solution(here, sol)
 
-    # circuit-mode sizing report for the compiler's growth check
+    # query sizes for check_circuit_sizing's growth budget
     def circuit_io_dims(self) -> tuple[int, int]:
         return self.top.n, self.top.n
 

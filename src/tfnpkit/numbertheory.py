@@ -61,8 +61,6 @@ def _divisor_list(primes: Counter) -> list[int]:
 def all_factors(n: int) -> AllFactorsAnswer:
     """``"prime"`` or every divisor strictly between 1 and n, ascending."""
     _check_domain(n)
-    if is_prime(n):
-        return PRIME
     primes: Counter = Counter()
     rest = n
     while rest > 1:
@@ -72,7 +70,7 @@ def all_factors(n: int) -> AllFactorsAnswer:
             break
         primes[f] += 1
         rest //= f
-    return _divisor_list(primes)
+    return PRIME if rest == n else _divisor_list(primes)  # n is its own only prime
 
 
 def all_factors_via_factor(

@@ -223,6 +223,8 @@ def test_exit_code_table(tmp_path, capsys):
     wide.write_text(emit_instance(IterInstance(identity_circuit(17))))
     no_outputs = tmp_path / "no-outputs.txt"
     no_outputs.write_text("problem iter\ncircuit succ inputs=0 outputs=0\n")
+    flat = tmp_path / "flat.txt"  # its source 01 is a fixed point, so it does not ascend
+    flat.write_text(emit_instance(IterInstance(circuit_from_table([2, 1, 3, 3], 2, 2), "01")))
     inst = parse_instance(files["iter"].read_text())
     bad = next(c for c in all_bitstrings(3) if not verify_solution(inst, c))
     source = parse_instance(files["iter-with-source"].read_text()).source
@@ -258,6 +260,12 @@ def test_exit_code_table(tmp_path, capsys):
         # a selfhost word must be as wide as the instance
         (("compile-pls", "--problem", f"selfhost:{files['iter-with-source']}", "--x", "10"), 3),
         (("compile-pls", "--problem", f"selfhost:{files['iter-with-source']}", "--x", "1010"), 3),
+        # a selfhost word the instance does not ascend from is a malformed instance
+        (("walk", "--problem", f"selfhost:{flat}", "--x", "01"), 2),
+        (("walk", *combine, "--x", "1" * 13), 3),
+        (("svl-check", *combine, "--x", "1" * 13), 3),
+        (("reduce", files["iter"], "--to", "end-of-line"), 3),
+        (("dsr-run", stuck), 2),
     ]
     for argv, code in table:
         assert main([str(a) for a in argv]) == code, argv

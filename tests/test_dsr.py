@@ -144,6 +144,12 @@ def test_self_reductions_reject_the_other_source_form(algorithm, kind, given):
         algorithm(inst, self_oracle())
 
 
+def test_run_dsr_refuses_a_kind_with_no_self_reduction():
+    inst = random_instance("end-of-line", 3, random.Random(7))
+    with pytest.raises(DimensionError, match="no self-reduction for end-of-line"):
+        run_dsr(inst, self_oracle())
+
+
 def test_query_count_at_most_two(rng):
     for kind in ("iter", "iter-with-source", "sink-of-dag", "sink-of-dag-with-source"):
         for _ in range(60):

@@ -9,6 +9,7 @@ from tfnpkit import (
     RecursiveCombineProblem,
     StateSpace,
     all_bitstrings,
+    check_circuit_sizing,
     compile_pls,
     from_int,
     random_instance,
@@ -18,7 +19,7 @@ from tfnpkit import (
     zeros,
 )
 from tfnpkit.dsr import dsr_iter_with_source
-from tfnpkit.errors import DimensionError, MalformedInstanceError, SizingError
+from tfnpkit.errors import DimensionError, MalformedInstanceError, SizingError, SolveBoundError
 from tfnpkit.fixtures import _Unanswered
 from tfnpkit.problems import ImplicitSodInstance, IterInstance
 
@@ -523,8 +524,8 @@ def test_self_hosted_walks_replay_like_the_checked_entry_point():
 
 def test_circuit_mode_sizing_accepts_halving_program(rng):
     top = random_instance("iter-with-source", 3, rng)
-    compiled = compile_pls(HalvingIterProgram(top), top.source, mode="circuit-dsr")
-    assert compiled.sizing_flags == []
+    check_circuit_sizing(HalvingIterProgram(top), top.n)
+    assert compile_pls(HalvingIterProgram(top), top.source).sizing_flags == []
 
 
 def test_circuit_mode_sizing_rejects_bloat(rng):
@@ -536,7 +537,20 @@ def test_circuit_mode_sizing_rejects_bloat(rng):
             return base + (len(path) * 10_000 if path else 0)
 
     with pytest.raises(SizingError):
-        compile_pls(Bloated(top), top.source, mode="circuit-dsr")
+        check_circuit_sizing(Bloated(top), top.n)
+
+
+def test_circuit_sizing_needs_reported_query_sizes(prog):
+    with pytest.raises(SizingError, match="query sizes"):
+        check_circuit_sizing(prog, 3)
+
+
+def test_compile_refuses_a_width_the_program_refuses(prog):
+    """The combine fixture answers at most 12 bits; the state space asks
+    every width when it is built, so a 13-bit compile is refused at once."""
+    with pytest.raises(SolveBoundError):
+        compile_pls(prog, "1" * 13)
+    compile_pls(prog, "1" * 12)  # the widest it answers
 
 
 def test_programs_must_stop_querying_at_one_bit():
@@ -546,12 +560,6 @@ def test_programs_must_stop_querying_at_one_bit():
 
     with pytest.raises(DimensionError):
         StateSpace(Bad(), 3)
-
-
-@pytest.mark.parametrize("mode", ["circuit-dsr-poly-blowup", "bogus"])
-def test_compile_rejects_unknown_modes(prog, mode):
-    with pytest.raises(ValueError, match="mode"):
-        compile_pls(prog, "101", mode=mode)
 
 
 def test_dsr_mode_flags_degenerate_bound(prog):

@@ -35,8 +35,8 @@ from tfnpkit import (
     well_formed,
 )
 from tfnpkit.bits import all_bitstrings, from_int, to_int
-from tfnpkit.circuit import restrict_half, restrict_input, restrict_output, size
-from tfnpkit.errors import DimensionError, NetlistError
+from tfnpkit.circuit import Gate, project_outputs, restrict_half, restrict_input, restrict_output, size
+from tfnpkit.errors import DimensionError, NetlistError, RestrictionError
 from tfnpkit.gadgets import combine_pair, redirect_zero_outputs
 from tfnpkit import circuit, problems
 from tfnpkit.problems import ImplicitSodInstance
@@ -235,6 +235,41 @@ def test_envelope_errors():
         parse_instance(text)
     with pytest.raises(NetlistError, match=f"line {len(square) + 2}: expected 2 bits"):
         parse_instance("problem iter-with-source\n" + "\n".join(square) + "\nsource=011\n")
+
+
+_SQUARE = "circuit succ inputs=1 outputs=1\ng0 = INPUT 0\noutput 0 = g0\n"  # three lines
+_ONE_BIT = "circuit c inputs=1 outputs=1\ng0 = INPUT 0\n"  # two lines, outputs to come
+
+
+@pytest.mark.parametrize(
+    "read, error, line",
+    [
+        (partial(parse_instance, "problem iter\nproblem iter\n" + _SQUARE), NetlistError, 2),
+        (partial(parse_instance, "problem iter-with-source\n" + _SQUARE + "source=0\nsource=0\n"), NetlistError, 6),
+        (partial(parse_instance, "problem iter\n" + _SQUARE + _SQUARE), NetlistError, 5),
+        (partial(parse_instance, "problem iter\n" + _SQUARE + _SQUARE.replace("succ", "pred")), NetlistError, None),
+        (partial(parse_instance, "problem iter-with-source\n" + _SQUARE), NetlistError, None),
+        (partial(parse_netlist, _ONE_BIT + "output 1 = g0\n"), NetlistError, 3),
+        (partial(parse_netlist, _ONE_BIT + "output 0 = g0\noutput 0 = g0\n"), NetlistError, 4),
+        (partial(Circuit, 1, 1, (CONST(2),), (0,)), DimensionError, None),
+        (partial(Circuit, 1, 1, (Gate("xor", 0, 0),), (0,)), DimensionError, None),
+        (partial(Circuit, 1, 1, (INPUT(0),), (1,)), DimensionError, None),
+        (partial(project_outputs, identity_circuit(2), [2]), RestrictionError, None),
+        (partial(project_outputs, identity_circuit(2), []), RestrictionError, None),
+    ],
+    ids=[
+        "duplicate-problem", "duplicate-source", "duplicate-block", "unexpected-block", "missing-source",
+        "output-out-of-range", "duplicate-output", "const-not-a-bit", "unknown-op", "output-reference",
+        "project-out-of-range", "project-nothing",
+    ],
+)
+def test_text_readers_refuse_with_their_error_and_line(read, error, line):
+    """Each refusal raises its own error type; a netlist error names the
+    line it found, or no line for a whole-file fault."""
+    with pytest.raises(error) as caught:
+        read()
+    if error is NetlistError:
+        assert caught.value.line == line
 
 
 def test_random_instances_are_well_formed(rng):
