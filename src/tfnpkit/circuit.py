@@ -693,9 +693,10 @@ def successor_table(c: Circuit) -> list[str]:
 # below as forward.  Within a row the checks run in the order duplicate
 # id, unknown op, bad arguments, input range, reference.
 
-#: Largest input or output count a netlist header may declare.  Desk-scale
-#: work stays well below it: exhaustive scans stop at 16 inputs, and the
-#: widest reduction target (sink-of-DAG to iteration at n = m = 12) reads 24.
+#: Largest input or output count a netlist header may declare, and so the
+#: writer may emit.  Desk-scale work stays well below it: exhaustive scans
+#: stop at 16 inputs, and the widest reduction target (sink-of-DAG to
+#: iteration at n = m = 12) reads 24.
 MAX_NETLIST_WIDTH = 64
 
 #: Missing output indices named in the error message before it summarises.
@@ -719,6 +720,8 @@ _GATE_FORMS = {
 
 
 def emit_netlist(c: Circuit) -> str:
+    if max(c.n, c.m) > MAX_NETLIST_WIDTH:
+        raise DimensionError(f"inputs={c.n} outputs={c.m} exceeds the netlist width limit of {MAX_NETLIST_WIDTH}")
     lines = [f"circuit {c.name} inputs={c.n} outputs={c.m}"]
     for idx, (op, a, b) in enumerate(c.gates):
         if op == OP_INPUT:

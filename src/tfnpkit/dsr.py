@@ -12,21 +12,21 @@ the fold, so no gate is built; its circuit, gate for gate the
 from the root with the fixed prefix prepended.  Source-free iteration runs
 the same case analysis on the instance itself, from the all-zero word: a
 query from the all-zero word is the source-free half, and only a query
-from another start is asked through
-:func:`~tfnpkit.reductions.drop_source`, whose target reads the query's
-points.  At one bit the iteration algorithm answers its source: a
-well-formed one-bit instance steps from 0 to 1, so 0 is its only solution,
-and no search is made.  The sink-of-DAG problems halve the valuation range
-on its leading bit, and both kinds share one case analysis too: the
-single-valuation-bit base case, the query without the leading valuation
-bit, and the pivot, its answer's step; they differ only in the query asked
-from the pivot.  A sink-of-DAG query is composed over the instance that
-asks it (:meth:`SodInstance.dropped`, :meth:`SodInstance.frozen`): it reads its
+from another start is asked as the :func:`~tfnpkit.reductions.drop_source`
+target of that half, which reads the half's points.  At one bit the
+iteration algorithm answers its source: a well-formed one-bit instance
+steps from 0 to 1, so 0 is its only solution, and no search is made.
+The sink-of-DAG problems halve the valuation range on its leading bit, and
+both kinds share one case analysis too: the single-valuation-bit base
+case, the query without the leading valuation bit, and the pivot, its
+answer's step; they differ only in the query asked from the pivot.  A
+sink-of-DAG query is composed over the instance that asks it
+(:meth:`SodInstance.dropped`, :meth:`SodInstance.frozen`): it reads its
 points through the parent's memo, and it is measured, without being
 built, as exactly the circuit ``restrict_output``/``freeze_stage`` would
 make (successor then valuation outputs).  Only the root circuit is read
-(see ``problems``).  Oracle answers are verified against the queried
-sub-instance (a bad answer raises :class:`OracleContractError`).
+(see ``problems``).  Each oracle answer is verified on the instance
+asked, no other (a bad answer raises :class:`OracleContractError`).
 
 The case analyses lift almost every sub-answer directly, unverified: the
 reads that choose it prove it (see ``_upper_start``).  One lift is not
@@ -80,9 +80,9 @@ def _require(inst: CircuitInstance, kind: str) -> None:
         raise MalformedInstanceError(f"{kind} instance violates its guarantee")
 
 
-def _ask(oracle: Oracle, sub: CircuitInstance, parent: CircuitInstance, asked: CircuitInstance | None = None) -> str:
-    """The oracle's answer to ``asked`` (default ``sub``), verified on ``sub``."""
-    answer = oracle(sub if asked is None else asked, parent)
+def _ask(oracle: Oracle, sub: CircuitInstance, parent: CircuitInstance) -> str:
+    """The oracle's answer to ``sub``, verified on ``sub``."""
+    answer = oracle(sub, parent)
     if not verify_solution(sub, answer):
         raise OracleContractError(
             f"oracle answer {answer!r} does not verify on the queried {kind_of(sub)} instance"
@@ -153,19 +153,18 @@ def dsr_iter(inst: IterInstance, oracle: Oracle) -> str:
     itself: it steps as the half with that source does, and
     ``verify_solution`` ignores the source, so the two have the same
     solutions.  A query from any other start is asked through
-    :func:`drop_source`, and its answer is verified against the half with
-    that source.  For that query, with successor S and source src, the
-    target T has T(0) = src and T(w) = S(w) elsewhere, and every solution
-    of T solves the query: 0 solves no T, as T(src) = S(src) > src = T(0)
-    (the query is well formed); and for w != 0 with S(w) > w >= 1,
-    T(S(w)) = S(S(w)), so w solves T exactly when it solves S."""
+    :func:`drop_source`: the target T is asked, and its answer is verified
+    on T.  For the half with successor S and source src, T has T(0) = src
+    and T(w) = S(w) elsewhere, and every solution of T solves the half: 0
+    solves no T, as T(src) = S(src) > src = T(0) (the half is well formed);
+    and for w != 0 with S(w) > w >= 1, T(S(w)) = S(S(w)), so w solves T
+    exactly when it solves S, and the answer lifts to the half as is."""
     _require(inst, KIND_ITER)
 
     def query(bit: int, start: str) -> str:
         if "1" not in start:
             return _ask(oracle, inst.half(bit), inst)
-        sub = inst.half(bit, start)
-        return _ask(oracle, sub, inst, asked=drop_source(sub).target)
+        return _ask(oracle, drop_source(inst.half(bit, start)).target, inst)
 
     return _dsr_iter_from(inst, zeros(inst.n), query)
 
@@ -175,17 +174,15 @@ def dsr_iter(inst: IterInstance, oracle: Oracle) -> str:
 
 def _dsr_sod_from(inst: SodInstance, oracle: Oracle, start: str, last: Callable[[str], str]) -> str:
     """The case analysis from ``start``, shared by both sink-of-DAG kinds.
-    With a single valuation bit the start or its step answers.  Otherwise
-    the dropped query is asked first; its answer solves the instance, or
-    its step is the pivot, whose valuation has the leading bit set and whose
-    own step moves, and ``last(pivot)`` answers from there."""
+    With a single valuation bit the start answers, or else its step (proved
+    below).  Otherwise the dropped query is asked first; its answer solves the
+    instance, or its step is the pivot, whose valuation has the leading bit
+    set and whose own step moves, and ``last(pivot)`` answers from there."""
     if inst.value_bits == 1:
-        if verify_solution(inst, start):
-            return start
-        candidate = inst.step_and_value(start)[0]
-        if not verify_solution(inst, candidate):
-            raise MalformedInstanceError("single-bit valuation instance has no one-step answer")
-        return candidate
+        # ``_require`` saw the start move.  If the start does not solve, its
+        # step moves and has valuation 1, which no later step can exceed, so
+        # the step solves.
+        return start if verify_solution(inst, start) else inst.step_and_value(start)[0]
     first = _ask(oracle, inst.dropped(inst.source), inst)
     if verify_solution(inst, first):
         return first
@@ -328,8 +325,10 @@ class MonitoredOracle:
                 f"query shape ({sn},{sm}) does not shrink the parent shape ({pn},{pm})"
             )
         elif self.mode == MODE_CIRCUIT_POLY:
-            budget = parent_size + (pn * pm) ** self.c
-            if sub_size > budget:
+            # (pn*pm)**c >= 2**c > growth once c reaches growth's bit length: build no huge power
+            growth, base = sub_size - parent_size, pn * pm
+            if (base < 2 or self.c < growth.bit_length()) and growth > base ** self.c:
+                budget = parent_size + base ** self.c
                 raise MonitorViolation(
                     f"query circuit size {sub_size} exceeds the blowup budget {budget}"
                     f" (parent size {parent_size})"

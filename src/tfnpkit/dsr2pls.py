@@ -31,12 +31,12 @@ lies on a path whose position rises by one per step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Sequence
 
 from .bits import check_bits, is_bits, zeros
 from .errors import DimensionError, MalformedInstanceError, SizingError
-from .problems import ImplicitSodInstance, SuccessorOracle
+from .problems import ImplicitSodInstance, SuccessorOracle, circuit_size, io_dims
 
 Path = tuple[int, ...]
 _BLOWUP_EXPONENT = 2  # circuit sizing: each query level may add (inputs*outputs)**2
@@ -319,31 +319,26 @@ class CompiledPls:
 
 
 def check_circuit_sizing(prog: DsrProgram, n: int) -> None:
-    """Circuit-DSR sizing of a program's size-``n`` query tree: the query
-    at every slot path of depth d may be at most d * (inputs*outputs)**2
-    larger than the root's, inputs and outputs being the program's
-    ``circuit_io_dims``.  A query over that budget, or a program that does
-    not report query sizes (``query_instance_size``), raises
-    :class:`SizingError`."""
-    if not hasattr(prog, "query_instance_size"):
-        raise SizingError("program does not report query sizes for circuit sizing")
-    dims = prog.circuit_io_dims()
-    budget_unit = (dims[0] * dims[1]) ** _BLOWUP_EXPONENT
-    base = prog.query_instance_size(())
-    frontier: list[Path] = [()]
-    for depth in range(1, n):
-        nxt: list[Path] = []
-        for path in frontier:
-            for j in range(1, prog.query_count(n - depth + 1) + 1):
-                sub = path + (j,)
-                actual = prog.query_instance_size(sub)
-                allowed = base + depth * budget_unit
-                if actual > allowed:
-                    raise SizingError(
-                        f"query at {sub} has size {actual}, over the budget {allowed}"
-                    )
-                nxt.append(sub)
-        frontier = nxt
+    """Circuit-DSR sizing of a program's size-``n`` query tree, measured on
+    the program's own instances (``instance_for(path)``), each sized as its
+    circuit plus a source as wide as the instance: the query at every slot
+    path of depth d may be at most d * (inputs*outputs)**2 larger than the
+    root, inputs and outputs being the root's.  A query over that budget, or
+    a program with no per-path instances, raises :class:`SizingError`."""
+    if not hasattr(prog, "instance_for"):
+        raise SizingError("program has no per-path instances for circuit sizing")
+
+    def sized(path: Path) -> int:
+        inst = prog.instance_for(path)
+        return circuit_size(inst) + inst.n
+
+    inputs, outputs = io_dims(prog.instance_for(()))
+    base, unit = sized(()), (inputs * outputs) ** _BLOWUP_EXPONENT
+    for depth in range(1, n):  # depth by depth, each depth's paths in slot order
+        allowed = base + depth * unit
+        for path in product(*(range(1, prog.query_count(n - level) + 1) for level in range(depth))):
+            if (actual := sized(path)) > allowed:
+                raise SizingError(f"query at {path} has size {actual}, over the budget {allowed}")
 
 
 def compile_pls(prog: DsrProgram, x: str) -> CompiledPls:

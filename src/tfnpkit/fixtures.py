@@ -16,7 +16,7 @@ from .bits import complement, parity, xor_bits, zeros
 from .dsr import _dsr_iter_from
 from .dsr2pls import DsrProgram, Path
 from .errors import SolveBoundError
-from .problems import IterInstance, circuit_size, verify_solution
+from .problems import IterInstance, verify_solution
 from .solvers import solve_path  # unused here; bench/tracing.py counts walks through this binding
 
 
@@ -90,7 +90,8 @@ class HalvingIterProgram(DsrProgram):
     predicate an oracle answer is checked with.  Only the padding rules are
     the program's own: a slot the algorithm does not need holds the
     all-zero source, and a source with no ascent is answered by the
-    all-zero word, which keeps the relation total over every word.
+    all-zero word, which keeps the relation total over every word.  Circuit
+    sizing reads :meth:`instance_for`; the program reports no sizes.
     """
 
     def __init__(self, top: IterInstance):
@@ -147,10 +148,3 @@ class HalvingIterProgram(DsrProgram):
     def verify(self, inst: str, sol: str, path: Path = ()) -> bool:
         here = self._ascending(inst, path)
         return sol == zeros(len(inst)) if here is None else verify_solution(here, sol)
-
-    # query sizes for check_circuit_sizing's growth budget
-    def circuit_io_dims(self) -> tuple[int, int]:
-        return self.top.n, self.top.n
-
-    def query_instance_size(self, path: Path) -> int:
-        return circuit_size(self.instance_for(path)) + (self.top.n - len(path))

@@ -43,7 +43,7 @@ from functools import cached_property, partial
 from typing import Callable
 
 from .bits import check_bits, from_int, zeros
-from .circuit import Circuit, Half, drop_sizes, emit_netlist, evaluate, point
+from .circuit import MAX_NETLIST_WIDTH, Circuit, Half, drop_sizes, emit_netlist, evaluate, point
 from .circuit import _derived, _read_rows, _strip, circuit_from_table, restrict_output
 from .circuit import size as circuit_gate_size
 from .errors import DimensionError, NetlistError
@@ -596,35 +596,29 @@ def _misfit_line(blocks: dict[str, Circuit], starts: dict[str, int], source_line
 
 def random_instance(kind: str, n: int, rng, m: int | None = None) -> CircuitInstance:
     """Random well-formed instance built from a random function table via the
-    multiplexer synthesiser; rejection-samples until the guarantee holds."""
+    multiplexer synthesiser; rejection-samples until the guarantee holds.
+    ``m``, the sink-of-DAG valuation width (default ``n``), is refused
+    outside 1..``MAX_NETLIST_WIDTH``, as a netlist is."""
     if n < 1 or n > 12:
         raise DimensionError("random instances support 1 <= n <= 12")
     m = n if m is None else m
+    if m < 1 or m > MAX_NETLIST_WIDTH:
+        raise DimensionError(f"random instances support 1 <= m <= {MAX_NETLIST_WIDTH}")
     space = 1 << n
-    if kind == KIND_ITER:
-        while True:
+    if kind in (KIND_ITER, KIND_ITER_WS, KIND_SOD, KIND_SOD_WS):
+        iteration, with_source = kind in (KIND_ITER, KIND_ITER_WS), kind in _WITH_SOURCE
+        while True:  # each draw is checked before synthesis: a rejected one builds no circuit
             table = [rng.randrange(space) for _ in range(space)]
-            if table[0] > 0:
-                return IterInstance(circuit_from_table(table, n, n, name="succ"))
-    if kind == KIND_ITER_WS:
-        while True:
-            table = [rng.randrange(space) for _ in range(space)]
-            starts = [x for x in range(space) if table[x] > x]
+            values = None if iteration else [rng.randrange(1 << m) for _ in range(space)]
+            starts = [x for x in (range(space) if with_source else (0,))
+                      if (table[x] > x if iteration else table[x] != x)]
             if starts:
-                src = rng.choice(starts)
-                return IterInstance(circuit_from_table(table, n, n, name="succ"), from_int(src, n))
-    if kind in (KIND_SOD, KIND_SOD_WS):
-        while True:
-            table = [rng.randrange(space) for _ in range(space)]
-            values = [rng.randrange(1 << m) for _ in range(space)]
-            if kind == KIND_SOD and table[0] != 0:
-                source = None
-            elif kind == KIND_SOD_WS and (starts := [x for x in range(space) if table[x] != x]):
-                source = from_int(rng.choice(starts), n)
-            else:
-                continue  # checked before synthesis: a rejected draw builds no circuit
-            succ = circuit_from_table(table, n, n, name="succ")
-            return SodInstance(succ, circuit_from_table(values, n, m, name="valuation"), source)
+                break
+        source = from_int(rng.choice(starts), n) if with_source else None
+        succ = circuit_from_table(table, n, n, name="succ")
+        if iteration:
+            return IterInstance(succ, source)
+        return SodInstance(succ, circuit_from_table(values, n, m, name="valuation"), source)
     if kind == KIND_EOL:
         # a consistent directed path from the all-zero node; everything else
         # is an isolated fixed point of both circuits

@@ -16,7 +16,9 @@ from tfnpkit import (
 )
 from tfnpkit import cli
 from tfnpkit.bits import all_bitstrings
+from tfnpkit.circuit import constant_circuit
 from tfnpkit.cli import USAGE_ERROR, main
+from tfnpkit.gadgets import GateBuilder
 
 
 def run_cli(*argv):
@@ -98,6 +100,19 @@ def test_dsr_run_inflation_trips_monitor(tmp_path):
         rc, _, err = run_cli("dsr-run", str(path), "--inflate", "500")
         assert rc == 2
         assert "blowup budget" in err
+
+
+def test_a_huge_blowup_exponent_answers_like_a_small_one(tmp_path, capsys):
+    """No query grows by 2**c gates at a huge ``--c``, so the monitor need
+    not build (inputs*outputs)**c to compare: the run prints what it prints
+    at ``--c 2``."""
+    path = tmp_path / "iter.txt"
+    path.write_text(emit_instance(random_instance("iter", 4, random.Random(1))))
+    printed = []
+    for c in ("2", "1000000000000"):
+        assert main(["dsr-run", str(path), "--trace", "--c", c]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
 
 
 def _traced_queries(capsys, path, *extra) -> list[tuple[int, int]]:
@@ -225,6 +240,12 @@ def test_exit_code_table(tmp_path, capsys):
     no_outputs.write_text("problem iter\ncircuit succ inputs=0 outputs=0\n")
     flat = tmp_path / "flat.txt"  # its source 01 is a fixed point, so it does not ascend
     flat.write_text(emit_instance(IterInstance(circuit_from_table([2, 1, 3, 3], 2, 2), "01")))
+    wide_sod = tmp_path / "wide-sod.txt"  # its iteration target would read 40 + 30 = 70 inputs
+    flip = GateBuilder(40)
+    wide_sod.write_text(emit_instance(SodInstance(
+        flip.circuit([flip.not_(flip.inputs[0]), *flip.inputs[1:]], name="succ"),
+        constant_circuit(40, "0" * 30, name="valuation"),
+    )))
     inst = parse_instance(files["iter"].read_text())
     bad = next(c for c in all_bitstrings(3) if not verify_solution(inst, c))
     source = parse_instance(files["iter-with-source"].read_text()).source
@@ -266,6 +287,9 @@ def test_exit_code_table(tmp_path, capsys):
         (("svl-check", *combine, "--x", "1" * 13), 3),
         (("reduce", files["iter"], "--to", "end-of-line"), 3),
         (("dsr-run", stuck), 2),
+        # the writer refuses a netlist wider than the reader accepts
+        (("gen", "--kind", "sink-of-dag", "--n", "2", "--m", "65", "--seed", "1"), 3),
+        (("reduce", wide_sod, "--to", "iter-with-source"), 3),
     ]
     for argv, code in table:
         assert main([str(a) for a in argv]) == code, argv

@@ -628,6 +628,46 @@ def _recording_drops(monkeypatch) -> dict:
     return dropped
 
 
+def test_a_redirected_query_is_verified_on_the_instance_asked(monkeypatch):
+    """A source-free query from a nonzero start is the ``drop_source``
+    target, and its answer is verified on that target, not on the
+    with-source half, whose solutions are more.  Here the all-zero word
+    solves the half but no target, and an oracle that answers it to the
+    redirected query is refused."""
+    dropped = _recording_drops(monkeypatch)
+    inst = random_instance("iter", 3, random.Random(21))
+
+    def oracle(sub, parent=None):
+        if any(sub is target for target, _, _ in dropped.values()):
+            return zeros(sub.n)
+        return run_dsr(sub, oracle)
+
+    with pytest.raises(OracleContractError):
+        run_dsr(inst, oracle)
+    assert dropped
+
+
+@pytest.mark.parametrize("mode", dsr.MODES)
+@pytest.mark.parametrize("kind", ["iter", "iter-with-source", "sink-of-dag", "sink-of-dag-with-source"])
+def test_which_query_discipline_each_self_reduction_meets(kind, mode):
+    """On long paths at n = 2..6, both iteration kinds meet every monitor
+    mode.  Both sink-of-DAG kinds meet the two circuit modes and break the
+    strict ``dsr`` mode: a freeze's comparator reads the dropped valuation
+    bit, so a frozen query's encoded size is not below its parent's."""
+    for n in range(2, 7):
+        source = from_int(1, n) if kind.endswith("with-source") else None
+        if kind.startswith("iter"):
+            inst = IterInstance(_long_path(n), source)
+        else:
+            inst = SodInstance(_long_path(n), table_circuit(range(1 << n), n, name="valuation"), source)
+        oracle = monitored(self_oracle(), mode, c=2)
+        if mode == "dsr" and kind.startswith("sink"):
+            with pytest.raises(MonitorViolation, match="is not below the parent's"):
+                run_dsr(inst, oracle)
+        else:
+            assert verify_solution(inst, run_dsr(inst, oracle))
+
+
 def test_iteration_queries_are_two_step_halves_built_in_one_pass(monkeypatch):
     """Every iteration query's successor is the two-step half of its
     parent's, or for a source-free upper query whose pivot suffix is

@@ -18,6 +18,7 @@ from tfnpkit import (
     well_formed,
     zeros,
 )
+from tfnpkit.circuit import pad_with_dead_gates
 from tfnpkit.dsr import dsr_iter_with_source
 from tfnpkit.errors import DimensionError, MalformedInstanceError, SizingError, SolveBoundError
 from tfnpkit.fixtures import _Unanswered
@@ -532,16 +533,16 @@ def test_circuit_mode_sizing_rejects_bloat(rng):
     top = random_instance("iter-with-source", 3, rng)
 
     class Bloated(HalvingIterProgram):
-        def query_instance_size(self, path):
-            base = super().query_instance_size(path)
-            return base + (len(path) * 10_000 if path else 0)
+        def instance_for(self, path):
+            inst = super().instance_for(path)
+            return IterInstance(pad_with_dead_gates(inst.succ, len(path) * 10_000), inst.source)
 
     with pytest.raises(SizingError):
         check_circuit_sizing(Bloated(top), top.n)
 
 
 def test_circuit_sizing_needs_reported_query_sizes(prog):
-    with pytest.raises(SizingError, match="query sizes"):
+    with pytest.raises(SizingError, match="per-path instances"):
         check_circuit_sizing(prog, 3)
 
 
