@@ -37,11 +37,11 @@ where every input bit contributes one port wire, every gate operand one
 wire, and every output one wire.  Under this measure removing an input
 (with constant propagation) and removing an output (with dead-gate
 elimination) both strictly shrink the circuit.  One constant-folding loop
-(``_fold``) serves every restriction.  The iteration query, input 1 fixed
-and output 1 dropped, is a :class:`Half`: folded entries whose exact size
-the backward liveness pass sums, halved again without building gates.
-Its circuit is swept from the entries only when read, and
-``restrict_half`` is that circuit.
+(``_fold``) makes both restrictions of an input in one pass, and
+``restrict_input`` and ``restrict_half`` each take one side.  A parent's two
+iteration queries (input 1 fixed, output 1 dropped) are the :class:`Half`
+pair of one such pass: columns sized exactly and halved again without
+building gates, and swept into a circuit only when read.
 """
 
 from __future__ import annotations
@@ -64,6 +64,9 @@ OP_AND = "and"
 OP_OR = "or"
 
 _BINARY = (OP_AND, OP_OR)
+#: Per binary op, the constant operand (``~bit``, see ``_fold``) that passes
+#: the other operand through; the other constant is the result.
+_KEEP = {OP_AND: ~1, OP_OR: ~0}
 _LOGIC = (OP_NOT, OP_AND, OP_OR)
 
 #: What a logic gate adds to ``size``: itself plus its operand wires.
@@ -232,7 +235,7 @@ def output_masks(c: Circuit) -> list[int]:
     cached on it (see ``point``).
     """
     gates = c.gates
-    last, _ = _liveness(gates, c.outputs)
+    last, _ = _liveness(*map(list, zip(*gates)), c.outputs)
     full = (1 << (1 << c.n)) - 1
     vals: list[int | None] = [None] * len(gates)
     for idx, (op, a, b) in enumerate(gates):
@@ -271,102 +274,92 @@ def _check_drop(c: Circuit, position: int) -> None:
         raise RestrictionError(f"output position {position} out of range 1..{c.m}")
 
 
-def _fold(
-    entries: Sequence[tuple[str, int, int]],
-    outputs: Sequence[int],
-    live: Sequence[int] | None,
-    k0: int,
-    bit: int,
-    shift: int,
-) -> tuple[list[tuple[str, int, int]], list[int]]:
-    """Fix input ``k0`` (0-based) to ``bit`` and fold the constant forward
-    over ``entries`` (a circuit's gates, or a :class:`Half`'s entries) and
-    their ``outputs``: a folded value ``v >= 0`` names an entry of the
-    result, ``v < 0`` is the constant ``~v``.  An entry that ``live`` marks
-    dead (-1) is skipped, unless it is an INPUT, which a sweep keeps; None
-    folds every entry.  INPUT and CONST entries are final gates, an INPUT
-    above ``k0`` moved down by ``shift``; a logic entry is its bare
-    ``(op, a, b)`` over the entries, which the sweep renumbers into a gate,
-    so each surviving gate is made once.  Outputs that fold to a constant
-    get one CONST gate per value, in output order.  Returns the entries and
-    the output references into them.  Ops are compared with ``==``: a valid
-    circuit may carry op strings that are equal to the ``OP_*`` constants
-    without being the same objects."""
-    made: list[tuple[str, int, int]] = []
-    vals: list[int | None] = []
-    emit, put = made.append, vals.append
-    for g, reader in zip(entries, repeat(0) if live is None else live):
-        op, a, b = g
-        # AND/OR are the bulk of the entries, so they are tested first.  A
-        # constant operand of AND short-circuits at 0 (~0) and passes the
-        # other operand at 1 (~1); OR the other way round.
-        if op == OP_AND:
-            if reader < 0:
-                put(None)  # no live entry reads it
-                continue
-            a, b = vals[a], vals[b]
-            if a < 0:
-                put(b if a == ~1 else a)
-                continue
-            if b < 0:
-                put(a if b == ~1 else b)
-                continue
-            g = (op, a, b)
-        elif op == OP_OR:
-            if reader < 0:
-                put(None)
-                continue
-            a, b = vals[a], vals[b]
-            if a < 0:
-                put(b if a == ~0 else a)
-                continue
-            if b < 0:
-                put(a if b == ~0 else b)
-                continue
-            g = (op, a, b)
-        elif op == OP_INPUT:
-            if a == k0:
-                put(~bit)
-                continue
-            if shift and a > k0:
-                g = INPUT(a - shift)
-        elif reader < 0:
-            put(None)
+def _fold(rows, outputs: Sequence[int], k0: int, shift: int) -> list[tuple[list, list, list, list[int]]]:
+    """Both restrictions of input ``k0`` (0-based), to 0 and to 1, in one
+    pass over ``rows`` (see ``_rows``; a row whose op is None is dead) and
+    their ``outputs``.  Per side, a folded value ``v >= 0`` names an entry,
+    ``v < 0`` is the constant ``~v``; the entries are three columns (op,
+    first and second operand), an INPUT above ``k0`` moved down by
+    ``shift``, and each constant an output folds to gets one CONST entry.
+    Returns, for bit 0 then 1, the columns and the output references.  Ops
+    are compared by equality: a valid circuit may carry op strings equal to
+    the ``OP_*`` constants without being the same objects."""
+    sides = ([], [], [], []), ([], [], [], [])
+    (ops0, as0, bs0, vals0), (ops1, as1, bs1, vals1) = sides
+    for op, a, b in rows:
+        keep = _KEEP.get(op)  # AND/OR, the bulk of the rows, first
+        if keep is not None:
+            x, y = vals0[a], vals0[b]
+            if x < 0:
+                vals0.append(y if x == keep else x)
+            elif y < 0:
+                vals0.append(x if y == keep else y)
+            else:
+                vals0.append(len(ops0))
+                ops0.append(op)
+                as0.append(x)
+                bs0.append(y)
+            x, y = vals1[a], vals1[b]
+            if x < 0:
+                vals1.append(y if x == keep else x)
+            elif y < 0:
+                vals1.append(x if y == keep else y)
+            else:
+                vals1.append(len(ops1))
+                ops1.append(op)
+                as1.append(x)
+                bs1.append(y)
             continue
-        elif op == OP_NOT:
-            a = vals[a]
-            if a < 0:
-                put(~(~a ^ 1))
+        for bit, (ops, firsts, seconds, vals) in enumerate(sides):
+            x = a
+            if op is None:  # no live entry reads it
+                vals.append(None)
                 continue
-            g = (op, a, 0)
-        put(len(made))
-        emit(g)
-    const_refs: dict[int, int] = {}
-    outs = []
-    for r in outputs:
-        v = vals[r]
-        if v < 0:
-            if v not in const_refs:
-                const_refs[v] = len(made)
-                emit(CONST(~v))
-            v = const_refs[v]
-        outs.append(v)
-    return made, outs
+            if op == OP_NOT:
+                x = vals[a]
+                if x < 0:
+                    vals.append(-3 - x)  # ~0 and ~1 swap
+                    continue
+            elif op == OP_INPUT and a >= k0:
+                if a == k0:
+                    vals.append(~bit)
+                    continue
+                x = a - shift
+            vals.append(len(ops))
+            ops.append(op)
+            firsts.append(x)
+            seconds.append(0)
+    folded = []
+    for ops, firsts, seconds, vals in sides:
+        const_refs: dict[int, int] = {}
+        outs = []
+        for r in outputs:
+            v = vals[r]
+            if v < 0:
+                if v not in const_refs:
+                    const_refs[v] = len(ops)
+                    ops.append(OP_CONST)
+                    firsts.append(~v)
+                    seconds.append(0)
+                v = const_refs[v]
+            outs.append(v)
+        folded.append((ops, firsts, seconds, outs))
+    return folded
 
 
-def _liveness(gates: Sequence[tuple[str, int, int]], refs: Sequence[int]) -> tuple[list[int], int]:
-    """For each gate, the index of the last gate that reads it, ``len(gates)``
-    for one of the gates ``refs``, and -1 for a gate that feeds none of them
-    (dead); and what the live logic gates add to ``size``.  One backward
-    pass counts the live NOT and AND/OR gates, and each count is priced once
-    (AND and OR cost the same)."""
-    top = len(gates)
+def _liveness(ops: list, firsts: Sequence[int], seconds: Sequence[int], refs: Sequence[int]) -> tuple[list[int], int]:
+    """Per entry of the columns, the index of the last entry that reads it
+    (``len(ops)`` for one of ``refs``, -1 for none: dead), and what the live
+    logic entries add to ``size``, from one backward pass.  The pass marks
+    each dead entry but an INPUT None in ``ops``, which the caller owns, and
+    prices the live NOT and AND/OR counts once each (AND and OR cost the same)."""
+    top = len(ops)
     last = [-1] * top
     for r in refs:
         last[r] = top
     binary = nots = 0
     idx = top
-    for op, a, b in reversed(gates):
+    for op, a, b in zip(reversed(ops), reversed(firsts), reversed(seconds)):
         idx -= 1
         if last[idx] >= 0:
             if op == OP_AND or op == OP_OR:
@@ -379,74 +372,73 @@ def _liveness(gates: Sequence[tuple[str, int, int]], refs: Sequence[int]) -> tup
                 nots += 1
                 if last[a] < 0:
                     last[a] = idx
+        elif op != OP_INPUT:
+            ops[idx] = None
     return last, binary * GATE_COST[OP_AND] + nots * GATE_COST[OP_NOT]
 
 
-def _sweep(
-    n: int,
-    entries: Sequence[tuple[str, int, int]],
-    refs: Sequence[int],
-    last: Sequence[int],
-    depth: int,
-    name: str,
-) -> Circuit:
-    """The circuit on the ``entries`` that ``last`` marks live and every
-    INPUT entry, with outputs ``refs``: a logic gate is made for each
-    survivor, with its operands renumbered, and an INPUT's index moves down
-    by ``depth`` (a :class:`Half`'s entries keep their root's)."""
-    remap = [0] * len(entries)
+def _sweep(n: int, rows, refs: Sequence[int], depth: int, name: str) -> Circuit:
+    """The circuit on the ``rows`` whose op is not None (no kept row or
+    output reads a dead one), with outputs ``refs``: operands renumbered and
+    an INPUT's index moved down by ``depth`` (a half's keep their root's)."""
+    remap: list[int] = []
     gates: list[Gate] = []
-    for idx, g in enumerate(entries):
-        op, a, b = g
-        if last[idx] >= 0 or op == OP_INPUT:
-            if op == OP_NOT:
-                g = _new(Gate, (op, remap[a], 0))
-            elif op in _BINARY:
-                g = _new(Gate, (op, remap[a], remap[b]))
-            elif depth and op == OP_INPUT:
-                g = INPUT(a - depth)
-            remap[idx] = len(gates)
-            gates.append(g)
+    for op, a, b in rows:
+        remap.append(len(gates))
+        if op is None:
+            continue
+        if op == OP_NOT:
+            a = remap[a]
+        elif op in _BINARY:
+            a, b = remap[a], remap[b]
+        elif op == OP_INPUT:
+            a -= depth
+        gates.append(_new(Gate, (op, a, b)))
     return _derived(n, tuple(gates), tuple(remap[r] for r in refs), name)
 
 
 class Half:
-    """The half of a circuit whose leading input is fixed to ``bit`` and
-    whose output 1 is dropped, kept as the fold of its parent's entries and
-    not as gates.  The parent is a circuit or a half: the fold skips what
-    the parent's sweep would drop, and INPUT entries keep their root index,
-    so they are never rebuilt.  The half holds its entries as bare
-    ``(op, a, b)`` tuples, its output references and the liveness that one
-    backward pass over them gives, and that pass also sums its exact
-    ``size``.  :attr:`circuit` sweeps the entries into gates on first read,
-    gate for gate the chain of ``restrict_half`` calls."""
+    """A circuit's or a half's leading input fixed to a bit and its output 1
+    dropped, kept as three columns (``ops``, ``firsts``, ``seconds``) and
+    output references, not as gates.  A parent makes both its halves, its
+    two restrictions at that input, in one pass (:meth:`pair`), which skips
+    what the parent's sweep would drop; INPUT entries keep their root index.
+    One backward pass marks a half's dead entries None in ``ops``, so the
+    next pass reads the three columns alone, and sums its exact ``size``.
+    :attr:`circuit` sweeps the columns into gates on first read, gate for
+    gate the chain of ``restrict_half`` calls."""
 
-    __slots__ = ("n", "depth", "name", "entries", "outputs", "last", "size", "_circuit")
+    __slots__ = ("n", "m", "depth", "name", "ops", "firsts", "seconds", "outputs", "size", "_circuit")
 
-    def __init__(self, parent: "Circuit | Half", bit: int):
-        _check_fix(parent, 1, bit)
-        _check_drop(parent, 1)
-        if isinstance(parent, Half):
-            entries, live, depth = parent.entries, parent.last, parent.depth
-        else:
-            entries, live, depth = parent.gates, None, 0
-        self.entries, outs = _fold(entries, parent.outputs, live, depth, bit, 0)
-        self.outputs = outs[1:]
-        self.last, cost = _liveness(self.entries, self.outputs)
-        self.n, self.depth, self.name = parent.n - 1, depth + 1, parent.name
-        self.size = cost + self.n + len(self.outputs)
+    def __init__(self, parent: "Circuit | Half", depth: int, ops: list, firsts: list, seconds: list, outs: list):
+        self.ops, self.firsts, self.seconds, self.outputs = ops, firsts, seconds, outs[1:]
+        cost = _liveness(ops, firsts, seconds, self.outputs)[1]
+        self.n, self.m, self.depth, self.name = parent.n - 1, len(self.outputs), depth + 1, parent.name
+        self.size = cost + self.n + self.m
         self._circuit: Circuit | None = None
 
-    @property
-    def m(self) -> int:
-        return len(self.outputs)
+    @classmethod
+    def pair(cls, parent: "Circuit | Half") -> tuple["Half", "Half"]:
+        """The halves of ``parent`` with leading bit 0 and 1, from one pass."""
+        _check_fix(parent, 1, 0)
+        _check_drop(parent, 1)
+        rows, depth = _rows(parent)
+        return tuple(cls(parent, depth, *side) for side in _fold(rows, parent.outputs, depth, 0))
 
     @property
     def circuit(self) -> Circuit:
-        """The half's circuit, swept from its entries on first read."""
+        """The half's circuit, swept from its columns on first read."""
         if self._circuit is None:
-            self._circuit = _sweep(self.n, self.entries, self.outputs, self.last, self.depth, self.name)
+            self._circuit = _sweep(self.n, _rows(self)[0], self.outputs, self.depth, self.name)
         return self._circuit
+
+
+def _rows(c: Circuit | Half) -> tuple:
+    """``c``'s ``(op, a, b)`` rows, a dead one with op None, and the number
+    of leading root inputs its INPUT entries skip."""
+    if isinstance(c, Half):
+        return zip(c.ops, c.firsts, c.seconds), c.depth
+    return c.gates, 0
 
 
 def restrict_input(c: Circuit, position: int, bit: int) -> Circuit:
@@ -459,8 +451,8 @@ def restrict_input(c: Circuit, position: int, bit: int) -> Circuit:
     Constants surviving to an output are materialised as CONST gates.
     """
     _check_fix(c, position, bit)
-    made, outs = _fold(c.gates, c.outputs, None, position - 1, bit, 1)
-    return _sweep(c.n - 1, made, outs, [0] * len(made), 0, c.name)
+    ops, firsts, seconds, outs = _fold(c.gates, c.outputs, position - 1, 1)[bit]
+    return _sweep(c.n - 1, zip(ops, firsts, seconds), outs, 0, c.name)
 
 
 def project_outputs(c: Circuit, keep: Sequence[int]) -> Circuit:
@@ -474,7 +466,9 @@ def project_outputs(c: Circuit, keep: Sequence[int]) -> Circuit:
     if not keep:
         raise RestrictionError("a circuit must keep at least one output")
     refs = [c.outputs[j] for j in keep]
-    return _sweep(c.n, c.gates, refs, _liveness(c.gates, refs)[0], 0, c.name)
+    ops, firsts, seconds = map(list, zip(*c.gates))
+    _liveness(ops, firsts, seconds, refs)
+    return _sweep(c.n, zip(ops, firsts, seconds), refs, 0, c.name)
 
 
 def drop_sizes(c: Circuit, position: int) -> list[int]:
@@ -515,11 +509,11 @@ def restrict_output(c: Circuit, position: int) -> Circuit:
 
 
 def restrict_half(c: Circuit, bit: int) -> Circuit:
-    """The half of ``c`` whose leading bit is ``bit``: input 1 fixed to
-    ``bit`` and output 1 dropped, in one pass.  Gate for gate equal to
-    ``restrict_output(restrict_input(c, 1, bit), 1)``; the constant is
-    folded (output 1's CONST gate included) before the dead gates are swept."""
-    return Half(c, bit).circuit
+    """The half of ``c`` whose leading bit is ``bit``, one side of
+    :meth:`Half.pair`: gate for gate ``restrict_output(restrict_input(c, 1,
+    bit), 1)``, output 1's CONST gate folded before the dead gates go."""
+    _check_fix(c, 1, bit)
+    return Half.pair(c)[bit].circuit
 
 
 def pad_with_dead_gates(c: Circuit, count: int) -> Circuit:

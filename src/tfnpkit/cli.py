@@ -90,6 +90,8 @@ def _fixture_program(selector: str, x: str):
 
 
 def _cmd_gen(args) -> int:
+    if args.m is not None and args.kind not in (KIND_SOD, KIND_SOD_WS):
+        raise ValueError(f"--m is the valuation width, and {args.kind} has no valuation")
     rng = random.Random(args.seed)
     inst = random_instance(args.kind, args.n, rng, m=args.m)
     sys.stdout.write(emit_instance(inst))

@@ -5,9 +5,9 @@ Each algorithm takes one kind (any other raises :class:`DimensionError`)
 and solves it with at most two queries to an oracle for strictly smaller
 instances.  Iteration with a source halves the vertex space on the leading
 bit (:meth:`IterInstance.half`): a query is a :class:`~tfnpkit.circuit.Half`,
-the fold of its parent's entries that fixes input 1 and drops output 1.
-The monitor reads its exact size from that fold and the next level halves
-the fold, so no gate is built; its circuit, gate for gate the
+input 1 fixed and output 1 dropped, made with its sibling in one pass over
+the parent's columns and handed out once.  The monitor sizes it exactly and
+the next level halves it with no gate built; its circuit, gate for gate the
 ``restrict_half`` chain's, is built only when read.  Its points are read
 from the root with the fixed prefix prepended.  Source-free iteration runs
 the same case analysis on the instance itself, from the all-zero word: a

@@ -15,7 +15,6 @@ freezes.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import repeat
 from typing import Callable, Sequence
 
 from .bits import check_bits, from_int
@@ -33,6 +32,7 @@ from .circuit import (
     Half,
     _derived,
     _new,
+    _rows,
     _table_words,
     project_outputs,
 )
@@ -152,8 +152,8 @@ class GateBuilder:
     def embed(self, c: Circuit | Half, input_refs: Sequence[int]) -> list[int]:
         """Append a copy of ``c`` reading its inputs from ``input_refs``;
         returns the references carrying its outputs.  A :class:`Half` is
-        copied from its live entries, gate for gate as its circuit would be,
-        without building that circuit."""
+        copied from its columns' live entries, gate for gate as its circuit
+        would be, without building that circuit."""
         if len(input_refs) != c.n:
             raise DimensionError("embedding needs one reference per input")
         return self._embed(c, input_refs)
@@ -161,16 +161,13 @@ class GateBuilder:
     def _embed(self, c: Circuit | Half, input_refs: Sequence[int]) -> list[int]:
         """``embed`` in one loop: one :meth:`add` per live gate, under the
         key ``and_``/``or_``/``not_``/``const`` would make."""
-        if isinstance(c, Half):
-            entries, live, depth = c.entries, c.last, c.depth
-        else:
-            entries, live, depth = c.gates, repeat(0), 0
+        rows, depth = _rows(c)
         add, refs = self.add, []
         put = refs.append
-        for (op, a, b), reader in zip(entries, live):
+        for op, a, b in rows:
             if op == OP_INPUT:
                 put(input_refs[a - depth])
-            elif reader < 0:
+            elif op is None:
                 put(None)  # dead: no live entry reads it
             elif op == OP_AND or op == OP_OR:
                 a, b = refs[a], refs[b]

@@ -22,7 +22,7 @@ are never self-reduced: a check or a walk reads each point once or twice,
 so they are evaluated and nothing is cached on them.  A self-reduction
 query reads its root (an iteration half with its prefix, a sink-of-DAG
 query through its stage and its parent's memo) and is sized with no
-circuit built: a half from its parent's folded entries
+circuit built: a half from its columns, cut with its sibling in one pass
 (:class:`~tfnpkit.circuit.Half`), the root's chain of sink-of-DAG drops
 from one backward pass over the root that sizes every depth, and a query
 below a freeze from a :class:`~tfnpkit.gadgets.Net`, whose ``add`` and
@@ -44,7 +44,7 @@ from typing import Callable
 
 from .bits import check_bits, from_int, zeros
 from .circuit import MAX_NETLIST_WIDTH, Circuit, Half, drop_sizes, emit_netlist, evaluate, point
-from .circuit import _derived, _read_rows, _strip, circuit_from_table, restrict_output
+from .circuit import _check_fix, _derived, _read_rows, _strip, circuit_from_table, restrict_output
 from .circuit import size as circuit_gate_size
 from .errors import DimensionError, NetlistError
 from .gadgets import Net, combine_pair, freeze_stage, redirect_zero_outputs, split_pair
@@ -70,15 +70,15 @@ class IterInstance:
     word when ``source`` is None.
 
     Only a root reads its circuit.  A half (:meth:`half`) is a
-    :class:`~tfnpkit.circuit.Half`: it is sized from its parent's folded
-    entries, and its circuit is built only when ``succ`` is read (by the
-    envelope writer, equality or a test; :meth:`redirected` embeds the
-    half's entries).  It reads the root it was cut from, with its fixed
-    prefix prepended, and a :meth:`redirected` instance reads the instance
-    it redirects."""
+    :class:`~tfnpkit.circuit.Half`: it is sized from its columns, and its
+    circuit is built only when ``succ`` is read (by the envelope writer,
+    equality or a test; :meth:`redirected` embeds the half's columns).  It
+    reads the root it was cut from, with its fixed prefix prepended, and a
+    :meth:`redirected` instance reads the instance it redirects."""
 
     source: str | None = None
     _half: Half | None = None  # a root holds ``succ`` itself
+    _unasked: list[Half | None] | None = None  # by bit, the halves not yet handed out
 
     def __init__(self, succ: Circuit, source: str | None = None):
         _require_square(succ, "successor")
@@ -111,21 +111,27 @@ class IterInstance:
         """The same successor with another source: the copy shares the
         circuit or half and the points."""
         other = IterInstance.__new__(IterInstance)
-        vars(other).update(vars(self), source=_checked_source(source, self.n))
+        vars(other).update(vars(self), source=_checked_source(source, self.n), _unasked=None)
         return other
 
     def half(self, bit: int, source: str | None = None) -> "IterInstance":
         """Query on the half-space whose leading bit is ``bit`` (input 1
-        fixed, output 1 dropped).  It is measured from this instance's
-        folded entries (:class:`~tfnpkit.circuit.Half`), exactly the size of
-        the two-step restriction, which it builds only when ``succ`` is
-        read.  Each call makes a new fold, and the fold does not depend on
-        the source, so a source-free query is this half with ``source``
-        None.  Its points are this instance's, read with the bit prepended,
-        and its source is not checked again."""
+        fixed, output 1 dropped), measured from its columns exactly as the
+        two-step restriction, which it builds only when ``succ`` is read.
+        The first call makes both halves in one pass (:meth:`Half.pair`):
+        each is handed out once, the other held only until it is asked for
+        or this instance goes, and a bit asked again is split again.  A
+        source-free query is the half with ``source`` None.  Its points are
+        this instance's, read with the bit prepended; its source is not
+        checked again."""
+        _check_fix(self._form, 1, bit)
         read, prefix = self._read
+        halves = self._unasked
+        if halves is None or halves[bit] is None:
+            halves = self._unasked = list(Half.pair(self._form))
+        form, halves[bit] = halves[bit], None
         inst = IterInstance.__new__(IterInstance)
-        vars(inst).update(_half=Half(self._form, bit), source=source, _read=(read, prefix + str(bit)))
+        vars(inst).update(_half=form, source=source, _read=(read, prefix + str(bit)))
         return inst
 
     def redirected(self) -> "IterInstance":

@@ -13,7 +13,7 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 from tfnpkit import Circuit, circuit_from_table, emit_netlist, parse_netlist
-from tfnpkit.circuit import OP_AND, OP_CONST, OP_INPUT, OP_NOT, evaluate, successor_table
+from tfnpkit.circuit import OP_AND, OP_CONST, OP_INPUT, OP_NOT, Half, evaluate, successor_table
 
 
 def naive_evaluate(c: Circuit, x: str) -> str:
@@ -82,6 +82,14 @@ def _count_reads(monkeypatch) -> tuple[collections.Counter, collections.Counter]
             if getattr(module, "successor_table", None) is successor_table:
                 monkeypatch.setattr(module, "successor_table", counting_table)
     return evaluations, tables
+
+
+def _counting_splits(monkeypatch) -> list:
+    """Route ``Half.pair`` through a recorder of the forms it splits; the
+    forms are kept so that ids stay distinct."""
+    split, pair = [], Half.pair.__func__
+    monkeypatch.setattr(Half, "pair", classmethod(lambda cls, form: split.append(form) or pair(cls, form)))
+    return split
 
 
 def _assert_only_roots_read(evaluations, tables, roots) -> None:

@@ -471,22 +471,36 @@ def _fresh_ops(c: Circuit) -> Circuit:
 @given(restrictable(), st.data())
 def test_ops_are_compared_by_equality(c, data):
     """A valid circuit may carry op strings that equal the canonical ones
-    without being them.  Its input restrictions, its halves and their
-    halves are those of the canonical circuit: entries, liveness and sizes."""
+    without being them.  Its input restrictions are those of the canonical
+    circuit; its halves are checked against the canonical circuit's by
+    ``test_each_side_of_a_split_is_the_two_step_restriction``."""
     fresh = _fresh_ops(c)
     position = data.draw(st.integers(1, c.n))
-
-    def same_halves(parent, canonical) -> None:
-        for bit in (0, 1):
-            half, want = Half(parent, bit), Half(canonical, bit)
-            assert (half.entries, half.outputs, half.last) == (want.entries, want.outputs, want.last)
-            assert half.size == want.size
-            if half.n and half.m >= 2:
-                same_halves(half, want)
-
     for bit in (0, 1):
         assert restrict_input(fresh, position, bit) == restrict_input(c, position, bit)
-    same_halves(fresh, c)
+
+
+def _assert_split_is_two_step(parent: Circuit | Half, canonical: Circuit) -> None:
+    """Each side of ``parent``'s split sweeps, gate for gate and with equal
+    ``size``, to ``restrict_output(restrict_input(canonical, 1, b), 1)``, and
+    so do the splits of each side, down to a parent of one input."""
+    low, high = Half.pair(parent)
+    for bit, half in enumerate((low, high)):
+        want = restrict_output(restrict_input(canonical, 1, bit), 1)
+        assert half.circuit == want and half.size == size(want)
+        assert (half.n, half.m) == (want.n, want.m)
+        if half.n and half.m >= 2:
+            _assert_split_is_two_step(half, want)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(restrictable())
+def test_each_side_of_a_split_is_the_two_step_restriction(c):
+    """One pass makes both halves of a circuit, and of a half: each is its
+    parent's single restriction at input 1 with output 1 dropped, for the
+    circuit and for its copy with op strings built anew."""
+    for parent in (c, _fresh_ops(c)):
+        _assert_split_is_two_step(parent, c)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -762,7 +776,7 @@ def test_derived_circuits_pass_the_boundary_check(c, data):
     _revalidated(restrict_half(c, bit))
     _revalidated(redirect_zero_outputs(c, word))
     # a half is embedded from its entries, gate for gate as its circuit
-    redirected_half = _revalidated(redirect_zero_outputs(Half(c, bit), word[1:]))
+    redirected_half = _revalidated(redirect_zero_outputs(Half.pair(c)[bit], word[1:]))
     assert redirected_half == redirect_zero_outputs(restrict_half(c, bit), word[1:])
     _revalidated(pad_with_dead_gates(c, data.draw(st.integers(0, 3))))
     _revalidated(circuit_from_table([rng.randrange(1 << c.m) for _ in range(1 << c.n)], c.n, c.m))

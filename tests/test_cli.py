@@ -289,6 +289,8 @@ def test_exit_code_table(tmp_path, capsys):
         (("dsr-run", stuck), 2),
         # the writer refuses a netlist wider than the reader accepts
         (("gen", "--kind", "sink-of-dag", "--n", "2", "--m", "65", "--seed", "1"), 3),
+        # only the sink-of-DAG kinds have a valuation for --m to size
+        (("gen", "--kind", "iter", "--n", "3", "--m", "5", "--seed", "1"), 3),
         (("reduce", wide_sod, "--to", "iter-with-source"), 3),
     ]
     for argv, code in table:

@@ -34,7 +34,7 @@ from tfnpkit.errors import DimensionError, MonitorViolation, OracleContractError
 from tfnpkit.gadgets import Net, redirect_zero_inputs
 from tfnpkit.solvers import solve_path
 
-from conftest import _assert_only_roots_read, _count_reads, iter_tables, parsed, table_circuit
+from conftest import _assert_only_roots_read, _count_reads, _counting_splits, iter_tables, parsed, table_circuit
 
 
 def test_worked_two_bit_chain():
@@ -675,22 +675,24 @@ def test_iteration_queries_are_two_step_halves_built_in_one_pass(monkeypatch):
     n = 2..7 with and without a source, and on a seeded sweep of random
     iteration instances.  Every other source-free query is asked as the
     source-free half itself, reading its parent's points, and
-    ``drop_source`` is called only to redirect.  Making a half constructs
-    no circuit, and reading its ``succ`` constructs exactly one.  A
+    ``drop_source`` is called only to redirect.  Making a parent's two
+    halves constructs no circuit, each split serves at least one query, and
+    reading a half's ``succ`` constructs exactly one.  A
     monitored long-path run that reads no query constructs the root and,
     for each ``drop_source`` that redirects, the redirected target, and
     nothing else: the target embeds the query's half from its entries, so
     the half's circuit is not built."""
     constructed = _recording_constructions(monkeypatch)
-    made = []  # circuits constructed by each half as it is made
-    init = circuit.Half.__init__
+    made = []  # circuits constructed by each split as it makes its halves
+    pair = circuit.Half.pair.__func__
 
-    def counting_init(self, parent, bit):
+    def counting_pair(cls, parent):
         before = len(constructed)
-        init(self, parent, bit)
+        halves = pair(cls, parent)
         made.append(len(constructed) - before)
+        return halves
 
-    monkeypatch.setattr(circuit.Half, "__init__", counting_init)
+    monkeypatch.setattr(circuit.Half, "pair", classmethod(counting_pair))
     dropped = _recording_drops(monkeypatch)
 
     def assert_built_only_redirects(inst, roots=()) -> int:
@@ -727,7 +729,31 @@ def test_iteration_queries_are_two_step_halves_built_in_one_pass(monkeypatch):
         checked += oracle.checked
         direct += oracle.direct
     assert checked > 750 and len(dropped) > 25 and direct > 300
-    assert len(made) == checked and set(made) == {0}
+    assert len(made) <= checked and set(made) == {0}
+
+
+def test_a_parent_splits_its_form_at_most_once(monkeypatch):
+    """On monitored long paths at n = 2..7, with and without a source, each
+    instance that asks for halves makes at most one split, and the parents
+    that ask for both halves get the second from that split."""
+    split, half = _counting_splits(monkeypatch), IterInstance.half
+    asked = {}  # id of each asking instance -> [instance, asks, splits]
+
+    def counting_half(self, bit, source=None):
+        before = len(split)
+        result = half(self, bit, source)
+        record = asked.setdefault(id(self), [self, 0, 0])
+        record[1] += 1
+        record[2] += len(split) - before
+        return result
+
+    monkeypatch.setattr(IterInstance, "half", counting_half)
+    for n in range(2, 8):
+        for source in (None, from_int(1, n)):
+            inst = IterInstance(_long_path(n), source)
+            assert verify_solution(inst, run_dsr(inst, monitored(self_oracle(), "circuit-dsr-poly-blowup", c=2)))
+    assert all(splits == 1 for _, _, splits in asked.values())
+    assert len(split) == len(asked) and sum(asks == 2 for _, asks, _ in asked.values()) > 200
 
 
 def test_long_path_sink_of_dag_evaluates_only_the_root(monkeypatch):

@@ -43,7 +43,7 @@ from tfnpkit.problems import ImplicitSodInstance
 from tfnpkit.reductions import drop_source
 from tfnpkit.solvers import solve_exhaustive, solve_path
 
-from conftest import _count_reads, eval_table, parsed, table_circuit
+from conftest import _count_reads, _counting_splits, eval_table, parsed, table_circuit
 
 
 def test_constant_ones_successor_is_well_formed():
@@ -589,3 +589,30 @@ def test_measured_halves_are_the_restrict_half_chain(root, data):
             assert inst.succ == built and instance_size(inst) == size(built)
             for x in all_bitstrings(width):
                 assert inst.step(x) == evaluate(built, x)
+
+
+def test_each_half_is_handed_out_once(monkeypatch):
+    """The first ``half`` call splits the instance's form into both halves,
+    and the sibling serves the next call for its bit; a bit asked for again
+    is split again into an equal half.  A handed-out half is not kept by
+    its parent, and an unasked sibling goes with its parent."""
+    split = _counting_splits(monkeypatch)
+    root = IterInstance(table_circuit([1, 2, 3, 4, 5, 6, 7, 7], 3))
+    low, high = root.half(0), root.half(1, "00")
+    assert len(split) == 1 and low._half is not high._half
+    again = root.half(0)
+    assert len(split) == 2 and again._half is not low._half
+    assert (again.succ, again.size, again.n) == (low.succ, low.size, low.n)
+    # a half's circuit, once built, lives exactly as long as the half
+    handed, sibling = weakref.ref(again.succ), weakref.ref(root._unasked[1].circuit)
+    del again
+    gc.collect()
+    assert handed() is None and sibling() is not None
+    assert root.half(1).succ is sibling() and len(split) == 2
+    quarter = low.half(0)
+    orphan = weakref.ref(low._unasked[1].circuit)
+    del low
+    gc.collect()
+    assert orphan() is None and quarter.n == 1
+    with pytest.raises(RestrictionError):
+        root.half(2)
