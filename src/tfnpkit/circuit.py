@@ -50,7 +50,7 @@ import re
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -675,17 +675,19 @@ def successor_table(c: Circuit) -> list[str]:
 #   g<id> = INPUT <k> | CONST <0|1> | NOT g<a> | AND g<a> g<b> | OR g<a> g<b>
 #   output <j> = g<id>
 #
-# Lines are independent; '#' starts a comment; gate ids must be defined
-# before they are referenced.  Whitespace is any ``str.isspace`` character
-# (what ``str.split`` and the ``re`` class ``\s`` both take), and a number
-# is 1 to 18 ASCII digits.  After its op a gate row holds exactly its
-# arguments: INPUT one number, CONST one digit 0 or 1, NOT one reference
-# g<number>, AND and OR two references with whitespace between them; the
-# op may run into its first argument (``ANDg0 g0``).  Rows are read once,
-# in order, and an error names the first offending row: a repeated id at
-# its second definition, a reference to a gate defined on its own row or
-# below as forward.  Within a row the checks run in the order duplicate
-# id, unknown op, bad arguments, input range, reference.
+# Lines end at "\n" only; '#' starts a comment; gate ids must be defined
+# before they are referenced.  Whitespace is any other ``str.isspace``
+# character ("\r" too; what ``str.split`` and the ``re`` class ``\s`` take),
+# and a number is 1 to 18 ASCII digits.  After its op a gate row holds
+# exactly its arguments: INPUT one number, CONST one digit 0 or 1, NOT one
+# reference g<number>, AND and OR two references with whitespace between
+# them; the op may run into its first argument (``ANDg0 g0``).  A block is
+# read at once: one match over its rows joined by "\n", then one loop over
+# the fields that builds the gates and makes every check.  Only a block that
+# fails is read again row by row, in order, to name its first offending row:
+# a repeated id at its second definition, a reference to a gate defined on
+# its own row or below as forward.  Within a row the checks run in the order
+# duplicate id, unknown op, bad arguments, input range, reference.
 
 #: Largest input or output count a netlist header may declare, and so the
 #: writer may emit.  Desk-scale work stays well below it: exhaustive scans
@@ -698,19 +700,20 @@ _MISSING_SHOWN = 8
 
 #: A number in a netlist: ASCII digits, few enough for ``int`` to accept.
 _NUMBER = "[0-9]{1,18}"
+_SPACE = r"[^\S\n]"  # whitespace inside a line
 _HEADER_RE = re.compile(rf"^circuit\s+(\S+)\s+inputs=({_NUMBER})\s+outputs=({_NUMBER})$")
+#: A sound body row: a gate's id and INPUT's number, CONST's bit, NOT's
+#: reference or AND/OR's op and references; or an output's index and gate.
+_ROW_RE = re.compile(
+    rf"^(?:g({_NUMBER}){_SPACE}*={_SPACE}*(?:INPUT{_SPACE}*({_NUMBER})|CONST{_SPACE}*([01])"
+    rf"|NOT{_SPACE}*g({_NUMBER})|(AND|OR){_SPACE}*g({_NUMBER}){_SPACE}+g({_NUMBER}))"
+    rf"|output{_SPACE}+({_NUMBER}){_SPACE}*={_SPACE}*g({_NUMBER}))$",
+    re.M,
+)
+_GATE_OPS = {"INPUT": OP_INPUT, "CONST": OP_CONST, "NOT": OP_NOT, "AND": OP_AND, "OR": OP_OR}
+_COMMENT_RE = re.compile("#[^\n]*")
+#: A gate row's id, op and arguments, however malformed, to name its error.
 _GATE_RE = re.compile(rf"^g({_NUMBER})\s*=\s*([A-Z]+)\s*(.*)$")
-_OUTPUT_RE = re.compile(rf"^output\s+({_NUMBER})\s*=\s*g({_NUMBER})$")
-_REFS_RE = re.compile(rf"g({_NUMBER})\s+g({_NUMBER})")
-#: Per gate op: the fullmatch of its arguments (the text after the op) and
-#: the gate op it builds.
-_GATE_FORMS = {
-    "INPUT": (re.compile(f"({_NUMBER})").fullmatch, OP_INPUT),
-    "CONST": (re.compile("([01])").fullmatch, OP_CONST),
-    "NOT": (re.compile(f"g({_NUMBER})").fullmatch, OP_NOT),
-    "AND": (_REFS_RE.fullmatch, OP_AND),
-    "OR": (_REFS_RE.fullmatch, OP_OR),
-}
 
 
 def emit_netlist(c: Circuit) -> str:
@@ -731,25 +734,25 @@ def emit_netlist(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _strip(line: str) -> str:
-    return line.partition("#")[0].strip()
+def _stripped_lines(text: str) -> list[str]:
+    """The text's lines, split at "\n" only, cut at '#' and stripped."""
+    if "#" in text:
+        text = _COMMENT_RE.sub("", text)
+    return list(map(str.strip, text.split("\n")))
 
 
 def parse_netlist(text: str) -> Circuit:
-    rows: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = _strip(raw)
-        if stripped:
-            rows.append((lineno, stripped))
-    if not rows:
+    rows = _stripped_lines(text)
+    first = next(compress(count(), rows), None)
+    if first is None:
         raise NetlistError("empty netlist", 1)
-    return _read_rows(rows)
+    return _read_rows(rows[first:], first + 1)
 
 
-def _read_rows(rows: list[tuple[int, str]]) -> Circuit:
-    """The circuit on a netlist's ``(lineno, row)`` rows, each stripped of
-    its comment and whitespace and not empty, the header first."""
-    lineno, header = rows[0]
+def _read_rows(rows: list[str], lineno: int) -> Circuit:
+    """The circuit on a block's stripped lines, its header first and on line
+    ``lineno``; empty lines are skipped."""
+    header = rows[0]
     match = _HEADER_RE.match(header)
     if not match:
         raise NetlistError(f"bad circuit header: {header!r}", lineno)
@@ -761,67 +764,89 @@ def _read_rows(rows: list[tuple[int, str]]) -> Circuit:
     if m == 0:
         raise NetlistError("a circuit needs at least one output", lineno)
 
-    gates: list[Gate] = []
-    index_of: dict[int, int] = {}
-    outputs: dict[int, int] = {}
-
-    def unresolved(gid: int, pos: int, lineno: int) -> NetlistError:
-        below = any((g := _GATE_RE.match(row)) and int(g.group(1)) == gid for _, row in rows[pos:])
-        return NetlistError(f"{'forward' if below else 'dangling'} reference g{gid}", lineno)
-
-    for pos, (lineno, row) in enumerate(rows[1:], start=1):
-        g = _GATE_RE.match(row)
-        if g:
-            gid, op, rest = int(g[1]), g[2], g[3]
-            if gid in index_of:
-                raise NetlistError(f"duplicate gate id g{gid}", lineno)
-            form = _GATE_FORMS.get(op)
-            if form is None:
-                raise NetlistError(f"unknown gate op {op!r}", lineno)
-            fullmatch, kind = form
-            args = fullmatch(rest)
-            if args is None:
-                raise NetlistError(f"bad {op} arguments: {rest!r}", lineno)
-            if kind == OP_INPUT:
-                k = int(args[1])
-                if k >= n:
-                    raise NetlistError(f"input index {k} out of range", lineno)
-                gate = _new(Gate, (kind, k, 0))
-            elif kind == OP_CONST:
-                gate = _new(Gate, (kind, int(args[1]), 0))
-            else:
-                a = index_of.get(int(args[1]))
-                if a is None:
-                    raise unresolved(int(args[1]), pos, lineno)
-                if kind == OP_NOT:
-                    gate = _new(Gate, (kind, a, 0))
+    body = list(filter(None, islice(rows, 1, None)))
+    fields = _ROW_RE.findall("\n".join(body))
+    if len(fields) == len(body):  # every row has a sound form
+        gates: list[Gate] = []
+        index_of: dict[int, int] = {}
+        outputs: list[int | None] = [None] * m
+        for gid, k, bit, ref, op, a, b, j, out in fields:
+            if gid:
+                gid = int(gid)
+                if gid in index_of:
+                    break
+                if k:
+                    k = int(k)
+                    if k >= n:
+                        break
+                    gate = (OP_INPUT, k, 0)
+                elif bit:
+                    gate = (OP_CONST, int(bit), 0)
+                elif ref:
+                    a = index_of.get(int(ref))
+                    if a is None:
+                        break
+                    gate = (OP_NOT, a, 0)
                 else:
-                    b = index_of.get(int(args[2]))
-                    if b is None:
-                        raise unresolved(int(args[2]), pos, lineno)
-                    gate = _new(Gate, (kind, a, b))
-            index_of[gid] = len(gates)
-            gates.append(gate)
-            continue
-        o = _OUTPUT_RE.match(row)
-        if o:
-            j, gid = int(o.group(1)), int(o.group(2))
-            if not 0 <= j < m:
-                raise NetlistError(f"output index {j} out of range", lineno)
+                    a, b = index_of.get(int(a)), index_of.get(int(b))
+                    if a is None or b is None:
+                        break
+                    gate = (_GATE_OPS[op], a, b)
+                index_of[gid] = len(gates)
+                gates.append(_new(Gate, gate))
+            else:
+                j, out = int(j), index_of.get(int(out))
+                if j >= m or outputs[j] is not None or out is None:
+                    break
+                outputs[j] = out
+        else:
+            if None not in outputs:
+                return _derived(n, tuple(gates), tuple(outputs), name)
+    raise _row_error(rows, lineno, n, m)
+
+
+def _row_error(rows: list[str], lineno: int, n: int, m: int) -> NetlistError:
+    """The error of a block ``_read_rows`` refused: at its first offending
+    row in file order, or, when every row is sound, its missing outputs at
+    its last row."""
+    numbered = [(line, row) for line, row in enumerate(rows, lineno) if row]
+    defined: set[int] = set()
+    outputs: set[int] = set()
+
+    def unresolved(gid: int, pos: int, line: int) -> NetlistError:
+        below = any((g := _GATE_RE.match(row)) and int(g[1]) == gid for _, row in numbered[pos:])
+        return NetlistError(f"{'forward' if below else 'dangling'} reference g{gid}", line)
+
+    for pos, (line, row) in enumerate(numbered[1:], start=1):
+        g, fields = _GATE_RE.match(row), _ROW_RE.match(row)
+        if g:
+            gid, op = int(g[1]), g[2]
+            if gid in defined:
+                return NetlistError(f"duplicate gate id g{gid}", line)
+            if op not in _GATE_OPS:
+                return NetlistError(f"unknown gate op {op!r}", line)
+            if fields is None:
+                return NetlistError(f"bad {op} arguments: {g[3]!r}", line)
+            _, k, _, ref, _, a, b, _, _ = fields.groups()
+            if k and int(k) >= n:
+                return NetlistError(f"input index {int(k)} out of range", line)
+            for used in map(int, filter(None, (ref, a, b))):
+                if used not in defined:
+                    return unresolved(used, pos, line)
+            defined.add(gid)
+        elif fields:
+            j, gid = map(int, fields.groups()[-2:])
+            if j >= m:
+                return NetlistError(f"output index {j} out of range", line)
             if j in outputs:
-                raise NetlistError(f"duplicate output {j}", lineno)
-            ref = index_of.get(gid)
-            if ref is None:
-                raise unresolved(gid, pos, lineno)
-            outputs[j] = ref
-            continue
-        raise NetlistError(f"unparseable line: {row!r}", lineno)
+                return NetlistError(f"duplicate output {j}", line)
+            if gid not in defined:
+                return unresolved(gid, pos, line)
+            outputs.add(j)
+        else:
+            return NetlistError(f"unparseable line: {row!r}", line)
 
     missing = [j for j in range(m) if j not in outputs]
-    if missing:
-        shown = ", ".join(map(str, missing[:_MISSING_SHOWN]))
-        more = ", ..." if len(missing) > _MISSING_SHOWN else ""
-        raise NetlistError(
-            f"missing output declarations: {len(missing)} of {m} ({shown}{more})", rows[-1][0]
-        )
-    return _derived(n, tuple(gates), tuple(outputs[j] for j in range(m)), name)
+    shown = ", ".join(map(str, missing[:_MISSING_SHOWN]))
+    more = ", ..." if len(missing) > _MISSING_SHOWN else ""
+    return NetlistError(f"missing output declarations: {len(missing)} of {m} ({shown}{more})", numbered[-1][0])

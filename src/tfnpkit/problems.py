@@ -40,11 +40,12 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import compress, count, repeat
 from typing import Callable
 
 from .bits import check_bits, from_int, zeros
 from .circuit import MAX_NETLIST_WIDTH, Circuit, Half, drop_sizes, emit_netlist, evaluate, point
-from .circuit import _check_fix, _derived, _read_rows, _strip, circuit_from_table, restrict_output
+from .circuit import _check_fix, _derived, _read_rows, _stripped_lines, circuit_from_table, restrict_output
 from .circuit import size as circuit_gate_size
 from .errors import DimensionError, NetlistError
 from .gadgets import Net, combine_pair, freeze_stage, redirect_zero_outputs, split_pair
@@ -498,6 +499,8 @@ _ROLES = {
     KIND_EOL: ("succ", "pred"),
 }
 _WITH_SOURCE = (KIND_ITER_WS, KIND_SOD_WS)
+#: Lines that open a block or stand alone; others belong to a circuit block.
+_MARKS = ("problem ", "circuit ", "source=")
 
 
 def emit_instance(inst: CircuitInstance) -> str:
@@ -514,52 +517,40 @@ def emit_instance(inst: CircuitInstance) -> str:
 
 
 def parse_instance(text: str) -> CircuitInstance:
+    rows = _stripped_lines(text)
+    marks = list(compress(count(), map(str.startswith, rows, repeat(_MARKS))))
     kind: str | None = None
     blocks: dict[str, Circuit] = {}
     starts: dict[str, int] = {}
     source: str | None = None
     source_line: int | None = None
-    block: list[tuple[int, str]] | None = None  # the open circuit block's rows, header first
 
-    def close_block() -> None:
-        nonlocal block
-        if block is None:
-            return
-        c = _read_rows(block)
-        block_start = block[0][0]
-        if c.name in blocks:
-            raise NetlistError(f"duplicate circuit block {c.name!r}", block_start)
-        blocks[c.name] = c
-        starts[c.name] = block_start
-        block = None
+    def refuse_stray(lo: int, hi: int) -> None:
+        for at in compress(range(lo, hi), rows[lo:hi]):
+            raise NetlistError(f"unexpected line outside circuit block: {rows[at]!r}", at + 1)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = _strip(raw)
-        if not stripped:
+    refuse_stray(0, marks[0] if marks else len(rows))
+    for at, end in zip(marks, [*marks[1:], len(rows)]):
+        row, lineno = rows[at], at + 1
+        if row.startswith("circuit "):
+            c = _read_rows(rows[at:end], lineno)
+            if c.name in blocks:
+                raise NetlistError(f"duplicate circuit block {c.name!r}", lineno)
+            blocks[c.name] = c
+            starts[c.name] = lineno
             continue
-        if stripped.startswith("problem "):
-            close_block()
+        if row.startswith("problem "):
             if kind is not None:
                 raise NetlistError("duplicate problem line", lineno)
-            kind = stripped.split(None, 1)[1].strip()
+            kind = row.split(None, 1)[1].strip()
             if kind not in _ROLES:
                 raise NetlistError(f"unknown problem kind {kind!r}", lineno)
-            continue
-        if stripped.startswith("circuit "):
-            close_block()
-            block = [(lineno, stripped)]
-            continue
-        if stripped.startswith("source="):
-            close_block()
+        else:
             if source is not None:
                 raise NetlistError("duplicate source line", lineno)
-            source = stripped[len("source=") :].strip()
+            source = row[len("source=") :].strip()
             source_line = lineno
-            continue
-        if block is None:
-            raise NetlistError(f"unexpected line outside circuit block: {stripped!r}", lineno)
-        block.append((lineno, stripped))
-    close_block()
+        refuse_stray(at + 1, end)
 
     if kind is None:
         raise NetlistError("missing problem line")

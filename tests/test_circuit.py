@@ -16,12 +16,15 @@ from tfnpkit import (
     Circuit,
     Gate,
     circuit_from_table,
+    emit_instance,
     emit_netlist,
     evaluate,
     identity_circuit,
     output_masks,
+    parse_instance,
     parse_netlist,
     random_circuit,
+    random_instance,
     restrict_half,
     restrict_input,
     restrict_output,
@@ -358,12 +361,15 @@ def test_netlist_errors_name_lines():
 
 
 _ROW_NUMBER = re.compile("[0-9]{1,18}")
+_GATE_SHAPE = re.compile(r"g([0-9]{1,18})\s*=\s*([A-Z]+)\s*(.*)")
 
 
-def _split_read_row(row: str, n: int, defined: dict[int, int]) -> Gate | str:
+def _split_read_row(row: str, n: int, defined: dict[int, int], below=(2,)) -> Gate | str:
     """The gate row ``g2 = ...`` read by splitting its arguments on
-    whitespace and checking each token: the gate, or the error message."""
-    shape = re.fullmatch(r"g([0-9]{1,18})\s*=\s*([A-Z]+)\s*(.*)", row)
+    whitespace and checking each token: the gate, or the error message.  A
+    reference to an id in ``below``, the ids defined on this row or further
+    down, is forward; to any other undefined id, dangling."""
+    shape = _GATE_SHAPE.fullmatch(row)
     if shape is None:
         return f"unparseable line: {row!r}"
     op, rest = shape[2], shape[3].strip()
@@ -386,13 +392,13 @@ def _split_read_row(row: str, n: int, defined: dict[int, int]) -> Gate | str:
     for a in args:
         gid = int(a[1:])
         if gid not in defined:
-            return f"{'forward' if gid == 2 else 'dangling'} reference g{gid}"
+            return f"{'forward' if gid in below else 'dangling'} reference g{gid}"
         refs.append(defined[gid])
     return Gate(op.lower(), *refs)
 
 
 _ROW_OPS = st.sampled_from(["INPUT", "CONST", "NOT", "AND", "OR", "and", "FROB"])
-_ROW_SEPARATORS = st.sampled_from(["", " ", "\t", "\u00a0", "\u2003"])
+_ROW_SEPARATORS = st.sampled_from(["", " ", "\t", "\u00a0", "\u2003", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
 #: A number, a reference (g0, g00, g2 on its own row, g1...1 dangling) or a
 #: near miss: 19 digits, non-ASCII digits, a bare ``g``.
 _ROW_TOKENS = st.builds(
@@ -424,6 +430,152 @@ def test_gate_rows_read_as_split_tokens(op, args, after_equals):
         with pytest.raises(NetlistError) as err:
             parse_netlist(text)
         assert str(err.value) == f"line 4: {want}"
+
+
+def test_lines_end_at_newline_only():
+    """Only "\n" ends a line.  The other ``str.splitlines`` breaks are
+    whitespace between tokens, and they do not move an error's line."""
+    head = "circuit c inputs=1 outputs=1\ng0 = INPUT 0\n"
+    for row in ("g1 = NOT\x0cg0", "g1 =\x0bNOT g0", "g1\x85= NOT\u2028g0", "g1 = NOT\rg0"):
+        assert parse_netlist(f"{head}{row}\noutput 0 = g1\n").gates == (INPUT(0), NOT(0))
+    dangling = "circuit c inputs=1 outputs=1\ng0 = INPUT\x0c0\ng1 = NOT g0\noutput 0 = g7\n"
+    for read, text in ((parse_netlist, dangling), (parse_instance, "problem iter\n" + dangling)):
+        with pytest.raises(NetlistError) as err:
+            read(text)
+        assert str(err.value) == f"line {4 if read is parse_netlist else 5}: dangling reference g7"
+    crlf = "problem iter\r\ncircuit succ inputs=1 outputs=1\r\ng0 = INPUT 0\r\noutput 0 = g0\r\n"
+    assert parse_instance(crlf).succ == identity_circuit(1)
+
+
+def _split_read_block(rows: list[tuple[int, str]]) -> Circuit | str:
+    """A netlist block's ``(lineno, row)`` rows, header first, read by
+    splitting each row into tokens: the circuit, or the error as printed."""
+    (line, header), body = rows[0], rows[1:]
+    words = header.split()
+    if not (
+        len(words) == 4 and words[0] == "circuit" and words[2].startswith("inputs=")
+        and words[3].startswith("outputs=") and _ROW_NUMBER.fullmatch(words[2][7:])
+        and _ROW_NUMBER.fullmatch(words[3][8:])
+    ):
+        return f"line {line}: bad circuit header: {header!r}"
+    name, n, m = words[1], int(words[2][7:]), int(words[3][8:])
+    if max(n, m) > 64:
+        return f"line {line}: declared width inputs={n} outputs={m} exceeds the limit of 64"
+    if m == 0:
+        return f"line {line}: a circuit needs at least one output"
+    gates, defined, outputs = [], {}, {}
+    for pos, (line, row) in enumerate(body):
+        below = {int(s[1]) for _, later in body[pos:] if (s := _GATE_SHAPE.fullmatch(later))}
+        shape = _GATE_SHAPE.fullmatch(row)
+        if shape:
+            if int(shape[1]) in defined:
+                return f"line {line}: duplicate gate id g{int(shape[1])}"
+            gate = _split_read_row(row, n, defined, below)
+            if isinstance(gate, str):
+                return f"line {line}: {gate}"
+            defined[int(shape[1])] = len(gates)
+            gates.append(gate)
+            continue
+        head, _, ref = row.partition("=")
+        words, ref = head.split(), ref.split()
+        if not (
+            len(words) == 2 and words[0] == "output" and _ROW_NUMBER.fullmatch(words[1])
+            and len(ref) == 1 and ref[0].startswith("g") and _ROW_NUMBER.fullmatch(ref[0][1:])
+        ):
+            return f"line {line}: unparseable line: {row!r}"
+        j, gid = int(words[1]), int(ref[0][1:])
+        if j >= m:
+            return f"line {line}: output index {j} out of range"
+        if j in outputs:
+            return f"line {line}: duplicate output {j}"
+        if gid not in defined:
+            return f"line {line}: {'forward' if gid in below else 'dangling'} reference g{gid}"
+        outputs[j] = defined[gid]
+    missing = [j for j in range(m) if j not in outputs]
+    if missing:
+        shown = ", ".join(map(str, missing[:8])) + (", ..." if len(missing) > 8 else "")
+        return f"line {rows[-1][0]}: missing output declarations: {len(missing)} of {m} ({shown})"
+    return Circuit(n, m, tuple(gates), tuple(outputs[j] for j in range(m)), name=name)
+
+
+def _split_read_blocks(lines: list[str]) -> dict[str, Circuit] | str:
+    """The circuit blocks of a file's lines, each read by
+    ``_split_read_block``, or the first block's error.  Every line outside a
+    block is a problem or source line, or empty."""
+    rows = [(at, row) for at, line in enumerate(lines, 1) if (row := line.partition("#")[0].strip())]
+    marks = [k for k, (_, row) in enumerate(rows) if row.startswith(("circuit ", "source="))]
+    blocks = {}
+    for start, end in zip(marks, [*marks[1:], len(rows)]):
+        if rows[start][1].startswith("circuit "):
+            c = _split_read_block(rows[start:end])
+            if isinstance(c, str):
+                return c
+            blocks[c.name] = c
+    return blocks
+
+
+#: Whitespace a mutation puts between two tokens, or none.
+_MUTATION_SPACES = ["", " ", "\t", "\x0b", "\x0c", "\r", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
+
+
+def _mutate(rng: random.Random, lines: list[str]) -> None:
+    """One seeded edit of an emitted file's lines.  Problem and source lines
+    and the start of each header stay as they are, so every file keeps its
+    blocks, and any refusal comes from a block."""
+    rows = [at for at, line in enumerate(lines) if line.startswith(("g", "output"))]
+    at = rng.choice(rows)
+    edit = rng.randrange(8)
+    if edit == 0:  # tokens glued or split by other whitespace, in a row or a header
+        at = rng.choice([at, *(k for k, line in enumerate(lines) if line.startswith("circuit "))])
+        first, *rest = lines[at].split()
+        seps = [" " if k == 0 and first == "circuit" else rng.choice(_MUTATION_SPACES) for k in range(len(rest))]
+        lines[at] = first + "".join(map(str.__add__, seps, rest))
+    elif edit == 1:
+        lines[at] += rng.choice(["#", " # note", "\t#g0 = INPUT 0"])
+    elif edit == 2:
+        lines.insert(at, rng.choice(["", "  \t", "# note", "\x0c"]))
+    elif edit in (3, 4):  # a leading zero, or another number: out of range, dangling or forward
+        numbers = list(re.finditer("[0-9]+", lines[at]))
+        number = rng.choice(numbers)
+        new = "0" + number[0] if edit == 3 else rng.choice(["0", "1", "2", "3", "5", "9", "64", "1" * 19])
+        lines[at] = lines[at][: number.start()] + new + lines[at][number.end() :]
+    elif edit == 5:
+        del lines[at]
+    elif edit == 6:
+        other = rng.choice(rows)
+        lines[at], lines[other] = lines[other], lines[at]
+    else:
+        lines.insert(rng.choice(rows), lines[at])
+
+
+def test_readers_match_a_split_token_reader_on_mutated_files():
+    """Seeded mutations of emitted files read as ``_split_read_block`` reads
+    them, block by block: the same circuits, or the same message at the same
+    line, from both ``parse_instance`` and ``parse_netlist``."""
+    rng = random.Random(31)
+    kinds = ("iter", "iter-with-source", "sink-of-dag", "sink-of-dag-with-source", "end-of-line")
+    files = [emit_instance(random_instance(kind, n, rng)).split("\n") for kind in kinds for n in (1, 2, 3)]
+    accepted = 0
+    for _ in range(400):
+        lines = list(rng.choice(files))
+        for _ in range(rng.randint(1, 3)):
+            _mutate(rng, lines)
+        ends = [k for k in range(2, len(lines)) if lines[k].startswith(("circuit ", "source="))]
+        first_block = ["", *lines[1 : min(ends, default=len(lines))]]  # line numbers kept
+        for read, text, want in (
+            (parse_instance, "\n".join(lines), _split_read_blocks(lines)),
+            (parse_netlist, "\n".join(first_block), _split_read_blocks(first_block)),
+        ):
+            if isinstance(want, str):
+                with pytest.raises(NetlistError) as err:
+                    read(text)
+                assert str(err.value) == want, text
+                continue
+            got = read(text)
+            circuits = [got] if read is parse_netlist else [getattr(got, role) for role in want]
+            assert [(c, c.name) for c in circuits] == [(c, c.name) for c in want.values()], text
+            accepted += 1
+    assert 200 < accepted < 600
 
 
 def test_circuit_from_table_roundtrip(rng):

@@ -225,6 +225,13 @@ def test_shape_errors_in_instance_files_exit_three(tmp_path):
             assert f"line {line}:" in err
 
 
+def test_a_file_that_is_not_utf8_is_named(tmp_path, capsys):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"problem iter\n# caf\xe9\n")
+    assert main(["solve", str(path)]) == 3
+    assert f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xe9" in capsys.readouterr().err
+
+
 def test_exit_code_table(tmp_path, capsys):
     """0 success, 1 a verification answered false, 2 a contract or monitor
     violation, 3 a usage error or an unparseable input."""
@@ -238,6 +245,8 @@ def test_exit_code_table(tmp_path, capsys):
     wide.write_text(emit_instance(IterInstance(identity_circuit(17))))
     no_outputs = tmp_path / "no-outputs.txt"
     no_outputs.write_text("problem iter\ncircuit succ inputs=0 outputs=0\n")
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes(b"problem iter\n\xff\n")
     flat = tmp_path / "flat.txt"  # its source 01 is a fixed point, so it does not ascend
     flat.write_text(emit_instance(IterInstance(circuit_from_table([2, 1, 3, 3], 2, 2), "01")))
     wide_sod = tmp_path / "wide-sod.txt"  # its iteration target would read 40 + 30 = 70 inputs
@@ -292,6 +301,7 @@ def test_exit_code_table(tmp_path, capsys):
         # only the sink-of-DAG kinds have a valuation for --m to size
         (("gen", "--kind", "iter", "--n", "3", "--m", "5", "--seed", "1"), 3),
         (("reduce", wide_sod, "--to", "iter-with-source"), 3),
+        (("solve", latin), 3),
     ]
     for argv, code in table:
         assert main([str(a) for a in argv]) == code, argv
