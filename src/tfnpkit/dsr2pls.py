@@ -8,17 +8,19 @@ encoded as fixed-width bit strings (state tables); the successor function
 advances one configuration per step, is the identity on invalid strings,
 and loops on the finished configuration.  Following the successor from the
 initial state therefore walks a path whose last state carries the answer.
-One recursive pass over a table validates it, computes its successor and
-places it on the walk, so validity, the step and the position cannot
-disagree.  The pass reads and writes each level in place, by its offsets in
-the one state string, so no sub-table is copied out or spliced back.  The
-compiled valuation is that position, and 0 on any string that is not a
-valid table for the compiled instance.  The state space remembers its last
-pass, so a walk that asks a state's position and then its successor
-validates each state once, and each level's last row scan, so that pass
-re-scans only the rows that differ from the ones it read before: a walk
-step changes one row.  It keeps one pass and one scan per level only, since
-a memo of every placed state would hold the whole walk.
+One pass over a table validates it, computes its successor and places it
+on the walk, so validity, the step and the position cannot disagree.  The
+pass is one loop that follows the pending cells down from the root, and a
+pending cell is read once, by its parent's row scan.  It reads and writes
+each level in place, by its offsets in the one state string, so no
+sub-table is copied out or spliced back.  The compiled valuation is that
+position, and 0 on any string that is not a valid table for the compiled
+instance.  The state space remembers its last pass, so a walk that asks a
+state's position and then its successor validates each state once, and
+each level's last row scan, so that pass re-scans only the rows that
+differ from the ones it read before: a walk step changes one row.  It
+keeps one pass and one scan per level only, since a memo of every placed
+state would hold the whole walk.
 
 Only for unique-solution programs are the valid tables exactly the walk of
 ``x``, which :mod:`tfnpkit.svl` relies on.  Where answers are not unique,
@@ -31,6 +33,7 @@ lies on a path whose position rises by one per step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate, product
 from typing import Sequence
 
@@ -89,10 +92,12 @@ class StateSpace:
     child of slot j of a size-k level is ``(rows + (j-1)*c_{k-1}, rows +
     query_count(k)*c_{k-1})``.
 
-    One recursive pass, :meth:`_step`, validates a table, advances it and
-    places it on the walk: :meth:`successor` is the identity where the pass
-    fails, :meth:`is_valid` reports whether it succeeds, and
-    :meth:`position` is the 1-based index on the walk, or 0 where it fails.
+    One pass, :meth:`_step`, validates a table, advances it and places it
+    on the walk.  It is one loop that follows the pending cells down from
+    the root, each read once, by its parent's row scan, to the level that
+    acts.  :meth:`successor` is the identity where the pass fails,
+    :meth:`is_valid` reports whether it succeeds, and :meth:`position` is
+    the 1-based index on the walk, or 0 where it fails.
     So invalid strings are fixed points by construction, and the valuation
     :func:`compile_pls` builds on these tables is 0 on every string that is
     not valid for its ``x``.
@@ -158,11 +163,6 @@ class StateSpace:
             return _BAD
         return inst, sol
 
-    def _cells(self, state: str, at: int, k: int, count: int):
-        """The ``count`` size-k cells that start at offset ``at``."""
-        w = self._cw[k]
-        return [self._read_cell(state[c : c + w], k) for c in range(at, at + count * w, w)]
-
     def root_cell(self, state: str):
         return self._read_cell(state[: self._cw[self.n]], self.n)
 
@@ -171,8 +171,9 @@ class StateSpace:
         arithmetic, which scans occupancy without recursing."""
         if not 1 <= depth <= self.n - 1:
             raise DimensionError(f"row {depth} out of range")
-        k = self.n - depth
-        return self._cells(state, self._rows[depth - 1], k, self._p[k + 1])
+        k, at = self.n - depth, self._rows[depth - 1]
+        w = self._cw[k]
+        return [self._read_cell(state[c : c + w], k) for c in range(at, at + self._p[k + 1] * w, w)]
 
     # -- semantics --
 
@@ -190,7 +191,9 @@ class StateSpace:
         answered: list[tuple[str, str]] = []
         pending: str | None = None
         blank_seen = False
-        for slot, cell in enumerate(self._cells(row, 0, k - 1, self._p[k]), start=1):
+        w = self._cw[k - 1]
+        for slot, c in enumerate(range(0, len(row), w), start=1):
+            cell = self._read_cell(row[c : c + w], k - 1)
             if cell is _BAD:
                 return None
             inst, sol = cell
@@ -209,45 +212,47 @@ class StateSpace:
                 answered.append((inst, sol))
         return tuple(answered), pending
 
-    def _step(
-        self, state: str, x: str, k: int, path: Path, at: int, rows: int
-    ) -> tuple[str, int] | None:
-        """Whole successor string and 1-based walk position of the size-k
-        level at offsets ``(at, rows)`` for instance ``x``, or None when the
-        level is invalid: one pass validates, advances and places it."""
-        cw = self._cw[k]
-        root = self._read_cell(state[at : at + cw], k)
+    def _step(self, state: str, x: str) -> tuple[str, int] | None:
+        """Whole successor string and 1-based walk position of a table for
+        ``x``, or None when it is invalid.  One loop reads the top root cell,
+        then follows the pending cells down, carrying the level's size k,
+        instance ``x``, slot ``path``, offsets ``(at, rows)`` and ``pos``,
+        the count of walk states before its own sub-walk.  A pending cell is
+        read once, by its parent's scan.  The level with no pending cell, or
+        a size-1 leaf, acts and returns."""
+        k, path, at, rows, pos = self.n, (), 0, self._cw[self.n], 0
+        root = self._read_cell(state[:rows], k)
         if root is _BAD or root[0] != x:
             return None
-        sol = root[1]
-        if sol is not None:
-            if "1" in state[rows:] or not self.prog.verify(x, sol, path):
+        if root[1] is not None:
+            if "1" in state[rows:] or not self.prog.verify(x, root[1], path):
                 return None
             return state, self._length[k]  # finished: the state is its own successor
-        if k == 1:
-            cell = self._make_cell(k, x, self.prog.finalize(x, (), path))
-            return state[:at] + cell + state[at + cw :], 1
-        w = self._cw[k - 1]
-        deeper = rows + self._p[k] * w
-        key = state[rows:deeper], x, path  # ``rows`` depends on k alone
-        last_key, scan = self._scans.get(k, (None, None))
-        if key != last_key:
-            scan = self._scan_row_one(key[0], x, k, path)
-            self._scans[k] = key, scan
-        if scan is None:
-            return None
-        answered, pending = scan
-        # the root's state, then one whole sub-walk per answered query
-        pos = 1 + len(answered) * self._length[k - 1]
-        if pending is not None:
+        while k > 1:
+            w = self._cw[k - 1]
+            deeper = rows + self._p[k] * w
+            key = state[rows:deeper], x, path  # ``rows`` depends on k alone
+            last_key, scan = self._scans.get(k, (None, None))
+            if key != last_key:
+                scan = self._scan_row_one(key[0], x, k, path)
+                self._scans[k] = key, scan
+            if scan is None:
+                return None
+            answered, pending = scan
+            # the root's state, then one whole sub-walk per answered query
+            pos += 1 + len(answered) * self._length[k - 1]
+            if pending is None:
+                break
             j = len(answered) + 1
-            sub = self._step(state, pending, k - 1, path + (j,), rows + (j - 1) * w, deeper)
-            return None if sub is None else (sub[0], pos + sub[1])
+            k, x, path, at, rows = k - 1, pending, path + (j,), rows + (j - 1) * w, deeper
+        if k == 1:
+            cell = self._make_cell(1, x, self.prog.finalize(x, (), path))
+            return state[:at] + cell + state[at + self._cw[1] :], pos + 1
         if "1" in state[deeper:]:
             return None
         if len(answered) == self._p[k]:
             cell = self._make_cell(k, x, self.prog.finalize(x, answered, path))
-            return state[:at] + cell + state[at + cw : rows] + zeros(len(state) - rows), pos
+            return state[:at] + cell + state[at + self._cw[k] : rows] + zeros(len(state) - rows), pos
         slot = rows + len(answered) * w
         cell = self._make_cell(k - 1, self.prog.next_query(x, answered, path), None)
         return state[:slot] + cell + state[slot + w :], pos
@@ -258,10 +263,7 @@ class StateSpace:
             check_bits(x, self.n)  # a compiled walk keeps one ``x``, checked at its first pass
         elif state == last_state:
             return placed  # the pass just made for this pair
-        if len(state) != self.width() or not is_bits(state):
-            placed = None
-        else:
-            placed = self._step(state, x, self.n, (), 0, self._cw[self.n])
+        placed = self._step(state, x) if len(state) == self._width and is_bits(state) else None
         self._last = state, x, placed
         return placed
 
@@ -361,10 +363,10 @@ def compile_pls(prog: DsrProgram, x: str) -> CompiledPls:
     if machine.width() >= bound:
         flags.append(f"state width {machine.width()} is not below the bound {bound}")
 
-    succ = SuccessorOracle(fn=lambda s: machine.successor(s, x), n=machine.width())
+    succ = SuccessorOracle(fn=partial(machine.successor, x=x), n=machine.width())
     instance = ImplicitSodInstance(
         succ=succ,
-        valuation=lambda s: machine.position(s, x),
+        valuation=partial(machine.position, x=x),
         source=machine.initial_state(x),
     )
     return CompiledPls(

@@ -500,7 +500,9 @@ _ROLES = {
 }
 _WITH_SOURCE = (KIND_ITER_WS, KIND_SOD_WS)
 #: Lines that open a block or stand alone; others belong to a circuit block.
-_MARKS = ("problem ", "circuit ", "source=")
+#: Each mark is seven characters, and ``problem`` and ``circuit`` need
+#: whitespace after them, as the header pattern does.
+_MARKS = ("problem", "circuit", "source=")
 
 
 def emit_instance(inst: CircuitInstance) -> str:
@@ -518,7 +520,8 @@ def emit_instance(inst: CircuitInstance) -> str:
 
 def parse_instance(text: str) -> CircuitInstance:
     rows = _stripped_lines(text)
-    marks = list(compress(count(), map(str.startswith, rows, repeat(_MARKS))))
+    opened = compress(count(), map(str.startswith, rows, repeat(_MARKS)))
+    marks = [at for at in opened if rows[at][6] == "=" or rows[at][7:8].isspace()]
     kind: str | None = None
     blocks: dict[str, Circuit] = {}
     starts: dict[str, int] = {}
@@ -532,14 +535,14 @@ def parse_instance(text: str) -> CircuitInstance:
     refuse_stray(0, marks[0] if marks else len(rows))
     for at, end in zip(marks, [*marks[1:], len(rows)]):
         row, lineno = rows[at], at + 1
-        if row.startswith("circuit "):
+        if row.startswith("circuit"):
             c = _read_rows(rows[at:end], lineno)
             if c.name in blocks:
                 raise NetlistError(f"duplicate circuit block {c.name!r}", lineno)
             blocks[c.name] = c
             starts[c.name] = lineno
             continue
-        if row.startswith("problem "):
+        if row.startswith("problem"):
             if kind is not None:
                 raise NetlistError("duplicate problem line", lineno)
             kind = row.split(None, 1)[1].strip()

@@ -269,14 +269,14 @@ def test_walk_properties_and_extraction(prog):
 
 
 def _count_passes(monkeypatch) -> list[int]:
-    """Wrap ``StateSpace._step`` and count its top-level calls; the recursion
-    into a sub-table passes a non-empty path."""
+    """Wrap ``StateSpace._step`` and count its calls; each call is one whole
+    pass over a table."""
     passes = [0]
     step = StateSpace._step
 
-    def counting_step(self, state, x, k, path, at, rows):
-        passes[0] += not path
-        return step(self, state, x, k, path, at, rows)
+    def counting_step(self, state, x):
+        passes[0] += 1
+        return step(self, state, x)
 
     monkeypatch.setattr(StateSpace, "_step", counting_step)
     return passes
@@ -439,6 +439,28 @@ def test_walk_reads_at_most_two_row_scans_per_state(monkeypatch, prog):
             scans[0] = 0
             assert compiled.instance.valuation(state) == index
             assert scans[0] <= 2
+
+
+def test_walk_reads_each_cell_once_per_state(monkeypatch, prog):
+    """A walk that reads every state's position reads, per state, the top
+    root cell and the cells of at most two row scans: a pending cell is
+    read by its parent's scan and not again by its own level.  Re-reading
+    each level's root cell, the pass at n = 8 reads up to eleven cells."""
+    reads = [0]
+    read_cell = StateSpace._read_cell
+
+    def counting_read_cell(self, chunk, k):
+        reads[0] += 1
+        return read_cell(self, chunk, k)
+
+    monkeypatch.setattr(StateSpace, "_read_cell", counting_read_cell)
+    top = random_instance("iter-with-source", 5, random.Random(1))
+    for program, x in ((prog, "10110100"), (HalvingIterProgram(top), top.source)):
+        compiled = compile_pls(program, x)
+        for index, state in enumerate(compiled.machine.walk(x), start=1):
+            reads[0] = 0
+            assert compiled.instance.valuation(state) == index
+            assert reads[0] <= 1 + 2 * program.query_count(len(x))
 
 
 def test_walk_limit_counts_steps(prog):

@@ -238,6 +238,31 @@ def test_envelope_errors():
 
 
 _SQUARE = "circuit succ inputs=1 outputs=1\ng0 = INPUT 0\noutput 0 = g0\n"  # three lines
+
+
+@pytest.mark.parametrize("space", ["\t", "\t ", "\x0c", "\u2028"])
+def test_instance_marks_take_any_whitespace(space):
+    """``problem`` and ``circuit`` take any whitespace after them, as the
+    netlist header does."""
+    square = _SQUARE.replace("circuit ", "circuit" + space, 1).replace("inputs=", space + "inputs=")
+    inst = parse_instance(f"problem{space}iter-with-source\n{square}source=0\n")
+    assert inst == parse_instance("problem iter-with-source\n" + _SQUARE + "source=0\n")
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("problems iter\n" + _SQUARE, 1),
+        ("problem iter\ncircuitx succ inputs=1 outputs=1\n", 2),
+        ("problem iter\nproblems iter\n" + _SQUARE, 2),
+        ("problem\n" + _SQUARE, 1),
+        ("problem iter\ncircuit\n" + _SQUARE, 2),
+    ],
+)
+def test_instance_marks_need_their_whole_word(text, line):
+    """A line that only starts like a mark is stray, refused at its line."""
+    with pytest.raises(NetlistError, match=f"line {line}: unexpected line outside circuit block"):
+        parse_instance(text)
 _ONE_BIT = "circuit c inputs=1 outputs=1\ng0 = INPUT 0\n"  # two lines, outputs to come
 
 
