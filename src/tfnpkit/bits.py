@@ -14,7 +14,7 @@ from .errors import DimensionError
 
 def is_bits(s) -> bool:
     """Is ``s`` a string over '0'/'1' (the empty string included)?"""
-    return isinstance(s, str) and not s.strip("01")
+    return isinstance(s, str) and s.count("0") + s.count("1") == len(s)
 
 
 def check_bits(s: str, width: int | None = None) -> str:
@@ -55,8 +55,11 @@ def splice(s: str, position: int, bit: int) -> str:
     return s[: position - 1] + str(bit) + s[position - 1 :]
 
 
+_COMPLEMENT = str.maketrans("01", "10")
+
+
 def complement(s: str) -> str:
-    return s.translate(str.maketrans("01", "10"))
+    return s.translate(_COMPLEMENT)
 
 
 def parity(s: str) -> str:
@@ -66,4 +69,4 @@ def parity(s: str) -> str:
 def xor_bits(a: str, b: str) -> str:
     if len(a) != len(b):
         raise DimensionError("xor needs equal widths")
-    return "".join("1" if x != y else "0" for x, y in zip(a, b))
+    return from_int(to_int(a) ^ to_int(b), len(a))

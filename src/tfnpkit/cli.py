@@ -187,11 +187,8 @@ def _cmd_walk(args) -> int:
     machine = compiled.machine
     for step, state in enumerate(machine.walk(args.x, limit=args.max_steps)):
         pos = compiled.instance.valuation(state)
-        profile = []
-        for depth in range(1, machine.n):
-            cells = machine.row_cells(state, depth)
-            profile.append(sum(1 for c in cells if c[0] is not None))
-        print(f"step={step} position={pos} occupancy=({','.join(map(str, profile))})")
+        profile = ",".join(str(machine.occupancy(state, depth)) for depth in range(1, machine.n))
+        print(f"step={step} position={pos} occupancy=({profile})")
     answer = compiled.extract(state)
     print(f"answer={answer}")
     return 0

@@ -15,12 +15,12 @@ pending cell is read once, by its parent's row scan.  It reads and writes
 each level in place, by its offsets in the one state string, so no
 sub-table is copied out or spliced back.  The compiled valuation is that
 position, and 0 on any string that is not a valid table for the compiled
-instance.  The state space remembers its last pass, so a walk that asks a
-state's position and then its successor validates each state once, and
-each level's last row scan, so that pass re-scans only the rows that
-differ from the ones it read before: a walk step changes one row.  It
-keeps one pass and one scan per level only, since a memo of every placed
-state would hold the whole walk.
+instance.  The state space remembers its last valid pass, so a walk that
+asks a state's position and then its successor validates each state once,
+and the next pass resumes at the first level whose row one that pass's
+table changed: a walk step changes the deepest rows only.  An invalid
+table leaves the remembered pass as it is.  It keeps one pass only, since
+a memo of every placed state would hold the whole walk.
 
 Only for unique-solution programs are the valid tables exactly the walk of
 ``x``, which :mod:`tfnpkit.svl` relies on.  Where answers are not unique,
@@ -102,19 +102,23 @@ class StateSpace:
     :func:`compile_pls` builds on these tables is 0 on every string that is
     not valid for its ``x``.
 
-    The space remembers its last placement: the last ``(state, x)`` pair
-    and the pass's result.  :meth:`walk` yields a state and then asks its
-    successor, so a caller that reads the yielded state's position in
-    between pays one pass per state, not two.  Only that one pass is kept:
-    a memo of every placed state would grow with the walk.
-
-    Each level also remembers its last row-one scan, keyed by the row's
-    cells, the level's instance and its slot path; a level's ``rows``
-    offset depends on its size alone, so the key names the cells the scan
-    read.  A pass reads a level's scan again when that key is unchanged,
-    which, replays being deterministic, gives the same answer.  A walk step
-    writes one row, so its next pass re-scans that row and at most one
-    row of a level the step has just opened, and no other.
+    The space remembers its last valid pass: its ``(state, x)`` pair, the
+    state's value as a binary number, the pass's result and its trail, one
+    record per scanned level.  :meth:`walk`
+    yields a state and then asks its successor, so a caller that reads the
+    yielded state's position in between pays one pass per state, not two.
+    A pass for the same ``x`` keeps the records of the levels whose row one
+    ends at or before the first character where its table differs from the
+    remembered one, and resumes below the deepest of them.  A level's scan
+    reads the table only up to the end of its own row one, and replays are
+    deterministic, so a kept record is the scan the new table would make;
+    the level that acts checks the new table.  A walk step writes the
+    deepest rows, so its next pass scans the row it wrote and at most one
+    row of a level it has just opened, and no other.  An invalid table
+    never replaces the remembered pass, so one-bit flips asked in between,
+    as a promise check asks them, cost the next on-path state nothing.
+    Only that one pass is kept: a memo of every placed state would grow
+    with the walk.
     """
 
     def __init__(self, prog: DsrProgram, n: int):
@@ -133,8 +137,8 @@ class StateSpace:
         self._length = {1: 2}
         for k in range(2, n + 1):  # initial and finished, plus one sub-walk per query
             self._length[k] = 2 + self._p[k] * self._length[k - 1]
-        self._last: tuple = (_BAD, _BAD, None)  # (state, x, pass result); no pair matches _BAD
-        self._scans: dict[int, tuple] = {}  # k -> ((row one, x, path), its scan)
+        # the last valid pass: (state, its value, x, result, trail); no pair matches _BAD
+        self._last: tuple = (_BAD, 0, _BAD, None, [])
 
     def width(self) -> int:
         return self._width
@@ -175,25 +179,33 @@ class StateSpace:
         w = self._cw[k]
         return [self._read_cell(state[c : c + w], k) for c in range(at, at + self._p[k + 1] * w, w)]
 
+    def occupancy(self, state: str, depth: int) -> int:
+        """Number of filled cells in top-level row ``depth`` of a valid
+        state: the instance flags, the first character of each cell."""
+        if not 1 <= depth <= self.n - 1:
+            raise DimensionError(f"row {depth} out of range")
+        k, at = self.n - depth, self._rows[depth - 1]
+        return state[at : at + self._p[k + 1] * self._cw[k] : self._cw[k]].count("1")
+
     # -- semantics --
 
     def initial_state(self, x: str) -> str:
         check_bits(x, self.n)
         return self._make_cell(self.n, x, None) + zeros(self._width - self._cw[self.n])
 
-    def _scan_row_one(self, row: str, x: str, k: int, path: Path):
-        """Validity conditions over the cells of a size-k level's row one:
-        the filled cells form a prefix, their instances replay the program's
-        query schedule, every answer verifies, and only the last filled cell
-        may be unanswered.  Returns (answered_prefix, pending), where
-        ``pending`` is the instance of an unanswered last cell or None, or
-        None if invalid."""
+    def _scan_row_one(self, state: str, rows: int, deeper: int, x: str, k: int, path: Path):
+        """Validity conditions over the cells of a size-k level's row one,
+        ``state[rows:deeper]``: the filled cells form a prefix, their
+        instances replay the program's query schedule, every answer
+        verifies, and only the last filled cell may be unanswered.  Returns
+        (answered_prefix, pending), where ``pending`` is the instance of an
+        unanswered last cell or None, or None if invalid."""
         answered: list[tuple[str, str]] = []
         pending: str | None = None
         blank_seen = False
         w = self._cw[k - 1]
-        for slot, c in enumerate(range(0, len(row), w), start=1):
-            cell = self._read_cell(row[c : c + w], k - 1)
+        for slot, c in enumerate(range(rows, deeper, w), start=1):
+            cell = self._read_cell(state[c : c + w], k - 1)
             if cell is _BAD:
                 return None
             inst, sol = cell
@@ -216,56 +228,78 @@ class StateSpace:
         """Whole successor string and 1-based walk position of a table for
         ``x``, or None when it is invalid.  One loop reads the top root cell,
         then follows the pending cells down, carrying the level's size k,
-        instance ``x``, slot ``path``, offsets ``(at, rows)`` and ``pos``,
-        the count of walk states before its own sub-walk.  A pending cell is
-        read once, by its parent's scan.  The level with no pending cell, or
-        a size-1 leaf, acts and returns."""
-        k, path, at, rows, pos = self.n, (), 0, self._cw[self.n], 0
-        root = self._read_cell(state[:rows], k)
-        if root is _BAD or root[0] != x:
-            return None
-        if root[1] is not None:
-            if "1" in state[rows:] or not self.prog.verify(x, root[1], path):
+        instance ``inst``, slot ``path``, offsets ``(at, rows)`` and
+        ``pos``, the count of walk states before its own sub-walk.  A
+        pending cell is read once, by its parent's scan.  The level with no
+        pending cell, or a size-1 leaf, acts and returns.
+
+        Each scanned level leaves a record in the pass's trail: where its
+        row one ends, then the loop's values after its scan.  A pass for the
+        remembered ``x`` resumes after the deepest record it keeps."""
+        _, last_value, last_x, _, trail = self._last
+        value = int(state, 2)
+        if x == last_x:
+            first = len(state) - (value ^ last_value).bit_length()
+            keep = len(trail)
+            while keep and trail[keep - 1][0] > first:
+                keep -= 1
+            trail = trail[:keep]
+        else:
+            trail = []
+        if trail:
+            deeper, k, inst, path, at, rows, pos, answered, pending = trail[-1]
+        else:
+            k, inst, path, at, rows, pos = self.n, x, (), 0, self._cw[self.n], 0
+            root = self._read_cell(state[:rows], k)
+            if root is _BAD or root[0] != x:
                 return None
-            return state, self._length[k]  # finished: the state is its own successor
-        while k > 1:
-            w = self._cw[k - 1]
-            deeper = rows + self._p[k] * w
-            key = state[rows:deeper], x, path  # ``rows`` depends on k alone
-            last_key, scan = self._scans.get(k, (None, None))
-            if key != last_key:
-                scan = self._scan_row_one(key[0], x, k, path)
-                self._scans[k] = key, scan
+            if root[1] is not None:
+                if "1" in state[rows:] or not self.prog.verify(x, root[1], path):
+                    return None
+                placed = state, self._length[k]  # finished: the state is its own successor
+                self._last = state, value, x, placed, trail
+                return placed
+            answered = None  # the top level is not scanned yet
+        while True:
+            if answered is not None:  # level k is scanned: it acts, or its pending cell opens
+                if pending is None:
+                    break
+                j = len(answered) + 1
+                k, inst, path, at, rows = k - 1, pending, path + (j,), rows + (j - 1) * self._cw[k - 1], deeper
+            if k == 1:
+                break
+            deeper = rows + self._p[k] * self._cw[k - 1]
+            scan = self._scan_row_one(state, rows, deeper, inst, k, path)
             if scan is None:
                 return None
             answered, pending = scan
             # the root's state, then one whole sub-walk per answered query
             pos += 1 + len(answered) * self._length[k - 1]
-            if pending is None:
-                break
-            j = len(answered) + 1
-            k, x, path, at, rows = k - 1, pending, path + (j,), rows + (j - 1) * w, deeper
+            trail.append((deeper, k, inst, path, at, rows, pos, answered, pending))
         if k == 1:
-            cell = self._make_cell(1, x, self.prog.finalize(x, (), path))
-            return state[:at] + cell + state[at + self._cw[1] :], pos + 1
-        if "1" in state[deeper:]:
+            cell = self._make_cell(1, inst, self.prog.finalize(inst, (), path))
+            placed = state[:at] + cell + state[at + self._cw[1] :], pos + 1
+        elif "1" in state[deeper:]:
             return None
-        if len(answered) == self._p[k]:
-            cell = self._make_cell(k, x, self.prog.finalize(x, answered, path))
-            return state[:at] + cell + state[at + self._cw[k] : rows] + zeros(len(state) - rows), pos
-        slot = rows + len(answered) * w
-        cell = self._make_cell(k - 1, self.prog.next_query(x, answered, path), None)
-        return state[:slot] + cell + state[slot + w :], pos
+        elif len(answered) == self._p[k]:
+            cell = self._make_cell(k, inst, self.prog.finalize(inst, answered, path))
+            placed = state[:at] + cell + state[at + self._cw[k] : rows] + zeros(len(state) - rows), pos
+        else:
+            slot = rows + len(answered) * self._cw[k - 1]
+            cell = self._make_cell(k - 1, self.prog.next_query(inst, answered, path), None)
+            placed = state[:slot] + cell + state[slot + self._cw[k - 1] :], pos
+        self._last = state, value, x, placed, trail
+        return placed
 
     def _step_top(self, state: str, x: str) -> tuple[str, int] | None:
-        last_state, last_x, placed = self._last
+        last_state, _, last_x, placed, _ = self._last
         if x != last_x:
             check_bits(x, self.n)  # a compiled walk keeps one ``x``, checked at its first pass
         elif state == last_state:
             return placed  # the pass just made for this pair
-        placed = self._step(state, x) if len(state) == self._width and is_bits(state) else None
-        self._last = state, x, placed
-        return placed
+        if len(state) != self._width or not is_bits(state):
+            return None
+        return self._step(state, x)
 
     def is_valid(self, state: str, x: str) -> bool:
         return self._step_top(state, x) is not None

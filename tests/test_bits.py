@@ -57,3 +57,25 @@ def test_helpers():
 def test_is_bits_accepts_exactly_the_binary_alphabet(s):
     assert is_bits(s) == all(ch in "01" for ch in s)
     assert not is_bits(s.encode()) and not is_bits(None)
+
+
+@given(st.integers(0, 16).flatmap(lambda w: st.tuples(*[st.text(alphabet="01", min_size=w, max_size=w)] * 2)))
+def test_xor_and_complement_match_their_per_bit_definitions(pair):
+    a, b = pair
+    assert xor_bits(a, b) == "".join("1" if x != y else "0" for x, y in zip(a, b))
+    assert complement(a) == "".join("1" if x == "0" else "0" for x in a)
+
+
+@given(st.text(alphabet="01", max_size=8), st.text(alphabet="01", max_size=8))
+def test_xor_refuses_unequal_widths(a, b):
+    if len(a) != len(b):
+        with pytest.raises(DimensionError):
+            xor_bits(a, b)
+
+
+@pytest.mark.parametrize("s", ["0_1", "1_0", " 01", "01 ", "\t1\n", "\u0661", "1\u0660"])
+def test_is_bits_refuses_what_int_reads_as_binary(s):
+    int(s, 2)  # Python reads each of these as a binary numeral
+    assert not is_bits(s)
+    with pytest.raises(DimensionError):
+        check_bits(s)

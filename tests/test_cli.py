@@ -4,9 +4,12 @@ import subprocess
 import sys
 
 from tfnpkit import (
+    HalvingIterProgram,
     IterInstance,
+    RecursiveCombineProblem,
     SodInstance,
     circuit_from_table,
+    compile_pls,
     emit_instance,
     identity_circuit,
     parse_instance,
@@ -152,6 +155,31 @@ def test_walk_step_lines_and_answer():
     steps = [l for l in lines if l.startswith("step=")]
     assert len(steps) == 2 ** 5 - 2  # full walk of a four-bit instance
     assert lines[-1].startswith("answer=")
+
+
+def _walk_by_cells(compiled, x):
+    """The ``walk`` command's output, each row's occupancy counted by
+    decoding its cells."""
+    machine, lines = compiled.machine, []
+    for step, state in enumerate(machine.walk(x)):
+        profile = [sum(c[0] is not None for c in machine.row_cells(state, d)) for d in range(1, machine.n)]
+        position = compiled.instance.valuation(state)
+        lines.append(f"step={step} position={position} occupancy=({','.join(map(str, profile))})")
+    return "\n".join([*lines, f"answer={compiled.extract(state)}"]) + "\n"
+
+
+def test_walk_output_matches_decoded_cells(tmp_path, capsys):
+    """On every state of a combine walk and a self-hosted halving walk, the
+    command prints the occupancy that decoding each row's cells gives."""
+    top = random_instance("iter-with-source", 4, random.Random(3))
+    path = tmp_path / "top.txt"
+    path.write_text(emit_instance(top))
+    for problem, x, program in (
+        ("fixture:recursive-combine", "101101", RecursiveCombineProblem()),
+        (f"selfhost:{path}", top.source, HalvingIterProgram(top)),
+    ):
+        assert main(["walk", "--problem", problem, "--x", x]) == 0
+        assert capsys.readouterr().out == _walk_by_cells(compile_pls(program, x), x)
 
 
 def test_svl_check_reports_ok():

@@ -256,6 +256,17 @@ def test_first_step_writes_first_query(prog):
     assert cells[1][0] is None
 
 
+def test_occupancy_counts_a_rows_filled_cells(prog):
+    machine = StateSpace(prog, 3)
+    for state in machine.walk("101"):
+        for depth in (1, 2):
+            cells = machine.row_cells(state, depth)
+            assert machine.occupancy(state, depth) == sum(c[0] is not None for c in cells)
+    for depth in (0, 3):
+        with pytest.raises(DimensionError):
+            machine.occupancy(state, depth)
+
+
 def test_walk_properties_and_extraction(prog):
     for x in ("0", "1", "10", "011", "1011", "01101"):
         compiled = compile_pls(prog, x)
@@ -421,9 +432,8 @@ def test_level_scans_are_never_stale(case, calls):
 def test_walk_reads_at_most_two_row_scans_per_state(monkeypatch, prog):
     """A walk that reads every state's position scans, per state, the row
     its last step changed and at most the row one of a level that step
-    opened; every other level's row one is read from that level's last
-    scan.  Without the per-level scans the pass at n = 8 scans up to seven
-    rows per state."""
+    opened; every other level's scan is kept from the state's predecessor.
+    Without resuming, the pass at n = 8 scans up to seven rows per state."""
     scans = [0]
     scan = StateSpace._scan_row_one
 
@@ -439,6 +449,63 @@ def test_walk_reads_at_most_two_row_scans_per_state(monkeypatch, prog):
             scans[0] = 0
             assert compiled.instance.valuation(state) == index
             assert scans[0] <= 2
+
+
+def _record_scans(monkeypatch) -> list[int]:
+    """Wrap ``StateSpace._scan_row_one`` and record where each scanned row
+    one ends."""
+    ends = []
+    scan = StateSpace._scan_row_one
+
+    def recording_scan(self, state, rows, deeper, *args):
+        ends.append(deeper)
+        return scan(self, state, rows, deeper, *args)
+
+    monkeypatch.setattr(StateSpace, "_scan_row_one", recording_scan)
+    return ends
+
+
+def test_invalid_tables_leave_the_remembered_pass(monkeypatch, prog):
+    """A walk that asks the position of one one-bit flip of each state
+    before the state's own still scans at most two rows for the state: an
+    invalid table never replaces the remembered pass, so the state resumes
+    from its predecessor's.  Were a flip to replace it, the state would
+    re-scan the flipped row too, three rows in all for some states."""
+    ends = _record_scans(monkeypatch)
+    rng = random.Random(5)
+    compiled = compile_pls(prog, "10110100")
+    valuation = compiled.instance.valuation
+    for index, state in enumerate(compiled.machine.walk("10110100"), start=1):
+        flip = rng.randrange(len(state))
+        valuation(state[:flip] + ("1" if state[flip] == "0" else "0") + state[flip + 1 :])
+        ends.clear()
+        assert valuation(state) == index
+        assert len(ends) <= 2
+
+
+def test_resumed_pass_scans_only_rows_after_the_first_change(monkeypatch, prog):
+    """After a valid table, a pass for the same ``x`` scans only levels
+    whose row one ends after the first character where its table differs,
+    and answers like a fresh state space: on pairs of walk states and
+    one-bit flips of the combine walk at n = 8 and a halving walk at n = 5."""
+    ends = _record_scans(monkeypatch)
+    rng = random.Random(7)
+    top = random_instance("iter-with-source", 5, random.Random(1))
+    for program, x in ((prog, "10110100"), (HalvingIterProgram(top), top.source)):
+        machine = StateSpace(program, len(x))
+        walk = list(machine.walk(x))
+        for _ in range(300):
+            before = rng.choice(walk)
+            after = rng.choice((rng.choice(walk), walk[min(walk.index(before) + 1, len(walk) - 1)]))
+            if rng.random() < 0.5:
+                flip = rng.randrange(len(after))
+                after = after[:flip] + ("1" if after[flip] == "0" else "0") + after[flip + 1 :]
+            expected = StateSpace(program, len(x)).position(after, x)
+            assert machine.is_valid(before, x)
+            ends.clear()
+            assert machine.position(after, x) == expected
+            first = next((i for i, (a, b) in enumerate(zip(before, after)) if a != b), len(after))
+            assert all(end > first for end in ends)
 
 
 def test_walk_reads_each_cell_once_per_state(monkeypatch, prog):
