@@ -72,11 +72,8 @@ from .numbertheory import (
 )
 from .problems import (
     EolInstance,
-    ImplicitSodInstance,
     IterInstance,
-    IterWithSourceInstance,
     SodInstance,
-    SodWithSourceInstance,
     SuccessorOracle,
     SvlInstance,
     emit_instance,

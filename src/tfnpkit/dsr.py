@@ -4,13 +4,9 @@ self-oracle, and query-discipline monitors.
 Each algorithm takes one kind (any other raises :class:`DimensionError`)
 and solves it with at most two queries to an oracle for strictly smaller
 instances.  Iteration with a source halves the vertex space on the leading
-bit (:meth:`IterInstance.half`): a query is a :class:`~tfnpkit.circuit.Half`,
-input 1 fixed and output 1 dropped, made with its sibling in one pass over
-the parent's columns and handed out once.  The monitor sizes it exactly and
-the next level halves it with no gate built; its circuit, gate for gate the
-``restrict_half`` chain's, is built only when read.  Its points are read
-from the root with the fixed prefix prepended.  Source-free iteration runs
-the same case analysis on the instance itself, from the all-zero word: a
+bit: a query is a half (:meth:`IterInstance.half`), input 1 fixed and
+output 1 dropped, sized and read with no gate built.  Source-free iteration
+runs the same case analysis on the instance itself, from the all-zero word: a
 query from the all-zero word is the source-free half, and only a query
 from another start is asked as the :func:`~tfnpkit.reductions.drop_source`
 target of that half, which reads the half's points.  At one bit the
@@ -21,12 +17,10 @@ both kinds share one case analysis too: the single-valuation-bit base
 case, the query without the leading valuation bit, and the pivot, its
 answer's step; they differ only in the query asked from the pivot.  A
 sink-of-DAG query is composed over the instance that asks it
-(:meth:`SodInstance.dropped`, :meth:`SodInstance.frozen`): it reads its
-points through the parent's memo, and it is measured, without being
-built, as exactly the circuit ``restrict_output``/``freeze_stage`` would
-make (successor then valuation outputs).  Only the root circuit is read
-(see ``problems``).  Each oracle answer is verified on the instance
-asked, no other (a bad answer raises :class:`OracleContractError`).
+(:meth:`SodInstance.dropped`, :meth:`SodInstance.frozen`) and sized with
+no circuit built; a procedure root, as ``compile_pls`` emits, is solved
+alike in ``circuit-dsr`` mode.  Each oracle answer is verified on the
+instance asked, no other (a bad answer raises :class:`OracleContractError`).
 
 The case analyses lift almost every sub-answer directly, unverified: the
 reads that choose it prove it (see ``_upper_start``).  One lift is not
@@ -45,7 +39,7 @@ from typing import Callable
 
 from .bits import zeros
 from .circuit import evaluate  # unused here; bench/selftest.py checks the tracer wraps this binding
-from .errors import DimensionError, MalformedInstanceError, MonitorViolation, OracleContractError
+from .errors import DimensionError, MalformedInstanceError, MonitorViolation, OracleContractError, SizingError
 from .problems import (
     KIND_ITER,
     KIND_ITER_WS,
@@ -256,7 +250,7 @@ def self_oracle() -> SelfReductionOracle:
     return SelfReductionOracle()
 
 
-Dims = tuple[int, int, int]  # (inputs, outputs, circuit size)
+Dims = tuple[int, int, int | None]  # (inputs, outputs, circuit size)
 
 
 @dataclass
@@ -279,11 +273,6 @@ class QueryTrace:
         return 1 + max((r.depth for r in self.records), default=-1)
 
 
-def _dims(inst: CircuitInstance) -> Dims:
-    nu, mu = io_dims(inst)
-    return nu, mu, circuit_size(inst)
-
-
 class MonitoredOracle:
     """Forwards queries, recording a trace and enforcing the size discipline
     of the chosen mode.
@@ -292,7 +281,9 @@ class MonitoredOracle:
     bits) to be strictly below its parent's.  ``circuit-dsr`` requires the
     input and output bit counts to be component-wise bounded and strictly
     smaller in total.  ``circuit-dsr-poly-blowup`` additionally bounds the
-    query's circuit size by the parent's plus (inputs*outputs)**c.
+    query's circuit size by the parent's plus (inputs*outputs)**c.  An
+    instance with no circuit (a procedure-rooted sink-of-DAG one) is recorded
+    with size None in ``circuit-dsr`` mode; the others raise :class:`SizingError`.
 
     The inner oracle is called as ``inner(inst, parent, entry=...)``, with
     ``entry`` the outermost layer: this monitor, or the layer that passed
@@ -308,10 +299,19 @@ class MonitoredOracle:
         self.trace = trace if trace is not None else QueryTrace()
         self._depth = 0
 
+    def _dims(self, inst: CircuitInstance) -> Dims:
+        nu, mu = io_dims(inst)
+        try:
+            return nu, mu, circuit_size(inst)
+        except SizingError:
+            if self.mode != MODE_CIRCUIT:
+                raise
+            return nu, mu, None
+
     def check(self, parent: CircuitInstance, sub: CircuitInstance) -> tuple[Dims, Dims]:
         """Raise on a query that breaks the mode's size discipline; return the
         dimensions of parent and query, each instance sized once."""
-        parent_dims, sub_dims = _dims(parent), _dims(sub)
+        parent_dims, sub_dims = self._dims(parent), self._dims(sub)
         (pn, pm, parent_size), (sn, sm, sub_size) = parent_dims, sub_dims
         if self.mode == MODE_DSR:
             parent_encoded = parent_size + source_bits(parent)
@@ -337,7 +337,7 @@ class MonitoredOracle:
 
     def __call__(self, inst: CircuitInstance, parent: CircuitInstance | None = None, entry: Oracle | None = None) -> str:
         if parent is None:
-            parent_dims, query_dims = None, _dims(inst)
+            parent_dims, query_dims = None, self._dims(inst)
         else:
             parent_dims, query_dims = self.check(parent, inst)
         record = QueryRecord(parent_dims=parent_dims, query_dims=query_dims, depth=self._depth)

@@ -1,4 +1,6 @@
-"""Compile a downward-query program into an implicit sink-of-DAG instance.
+"""Compile a downward-query program into a sink-of-DAG instance with a
+procedure root, which the sink-of-DAG self-reduction solves in
+``circuit-dsr`` mode.
 
 A :class:`DsrProgram` is the replayable protocol of a recursive algorithm:
 on a size-k instance it asks exactly ``query_count(k)`` sub-queries of size
@@ -9,18 +11,11 @@ advances one configuration per step, is the identity on invalid strings,
 and loops on the finished configuration.  Following the successor from the
 initial state therefore walks a path whose last state carries the answer.
 One pass over a table validates it, computes its successor and places it
-on the walk, so validity, the step and the position cannot disagree.  The
-pass is one loop that follows the pending cells down from the root, and a
-pending cell is read once, by its parent's row scan.  It reads and writes
-each level in place, by its offsets in the one state string, so no
-sub-table is copied out or spliced back.  The compiled valuation is that
-position, and 0 on any string that is not a valid table for the compiled
-instance.  The state space remembers its last valid pass, so a walk that
-asks a state's position and then its successor validates each state once,
-and the next pass resumes at the first level whose row one that pass's
-table changed: a walk step changes the deepest rows only.  An invalid
-table leaves the remembered pass as it is.  It keeps one pass only, since
-a memo of every placed state would hold the whole walk.
+on the walk, so validity, the step and the position cannot disagree; the
+compiled valuation is that position, and 0 on any string that is not a
+valid table for the compiled instance.  :class:`StateSpace` describes the
+pass, which reads and writes each level in place, and the one pass it
+remembers, so that a walk validates each state once.
 
 Only for unique-solution programs are the valid tables exactly the walk of
 ``x``, which :mod:`tfnpkit.svl` relies on.  Where answers are not unique,
@@ -38,8 +33,8 @@ from itertools import accumulate, product
 from typing import Sequence
 
 from .bits import check_bits, is_bits, zeros
-from .errors import DimensionError, MalformedInstanceError, SizingError
-from .problems import ImplicitSodInstance, SuccessorOracle, circuit_size, io_dims
+from .errors import DimensionError, MalformedInstanceError, SizingError, SolveBoundError
+from .problems import SodInstance, SuccessorOracle, circuit_size, io_dims
 
 Path = tuple[int, ...]
 _BLOWUP_EXPONENT = 2  # circuit sizing: each query level may add (inputs*outputs)**2
@@ -317,7 +312,8 @@ class StateSpace:
     def walk(self, x: str, limit: int | None = None):
         """Yield the states from the initial one to the finished one.  With
         a ``limit``, a walk of more than ``limit`` steps yields its first
-        ``limit + 1`` states and then raises, before the state past the limit."""
+        ``limit + 1`` states and then raises :class:`SolveBoundError`, before
+        the state past the limit."""
         state = self.initial_state(x)
         yield state
         steps = 0
@@ -327,7 +323,7 @@ class StateSpace:
                 return
             steps += 1
             if limit is not None and steps > limit:
-                raise MalformedInstanceError(f"walk exceeded {limit} steps")
+                raise SolveBoundError(f"walk exceeded {limit} steps")
             state = nxt
             yield state
 
@@ -336,7 +332,7 @@ class StateSpace:
 class CompiledPls:
     x: str
     machine: StateSpace
-    instance: ImplicitSodInstance
+    instance: SodInstance  # a procedure root: the successor oracle, the position, the initial state
     path_length: int
     sizing_flags: list[str] = field(default_factory=list)
 
@@ -378,11 +374,11 @@ def check_circuit_sizing(prog: DsrProgram, n: int) -> None:
 
 
 def compile_pls(prog: DsrProgram, x: str) -> CompiledPls:
-    """Package the program's walk on ``x`` as an implicit sink-of-DAG
-    instance: the successor advances state tables, the valuation is the
-    position along the unique path (0 for invalid states), and the source is
-    the initial state.  The answer is read off the root cell of the final
-    state.
+    """Package the program's walk on ``x`` as a sink-of-DAG instance with a
+    procedure root: the successor advances state tables, the valuation is
+    the position along the unique path (0 for invalid states), as wide as
+    the path length, and the source is the initial state.  The answer is
+    read off the root cell of the final state.
 
     The program is asked every width up to ``len(x)`` at once, so a
     program that refuses a width refuses the compile.  The state width is
@@ -396,17 +392,7 @@ def compile_pls(prog: DsrProgram, x: str) -> CompiledPls:
     bound = prog.query_count(n) * prog.solution_len(n) * n * n
     if machine.width() >= bound:
         flags.append(f"state width {machine.width()} is not below the bound {bound}")
-
     succ = SuccessorOracle(fn=partial(machine.successor, x=x), n=machine.width())
-    instance = ImplicitSodInstance(
-        succ=succ,
-        valuation=partial(machine.position, x=x),
-        source=machine.initial_state(x),
-    )
-    return CompiledPls(
-        x=x,
-        machine=machine,
-        instance=instance,
-        path_length=machine.path_length(),
-        sizing_flags=flags,
-    )
+    length, valuation = machine.path_length(), partial(machine.position, x=x)
+    instance = SodInstance.from_procedure(succ, valuation, length.bit_length(), machine.initial_state(x))
+    return CompiledPls(x=x, machine=machine, instance=instance, path_length=length, sizing_flags=flags)

@@ -26,7 +26,7 @@ class MalformedInstanceError(TfnpError):
 
 
 class SolveBoundError(TfnpError):
-    """Exhaustive solving refused: the instance exceeds the configured bound."""
+    """A request refused: it exceeds a configured size or step bound."""
 
 
 class OracleContractError(TfnpError):
@@ -50,7 +50,7 @@ class PromiseViolation(TfnpError):
 
 
 class SizingError(TfnpError):
-    """Compiled state sizes exceeded the declared growth budget."""
+    """A size over its declared growth budget, or asked of an instance with no circuit."""
 
 
 class InvalidStateError(TfnpError):

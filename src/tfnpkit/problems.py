@@ -1,32 +1,29 @@
 """Instance types, well-formedness checks, and solution verifiers.
 
 Five circuit-backed search problems are represented by three types, plus
-procedure-backed instances used by the state-graph compiler and the
-verifiable-line construction.  The with-source kinds are the same types
-as iteration and sink-of-DAG with ``source`` set; with ``source`` None the
-walk starts at the all-zero word.  All verifiers are total predicates;
-shape violations raise, semantic failures return False.
+the procedure-backed verifiable-line instance.  The with-source kinds are
+the same types as iteration and sink-of-DAG with ``source`` set; with
+``source`` None the walk starts at the all-zero word.  All verifiers are
+total predicates; shape violations raise, semantic failures return False.
 
-A sink-of-DAG instance is one circuit, ``pair``, on n inputs: its outputs
-are the n successor bits, then the valuation bits.  One evaluation reads
-both, and it is measured once, so the shared input ports count once.
+A sink-of-DAG root is one circuit, ``pair``, on n inputs: its outputs are
+the n successor bits, then the valuation bits, so one evaluation reads
+both, and it is measured once, with the shared input ports counted once.
+Or it is a procedure root (:meth:`SodInstance.from_procedure`), with no
+circuit: the state-graph compiler emits one, and the sink-of-DAG
+self-reduction solves it in ``circuit-dsr`` mode.
 
-Iteration and sink-of-DAG circuits are read through ``circuit.point``,
-which caches the points on the circuit, so every instance on one circuit
-object shares them.  Only root instances read a circuit; the verifiers and
-the self-reductions read through ``IterInstance.step`` and
-``SodInstance.step_and_value``, which trust their words: ``verify_solution``,
-the constructors and ``with_source`` check the words that enter, and the
-query constructors take sources derived from them.  End-of-line circuits
-are never self-reduced: a check or a walk reads each point once or twice,
-so they are evaluated and nothing is cached on them.  A self-reduction
-query reads its root (an iteration half with its prefix, a sink-of-DAG
-query through its stage and its parent's memo) and is sized with no
-circuit built: a half from its columns, cut with its sibling in one pass
-(:class:`~tfnpkit.circuit.Half`), the root's chain of sink-of-DAG drops
-from one backward pass over the root that sizes every depth, and a query
-below a freeze from a :class:`~tfnpkit.gadgets.Net`, whose ``add`` and
-``drop`` each keep a node's counts in one method body.
+Iteration and sink-of-DAG circuits are read through ``circuit.point``, which
+caches the points on the circuit, so every instance on one circuit object
+shares them.  Only root instances read a circuit or a procedure; the
+verifiers and the self-reductions read through ``IterInstance.step`` and
+``SodInstance.step_and_value``, which trust their words: the constructors,
+``verify_solution`` and ``with_source`` check the words that enter, and the
+query constructors take sources derived from them.  End-of-line circuits are
+never self-reduced: a check or a walk reads each point once or twice, so
+they are evaluated and nothing is cached on them.  A self-reduction query
+reads its root and is sized with no circuit built, as :class:`IterInstance`
+and :class:`SodInstance` describe.
 
 The sink-finding solution predicate requires a candidate to move
 (``succ(v) != v``) in both disjuncts: a point that is already a fixed point
@@ -47,7 +44,7 @@ from .bits import check_bits, from_int, zeros
 from .circuit import MAX_NETLIST_WIDTH, Circuit, Half, drop_sizes, emit_netlist, evaluate, point
 from .circuit import _check_fix, _derived, _read_rows, _stripped_lines, circuit_from_table, restrict_output
 from .circuit import size as circuit_gate_size
-from .errors import DimensionError, NetlistError
+from .errors import DimensionError, NetlistError, SizingError
 from .gadgets import Net, combine_pair, freeze_stage, redirect_zero_outputs, split_pair
 
 KIND_ITER = "iter"
@@ -64,6 +61,25 @@ def _require_square(c: Circuit, role: str) -> None:
 
 def _checked_source(source: str | None, n: int) -> str | None:
     return None if source is None else check_bits(source, n)
+
+
+_NO_CIRCUIT = "a procedure-rooted sink-of-DAG instance has no circuit to size or write"
+
+
+class _Procedural:
+    """The net of a procedure root and its queries: no circuit, so stages keep it and its size is refused."""
+
+    def drop(self, *stage) -> "_Procedural":
+        return self
+
+    freeze = drop
+
+    @property
+    def size(self) -> int:
+        raise SizingError(_NO_CIRCUIT)
+
+
+_PROCEDURAL = _Procedural()
 
 
 class IterInstance:
@@ -190,7 +206,13 @@ class SodInstance:
     and one backward pass over the root sizes the drop of every depth.  A
     query below a freeze is sized from its :class:`~tfnpkit.gadgets.Net`;
     the first freeze below a raw instance starts from the root's net,
-    hash-consed once and dropped along the chain."""
+    hash-consed once and dropped along the chain.
+
+    A procedure root (:meth:`from_procedure`) holds a successor oracle and a
+    valuation callable as ``succ`` and ``valuation``, and its own
+    ``step_and_value`` calls them.  It and its queries carry the
+    :class:`_Procedural` net: their ``pair``, size and file form raise
+    :class:`SizingError`, and each equals only itself."""
 
     def __init__(self, succ: Circuit, valuation: Circuit, source: str | None = None):
         self._init(combine_pair(succ, valuation), source)
@@ -199,6 +221,15 @@ class SodInstance:
     @classmethod
     def from_pair(cls, pair: Circuit, source: str | None = None) -> "SodInstance":
         return cls.__new__(cls)._init(pair, source)
+
+    @classmethod
+    def from_procedure(cls, succ: "SuccessorOracle", valuation: Callable[[str], int], value_bits: int,
+                       source: str) -> "SodInstance":
+        """A procedure root: ``succ`` steps n-bit words, ``valuation`` maps
+        each to a value below ``2**value_bits``, and there is no circuit."""
+        inst = cls.__new__(cls)._set(succ.n, value_bits, check_bits(source, succ.n), None, None, _PROCEDURAL)
+        vars(inst).update(succ=succ, valuation=valuation, step_and_value=lambda x: (succ(x), valuation(x)))
+        return inst
 
     def _init(self, pair: Circuit, source: str | None) -> "SodInstance":
         vars(self)["pair"] = pair
@@ -260,7 +291,10 @@ class SodInstance:
 
     @cached_property
     def pair(self) -> Circuit:
-        """The circuit; a query's is built from its parent's on first read."""
+        """The circuit; a query's is built from its parent's on first read.
+        A procedure root has none."""
+        if self._parent is None:
+            raise SizingError(_NO_CIRCUIT)
         parent = self._parent.pair
         if self._freeze is None:
             return restrict_output(parent, self.n + 1)
@@ -271,11 +305,11 @@ class SodInstance:
     def _views(self) -> tuple[Circuit, Circuit]:
         return split_pair(self.pair, self.value_bits)
 
-    @property
+    @cached_property
     def succ(self) -> Circuit:
         return self._views[0]
 
-    @property
+    @cached_property
     def valuation(self) -> Circuit:
         return self._views[1]
 
@@ -307,16 +341,18 @@ class SodInstance:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SodInstance):
             return NotImplemented
+        if self._net is _PROCEDURAL or other._net is _PROCEDURAL:
+            return self is other
         return (self.pair, self.source) == (other.pair, other.source)
 
     def __hash__(self) -> int:
-        return hash((self.pair, self.source))
+        return id(self) if self._net is _PROCEDURAL else hash((self.pair, self.source))
 
     def __repr__(self) -> str:
         return f"SodInstance(n={self.n}, value_bits={self.value_bits}, source={self.source!r})"
 
 
-# The with-source kinds are the same types with ``source`` set.
+# The with-source kinds are the same types with ``source`` set; bench/workloads.py builds with these names.
 IterWithSourceInstance = IterInstance
 SodWithSourceInstance = SodInstance
 
@@ -346,30 +382,7 @@ class SuccessorOracle:
     n: int
 
     def __call__(self, x: str) -> str:
-        check_bits(x, self.n)
-        out = self.fn(x)
-        return check_bits(out, self.n)
-
-
-@dataclass(frozen=True, eq=False)
-class ImplicitSodInstance:
-    """Sink-finding instance whose successor and valuation are procedures
-    rather than circuits."""
-
-    succ: SuccessorOracle
-    valuation: Callable[[str], int]
-    source: str
-
-    def __post_init__(self):
-        check_bits(self.source, self.succ.n)
-
-    @property
-    def n(self) -> int:
-        return self.succ.n
-
-    def step_and_value(self, x: str) -> tuple[str, int]:
-        """Successor word and valuation at ``x``, as :class:`SodInstance` reads them."""
-        return self.succ(x), self.valuation(x)
+        return check_bits(self.fn(check_bits(x, self.n)), self.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,7 +409,7 @@ class SvlInstance:
 # PEP 604 unions: ``typing.Union`` caches its arguments, which would keep
 # the classes of every re-imported copy of this module alive.
 CircuitInstance = IterInstance | SodInstance | EolInstance
-ProblemInstance = CircuitInstance | ImplicitSodInstance | SvlInstance
+ProblemInstance = CircuitInstance | SvlInstance
 
 
 def kind_of(inst: ProblemInstance) -> str:
@@ -439,7 +452,7 @@ def instance_size(inst: CircuitInstance) -> int:
 
 def well_formed(inst: ProblemInstance) -> bool:
     """Does the instance satisfy the guarantee its kind promises?"""
-    if isinstance(inst, (IterInstance, SodInstance, ImplicitSodInstance)):
+    if isinstance(inst, (IterInstance, SodInstance)):
         start = zeros(inst.n) if inst.source is None else inst.source
         if isinstance(inst, IterInstance):
             return inst.step(start) > start
@@ -469,7 +482,7 @@ def verify_solution(inst: ProblemInstance, cand: str) -> bool:
         if step <= cand:
             return False
         return inst.step(step) <= step
-    if isinstance(inst, (SodInstance, ImplicitSodInstance)):
+    if isinstance(inst, SodInstance):
         step, value = inst.step_and_value(cand)
         if step == cand:
             return False
@@ -509,6 +522,8 @@ def emit_instance(inst: CircuitInstance) -> str:
     kind = kind_of(inst)
     if kind not in _ROLES:
         raise TypeError(f"{type(inst).__name__} has no file form")
+    if getattr(inst, "_net", None) is _PROCEDURAL:
+        raise SizingError(_NO_CIRCUIT)
     parts = [f"problem {kind}"]
     for role in _ROLES[kind]:
         c: Circuit = getattr(inst, role)

@@ -19,10 +19,8 @@ import pytest
 from tfnpkit import (
     HalvingIterProgram,
     IterInstance,
-    IterWithSourceInstance,
     RecursiveCombineProblem,
     SodInstance,
-    SodWithSourceInstance,
     StateSpace,
     add_source,
     check_promise,
@@ -136,7 +134,7 @@ def _check_reduction(inst, result):
     target = result.target
     n = target.succ.n
     stab = eval_table(target.succ)
-    if isinstance(target, (IterInstance, IterWithSourceInstance)):
+    if isinstance(target, IterInstance):
         sols = _iter_solutions(stab, n)
     else:
         sols = _sod_solutions(stab, eval_table(target.valuation), n)
@@ -162,7 +160,7 @@ def test_criterion_2_reduction_suite():
             _check_reduction(inst, add_source(inst))
         for s in range(4):
             if table[s] > s:
-                ws = IterWithSourceInstance(succ, from_int(s, 2))
+                ws = IterInstance(succ, from_int(s, 2))
                 _check_reduction(ws, drop_source(ws))
         vtab = [vrng.randrange(4) for _ in range(4)]
         val = table_circuit(vtab, 2, m=2, name="valuation")
@@ -172,7 +170,7 @@ def test_criterion_2_reduction_suite():
             _check_reduction(sod, add_source(sod))
         movers = [s for s in range(4) if table[s] != s]
         if movers:
-            sod_ws = SodWithSourceInstance(succ, val, from_int(movers[0], 2))
+            sod_ws = SodInstance(succ, val, from_int(movers[0], 2))
             _check_reduction(sod_ws, drop_source(sod_ws))
     rng = random.Random(0xBEEF)
     for _ in range(250):
@@ -214,7 +212,7 @@ def test_criterion_3_self_reduction_suite():
             runs += 1
         for s in range(4):
             if table[s] > s:
-                ws = IterWithSourceInstance(succ, from_int(s, 2))
+                ws = IterInstance(succ, from_int(s, 2))
                 for mode in ("dsr", "circuit-dsr-poly-blowup"):
                     answer = dsr_iter_with_source(ws, monitored(self_oracle(), mode))
                     assert verify_solution(ws, answer)
@@ -231,7 +229,7 @@ def test_criterion_3_self_reduction_suite():
                 assert verify_solution(inst, answer)
                 runs += 1
             if movers:
-                ws = SodWithSourceInstance(succ, val, from_int(movers[0], 2))
+                ws = SodInstance(succ, val, from_int(movers[0], 2))
                 answer = dsr_sod_with_source(ws, monitored(self_oracle(), "circuit-dsr-poly-blowup"))
                 assert verify_solution(ws, answer)
                 runs += 1
@@ -250,7 +248,7 @@ def test_criterion_3_self_reduction_suite():
                 vtab = [seeded.randrange(4) for _ in range(4)]
                 val = table_circuit(vtab, 2, m=2, name="valuation")
                 for s in movers[:2]:
-                    ws = SodWithSourceInstance(succ, val, from_int(s, 2))
+                    ws = SodInstance(succ, val, from_int(s, 2))
                     answer = dsr_sod_with_source(
                         ws, monitored(self_oracle(), "circuit-dsr-poly-blowup")
                     )
@@ -306,7 +304,7 @@ def test_criterion_4_state_graph_suite():
             _check_walk(prog, x, expect=prog.solution(x))
             walks += 1
     rng = random.Random(0x57A7E)
-    chain = IterWithSourceInstance(table_circuit([1, 2, 3, 3], 2), "00")
+    chain = IterInstance(table_circuit([1, 2, 3, 3], 2), "00")
     tops = [chain] + [random_instance("iter-with-source", n, rng) for n in (3, 3, 4, 4, 5)]
     for top in tops:
         answer = _check_walk(HalvingIterProgram(top), top.source)

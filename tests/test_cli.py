@@ -310,6 +310,7 @@ def test_exit_code_table(tmp_path, capsys):
         (("compile-pls", *combine, "--x", "1" * 13), 3),
         (("solve", wide, "--exhaustive"), 3),
         (("walk", *combine, "--x", "101", "--max-steps", "-1"), 3),
+        (("walk", *combine, "--x", "101", "--max-steps", "3"), 3),
         (("dsr-run", files["iter"], "--inflate", "-1"), 3),
         (("dsr-run", files["iter"], "--c", "-3"), 3),
         (("dsr-run", files["end-of-line"]), 3),

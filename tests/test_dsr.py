@@ -6,7 +6,6 @@ import pytest
 from tfnpkit import (
     Circuit,
     IterInstance,
-    IterWithSourceInstance,
     QueryTrace,
     SelfReductionOracle,
     SodInstance,
@@ -40,7 +39,7 @@ from conftest import _assert_only_roots_read, _count_reads, _counting_splits, it
 def test_worked_two_bit_chain():
     """Chain 00->01->10->11->11 from source 00: the lower query answers 0,
     the pivot is 10, the upper query answers 0, and the lift returns 10."""
-    inst = IterWithSourceInstance(table_circuit([1, 2, 3, 3], 2), "00")
+    inst = IterInstance(table_circuit([1, 2, 3, 3], 2), "00")
     trace = QueryTrace()
     answer = dsr_iter_with_source(inst, monitored(self_oracle(), "dsr", trace=trace))
     assert answer == "10"
@@ -49,7 +48,7 @@ def test_worked_two_bit_chain():
 
 
 def test_upper_half_source_needs_one_query():
-    inst = IterWithSourceInstance(table_circuit([0, 1, 3, 3], 2), "10")
+    inst = IterInstance(table_circuit([0, 1, 3, 3], 2), "10")
     trace = QueryTrace()
     answer = dsr_iter_with_source(inst, monitored(self_oracle(), "dsr", trace=trace))
     assert verify_solution(inst, answer)
@@ -62,7 +61,7 @@ def test_iter_with_source_exhaustive_n2_and_dsr_mode():
         c = table_circuit(table, 2)
         for s in range(4):
             if table[s] > s:
-                inst = IterWithSourceInstance(c, from_int(s, 2))
+                inst = IterInstance(c, from_int(s, 2))
                 answer = dsr_iter_with_source(inst, monitored(self_oracle(), "dsr"))
                 assert verify_solution(inst, answer)
 
@@ -276,7 +275,7 @@ def test_iteration_answers_verify_under_every_oracle_answer(monkeypatch):
         succ = table_circuit(table, n)
         cases = [(IterInstance(succ), dsr_iter)] if table[0] > 0 else []
         sources = [from_int(s, n) for s in range(len(table)) if table[s] > s]
-        cases += [(IterWithSourceInstance(succ, source), dsr_iter_with_source) for source in sources]
+        cases += [(IterInstance(succ, source), dsr_iter_with_source) for source in sources]
         before = len(walks)
         for inst, algorithm in cases:
             counts[n][0] += 1

@@ -6,13 +6,21 @@ from hypothesis import strategies as st
 
 from tfnpkit import (
     HalvingIterProgram,
+    QueryTrace,
     RecursiveCombineProblem,
+    SodInstance,
     StateSpace,
     all_bitstrings,
     check_circuit_sizing,
     compile_pls,
+    emit_instance,
     from_int,
+    instance_size,
+    kind_of,
+    monitored,
     random_instance,
+    run_dsr,
+    self_oracle,
     solve_path,
     verify_solution,
     well_formed,
@@ -20,9 +28,9 @@ from tfnpkit import (
 )
 from tfnpkit.circuit import pad_with_dead_gates
 from tfnpkit.dsr import dsr_iter_with_source
-from tfnpkit.errors import DimensionError, MalformedInstanceError, SizingError, SolveBoundError
+from tfnpkit.errors import DimensionError, SizingError, SolveBoundError
 from tfnpkit.fixtures import _Unanswered
-from tfnpkit.problems import ImplicitSodInstance, IterInstance
+from tfnpkit.problems import IterInstance, circuit_size
 
 from conftest import table_circuit
 
@@ -198,7 +206,7 @@ def test_one_bit_flips_of_nested_walks(prog):
 
 
 def _implicit_solution(inst, cand: str) -> bool:
-    """The sink-finding predicate written out over an implicit instance's
+    """The sink-finding predicate written out over a procedure root's
     successor and valuation procedures: the reference for the problem
     layer's one sink-of-DAG predicate."""
     step = inst.succ(cand)
@@ -224,7 +232,7 @@ def test_compiled_instances_keep_the_implicit_predicate(prog):
             expected = _implicit_solution(inst, state)
             assert verify_solution(inst, state) == expected
             accepted += expected
-            moved = ImplicitSodInstance(succ=inst.succ, valuation=inst.valuation, source=state)
+            moved = inst.with_source(state)
             assert well_formed(moved) == (inst.succ(state) != state)
         assert accepted >= 1
 
@@ -539,7 +547,7 @@ def test_walk_limit_counts_steps(prog):
         full = list(machine.walk(x))
         assert list(machine.walk(x, limit=steps)) == full
         seen = []
-        with pytest.raises(MalformedInstanceError, match=f"exceeded {steps - 1} steps"):
+        with pytest.raises(SolveBoundError, match=f"exceeded {steps - 1} steps"):
             for state in machine.walk(x, limit=steps - 1):
                 seen.append(state)
         assert seen == full[:steps]
@@ -558,6 +566,38 @@ def test_pls_instance_path_solution_extracts(prog):
     sol = solve_path(compiled.instance)
     assert verify_solution(compiled.instance, sol)
     assert compiled.extract(sol) == prog.solution(x)
+
+
+def test_sink_of_dag_self_reduction_solves_compiled_instances():
+    """A compiled instance is a procedure-rooted ``SodInstance`` with a
+    source, and the monitored sink-of-DAG self-reduction solves it in
+    ``circuit-dsr`` mode, recording no size: on every combine input at
+    n = 1..4 and 30 seeded ``HalvingIterProgram`` tops at each n = 2..6,
+    every answer extracts to one the program verifies.  The modes that size
+    queries, the file form and the circuit measures refuse it, and a query
+    of it, with :class:`SizingError`."""
+    cases = [(RecursiveCombineProblem(), x) for n in range(1, 5) for x in all_bitstrings(n)]
+    for n in range(2, 7):
+        rng = random.Random(n)
+        tops = [random_instance("iter-with-source", n, rng) for _ in range(30)]
+        cases += [(HalvingIterProgram(top), top.source) for top in tops]
+    assert len(cases) == 180
+    for program, x in cases:
+        compiled = compile_pls(program, x)
+        inst = compiled.instance
+        assert isinstance(inst, SodInstance) and kind_of(inst) == "sink-of-dag-with-source"
+        assert inst.value_bits == compiled.path_length.bit_length()
+        trace = QueryTrace()
+        state = run_dsr(inst, monitored(self_oracle(), "circuit-dsr", trace=trace))
+        assert verify_solution(inst, state)
+        assert program.verify(x, compiled.extract(state))
+        assert trace.records and all(record.query_dims[2] is None for record in trace.records)
+    for mode in ("dsr", "circuit-dsr-poly-blowup"):
+        with pytest.raises(SizingError, match="no circuit"):
+            run_dsr(inst, monitored(self_oracle(), mode))
+    for refuse in (emit_instance, circuit_size, instance_size, lambda inst: circuit_size(inst.dropped())):
+        with pytest.raises(SizingError, match="no circuit"):
+            refuse(inst)
 
 
 def test_self_hosted_walks(rng):

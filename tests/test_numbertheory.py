@@ -138,6 +138,8 @@ def test_oracle_contract_violations_raise():
     with pytest.raises(OracleContractError):
         all_factors_via_factor(12, lambda k: 5)  # 5 does not divide 6
     with pytest.raises(OracleContractError):
+        all_factors_via_factor(12, lambda k: "prime")  # 6 is not prime
+    with pytest.raises(OracleContractError):
         factor_via_all_factors(12, lambda k: [5])
 
 

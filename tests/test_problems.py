@@ -20,7 +20,6 @@ from tfnpkit import (
     INPUT,
     IterInstance,
     SodInstance,
-    SodWithSourceInstance,
     SuccessorOracle,
     emit_instance,
     evaluate,
@@ -39,7 +38,6 @@ from tfnpkit.circuit import Gate, project_outputs, restrict_half, restrict_input
 from tfnpkit.errors import DimensionError, NetlistError, RestrictionError
 from tfnpkit.gadgets import combine_pair, redirect_zero_outputs
 from tfnpkit import circuit, problems
-from tfnpkit.problems import ImplicitSodInstance
 from tfnpkit.reductions import drop_source
 from tfnpkit.solvers import solve_exhaustive, solve_path
 
@@ -123,7 +121,7 @@ def test_successor_oracle_checks_lengths():
 
 def test_implicit_instance_verifier():
     oracle = SuccessorOracle(fn=lambda x: "11" if x != "11" else "11", n=2)
-    inst = ImplicitSodInstance(succ=oracle, valuation=lambda x: int(x, 2), source="00")
+    inst = SodInstance.from_procedure(oracle, lambda x: int(x, 2), 2, "00")
     assert well_formed(inst)
     assert verify_solution(inst, "01")  # steps to the sink
     assert not verify_solution(inst, "11")  # the sink itself is a fixed point
@@ -148,7 +146,7 @@ def test_io_dims_and_size():
     val = table_circuit([0, 1, 2, 3], 2, m=3, name="valuation")
     inst = SodInstance(succ, val)
     assert io_dims(inst) == (2, 5)
-    ws = SodWithSourceInstance(succ, val, "01")
+    ws = SodInstance(succ, val, "01")
     assert instance_size(ws) == instance_size(SodInstance(succ, val)) + 2
     # one circuit, input ports counted once
     assert instance_size(inst) == size(combine_pair(succ, val))

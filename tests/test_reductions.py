@@ -5,9 +5,7 @@ import pytest
 
 from tfnpkit import (
     IterInstance,
-    IterWithSourceInstance,
     SodInstance,
-    SodWithSourceInstance,
     add_source,
     drop_source,
     enumerate_solutions,
@@ -68,7 +66,7 @@ def test_sod_to_iter_hand_example():
     val = table_circuit([0, 1], 1, m=1, name="valuation")
     inst = SodInstance(succ, val)
     result = sod_to_iter(inst)
-    assert isinstance(result.target, IterWithSourceInstance)
+    assert isinstance(result.target, IterInstance)
     assert result.target.source == evaluate(val, "0") + "0"
     sol = next(c for c in all_bitstrings(2) if verify_solution(result.target, c))
     assert result.pullback(sol) in ("0", "1")
@@ -104,7 +102,7 @@ def test_sod_to_iter_refuses_a_source():
     refused: this well-formed one is stuck at the all-zero word, and a
     target built from there would have a failing pullback."""
     succ = table_circuit([0, 2, 3, 3], 2)
-    inst = SodWithSourceInstance(succ, table_circuit([0, 1, 2, 3], 2, name="valuation"), "01")
+    inst = SodInstance(succ, table_circuit([0, 1, 2, 3], 2, name="valuation"), "01")
     assert well_formed(inst)
     with pytest.raises(DimensionError):
         sod_to_iter(inst)
@@ -132,7 +130,7 @@ def test_source_handling_rejects_the_wrong_form(rng):
         with pytest.raises(DimensionError, match=f"with a source, got {free_kind}$"):
             drop_source(inst.with_source(None))
     # source 001 with a stuck zero point: resetting the start to 000 is not well formed
-    inst = IterWithSourceInstance(table_circuit([0, 2, 3, 3, 4, 5, 6, 7], 3), "001")
+    inst = IterInstance(table_circuit([0, 2, 3, 3, 4, 5, 6, 7], 3), "001")
     assert well_formed(inst)
     with pytest.raises(DimensionError):
         add_source(inst)
@@ -152,7 +150,7 @@ def test_drop_source_iteration_target_keeps_the_solutions(monkeypatch):
     cases = []
     for table in itertools.product(range(4), repeat=4):
         succ = table_circuit(table, 2)
-        cases += [IterWithSourceInstance(succ, from_int(s, 2)) for s in range(1, 4) if table[s] > s]
+        cases += [IterInstance(succ, from_int(s, 2)) for s in range(1, 4) if table[s] > s]
     rng = random.Random(0xD5)
     for n in (3, 4):
         for _ in range(60):
@@ -192,7 +190,7 @@ def test_pullbacks_are_local_maps(monkeypatch):
         if table[0] > 0:
             iters.append(IterInstance(succ))
         val = table_circuit([vrng.randrange(4) for _ in range(4)], 2, m=2, name="valuation")
-        sods += [SodWithSourceInstance(succ, val, from_int(s, 2)) for s in range(1, 4) if table[s] != s]
+        sods += [SodInstance(succ, val, from_int(s, 2)) for s in range(1, 4) if table[s] != s]
     rng = random.Random(0x10CA1)
     for n in (3, 4):
         for _ in range(60):
@@ -218,7 +216,7 @@ def test_pullbacks_are_local_maps(monkeypatch):
 
 def test_drop_source_identity_when_source_is_zero(rng):
     base = random_instance("iter", 2, rng)
-    ws = IterWithSourceInstance(base.succ, zeros(2))
+    ws = IterInstance(base.succ, zeros(2))
     result = drop_source(ws)
     assert result.target == IterInstance(base.succ)
     assert hash(result.target) == hash(IterInstance(base.succ))
@@ -229,7 +227,7 @@ def test_drop_source_identity_when_source_is_zero(rng):
 def test_drop_source_builds_artificial_edge():
     # source 10 on the chain 10->11->11
     succ = table_circuit([0, 1, 3, 3], 2)
-    inst = IterWithSourceInstance(succ, "10")
+    inst = IterInstance(succ, "10")
     result = drop_source(inst)
     lifted = result.target.succ
     assert evaluate(lifted, "00") == "10"
