@@ -41,7 +41,9 @@ elimination) both strictly shrink the circuit.  One constant-folding loop
 ``restrict_input`` and ``restrict_half`` each take one side.  A parent's two
 iteration queries (input 1 fixed, output 1 dropped) are the :class:`Half`
 pair of one such pass: columns sized exactly and halved again without
-building gates, and swept into a circuit only when read.
+building gates, and swept into a circuit only when read.  A table-born
+root's halves, and theirs, are sized exactly from the root's table by the
+layout's rule, with no pass; a half's columns are folded only when read.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .bits import check_bits, to_int
-from .errors import DimensionError, NetlistError, RestrictionError
+from .errors import DimensionError, NetlistError, RestrictionError, SizingError
 
 OP_INPUT = "input"
 OP_CONST = "const"
@@ -161,6 +163,15 @@ class Circuit:
         points evaluated so far.  A table-born circuit is given its table
         (``_seeded``); any other builds it here."""
         return "".join(successor_table(self)) if self.n <= _TABLE_MAX_INPUTS else {}
+
+    @cached_property
+    def _masks(self) -> list[int] | None:
+        """Per output, its ``output_masks`` mask, sliced from the table of a
+        table-born circuit (``_seeded`` marks one); None for any other."""
+        if "_table_born" not in vars(self):
+            return None
+        words, m = self._points, self.m
+        return [int(words[j::m][::-1], 2) for j in range(m)]
 
 
 def _check_shape(n: int, m: int) -> None:
@@ -406,24 +417,61 @@ class Half:
     One backward pass marks a half's dead entries None in ``ops``, so the
     next pass reads the three columns alone, and sums its exact ``size``.
     :attr:`circuit` sweeps the columns into gates on first read, gate for
-    gate the chain of ``restrict_half`` calls."""
+    gate the chain of ``restrict_half`` calls.
 
-    __slots__ = ("n", "m", "depth", "name", "ops", "firsts", "seconds", "outputs", "size", "_circuit")
+    Below a table-born root, a half is sized from its outputs' masks
+    (``_table_size``) and made with no columns; they are folded when read
+    (``_rows``), from its parent's, made first if need be.  One fold fills
+    both halves of a pair, and a half holds its parent only until then.
+    The fold's liveness size must be the table size, or :class:`SizingError`."""
 
-    def __init__(self, parent: "Circuit | Half", depth: int, ops: list, firsts: list, seconds: list, outs: list):
-        self.ops, self.firsts, self.seconds, self.outputs = ops, firsts, seconds, outs[1:]
-        cost = _liveness(ops, firsts, seconds, self.outputs)[1]
-        self.n, self.m, self.depth, self.name = parent.n - 1, len(self.outputs), depth + 1, parent.name
-        self.size = cost + self.n + self.m
-        self._circuit: Circuit | None = None
+    __slots__ = ("n", "m", "depth", "name", "ops", "firsts", "seconds", "outputs", "size")
+    __slots__ += ("_masks", "_pending", "_circuit")  # table sizing, the pending fold, the swept circuit
+
+    def __init__(self, parent: "Circuit | Half", masks: list[int] | None = None, pending: tuple | None = None):
+        self.n, self.m, self.name = parent.n - 1, parent.m - 1, parent.name
+        self.depth = parent.depth + 1 if type(parent) is Half else 1
+        self._masks, self._pending, self._circuit = masks, pending, None
+        self.size = None if masks is None else _table_size(masks, self.n)
 
     @classmethod
     def pair(cls, parent: "Circuit | Half") -> tuple["Half", "Half"]:
-        """The halves of ``parent`` with leading bit 0 and 1, from one pass."""
+        """The halves of ``parent`` with leading bit 0 and 1: from one fold,
+        or for a table-born root's, sized from their masks, with the fold
+        pending on a box the two share."""
         _check_fix(parent, 1, 0)
         _check_drop(parent, 1)
-        rows, depth = _rows(parent)
-        return tuple(cls(parent, depth, *side) for side in _fold(rows, parent.outputs, depth, 0))
+        masks = parent._masks
+        if masks is None:
+            halves = cls(parent), cls(parent)
+            rows, depth = _rows(parent)
+            for half, side in zip(halves, _fold(rows, parent.outputs, depth, 0)):
+                half._fill(side)
+            return halves
+        width, box, kept = 1 << parent.n - 1, [parent], masks[1:]
+        low = (1 << width) - 1
+        return cls(parent, [v & low for v in kept], (box, 0)), cls(parent, [v >> width for v in kept], (box, 1))
+
+    def _fill(self, side: tuple) -> None:
+        """Take ``side`` of the parent's fold as the columns and size them."""
+        ops, firsts, seconds, outs = side
+        self.ops, self.firsts, self.seconds, self.outputs = ops, firsts, seconds, outs[1:]
+        swept = _liveness(ops, firsts, seconds, self.outputs)[1] + self.n + self.m
+        if self.size is None:
+            self.size = swept
+        elif swept != self.size:
+            raise SizingError(f"half at depth {self.depth} has size {swept}, its table gives {self.size}")
+
+    def _columns(self) -> None:
+        """Fold the pending columns: the shared box holds the parent until
+        the first of the pair is read, then both sides of its fold."""
+        box, bit = self._pending
+        sides = box[0]
+        if type(sides) is not list:
+            rows, depth = _rows(sides)
+            sides = box[0] = _fold(rows, sides.outputs, depth, 0)
+        self._pending = None
+        self._fill(sides[bit])
 
     @property
     def circuit(self) -> Circuit:
@@ -433,10 +481,35 @@ class Half:
         return self._circuit
 
 
+def _table_size(masks: list[int], w: int) -> int:
+    """The size of a half of a table-born root (``circuit_from_table``'s
+    layout, folded by ``_fold``) with ``w`` inputs left, whose kept outputs
+    are 1 on the points ``masks`` hold: w input ports, one wire per output,
+    w - 1 ANDs per live minterm (one an output reads), an OR per output
+    point but its first, and a NOT per input that is 0 at some live point.
+    With no input left, every output is a constant."""
+    if not w:
+        return len(masks)
+    live = ors = 0
+    for v in masks:
+        live |= v
+        ors += v.bit_count() - 1 if v else 0
+    ands, nots, span = live.bit_count() * (w - 1), 0, 1 << w
+    while span > 1:  # each input in turn: live points with it 0, then the suffixes of all
+        span >>= 1
+        low = live & (1 << span) - 1
+        nots += low != 0
+        live = low | live >> span
+    return w + len(masks) + GATE_COST[OP_NOT] * nots + GATE_COST[OP_AND] * (ands + ors)
+
+
 def _rows(c: Circuit | Half) -> tuple:
     """``c``'s ``(op, a, b)`` rows, a dead one with op None, and the number
-    of leading root inputs its INPUT entries skip."""
+    of leading root inputs its INPUT entries skip; a half's pending columns
+    are folded first."""
     if isinstance(c, Half):
+        if c._pending is not None:
+            c._columns()
         return zip(c.ops, c.firsts, c.seconds), c.depth
     return c.gates, 0
 
@@ -572,7 +645,11 @@ def circuit_from_table(table: Sequence[int], n: int, m: int, name: str = "t") ->
     on n alone.  While the last circuit made here at width n lives, a new
     one takes them from it as the same objects and builds only its OR
     chains and CONST 0; only the circuits that hold that prefix keep it
-    alive."""
+    alive.
+
+    A circuit that carries its table (n <= 16) is marked table-born: the
+    size of each :class:`Half` below it follows from this layout and the
+    table (``_table_size``), and a change to the layout must change that."""
     _check_shape(n, m)
     if len(table) != 1 << n:
         raise DimensionError(f"table must have {1 << n} entries")
@@ -627,9 +704,10 @@ def circuit_from_table(table: Sequence[int], n: int, m: int, name: str = "t") ->
 def _seeded(c: Circuit, words: str) -> Circuit:
     """``c`` with ``words``, its truth table as one string of output words in
     input order, as its points when it is narrow enough to read them from a
-    table."""
+    table, and then marked table-born: its halves are sized from ``words``
+    (see ``Circuit._masks``)."""
     if c.n <= _TABLE_MAX_INPUTS:
-        vars(c)["_points"] = words
+        vars(c).update(_points=words, _table_born=True)
     return c
 
 

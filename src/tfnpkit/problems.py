@@ -87,9 +87,11 @@ class IterInstance:
     word when ``source`` is None.
 
     Only a root reads its circuit.  A half (:meth:`half`) is a
-    :class:`~tfnpkit.circuit.Half`: it is sized from its columns, and its
-    circuit is built only when ``succ`` is read (by the envelope writer,
-    equality or a test; :meth:`redirected` embeds the half's columns).  It
+    :class:`~tfnpkit.circuit.Half`: below a table-born root it is sized from
+    the root's table and its columns are folded only when read, below any
+    other root it is sized from its columns.  Its circuit is built only when
+    ``succ`` is read (by the envelope writer, equality or a test;
+    :meth:`redirected` embeds the half's columns).  It
     reads the root it was cut from, with its fixed prefix prepended, and a
     :meth:`redirected` instance reads the instance it redirects."""
 

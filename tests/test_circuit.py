@@ -41,15 +41,16 @@ from tfnpkit.circuit import (
     Half,
     _check_shape,
     _derived,
+    _table_size,
     _table_words,
     constant_circuit,
     pad_with_dead_gates,
     point,
     project_outputs,
 )
-from tfnpkit.errors import DimensionError, NetlistError, RestrictionError
+from tfnpkit.errors import DimensionError, NetlistError, RestrictionError, SizingError
 from tfnpkit.gadgets import combine_pair, freeze_stage, redirect_zero_outputs
-from tfnpkit.problems import SodInstance
+from tfnpkit.problems import IterInstance, SodInstance
 
 from conftest import eval_table, naive_evaluate, parsed
 
@@ -653,6 +654,66 @@ def test_each_side_of_a_split_is_the_two_step_restriction(c):
     circuit and for its copy with op strings built anew."""
     for parent in (c, _fresh_ops(c)):
         _assert_split_is_two_step(parent, c)
+
+
+@st.composite
+def table_roots(draw) -> Circuit:
+    """A table-born circuit on n = 1..8 inputs and m = 2..9 outputs, so that
+    some splits reach halves with no input left; its table is uniform, all
+    zero, ``x mod 2^m`` or sparse."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(2, 9))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    form = draw(st.sampled_from(("uniform", "zero", "modular", "sparse")))
+    if form == "uniform":
+        table = [rng.randrange(1 << m) for _ in range(1 << n)]
+    elif form == "zero":
+        table = [0] * (1 << n)
+    elif form == "modular":
+        table = [x % (1 << m) for x in range(1 << n)]
+    else:
+        table = [rng.randrange(1 << m) if rng.random() < 0.1 else 0 for _ in range(1 << n)]
+    return circuit_from_table(table, n, m)
+
+
+def _assert_table_split_is_the_fold(parent: Circuit | Half, folded: Circuit | Half) -> int:
+    """Each half of a table-born ``parent``'s split is made with no columns
+    and the ``size`` of the same half of ``folded``, which the fold makes,
+    and its circuit is that half's gate for gate.  The low half's circuit is
+    read after its own halves are split and read, so their columns are
+    folded through it; the high half's before.  Returns the halves checked."""
+    checked = 0
+    for bit, (half, want) in enumerate(zip(Half.pair(parent), Half.pair(folded))):
+        assert not hasattr(half, "ops") and hasattr(want, "ops")
+        assert (half.n, half.m, half.size) == (want.n, want.m, want.size)
+        if bit:
+            assert half.circuit == want.circuit
+        if half.n and half.m >= 2:
+            checked += _assert_table_split_is_the_fold(half, want)
+        if not bit:
+            assert half.circuit == want.circuit
+        checked += 1
+    return checked
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(table_roots())
+def test_table_born_halves_are_sized_exactly_without_a_fold(c):
+    """Every half of a table-born circuit's full split tree, down to those
+    with no input left, is sized by the table rule exactly as the fold sizes
+    the same half of its parsed copy, and sweeps to the same circuit."""
+    assert _assert_table_split_is_the_fold(c, parsed(c)) >= 2
+
+
+def test_a_wrong_table_size_is_refused_where_the_fold_fills_the_half(monkeypatch):
+    """Where a fold fills a table-sized half, its liveness size is checked
+    against its table size: with the rule off by one, reading the half's
+    ``succ`` raises ``SizingError``, which ``python -O`` keeps."""
+    monkeypatch.setattr("tfnpkit.circuit._table_size", lambda masks, w: _table_size(masks, w) + 1)
+    inst = IterInstance(circuit_from_table([min(x + 1, 7) for x in range(8)], 3, 3))
+    half = inst.half(0)
+    assert half.size == size(restrict_half(parsed(inst.succ), 0)) + 1
+    with pytest.raises(SizingError, match="its table gives"):
+        half.succ
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

@@ -755,6 +755,62 @@ def test_a_parent_splits_its_form_at_most_once(monkeypatch):
     assert len(split) == len(asked) and sum(asks == 2 for _, asks, _ in asked.values()) > 200
 
 
+def test_table_born_halves_fold_only_what_is_read(monkeypatch):
+    """On monitored long paths at n = 2..8, through every point or through a
+    seeded nine in ten of them, the root is table-born, so its halves are
+    sized by the table rule.  With a source no fold runs.  Without one, no
+    parent is folded twice, and a parent of the root's line (the root or a
+    table-sized half) is folded exactly when it is an ancestor of a half
+    whose columns are read: here, a half that a ``drop_source`` redirect
+    embeds."""
+    forms, parent_of = [], {}  # every form split, kept so that ids stay distinct; id of a half -> its parent
+    pair, fold, embed_rows = circuit.Half.pair.__func__, circuit._fold, gadgets._rows
+    folded, read = [], []
+
+    def recording_pair(cls, form):
+        forms.append(form)
+        halves = pair(cls, form)
+        forms.extend(halves)
+        parent_of.update((id(half), form) for half in halves)
+        return halves
+
+    def recording_fold(rows, outputs, k0, shift):
+        folded.append(next(form for form in forms if getattr(form, "outputs", None) is outputs))
+        return fold(rows, outputs, k0, shift)
+
+    monkeypatch.setattr(circuit.Half, "pair", classmethod(recording_pair))
+    monkeypatch.setattr(circuit, "_fold", recording_fold)
+    monkeypatch.setattr(gadgets, "_rows", lambda c: read.append(c) or embed_rows(c))
+    ancestors_read = 0
+    rng = random.Random(0x5EED)
+    roots = [_long_path(n) for n in range(2, 9)]
+    for n in range(2, 9):
+        path = [0] + [x for x in range(1, 1 << n) if rng.random() < 0.9]
+        steps = list(range(1 << n))
+        for a, b in zip(path, path[1:]):
+            steps[a] = b
+        roots.append(table_circuit(steps, n))
+    for root in roots:
+        for source in (from_int(0, root.n), None):
+            for record in (forms, parent_of, folded, read):
+                record.clear()
+            inst = IterInstance(root, source)
+            assert verify_solution(inst, run_dsr(inst, monitored(self_oracle(), "circuit-dsr-poly-blowup", c=2)))
+            if source is not None:
+                assert not folded
+                continue
+            assert len(set(map(id, folded))) == len(folded)
+            ancestors = set()
+            for half in read:
+                while isinstance(half, circuit.Half) and half._masks is not None:
+                    half = parent_of[id(half)]
+                    ancestors.add(id(half))
+            line = {id(form) for form in folded if form._masks is not None}
+            assert line == ancestors
+            ancestors_read += len(ancestors)
+    assert ancestors_read > 30
+
+
 def test_long_path_sink_of_dag_evaluates_only_the_root(monkeypatch):
     """Queries read their parent's memo: a monitored run reads no circuit
     but the root's and never evaluates it, and it hash-conses the root once
