@@ -43,7 +43,9 @@ iteration queries (input 1 fixed, output 1 dropped) are the :class:`Half`
 pair of one such pass: columns sized exactly and halved again without
 building gates, and swept into a circuit only when read.  A table-born
 root's halves, and theirs, are sized exactly from the root's table by the
-layout's rule, with no pass; a half's columns are folded only when read.
+layout's rule, with no pass, and hold no parent; a half's columns are
+written from its masks when read, in the fold's order, so ``_fold`` runs
+only on circuits that are not table-born and on their halves.
 """
 
 from __future__ import annotations
@@ -51,9 +53,9 @@ from __future__ import annotations
 import re
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, compress, count, islice, repeat
-from operator import itemgetter
+from operator import and_, itemgetter, or_
 from typing import NamedTuple, Sequence
 
 from .bits import check_bits, to_int
@@ -419,59 +421,69 @@ class Half:
     :attr:`circuit` sweeps the columns into gates on first read, gate for
     gate the chain of ``restrict_half`` calls.
 
-    Below a table-born root, a half is sized from its outputs' masks
-    (``_table_size``) and made with no columns; they are folded when read
-    (``_rows``), from its parent's, made first if need be.  One fold fills
-    both halves of a pair, and a half holds its parent only until then.
-    The fold's liveness size must be the table size, or :class:`SizingError`."""
+    Below a table-born root, a half holds no parent: it is sized from its
+    outputs' masks (``_table_size``) and made with no columns, which are
+    written from the masks when read (``_written``), live rows only, in the
+    order the fold would give them.  The written columns' liveness size
+    must be the table size, or :class:`SizingError`."""
 
     __slots__ = ("n", "m", "depth", "name", "ops", "firsts", "seconds", "outputs", "size")
-    __slots__ += ("_masks", "_pending", "_circuit")  # table sizing, the pending fold, the swept circuit
+    __slots__ += ("_masks", "_consts", "_circuit", "__weakref__")  # table sizing and writing, the swept circuit
 
-    def __init__(self, parent: "Circuit | Half", masks: list[int] | None = None, pending: tuple | None = None):
+    def __init__(self, parent: "Circuit | Half", masks: list[int] | None = None, consts: list | None = None):
         self.n, self.m, self.name = parent.n - 1, parent.m - 1, parent.name
         self.depth = parent.depth + 1 if type(parent) is Half else 1
-        self._masks, self._pending, self._circuit = masks, pending, None
+        self._masks, self._consts, self._circuit = masks, consts, None
         self.size = None if masks is None else _table_size(masks, self.n)
 
     @classmethod
     def pair(cls, parent: "Circuit | Half") -> tuple["Half", "Half"]:
         """The halves of ``parent`` with leading bit 0 and 1: from one fold,
-        or for a table-born root's, sized from their masks, with the fold
-        pending on a box the two share."""
+        or below a table-born root, from the parent's masks.  There a half
+        also carries, per root output, the CONST entry the output reads as a
+        key ``(depth, place, bit)``, or None while it reads its chain:
+        ``(0, j0, 0)`` for the root's CONST 0, which sits at j0, the root's
+        first never-1 output; ``(e, 0, 0)`` for the CONST 0 the fold at depth
+        e appends once it empties the output's mask; at w = 0, ``(e, place,
+        bit)``, placed in order of the parent's outputs, the dropped one
+        included.  A split that makes no CONST entry passes its parent's
+        keys on."""
         _check_fix(parent, 1, 0)
         _check_drop(parent, 1)
         masks = parent._masks
         if masks is None:
             halves = cls(parent), cls(parent)
             rows, depth = _rows(parent)
-            for half, side in zip(halves, _fold(rows, parent.outputs, depth, 0)):
-                half._fill(side)
+            for half, (ops, firsts, seconds, outs) in zip(halves, _fold(rows, parent.outputs, depth, 0)):
+                half._fill(ops, firsts, seconds, outs[1:])
             return halves
-        width, box, kept = 1 << parent.n - 1, [parent], masks[1:]
+        if type(parent) is Half:
+            consts, depth = parent._consts, parent.depth + 1
+        else:
+            root = (0, masks.index(0), 0) if 0 in masks else None
+            consts, depth = [None if v else root for v in masks], 1
+        width, fixed = 1 << parent.n - 1, masks.count(0)  # the outputs that read a CONST already
         low = (1 << width) - 1
-        return cls(parent, [v & low for v in kept], (box, 0)), cls(parent, [v >> width for v in kept], (box, 1))
+        halves = []
+        for split in ([v & low for v in masks], [v >> width for v in masks]):
+            keys = consts
+            if parent.n == 1 or split.count(0) > fixed:  # the fold makes CONST entries here
+                keys = consts.copy()
+                made = [(j, v) for j, v in enumerate(split, depth - 1) if keys[j] is None and (parent.n == 1 or not v)]
+                first = made[0][1] if made else 0
+                for j, v in made:
+                    keys[j] = (depth, v ^ first, v)
+            halves.append(cls(parent, split[1:], keys))
+        return tuple(halves)
 
-    def _fill(self, side: tuple) -> None:
-        """Take ``side`` of the parent's fold as the columns and size them."""
-        ops, firsts, seconds, outs = side
-        self.ops, self.firsts, self.seconds, self.outputs = ops, firsts, seconds, outs[1:]
-        swept = _liveness(ops, firsts, seconds, self.outputs)[1] + self.n + self.m
+    def _fill(self, ops: list, firsts: list, seconds: list, outputs: list[int]) -> None:
+        """Take the columns and output references, and size them."""
+        self.ops, self.firsts, self.seconds, self.outputs = ops, firsts, seconds, outputs
+        swept = _liveness(ops, firsts, seconds, outputs)[1] + self.n + self.m
         if self.size is None:
             self.size = swept
         elif swept != self.size:
             raise SizingError(f"half at depth {self.depth} has size {swept}, its table gives {self.size}")
-
-    def _columns(self) -> None:
-        """Fold the pending columns: the shared box holds the parent until
-        the first of the pair is read, then both sides of its fold."""
-        box, bit = self._pending
-        sides = box[0]
-        if type(sides) is not list:
-            rows, depth = _rows(sides)
-            sides = box[0] = _fold(rows, sides.outputs, depth, 0)
-        self._pending = None
-        self._fill(sides[bit])
 
     @property
     def circuit(self) -> Circuit:
@@ -503,13 +515,60 @@ def _table_size(masks: list[int], w: int) -> int:
     return w + len(masks) + GATE_COST[OP_NOT] * nots + GATE_COST[OP_AND] * (ands + ors)
 
 
+def _written(half: Half) -> tuple[list, list, list, list[int]]:
+    """The live rows of a half below a table-born root, as columns and
+    output references, written from its masks in the order ``_fold`` gives
+    them: ``circuit_from_table``'s layout over the half's w inputs with its
+    dead rows left out.  The w INPUT entries keep their root index; a NOT
+    follows for each input that is 0 at some live point (one an output
+    reads), then w - 1 ANDs per live point in order of x; then each output's
+    OR chain in output order, the root's CONST 0 at its place among them;
+    then the CONST entries later folds appended, in the order of their keys
+    (see :meth:`Half.pair`).  No entry is dead."""
+    w, masks, consts = half.n, half._masks, half._consts[half.depth :]
+    ops, firsts, seconds = [OP_INPUT] * w, list(range(half.depth, half.depth + w)), [0] * w
+
+    def put(op: str, a: int, b: int = 0) -> int:
+        ops.append(op)
+        firsts.append(a)
+        seconds.append(b)
+        return len(ops) - 1
+
+    live = reduce(or_, masks, 0) if w else 0  # an output that reads a CONST has mask 0 while w > 0
+    points = list(compress(count(), map("1".__eq__, bin(live)[:1:-1])))
+    ones = reduce(and_, points, (1 << w) - 1)  # the inputs that are 1 at every live point
+    literals = [(put(OP_NOT, k) if not ones >> w - 1 - k & 1 else None, k) for k in range(w)]
+    minterm: list[int | None] = [None] * (1 << w)
+    for x in points:
+        acc, *rest = [literal[bit == "1"] for literal, bit in zip(literals, format(x, f"0{w}b"))]
+        for r in rest:
+            acc = put(OP_AND, acc, r)
+        minterm[x] = acc
+    root = next((key for key in consts if key and not key[0]), None)
+    place = max(root[1] - half.depth, 0) if root else -1  # the kept output whose chain it precedes
+    refs: dict[tuple, int] = {}
+    outs: list = []
+    for j, (v, key) in enumerate(zip(masks, consts)):
+        if j == place:
+            refs[root] = put(OP_CONST, 0)
+        if key is None:
+            rows = list(compress(minterm, map("1".__eq__, bin(v)[:1:-1])))
+            key = rows[0]
+            for r in islice(rows, 1, None):
+                key = put(OP_OR, key, r)
+        outs.append(key)
+    for key in sorted(set(filter(None, consts)) - refs.keys()):
+        refs[key] = put(OP_CONST, key[2])
+    return ops, firsts, seconds, [refs.get(r, r) for r in outs]
+
+
 def _rows(c: Circuit | Half) -> tuple:
     """``c``'s ``(op, a, b)`` rows, a dead one with op None, and the number
-    of leading root inputs its INPUT entries skip; a half's pending columns
-    are folded first."""
+    of leading root inputs its INPUT entries skip; a half below a table-born
+    root has its columns written first."""
     if isinstance(c, Half):
-        if c._pending is not None:
-            c._columns()
+        if not hasattr(c, "ops"):
+            c._fill(*_written(c))
         return zip(c.ops, c.firsts, c.seconds), c.depth
     return c.gates, 0
 

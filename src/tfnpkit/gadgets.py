@@ -232,9 +232,13 @@ def combine_pair(succ: Circuit, valuation: Circuit, name: str = "pair") -> Circu
     s_words, v_words = _table_words(succ), _table_words(valuation)
     if s_words is not None and v_words is not None:
         n, m = succ.m, valuation.m
-        vars(pair)["_points"] = "".join(
-            [s_words[x * n : x * n + n] + v_words[x * m : x * m + m] for x in range(1 << succ.n)]
-        )
+        row = n + m
+        joined = bytearray(row << succ.n)
+        # One strided slice per output column: its bit at every point at once.
+        for at, words, width in ((0, s_words.encode(), n), (n, v_words.encode(), m)):
+            for j in range(width):
+                joined[at + j :: row] = words[j::width]
+        vars(pair)["_points"] = joined.decode()
     return pair
 
 

@@ -88,12 +88,13 @@ class IterInstance:
 
     Only a root reads its circuit.  A half (:meth:`half`) is a
     :class:`~tfnpkit.circuit.Half`: below a table-born root it is sized from
-    the root's table and its columns are folded only when read, below any
-    other root it is sized from its columns.  Its circuit is built only when
-    ``succ`` is read (by the envelope writer, equality or a test;
-    :meth:`redirected` embeds the half's columns).  It
-    reads the root it was cut from, with its fixed prefix prepended, and a
-    :meth:`redirected` instance reads the instance it redirects."""
+    the root's table and holds no parent, and its columns are written from
+    its masks only when read; below any other root it is sized from its
+    columns.  Its circuit is built only when ``succ`` is read (by the
+    envelope writer, equality or a test; :meth:`redirected` embeds the
+    half's columns).  It reads the root it was cut from, with its fixed
+    prefix prepended, and a :meth:`redirected` instance reads the instance
+    it redirects."""
 
     source: str | None = None
     _half: Half | None = None  # a root holds ``succ`` itself
@@ -158,8 +159,9 @@ class IterInstance:
         instance's source and every other word as this instance does (the
         target of ``drop_source``).  Its circuit wraps this one in
         ``redirect_zero_outputs``, which embeds a half's live entries
-        directly, so a half's own circuit is not built; its points are read
-        through this one."""
+        directly, so a half's own circuit is not built; below a table-born
+        root those entries are written from the half's masks, with no fold.
+        Its points are read through this one."""
         source = self.source
         if source is None:
             raise DimensionError("only an instance with a source can be redirected")

@@ -49,7 +49,7 @@ from tfnpkit.circuit import (
     project_outputs,
 )
 from tfnpkit.errors import DimensionError, NetlistError, RestrictionError, SizingError
-from tfnpkit.gadgets import combine_pair, freeze_stage, redirect_zero_outputs
+from tfnpkit.gadgets import GateBuilder, combine_pair, freeze_stage, redirect_zero_outputs
 from tfnpkit.problems import IterInstance, SodInstance
 
 from conftest import eval_table, naive_evaluate, parsed
@@ -675,22 +675,34 @@ def table_roots(draw) -> Circuit:
     return circuit_from_table(table, n, m)
 
 
+def _assert_reads_are_the_fold(half: Half, want: Half) -> None:
+    """``half``'s circuit, its embedding into a fresh builder and its
+    redirect to a word are those of ``want``, gate for gate; its written
+    columns hold no dead entry."""
+    assert half.circuit == want.circuit and None not in half.ops
+    built = [GateBuilder(half.n) for _ in range(2)]
+    outs = [b.embed(h, b.inputs) for b, h in zip(built, (half, want))]
+    assert outs[0] == outs[1] and built[0].gates == built[1].gates
+    word = format(half.size % (1 << half.m), f"0{half.m}b")
+    assert redirect_zero_outputs(half, word) == redirect_zero_outputs(want, word)
+
+
 def _assert_table_split_is_the_fold(parent: Circuit | Half, folded: Circuit | Half) -> int:
     """Each half of a table-born ``parent``'s split is made with no columns
     and the ``size`` of the same half of ``folded``, which the fold makes,
-    and its circuit is that half's gate for gate.  The low half's circuit is
-    read after its own halves are split and read, so their columns are
-    folded through it; the high half's before.  Returns the halves checked."""
+    and its circuit, embedding and redirect are that half's gate for gate.
+    The low half is read after its own halves are split and read, the high
+    half before.  Returns the halves checked."""
     checked = 0
     for bit, (half, want) in enumerate(zip(Half.pair(parent), Half.pair(folded))):
         assert not hasattr(half, "ops") and hasattr(want, "ops")
         assert (half.n, half.m, half.size) == (want.n, want.m, want.size)
         if bit:
-            assert half.circuit == want.circuit
+            _assert_reads_are_the_fold(half, want)
         if half.n and half.m >= 2:
             checked += _assert_table_split_is_the_fold(half, want)
         if not bit:
-            assert half.circuit == want.circuit
+            _assert_reads_are_the_fold(half, want)
         checked += 1
     return checked
 
@@ -701,6 +713,47 @@ def test_table_born_halves_are_sized_exactly_without_a_fold(c):
     """Every half of a table-born circuit's full split tree, down to those
     with no input left, is sized by the table rule exactly as the fold sizes
     the same half of its parsed copy, and sweeps to the same circuit."""
+    assert _assert_table_split_is_the_fold(c, parsed(c)) >= 2
+
+
+def _table_of(n: int, ones: list[set[int]]) -> list[int]:
+    """The n-input table whose output j (the first most significant) is 1
+    on the points ``ones[j]``."""
+    m = len(ones)
+    return [sum(1 << m - 1 - j for j, points in enumerate(ones) if x in points) for x in range(1 << n)]
+
+
+@pytest.mark.parametrize(
+    "n, ones, path, ops, outputs",
+    [
+        # The root's CONST 0 sits in the slot of its first never-1 output, here
+        # output 0, which the split drops: before every kept chain.
+        (3, [set(), {1, 2, 3}, set(), {0, 3}], [0], "iinnaaaa0ooo", (10, 8, 11)),
+        # ... and here output 2, which the split keeps: between the chains.
+        (3, [{5}, {1, 2, 3}, set(), {0, 3}], [0], "iinnaaaaoo0o", (9, 10, 11)),
+        # Outputs 1 and 2 go to 0 at depth 1 and share its CONST 0; output 3
+        # goes to 0 at depth 2 and reads a second one, after the first.
+        (3, [{7}, {6}, {4}, {2}, {0, 1}], [0], "iinnaaao0", (8, 8, 6, 7)),
+        (3, [{7}, {6}, {4}, {2}, {0, 1}], [0, 0], "ino00", (3, 4, 2)),
+        # No input left: the constants are made in the order of the parent's
+        # outputs, the dropped one first (CONST 1 on the high side, 0 on the low).
+        (1, [{1}, {0}, {1}], [1], "10", (1, 0)),
+        (1, [{1}, {0}, {1}], [0], "01", (1, 0)),
+        # The root's CONST 0, one from depth 1, then depth 2's 0 and 1.
+        (2, [{1}, set(), {3}, {0}, {1, 2}, set()], [0, 1], "0001", (1, 2, 3, 0)),
+    ],
+)
+def test_written_halves_place_their_constants_as_the_fold_does(n, ones, path, ops, outputs):
+    """Hand-built tables for each CONST entry a half below a table-born root
+    reads: the half down ``path`` has the gates (each op by its initial, a
+    CONST by its bit) and outputs given, and every half of the split tree is
+    read as the fold makes it."""
+    c = circuit_from_table(_table_of(n, ones), n, len(ones))
+    half = c
+    for bit in path:
+        half = Half.pair(half)[bit]
+    written = "".join(str(g.a) if g.op == OP_CONST else g.op[0] for g in half.circuit.gates)
+    assert (written, half.circuit.outputs) == (ops, outputs)
     assert _assert_table_split_is_the_fold(c, parsed(c)) >= 2
 
 

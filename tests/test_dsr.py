@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -757,15 +759,27 @@ def test_a_parent_splits_its_form_at_most_once(monkeypatch):
 
 def test_table_born_halves_fold_only_what_is_read(monkeypatch):
     """On monitored long paths at n = 2..8, through every point or through a
-    seeded nine in ten of them, the root is table-born, so its halves are
-    sized by the table rule.  With a source no fold runs.  Without one, no
-    parent is folded twice, and a parent of the root's line (the root or a
-    table-sized half) is folded exactly when it is an ancestor of a half
-    whose columns are read: here, a half that a ``drop_source`` redirect
-    embeds."""
+    seeded nine in ten of them, the root is table-born, so its halves, and
+    theirs, are sized by the table rule, and a half whose columns are read
+    (here, one a ``drop_source`` redirect embeds) has them written from its
+    masks.  With a source no fold runs; without one, no form is folded
+    twice, and none at or below the root: every fold splits a redirect
+    target or a half below one.  A half handed out keeps neither its parent
+    half nor the root alive."""
+    root = _long_path(6)
+    upper = IterInstance(root).half(0)
+    half = upper.half(1)._half
+    redirected = gadgets.redirect_zero_outputs(half, ones(half.m))  # writes its columns
+    held = weakref.ref(root), weakref.ref(upper._half)
+    del root, upper
+    gc.collect()
+    assert [ref() for ref in held] == [None, None]
+    assert gadgets.redirect_zero_outputs(half, ones(half.m)) == redirected
+
     forms, parent_of = [], {}  # every form split, kept so that ids stay distinct; id of a half -> its parent
     pair, fold, embed_rows = circuit.Half.pair.__func__, circuit._fold, gadgets._rows
-    folded, read = [], []
+    redirect = problems.redirect_zero_outputs
+    folded, read, targets = [], [], []
 
     def recording_pair(cls, form):
         forms.append(form)
@@ -778,10 +792,15 @@ def test_table_born_halves_fold_only_what_is_read(monkeypatch):
         folded.append(next(form for form in forms if getattr(form, "outputs", None) is outputs))
         return fold(rows, outputs, k0, shift)
 
+    def recording_redirect(*args, **kwargs):
+        targets.append(redirect(*args, **kwargs))
+        return targets[-1]
+
     monkeypatch.setattr(circuit.Half, "pair", classmethod(recording_pair))
     monkeypatch.setattr(circuit, "_fold", recording_fold)
     monkeypatch.setattr(gadgets, "_rows", lambda c: read.append(c) or embed_rows(c))
-    ancestors_read = 0
+    monkeypatch.setattr(problems, "redirect_zero_outputs", recording_redirect)
+    written = target_folds = 0
     rng = random.Random(0x5EED)
     roots = [_long_path(n) for n in range(2, 9)]
     for n in range(2, 9):
@@ -792,23 +811,19 @@ def test_table_born_halves_fold_only_what_is_read(monkeypatch):
         roots.append(table_circuit(steps, n))
     for root in roots:
         for source in (from_int(0, root.n), None):
-            for record in (forms, parent_of, folded, read):
+            for record in (forms, parent_of, folded, read, targets):
                 record.clear()
             inst = IterInstance(root, source)
             assert verify_solution(inst, run_dsr(inst, monitored(self_oracle(), "circuit-dsr-poly-blowup", c=2)))
-            if source is not None:
-                assert not folded
-                continue
-            assert len(set(map(id, folded))) == len(folded)
-            ancestors = set()
-            for half in read:
-                while isinstance(half, circuit.Half) and half._masks is not None:
-                    half = parent_of[id(half)]
-                    ancestors.add(id(half))
-            line = {id(form) for form in folded if form._masks is not None}
-            assert line == ancestors
-            ancestors_read += len(ancestors)
-    assert ancestors_read > 30
+            assert len(set(map(id, folded))) == len(folded) and (source is None or not folded)
+            for form in folded:
+                assert form._masks is None
+                while isinstance(form, circuit.Half):
+                    form = parent_of[id(form)]
+                assert any(form is target for target in targets)
+            written += sum(isinstance(c, circuit.Half) and c._masks is not None for c in read)
+            target_folds += len(folded)
+    assert written > 10 and target_folds > 10
 
 
 def test_long_path_sink_of_dag_evaluates_only_the_root(monkeypatch):
