@@ -39,10 +39,6 @@ def zeros(width: int) -> str:
     return "0" * width
 
 
-def ones(width: int) -> str:
-    return "1" * width
-
-
 def all_bitstrings(width: int) -> Iterator[str]:
     for v in range(1 << width):
         yield from_int(v, width)

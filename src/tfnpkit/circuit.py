@@ -5,7 +5,7 @@ alphabet {INPUT, CONST, NOT, AND, OR}; operands are integer references to
 strictly earlier gates, and the output list names the gates whose values
 form the output word.  A gate is a plain ``(op, a, b)`` tuple (:class:`Gate`):
 the same value is a circuit's gate and a builder's hash key, a restriction
-works on ``(op, a, b)`` entries, and per-gate loops unpack it.
+works on ``(op, a, b)`` rows, and per-gate loops unpack them.
 
 A circuit that is read again and again (an iteration or sink-of-DAG
 instance's) is read through :func:`point`, which caches its points on the
@@ -37,15 +37,15 @@ where every input bit contributes one port wire, every gate operand one
 wire, and every output one wire.  Under this measure removing an input
 (with constant propagation) and removing an output (with dead-gate
 elimination) both strictly shrink the circuit.  One constant-folding loop
-(``_fold``) makes both restrictions of an input in one pass, and
-``restrict_input`` and ``restrict_half`` each take one side.  A parent's two
-iteration queries (input 1 fixed, output 1 dropped) are the :class:`Half`
-pair of one such pass: columns sized exactly and halved again without
-building gates, and swept into a circuit only when read.  A table-born
-root's halves, and theirs, are sized exactly from the root's table by the
-layout's rule, with no pass, and hold no parent; a half's columns are
-written from its masks when read, in the fold's order, so ``_fold`` runs
-only on circuits that are not table-born and on their halves.
+(``_fold``) fixes one input to one bit per pass.  A parent's two iteration
+queries (input 1 fixed, output 1 dropped) are the :class:`Half` pair, one
+fold per side: rows in a circuit's own format, inputs numbered from 0,
+sized exactly and halved again without building gates, and swept into a
+circuit only when read.  A table-born root's halves, and theirs, are sized
+exactly from the root's table by the layout's rule, with no pass, and hold
+no parent; a half's rows are written from its masks when read, in the
+fold's order, so ``_fold`` runs only on circuits that are not table-born
+and on their halves.
 """
 
 from __future__ import annotations
@@ -72,6 +72,9 @@ _BINARY = (OP_AND, OP_OR)
 #: the other operand through; the other constant is the result.
 _KEEP = {OP_AND: ~1, OP_OR: ~0}
 _LOGIC = (OP_NOT, OP_AND, OP_OR)
+#: What ``_liveness`` puts in place of a dead row: every loop over rows
+#: unpacks it as ``(op, a, b)`` and skips it by its op, None.
+_DEAD = (None, 0, 0)
 
 #: What a logic gate adds to ``size``: itself plus its operand wires.
 GATE_COST = {OP_NOT: 2, OP_AND: 3, OP_OR: 3}
@@ -248,7 +251,7 @@ def output_masks(c: Circuit) -> list[int]:
     cached on it (see ``point``).
     """
     gates = c.gates
-    last, _ = _liveness(*map(list, zip(*gates)), c.outputs)
+    last, _ = _liveness(list(gates), c.outputs)
     full = (1 << (1 << c.n)) - 1
     vals: list[int | None] = [None] * len(gates)
     for idx, (op, a, b) in enumerate(gates):
@@ -287,92 +290,71 @@ def _check_drop(c: Circuit, position: int) -> None:
         raise RestrictionError(f"output position {position} out of range 1..{c.m}")
 
 
-def _fold(rows, outputs: Sequence[int], k0: int, shift: int) -> list[tuple[list, list, list, list[int]]]:
-    """Both restrictions of input ``k0`` (0-based), to 0 and to 1, in one
-    pass over ``rows`` (see ``_rows``; a row whose op is None is dead) and
-    their ``outputs``.  Per side, a folded value ``v >= 0`` names an entry,
-    ``v < 0`` is the constant ``~v``; the entries are three columns (op,
-    first and second operand), an INPUT above ``k0`` moved down by
-    ``shift``, and each constant an output folds to gets one CONST entry.
-    Returns, for bit 0 then 1, the columns and the output references.  Ops
-    are compared by equality: a valid circuit may carry op strings equal to
-    the ``OP_*`` constants without being the same objects."""
-    sides = ([], [], [], []), ([], [], [], [])
-    (ops0, as0, bs0, vals0), (ops1, as1, bs1, vals1) = sides
-    for op, a, b in rows:
+def _fold(rows, outputs: Sequence[int], k0: int, bit: int) -> tuple[list, list[int]]:
+    """Input ``k0`` (0-based) of ``rows`` (see ``_rows``) fixed to ``bit``,
+    in one pass, and the references of ``outputs`` in the result.  A folded
+    value ``v >= 0`` names a result row, ``v < 0`` is the constant ``~v``;
+    an INPUT above ``k0`` moves down by one, a dead row is passed over, and
+    each constant an output folds to gets one CONST row.  Ops are compared
+    by equality: a valid circuit may carry op strings equal to the ``OP_*``
+    constants without being the same objects."""
+    folded: list = []
+    vals: list = []
+    for row in rows:
+        op, a, b = row
         keep = _KEEP.get(op)  # AND/OR, the bulk of the rows, first
         if keep is not None:
-            x, y = vals0[a], vals0[b]
+            x, y = vals[a], vals[b]
             if x < 0:
-                vals0.append(y if x == keep else x)
+                vals.append(y if x == keep else x)
             elif y < 0:
-                vals0.append(x if y == keep else y)
+                vals.append(x if y == keep else y)
             else:
-                vals0.append(len(ops0))
-                ops0.append(op)
-                as0.append(x)
-                bs0.append(y)
-            x, y = vals1[a], vals1[b]
-            if x < 0:
-                vals1.append(y if x == keep else x)
-            elif y < 0:
-                vals1.append(x if y == keep else y)
-            else:
-                vals1.append(len(ops1))
-                ops1.append(op)
-                as1.append(x)
-                bs1.append(y)
+                vals.append(len(folded))
+                folded.append((op, x, y))
             continue
-        for bit, (ops, firsts, seconds, vals) in enumerate(sides):
-            x = a
-            if op is None:  # no live entry reads it
-                vals.append(None)
+        if op is None:  # no live row reads it
+            vals.append(None)
+            continue
+        if op == OP_NOT:
+            x = vals[a]
+            if x < 0:
+                vals.append(-3 - x)  # ~0 and ~1 swap
                 continue
-            if op == OP_NOT:
-                x = vals[a]
-                if x < 0:
-                    vals.append(-3 - x)  # ~0 and ~1 swap
-                    continue
-            elif op == OP_INPUT and a >= k0:
-                if a == k0:
-                    vals.append(~bit)
-                    continue
-                x = a - shift
-            vals.append(len(ops))
-            ops.append(op)
-            firsts.append(x)
-            seconds.append(0)
-    folded = []
-    for ops, firsts, seconds, vals in sides:
-        const_refs: dict[int, int] = {}
-        outs = []
-        for r in outputs:
-            v = vals[r]
-            if v < 0:
-                if v not in const_refs:
-                    const_refs[v] = len(ops)
-                    ops.append(OP_CONST)
-                    firsts.append(~v)
-                    seconds.append(0)
-                v = const_refs[v]
-            outs.append(v)
-        folded.append((ops, firsts, seconds, outs))
-    return folded
+            row = (op, x, 0)
+        elif op == OP_INPUT and a >= k0:
+            if a == k0:
+                vals.append(~bit)
+                continue
+            row = (op, a - 1, 0)
+        vals.append(len(folded))
+        folded.append(row)
+    const_refs: dict[int, int] = {}
+    outs = []
+    for r in outputs:
+        v = vals[r]
+        if v < 0:
+            if v not in const_refs:
+                const_refs[v] = len(folded)
+                folded.append((OP_CONST, ~v, 0))
+            v = const_refs[v]
+        outs.append(v)
+    return folded, outs
 
 
-def _liveness(ops: list, firsts: Sequence[int], seconds: Sequence[int], refs: Sequence[int]) -> tuple[list[int], int]:
-    """Per entry of the columns, the index of the last entry that reads it
-    (``len(ops)`` for one of ``refs``, -1 for none: dead), and what the live
-    logic entries add to ``size``, from one backward pass.  The pass marks
-    each dead entry but an INPUT None in ``ops``, which the caller owns, and
+def _liveness(rows: list, refs: Sequence[int]) -> tuple[list[int], int]:
+    """Per row, the index of the last row that reads it (``len(rows)`` for
+    one of ``refs``, -1 for none: dead), and what the live logic rows add to
+    ``size``, from one backward pass.  The pass puts ``_DEAD`` in place of
+    each dead row but an INPUT in ``rows``, which the caller owns, and
     prices the live NOT and AND/OR counts once each (AND and OR cost the same)."""
-    top = len(ops)
+    top = len(rows)
     last = [-1] * top
     for r in refs:
         last[r] = top
     binary = nots = 0
     idx = top
-    for op, a, b in zip(reversed(ops), reversed(firsts), reversed(seconds)):
+    for op, a, b in reversed(rows):
         idx -= 1
         if last[idx] >= 0:
             if op == OP_AND or op == OP_OR:
@@ -386,14 +368,13 @@ def _liveness(ops: list, firsts: Sequence[int], seconds: Sequence[int], refs: Se
                 if last[a] < 0:
                     last[a] = idx
         elif op != OP_INPUT:
-            ops[idx] = None
+            rows[idx] = _DEAD
     return last, binary * GATE_COST[OP_AND] + nots * GATE_COST[OP_NOT]
 
 
-def _sweep(n: int, rows, refs: Sequence[int], depth: int, name: str) -> Circuit:
+def _sweep(n: int, rows, refs: Sequence[int], name: str) -> Circuit:
     """The circuit on the ``rows`` whose op is not None (no kept row or
-    output reads a dead one), with outputs ``refs``: operands renumbered and
-    an INPUT's index moved down by ``depth`` (a half's keep their root's)."""
+    output reads a dead one), with outputs ``refs`` and operands renumbered."""
     remap: list[int] = []
     gates: list[Gate] = []
     for op, a, b in rows:
@@ -404,30 +385,28 @@ def _sweep(n: int, rows, refs: Sequence[int], depth: int, name: str) -> Circuit:
             a = remap[a]
         elif op in _BINARY:
             a, b = remap[a], remap[b]
-        elif op == OP_INPUT:
-            a -= depth
         gates.append(_new(Gate, (op, a, b)))
     return _derived(n, tuple(gates), tuple(remap[r] for r in refs), name)
 
 
 class Half:
     """A circuit's or a half's leading input fixed to a bit and its output 1
-    dropped, kept as three columns (``ops``, ``firsts``, ``seconds``) and
-    output references, not as gates.  A parent makes both its halves, its
-    two restrictions at that input, in one pass (:meth:`pair`), which skips
-    what the parent's sweep would drop; INPUT entries keep their root index.
-    One backward pass marks a half's dead entries None in ``ops``, so the
-    next pass reads the three columns alone, and sums its exact ``size``.
-    :attr:`circuit` sweeps the columns into gates on first read, gate for
-    gate the chain of ``restrict_half`` calls.
+    dropped, kept as ``(op, a, b)`` rows in a circuit's own format, inputs
+    numbered from 0, and output references, not as a circuit.  A parent
+    makes both its halves, its two restrictions at that input, one fold per
+    side (:meth:`pair`), which skips what the parent's sweep would drop.
+    One backward pass puts ``_DEAD`` in place of a half's dead rows, so the
+    next pass skips them, and sums its exact ``size``.  :attr:`circuit`
+    sweeps the rows into gates on first read, gate for gate the chain of
+    ``restrict_half`` calls.
 
     Below a table-born root, a half holds no parent: it is sized from its
-    outputs' masks (``_table_size``) and made with no columns, which are
+    outputs' masks (``_table_size``) and made with no rows, which are
     written from the masks when read (``_written``), live rows only, in the
-    order the fold would give them.  The written columns' liveness size
-    must be the table size, or :class:`SizingError`."""
+    order the fold would give them.  The written rows' liveness size must
+    be the table size, or :class:`SizingError`."""
 
-    __slots__ = ("n", "m", "depth", "name", "ops", "firsts", "seconds", "outputs", "size")
+    __slots__ = ("n", "m", "depth", "name", "rows", "outputs", "size")
     __slots__ += ("_masks", "_consts", "_circuit", "__weakref__")  # table sizing and writing, the swept circuit
 
     def __init__(self, parent: "Circuit | Half", masks: list[int] | None = None, consts: list | None = None):
@@ -438,24 +417,25 @@ class Half:
 
     @classmethod
     def pair(cls, parent: "Circuit | Half") -> tuple["Half", "Half"]:
-        """The halves of ``parent`` with leading bit 0 and 1: from one fold,
-        or below a table-born root, from the parent's masks.  There a half
-        also carries, per root output, the CONST entry the output reads as a
-        key ``(depth, place, bit)``, or None while it reads its chain:
+        """The halves of ``parent`` with leading bit 0 and 1: from one fold
+        per side, or below a table-born root, from the parent's masks.
+        There a half also carries, per root output, the CONST row the output
+        reads as a key ``(depth, place, bit)``, or None while it reads its chain:
         ``(0, j0, 0)`` for the root's CONST 0, which sits at j0, the root's
         first never-1 output; ``(e, 0, 0)`` for the CONST 0 the fold at depth
         e appends once it empties the output's mask; at w = 0, ``(e, place,
         bit)``, placed in order of the parent's outputs, the dropped one
-        included.  A split that makes no CONST entry passes its parent's
+        included.  A split that makes no CONST row passes its parent's
         keys on."""
         _check_fix(parent, 1, 0)
         _check_drop(parent, 1)
         masks = parent._masks
         if masks is None:
             halves = cls(parent), cls(parent)
-            rows, depth = _rows(parent)
-            for half, (ops, firsts, seconds, outs) in zip(halves, _fold(rows, parent.outputs, depth, 0)):
-                half._fill(ops, firsts, seconds, outs[1:])
+            rows = _rows(parent)
+            for bit, half in enumerate(halves):
+                folded, outs = _fold(rows, parent.outputs, 0, bit)
+                half._fill(folded, outs[1:])
             return halves
         if type(parent) is Half:
             consts, depth = parent._consts, parent.depth + 1
@@ -467,7 +447,7 @@ class Half:
         halves = []
         for split in ([v & low for v in masks], [v >> width for v in masks]):
             keys = consts
-            if parent.n == 1 or split.count(0) > fixed:  # the fold makes CONST entries here
+            if parent.n == 1 or split.count(0) > fixed:  # the fold makes CONST rows here
                 keys = consts.copy()
                 made = [(j, v) for j, v in enumerate(split, depth - 1) if keys[j] is None and (parent.n == 1 or not v)]
                 first = made[0][1] if made else 0
@@ -476,10 +456,10 @@ class Half:
             halves.append(cls(parent, split[1:], keys))
         return tuple(halves)
 
-    def _fill(self, ops: list, firsts: list, seconds: list, outputs: list[int]) -> None:
-        """Take the columns and output references, and size them."""
-        self.ops, self.firsts, self.seconds, self.outputs = ops, firsts, seconds, outputs
-        swept = _liveness(ops, firsts, seconds, outputs)[1] + self.n + self.m
+    def _fill(self, rows: list, outputs: list[int]) -> None:
+        """Take the rows and output references, and size them."""
+        self.rows, self.outputs = rows, outputs
+        swept = _liveness(rows, outputs)[1] + self.n + self.m
         if self.size is None:
             self.size = swept
         elif swept != self.size:
@@ -487,9 +467,9 @@ class Half:
 
     @property
     def circuit(self) -> Circuit:
-        """The half's circuit, swept from its columns on first read."""
+        """The half's circuit, swept from its rows on first read."""
         if self._circuit is None:
-            self._circuit = _sweep(self.n, _rows(self)[0], self.outputs, self.depth, self.name)
+            self._circuit = _sweep(self.n, _rows(self), self.outputs, self.name)
         return self._circuit
 
 
@@ -515,24 +495,22 @@ def _table_size(masks: list[int], w: int) -> int:
     return w + len(masks) + GATE_COST[OP_NOT] * nots + GATE_COST[OP_AND] * (ands + ors)
 
 
-def _written(half: Half) -> tuple[list, list, list, list[int]]:
-    """The live rows of a half below a table-born root, as columns and
-    output references, written from its masks in the order ``_fold`` gives
-    them: ``circuit_from_table``'s layout over the half's w inputs with its
-    dead rows left out.  The w INPUT entries keep their root index; a NOT
-    follows for each input that is 0 at some live point (one an output
-    reads), then w - 1 ANDs per live point in order of x; then each output's
-    OR chain in output order, the root's CONST 0 at its place among them;
-    then the CONST entries later folds appended, in the order of their keys
-    (see :meth:`Half.pair`).  No entry is dead."""
+def _written(half: Half) -> tuple[list, list[int]]:
+    """The live rows of a half below a table-born root and its output
+    references, written from its masks in the order ``_fold`` gives them:
+    ``circuit_from_table``'s layout over the half's w inputs with its dead
+    rows left out.  The w INPUT rows come first; a NOT follows for each
+    input that is 0 at some live point (one an output reads), then w - 1
+    ANDs per live point in order of x; then each output's OR chain in output
+    order, the root's CONST 0 at its place among them; then the CONST rows
+    later folds appended, in the order of their keys (see
+    :meth:`Half.pair`).  No row is dead."""
     w, masks, consts = half.n, half._masks, half._consts[half.depth :]
-    ops, firsts, seconds = [OP_INPUT] * w, list(range(half.depth, half.depth + w)), [0] * w
+    rows = [*map(INPUT, range(w))]
 
     def put(op: str, a: int, b: int = 0) -> int:
-        ops.append(op)
-        firsts.append(a)
-        seconds.append(b)
-        return len(ops) - 1
+        rows.append((op, a, b))
+        return len(rows) - 1
 
     live = reduce(or_, masks, 0) if w else 0  # an output that reads a CONST has mask 0 while w > 0
     points = list(compress(count(), map("1".__eq__, bin(live)[:1:-1])))
@@ -552,25 +530,24 @@ def _written(half: Half) -> tuple[list, list, list, list[int]]:
         if j == place:
             refs[root] = put(OP_CONST, 0)
         if key is None:
-            rows = list(compress(minterm, map("1".__eq__, bin(v)[:1:-1])))
-            key = rows[0]
-            for r in islice(rows, 1, None):
+            terms = list(compress(minterm, map("1".__eq__, bin(v)[:1:-1])))
+            key = terms[0]
+            for r in islice(terms, 1, None):
                 key = put(OP_OR, key, r)
         outs.append(key)
     for key in sorted(set(filter(None, consts)) - refs.keys()):
         refs[key] = put(OP_CONST, key[2])
-    return ops, firsts, seconds, [refs.get(r, r) for r in outs]
+    return rows, [refs.get(r, r) for r in outs]
 
 
-def _rows(c: Circuit | Half) -> tuple:
-    """``c``'s ``(op, a, b)`` rows, a dead one with op None, and the number
-    of leading root inputs its INPUT entries skip; a half below a table-born
-    root has its columns written first."""
+def _rows(c: Circuit | Half) -> Sequence[tuple]:
+    """``c``'s ``(op, a, b)`` rows, a dead one ``_DEAD``; a half below a
+    table-born root has its rows written first."""
     if isinstance(c, Half):
-        if not hasattr(c, "ops"):
+        if not hasattr(c, "rows"):
             c._fill(*_written(c))
-        return zip(c.ops, c.firsts, c.seconds), c.depth
-    return c.gates, 0
+        return c.rows
+    return c.gates
 
 
 def restrict_input(c: Circuit, position: int, bit: int) -> Circuit:
@@ -583,8 +560,8 @@ def restrict_input(c: Circuit, position: int, bit: int) -> Circuit:
     Constants surviving to an output are materialised as CONST gates.
     """
     _check_fix(c, position, bit)
-    ops, firsts, seconds, outs = _fold(c.gates, c.outputs, position - 1, 1)[bit]
-    return _sweep(c.n - 1, zip(ops, firsts, seconds), outs, 0, c.name)
+    rows, outs = _fold(c.gates, c.outputs, position - 1, bit)
+    return _sweep(c.n - 1, rows, outs, c.name)
 
 
 def project_outputs(c: Circuit, keep: Sequence[int]) -> Circuit:
@@ -598,9 +575,9 @@ def project_outputs(c: Circuit, keep: Sequence[int]) -> Circuit:
     if not keep:
         raise RestrictionError("a circuit must keep at least one output")
     refs = [c.outputs[j] for j in keep]
-    ops, firsts, seconds = map(list, zip(*c.gates))
-    _liveness(ops, firsts, seconds, refs)
-    return _sweep(c.n, zip(ops, firsts, seconds), refs, 0, c.name)
+    rows = list(c.gates)
+    _liveness(rows, refs)
+    return _sweep(c.n, rows, refs, c.name)
 
 
 def drop_sizes(c: Circuit, position: int) -> list[int]:

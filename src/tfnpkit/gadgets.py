@@ -152,8 +152,8 @@ class GateBuilder:
     def embed(self, c: Circuit | Half, input_refs: Sequence[int]) -> list[int]:
         """Append a copy of ``c`` reading its inputs from ``input_refs``;
         returns the references carrying its outputs.  A :class:`Half` is
-        copied from its columns' live entries, gate for gate as its circuit
-        would be, without building that circuit."""
+        copied from its live rows, gate for gate as its circuit would be,
+        without building that circuit."""
         if len(input_refs) != c.n:
             raise DimensionError("embedding needs one reference per input")
         return self._embed(c, input_refs)
@@ -161,14 +161,13 @@ class GateBuilder:
     def _embed(self, c: Circuit | Half, input_refs: Sequence[int]) -> list[int]:
         """``embed`` in one loop: one :meth:`add` per live gate, under the
         key ``and_``/``or_``/``not_``/``const`` would make."""
-        rows, depth = _rows(c)
         add, refs = self.add, []
         put = refs.append
-        for op, a, b in rows:
+        for op, a, b in _rows(c):
             if op == OP_INPUT:
-                put(input_refs[a - depth])
+                put(input_refs[a])
             elif op is None:
-                put(None)  # dead: no live entry reads it
+                put(None)  # dead: no live row reads it
             elif op == OP_AND or op == OP_OR:
                 a, b = refs[a], refs[b]
                 put(add(_new(Gate, (op, a, b) if a <= b else (op, b, a))))
@@ -192,7 +191,7 @@ def redirect_zero_inputs(c: Circuit, target: str, name: str | None = None) -> Ci
 def redirect_zero_outputs(c: Circuit | Half, word: str, name: str | None = None) -> Circuit:
     """Wrap ``c`` with an output stage giving the hardcoded ``word`` on the
     all-zero input and ``c``'s outputs on every other input; a half is
-    embedded from its entries (see ``GateBuilder.embed``)."""
+    embedded from its rows (see ``GateBuilder.embed``)."""
     b = GateBuilder(c.n)
     return b.circuit(b.redirect_zero(word, b.embed(c, b.inputs)), name=name or c.name)
 

@@ -88,11 +88,11 @@ class IterInstance:
 
     Only a root reads its circuit.  A half (:meth:`half`) is a
     :class:`~tfnpkit.circuit.Half`: below a table-born root it is sized from
-    the root's table and holds no parent, and its columns are written from
+    the root's table and holds no parent, and its rows are written from
     its masks only when read; below any other root it is sized from its
-    columns.  Its circuit is built only when ``succ`` is read (by the
+    rows.  Its circuit is built only when ``succ`` is read (by the
     envelope writer, equality or a test; :meth:`redirected` embeds the
-    half's columns).  It reads the root it was cut from, with its fixed
+    half's rows).  It reads the root it was cut from, with its fixed
     prefix prepended, and a :meth:`redirected` instance reads the instance
     it redirects."""
 
@@ -136,9 +136,9 @@ class IterInstance:
 
     def half(self, bit: int, source: str | None = None) -> "IterInstance":
         """Query on the half-space whose leading bit is ``bit`` (input 1
-        fixed, output 1 dropped), measured from its columns exactly as the
+        fixed, output 1 dropped), measured from its rows exactly as the
         two-step restriction, which it builds only when ``succ`` is read.
-        The first call makes both halves in one pass (:meth:`Half.pair`):
+        The first call makes both halves in one split (:meth:`Half.pair`):
         each is handed out once, the other held only until it is asked for
         or this instance goes, and a bit asked again is split again.  A
         source-free query is the half with ``source`` None.  Its points are
@@ -158,9 +158,9 @@ class IterInstance:
         """Source-free instance that steps the all-zero word to this
         instance's source and every other word as this instance does (the
         target of ``drop_source``).  Its circuit wraps this one in
-        ``redirect_zero_outputs``, which embeds a half's live entries
+        ``redirect_zero_outputs``, which embeds a half's live rows
         directly, so a half's own circuit is not built; below a table-born
-        root those entries are written from the half's masks, with no fold.
+        root those rows are written from the half's masks, with no fold.
         Its points are read through this one."""
         source = self.source
         if source is None:

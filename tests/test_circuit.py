@@ -678,8 +678,8 @@ def table_roots(draw) -> Circuit:
 def _assert_reads_are_the_fold(half: Half, want: Half) -> None:
     """``half``'s circuit, its embedding into a fresh builder and its
     redirect to a word are those of ``want``, gate for gate; its written
-    columns hold no dead entry."""
-    assert half.circuit == want.circuit and None not in half.ops
+    rows hold no dead row."""
+    assert half.circuit == want.circuit and None not in [op for op, _, _ in half.rows]
     built = [GateBuilder(half.n) for _ in range(2)]
     outs = [b.embed(h, b.inputs) for b, h in zip(built, (half, want))]
     assert outs[0] == outs[1] and built[0].gates == built[1].gates
@@ -688,14 +688,14 @@ def _assert_reads_are_the_fold(half: Half, want: Half) -> None:
 
 
 def _assert_table_split_is_the_fold(parent: Circuit | Half, folded: Circuit | Half) -> int:
-    """Each half of a table-born ``parent``'s split is made with no columns
+    """Each half of a table-born ``parent``'s split is made with no rows
     and the ``size`` of the same half of ``folded``, which the fold makes,
     and its circuit, embedding and redirect are that half's gate for gate.
     The low half is read after its own halves are split and read, the high
     half before.  Returns the halves checked."""
     checked = 0
     for bit, (half, want) in enumerate(zip(Half.pair(parent), Half.pair(folded))):
-        assert not hasattr(half, "ops") and hasattr(want, "ops")
+        assert not hasattr(half, "rows") and hasattr(want, "rows")
         assert (half.n, half.m, half.size) == (want.n, want.m, want.size)
         if bit:
             _assert_reads_are_the_fold(half, want)

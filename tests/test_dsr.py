@@ -29,7 +29,7 @@ from tfnpkit import (
     verify_solution,
 )
 from tfnpkit import circuit, dsr, gadgets, problems
-from tfnpkit.bits import from_int, ones, zeros
+from tfnpkit.bits import from_int, zeros
 from tfnpkit.circuit import OP_INPUT, evaluate, output_masks, pad_with_dead_gates
 from tfnpkit.errors import DimensionError, MonitorViolation, OracleContractError
 from tfnpkit.gadgets import Net, redirect_zero_inputs
@@ -352,7 +352,7 @@ def test_iteration_queries_trace_like_the_drop_source_route():
 def test_lying_oracle_raises_contract_error(rng):
     def liar(inst, parent=None):
         n = inst.n
-        for cand in (zeros(n), ones(n)):
+        for cand in (zeros(n), "1" * n):
             if not verify_solution(inst, cand):
                 return cand
         return zeros(n)
@@ -769,12 +769,12 @@ def test_table_born_halves_fold_only_what_is_read(monkeypatch):
     root = _long_path(6)
     upper = IterInstance(root).half(0)
     half = upper.half(1)._half
-    redirected = gadgets.redirect_zero_outputs(half, ones(half.m))  # writes its columns
+    redirected = gadgets.redirect_zero_outputs(half, "1" * half.m)  # writes its rows
     held = weakref.ref(root), weakref.ref(upper._half)
     del root, upper
     gc.collect()
     assert [ref() for ref in held] == [None, None]
-    assert gadgets.redirect_zero_outputs(half, ones(half.m)) == redirected
+    assert gadgets.redirect_zero_outputs(half, "1" * half.m) == redirected
 
     forms, parent_of = [], {}  # every form split, kept so that ids stay distinct; id of a half -> its parent
     pair, fold, embed_rows = circuit.Half.pair.__func__, circuit._fold, gadgets._rows
@@ -788,9 +788,10 @@ def test_table_born_halves_fold_only_what_is_read(monkeypatch):
         parent_of.update((id(half), form) for half in halves)
         return halves
 
-    def recording_fold(rows, outputs, k0, shift):
-        folded.append(next(form for form in forms if getattr(form, "outputs", None) is outputs))
-        return fold(rows, outputs, k0, shift)
+    def recording_fold(rows, outputs, k0, bit):
+        if bit:  # a split folds side 0, then side 1: one record per split
+            folded.append(next(form for form in forms if getattr(form, "outputs", None) is outputs))
+        return fold(rows, outputs, k0, bit)
 
     def recording_redirect(*args, **kwargs):
         targets.append(redirect(*args, **kwargs))

@@ -12,8 +12,10 @@ from tfnpkit import (
     StateSpace,
     all_bitstrings,
     check_circuit_sizing,
+    circuit_from_table,
     compile_pls,
     emit_instance,
+    enumerate_solutions,
     from_int,
     instance_size,
     kind_of,
@@ -141,6 +143,38 @@ def test_state_graph_exhaustive_n2(prog):
             assert machine.is_valid(state, x) == (expected is not None)
             assert machine.successor(state, x) == (state if expected is None else expected)
             assert valuations[x](state) == indices[x].get(state, 0)
+
+
+def _tabulated(compiled) -> SodInstance:
+    """The compiled procedure root as a circuit instance: its successor and
+    valuation tabulated over every state and synthesised from the tables,
+    with the compiled source."""
+    proc = compiled.instance
+    n = proc.n
+    steps = [proc.step_and_value(from_int(s, n)) for s in range(1 << n)]
+    succ = circuit_from_table([int(word, 2) for word, _ in steps], n, n, name="succ")
+    valuation = circuit_from_table([value for _, value in steps], n, proc.value_bits, name="valuation")
+    return SodInstance(succ, valuation, proc.source)
+
+
+@pytest.mark.parametrize("case", ["combine", "halving"])
+def test_compiled_instance_as_circuits_solves_to_the_answer_n2(case):
+    """At n = 2 the 14-bit state graph fits a truth table, so the compiled
+    instance becomes a genuine circuit sink-of-DAG instance: it is well
+    formed, each of its solutions extracts to an answer the program accepts,
+    and so does the state the monitored DSR returns on it."""
+    if case == "combine":
+        prog, x = RecursiveCombineProblem(), "10"
+    else:
+        top = random_instance("iter-with-source", 2, random.Random(2))
+        prog, x = HalvingIterProgram(top), top.source
+    compiled = compile_pls(prog, x)
+    inst = _tabulated(compiled)
+    assert inst.n == 14 and well_formed(inst)
+    solutions = enumerate_solutions(inst)
+    assert solutions and all(prog.verify(x, compiled.extract(state)) for state in solutions)
+    answer = run_dsr(inst, monitored(self_oracle(), "circuit-dsr-poly-blowup", c=2))
+    assert prog.verify(x, compiled.extract(answer))
 
 
 def test_halving_state_graph_is_closed_n2(rng):

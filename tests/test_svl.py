@@ -5,11 +5,13 @@ from tfnpkit import (
     RecursiveCombineProblem,
     StateSpace,
     check_promise,
+    compile_pls,
     compile_svl,
     enumerate_solutions,
     path_length,
     position,
     random_instance,
+    solve_path,
     verify_solution,
     well_formed,
 )
@@ -157,3 +159,13 @@ def test_compiled_line_solves_at_its_target_only(prog):
     assert [verify_solution(inst, state) for state in walk] == [False] * (inst.target - 1) + [True]
     later = SvlInstance(succ=inst.succ, source=walk[1], target=inst.target, verifier=inst.verifier)
     assert not well_formed(later)
+
+
+def test_path_solver_walks_a_compiled_line_to_its_target(prog):
+    """``solve_path`` steps a verifiable line by its successor: on the
+    compiled line at 3 bits it returns the state the verifier accepts at the
+    target, and that state extracts to the program's answer."""
+    line = compile_svl(prog, "101")
+    state = solve_path(line)
+    assert line.target == 14 and line.verifier(state, line.target)
+    assert compile_pls(prog, "101").extract(state) == prog.solution("101") == "000"
