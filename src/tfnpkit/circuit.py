@@ -19,12 +19,15 @@ A table-born circuit has a fixed gate layout, which tests compare gate for
 gate: the n INPUT gates, one NOT per input, the minterm AND chains in order
 of x, each output's OR chain in output order, and at most one CONST 0,
 shared by the outputs that are never 1 and placed where the first of them
-would start its chain.  The synthesiser makes the gates of each chain step
-and each OR chain in one pass over their operand columns.  The INPUT, NOT
-and minterm AND gates depend on n alone, and live table-born circuits of
-one width share them as the same objects: a synthesis takes them from the
-last circuit made at its width while that circuit lives.  Nothing else
-holds them, so they go with the last circuit that does.
+would start its chain.  Its outputs and size are counted from its table
+when it is made; its gates, up to 16 inputs, are written only when first
+read, and must then give that size.  The writer makes the gates of each
+chain step and each OR chain in one pass over their operand columns.  The
+INPUT, NOT and minterm AND gates depend on n alone, and live table-born
+circuits of one width share them as the same objects: a write takes them
+from the last circuit whose gates were written at its width while that
+circuit lives.  Nothing else holds them, so they go with the last circuit
+that does.
 
 Circuits are validated once, at the boundary: ``Circuit(...)`` checks what
 it is given, and :func:`parse_netlist` checks each row as it reads it.  The
@@ -83,9 +86,9 @@ GATE_COST = {OP_NOT: 2, OP_AND: 3, OP_OR: 3}
 #: the exhaustive scans.  A wider circuit's table would hold 2^n words.
 _TABLE_MAX_INPUTS = 16
 
-#: Per width n, the last circuit ``circuit_from_table`` made at n, held only
-#: weakly: while it lives, the next synthesis at n takes its INPUT, NOT and
-#: minterm AND gates, which depend on n alone, as the same objects.
+#: Per width n, the last table-born circuit whose gates were written at n,
+#: held only weakly: while it lives, the next write at n takes its INPUT,
+#: NOT and minterm AND gates, which depend on n alone, as the same objects.
 _TABLE_BORN: weakref.WeakValueDictionary[int, Circuit] = weakref.WeakValueDictionary()
 
 
@@ -125,11 +128,24 @@ def OR(a: int, b: int) -> Gate:
     return _new(Gate, (OP_OR, a, b))
 
 
+class _Unwritten:
+    """``Circuit.gates`` where a circuit's ``__dict__`` holds none, as a
+    table-born circuit's does not until they are read: written then.  With
+    no ``__set__``, gates in a ``__dict__`` come first (a ``__getattr__``
+    would slow every attribute read of every circuit); read on the class it
+    raises AttributeError, so ``dataclass`` gives the field no default."""
+
+    def __get__(self, c: Circuit | None, owner: type) -> tuple[Gate, ...]:
+        if c is None:
+            raise AttributeError("gates")
+        return _write_table_gates(c, c._points)
+
+
 @dataclass(frozen=True)
 class Circuit:
     n: int
     m: int
-    gates: tuple[Gate, ...]
+    gates: tuple[Gate, ...] = _Unwritten()  # no default: see ``_Unwritten``
     outputs: tuple[int, ...]
     name: str = field(default="c", compare=False)
 
@@ -158,21 +174,20 @@ class Circuit:
 
     @cached_property
     def _size(self) -> int:
-        gate_costs = map(GATE_COST.get, map(itemgetter(0), self.gates), repeat(0))
-        return sum(gate_costs) + self.n + len(self.outputs)
+        return _gate_cost(self.gates) + self.n + len(self.outputs)
 
     @cached_property
     def _points(self) -> str | dict[str, str]:
         """What :func:`point` reads: the truth table as one string of the
         output words in input order, or for a wider circuit a memo of the
         points evaluated so far.  A table-born circuit is given its table
-        (``_seeded``); any other builds it here."""
+        (``circuit_from_table``); any other builds it here."""
         return "".join(successor_table(self)) if self.n <= _TABLE_MAX_INPUTS else {}
 
     @cached_property
     def _masks(self) -> list[int] | None:
         """Per output, its ``output_masks`` mask, sliced from the table of a
-        table-born circuit (``_seeded`` marks one); None for any other."""
+        table-born circuit (``circuit_from_table`` marks one); None for any other."""
         if "_table_born" not in vars(self):
             return None
         words, m = self._points, self.m
@@ -184,13 +199,21 @@ def _check_shape(n: int, m: int) -> None:
         raise DimensionError(f"bad circuit shape n={n}, m={m}")
 
 
-def _derived(n: int, gates: tuple[Gate, ...], outputs: tuple[int, ...], name: str) -> Circuit:
+def _derived(n: int, gates: tuple[Gate, ...] | None, outputs: tuple[int, ...], name: str) -> Circuit:
     """A circuit built without ``Circuit``'s check: its producer keeps the
     rules by construction or checked them row by row (the netlist parser);
-    a test runs each producer and validates the result."""
+    a test runs each producer and validates the result.  ``gates`` is None
+    for a table-born circuit, whose gates are written when read."""
     c = object.__new__(Circuit)
     c.__dict__.update(n=n, m=len(outputs), gates=gates, outputs=outputs, name=name)
+    if gates is None:
+        del c.__dict__["gates"]
     return c
+
+
+def _gate_cost(gates: Sequence[Gate]) -> int:
+    """What the logic gates of ``gates`` add to ``size``."""
+    return sum(map(GATE_COST.get, map(itemgetter(0), gates), repeat(0)))
 
 
 def size(c: Circuit) -> int:
@@ -674,18 +697,14 @@ def circuit_from_table(table: Sequence[int], n: int, m: int, name: str = "t") ->
     x; an output that is 1 on one row is that row's minterm, and one that
     is never 1 reads a single CONST 0, placed where the first such output's
     chain would start.  At n = 0 the circuit is the constant's
-    (``constant_circuit``).  The gates of each chain step and of each OR
-    chain are made in one pass over their operand columns.
+    (``constant_circuit``).
 
-    The INPUT, NOT and minterm AND gates, the first 2n + 2^n(n - 1), depend
-    on n alone.  While the last circuit made here at width n lives, a new
-    one takes them from it as the same objects and builds only its OR
-    chains and CONST 0; only the circuits that hold that prefix keep it
-    alive.
-
-    A circuit that carries its table (n <= 16) is marked table-born: the
-    size of each :class:`Half` below it follows from this layout and the
-    table (``_table_size``), and a change to the layout must change that."""
+    The outputs and size are counted from the table (``_table_layout``).  A
+    circuit that carries its table (n <= 16) is marked table-born: its gates
+    are written from the table when first read (``_write_table_gates``),
+    and each :class:`Half` below it is sized from the table too
+    (``_table_size``), so a change to the layout must change these rules.
+    A wider circuit's gates are written here."""
     _check_shape(n, m)
     if len(table) != 1 << n:
         raise DimensionError(f"table must have {1 << n} entries")
@@ -695,7 +714,55 @@ def circuit_from_table(table: Sequence[int], n: int, m: int, name: str = "t") ->
     top = 1 << m  # a 1 above the word's m bits: bin() then keeps its zeros
     words = "".join([bin(v | top)[3:] for v in table])
     if n == 0:
-        return _seeded(constant_circuit(0, words, name), words)
+        c = constant_circuit(0, words, name)
+    else:
+        outs, layout_size = _table_layout(words, n, m)
+        c = _derived(n, None, outs, name)
+        vars(c)["_size"] = layout_size
+    if n <= _TABLE_MAX_INPUTS:  # its points, and the mark that sizes its halves from them (``_masks``)
+        vars(c).update(_points=words, _table_born=True)
+    else:
+        _write_table_gates(c, words)
+    return c
+
+
+def _table_layout(words: str, n: int, m: int) -> tuple[tuple[int, ...], int]:
+    """The outputs and ``size`` of ``circuit_from_table``'s layout for the
+    table ``words`` on n >= 1 inputs, counted from each output's column with
+    no gate made: 2n + 2^n(n - 1) INPUT, NOT and minterm AND gates, then an
+    OR chain of ones_j - 1 gates for each output j that is 1 on ones_j > 1
+    rows, and the one CONST 0 in the place of the first output never 1.
+    The size is
+    n + m + 2n + 3(2^n(n - 1) + sum over j of max(ones_j - 1, 0))."""
+    steps = n - 1
+    top = 2 * n + (steps << n)  # where the next OR chain or the CONST 0 starts
+    outs: list[int] = []
+    ors, zero = 0, None
+    for j in range(m):
+        column = words[j::m]
+        ones = column.count("1")
+        if ones > 1:
+            ors += ones - 1
+            top += ones - 1
+            outs.append(top - 1)
+        elif ones:  # the row's minterm, or at n = 1 its literal
+            x = column.index("1")
+            outs.append(2 * n + (x + 1) * steps - 1 if steps else 1 - x)
+        else:
+            if zero is None:
+                zero, top = top, top + 1
+            outs.append(zero)
+    layout_size = n + m + GATE_COST[OP_NOT] * n + GATE_COST[OP_AND] * ((steps << n) + ors)
+    return tuple(outs), layout_size
+
+
+def _write_table_gates(c: Circuit, words: str) -> tuple[Gate, ...]:
+    """Write and return the gates of ``c``, made by ``circuit_from_table``
+    from the table ``words``, in its layout; their size must be the one
+    ``_table_layout`` gave ``c``, or :class:`SizingError`.  The gates of
+    each chain step and of each OR chain are made in one pass over their
+    operand columns."""
+    n, m = c.n, c.m
     points, steps = 1 << n, n - 1
     prefix = 2 * n + points * steps  # the INPUT, NOT and minterm AND gates
 
@@ -718,33 +785,23 @@ def circuit_from_table(table: Sequence[int], n: int, m: int, name: str = "t") ->
     # One int per minterm, its chain's last step, shared by every OR that
     # reads it; at n = 1 a minterm is its literal.
     minterm = list(range(2 * n + steps - 1, prefix, steps)) if steps else literal(0)
-    outs = []
-    zero_ref = None
+    zero = False  # whether the one CONST 0 is made
     for j in range(m):
         rows = list(compress(minterm, map("1".__eq__, words[j::m])))
-        if not rows:
-            if zero_ref is None:
-                zero_ref = len(gates)
-                gates.append(CONST(0))
-            outs.append(zero_ref)
-            continue
-        base = len(gates)
-        acc = chain(rows[:1], range(base, base + len(rows) - 2))
-        gates += map(_new, repeat(Gate), zip(repeat(OP_OR), acc, islice(rows, 1, None)))
-        outs.append(len(gates) - 1 if len(rows) > 1 else rows[0])
-    c = _seeded(_derived(n, tuple(gates), tuple(outs), name), words)
+        if rows:
+            base = len(gates)
+            acc = chain(rows[:1], range(base, base + len(rows) - 2))
+            gates += map(_new, repeat(Gate), zip(repeat(OP_OR), acc, islice(rows, 1, None)))
+        elif not zero:
+            gates.append(CONST(0))
+            zero = True
+    gates = tuple(gates)
+    written = _gate_cost(gates) + n + m
+    if written != c._size:
+        raise SizingError(f"table-born circuit {c.name} has size {written}, its table gives {c._size}")
+    vars(c)["gates"] = gates
     _TABLE_BORN[n] = c
-    return c
-
-
-def _seeded(c: Circuit, words: str) -> Circuit:
-    """``c`` with ``words``, its truth table as one string of output words in
-    input order, as its points when it is narrow enough to read them from a
-    table, and then marked table-born: its halves are sized from ``words``
-    (see ``Circuit._masks``)."""
-    if c.n <= _TABLE_MAX_INPUTS:
-        vars(c).update(_points=words, _table_born=True)
-    return c
+    return gates
 
 
 def _table_words(c: Circuit) -> str | None:

@@ -41,6 +41,7 @@ from tfnpkit.circuit import (
     Half,
     _check_shape,
     _derived,
+    _table_layout,
     _table_size,
     _table_words,
     constant_circuit,
@@ -657,19 +658,22 @@ def test_each_side_of_a_split_is_the_two_step_restriction(c):
 
 
 @st.composite
-def table_roots(draw) -> Circuit:
-    """A table-born circuit on n = 1..8 inputs and m = 2..9 outputs, so that
-    some splits reach halves with no input left; its table is uniform, all
-    zero, ``x mod 2^m`` or sparse."""
-    n, m = draw(st.integers(1, 8)), draw(st.integers(2, 9))
+def table_roots(draw, ns=st.integers(1, 8), ms=st.integers(2, 9)) -> Circuit:
+    """A table-born circuit on n in ``ns`` inputs and m in ``ms`` outputs, by
+    default n = 1..8 and m = 2..9, so that some splits reach halves with no
+    input left; its table is uniform, all zero, ``x mod 2^m``, sparse or
+    one-hot (one output 1 per row)."""
+    n, m = draw(ns), draw(ms)
     rng = random.Random(draw(st.integers(0, 2**32)))
-    form = draw(st.sampled_from(("uniform", "zero", "modular", "sparse")))
+    form = draw(st.sampled_from(("uniform", "zero", "modular", "sparse", "one-hot")))
     if form == "uniform":
         table = [rng.randrange(1 << m) for _ in range(1 << n)]
     elif form == "zero":
         table = [0] * (1 << n)
     elif form == "modular":
         table = [x % (1 << m) for x in range(1 << n)]
+    elif form == "one-hot":
+        table = [1 << rng.randrange(m) for _ in range(1 << n)]
     else:
         table = [rng.randrange(1 << m) if rng.random() < 0.1 else 0 for _ in range(1 << n)]
     return circuit_from_table(table, n, m)
@@ -769,6 +773,41 @@ def test_a_wrong_table_size_is_refused_where_the_fold_fills_the_half(monkeypatch
         half.succ
 
 
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(table_roots(st.integers(0, 10), st.integers(1, 9)))
+def test_table_born_gates_are_written_on_first_read_as_the_eager_layout(c):
+    """A table-born circuit is made with the outputs and size of the gate
+    loop's circuit on its table but no gates; before they are written, it
+    equals and hashes as that circuit's parsed copy, and once read, its
+    gates are the loop's, gate for gate."""
+    words, m = vars(c)["_points"], c.m
+    table = [int(words[x * m : x * m + m], 2) for x in range(1 << c.n)]
+    eager = _loop_circuit_from_table(table, c.n, m, c.name)
+    assert (c.outputs, size(c)) == (eager.outputs, size(eager)) and ("gates" in vars(c)) == (c.n == 0)
+    copy = parsed(eager)
+    assert hash(circuit_from_table(table, c.n, m)) == hash(copy)
+    assert c == copy
+    _assert_same_build(c, eager)
+
+
+def test_a_wrong_table_born_size_is_refused_when_its_gates_are_written(monkeypatch):
+    """Where a table-born circuit's gates are written, their size is checked
+    against the layout rule's: with the rule off by one, reading the gates
+    raises ``SizingError``, which ``python -O`` keeps, and writes none."""
+
+    def off_by_one(words: str, n: int, m: int):
+        outputs, rule_size = _table_layout(words, n, m)
+        return outputs, rule_size + 1
+
+    monkeypatch.setattr("tfnpkit.circuit._table_layout", off_by_one)
+    table = [min(x + 1, 7) for x in range(8)]
+    c = circuit_from_table(table, 3, 3)
+    assert size(c) == size(_loop_circuit_from_table(table, 3, 3)) + 1
+    with pytest.raises(SizingError, match="its table gives"):
+        c.gates
+    assert "gates" not in vars(c)
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(st.integers(0, 6), st.integers(1, 4), st.data())
 def test_table_born_circuits_carry_their_points(n, m, data):
@@ -788,9 +827,11 @@ def test_table_born_circuits_carry_their_points(n, m, data):
 
 def test_wide_table_born_circuits_read_through_the_memo(monkeypatch):
     """A table-born circuit too wide to read a table gets no seed, nor does
-    a pair of two: each reads its points through the memo."""
+    a pair of two: each reads its points through the memo.  Such a circuit
+    has its gates written when it is made."""
     monkeypatch.setattr("tfnpkit.circuit._TABLE_MAX_INPUTS", 2)
     succ = circuit_from_table([(3 * x + 1) % 8 for x in range(8)], 3, 3)
+    assert "gates" in vars(succ) and size(succ) == size(parsed(succ))
     pair = combine_pair(succ, circuit_from_table([x % 4 for x in range(8)], 3, 2))
     for c in (succ, pair):
         assert "_points" not in vars(c)

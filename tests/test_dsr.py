@@ -669,6 +669,26 @@ def test_which_query_discipline_each_self_reduction_meets(kind, mode):
             assert verify_solution(inst, run_dsr(inst, oracle))
 
 
+def test_table_born_roots_keep_no_gates_through_monitored_runs():
+    """A monitored run reads a table-born iteration root only through its
+    table, its size and its halves, so the root's gates are never written:
+    on long paths at n = 2..9 and 14 with source ``0...01`` and without,
+    and on nine-in-ten ascending paths at n = 10, as ``iter-longpath``
+    makes them, with the all-zero source and without."""
+    rng = random.Random(0x9E10)
+    runs = [(_long_path(n), from_int(1, n)) for n in (*range(2, 10), 14)]
+    for _ in range(2):
+        path = [0] + [x for x in range(1, 1 << 10) if rng.random() < 0.9]
+        succ = list(range(1 << 10))
+        for a, b in zip(path, path[1:]):
+            succ[a] = b
+        runs.append((table_circuit(succ, 10), zeros(10)))
+    for root, source in runs:
+        for inst in (IterInstance(root), IterInstance(root, source)):
+            assert verify_solution(inst, run_dsr(inst, monitored(self_oracle(), "circuit-dsr-poly-blowup", c=2)))
+    assert not any("gates" in vars(root) for root, _ in runs)
+
+
 def test_iteration_queries_are_two_step_halves_built_in_one_pass(monkeypatch):
     """Every iteration query's successor is the two-step half of its
     parent's, or for a source-free upper query whose pivot suffix is

@@ -506,8 +506,16 @@ def test_end_of_line_reads_evaluate_and_cache_nothing(monkeypatch, rng):
     evaluate: ``verify_solution`` costs one evaluation of each circuit and
     builds no table, and nothing is cached on the circuits, table-born
     (which carry their table from the start) or parsed, so a walk keeps no
-    visited points."""
+    visited points.  A table-born circuit's gates are written once, at its
+    first evaluation or file form, and are all it gains."""
     evaluations, tables = _count_reads(monkeypatch)
+    writes, write = [], circuit._write_table_gates
+
+    def recording_write(c, words):
+        writes.append(c)
+        return write(c, words)
+
+    monkeypatch.setattr(circuit, "_write_table_gates", recording_write)
     eols = [random_instance("end-of-line", n, rng) for n in (1, 3, 5)]
     eols.append(EolInstance(parsed(eols[1].succ), parsed(eols[1].pred)))
     held = [(c, set(vars(c))) for inst in eols for c in (inst.succ, inst.pred)]
@@ -519,7 +527,8 @@ def test_end_of_line_reads_evaluate_and_cache_nothing(monkeypatch, rng):
         verify_solution(inst, x)
         assert evaluations == {(id(inst.succ), x): 1, (id(inst.pred), x): 1}
     assert not tables
-    assert all(set(vars(c)) == names for c, names in held)
+    assert all(set(vars(c)) - {"gates"} == names - {"gates"} for c, names in held)
+    assert sorted(map(id, writes)) == sorted(id(c) for inst in eols[:3] for c in (inst.succ, inst.pred))
     assert not any("_points" in vars(c) for c in (eols[-1].succ, eols[-1].pred))
 
 
