@@ -40,15 +40,15 @@ where every input bit contributes one port wire, every gate operand one
 wire, and every output one wire.  Under this measure removing an input
 (with constant propagation) and removing an output (with dead-gate
 elimination) both strictly shrink the circuit.  One constant-folding loop
-(``_fold``) fixes one input to one bit per pass.  A parent's two iteration
-queries (input 1 fixed, output 1 dropped) are the :class:`Half` pair, one
-fold per side: rows in a circuit's own format, inputs numbered from 0,
-sized exactly and halved again without building gates, and swept into a
-circuit only when read.  A table-born root's halves, and theirs, are sized
-exactly from the root's table by the layout's rule, with no pass, and hold
-no parent; a half's rows are written from its masks when read, in the
-fold's order, so ``_fold`` runs only on circuits that are not table-born
-and on their halves.
+(``_fold``) fixes one input to one bit per pass.  An iteration query
+(input 1 fixed to a bit, output 1 dropped) is a :class:`Half`, made for
+that side alone by one fold: rows in a circuit's own format, inputs
+numbered from 0, sized exactly and halved again without building gates,
+and swept into a circuit only when read.  A table-born root's halves, and
+theirs, are sized exactly from the root's table by the layout's rule,
+with no pass, and hold no parent; a half's rows are written from its
+masks when read, in the fold's order, so ``_fold`` runs only on circuits
+that are not table-born and on their halves.
 """
 
 from __future__ import annotations
@@ -413,71 +413,59 @@ def _sweep(n: int, rows, refs: Sequence[int], name: str) -> Circuit:
 
 
 class Half:
-    """A circuit's or a half's leading input fixed to a bit and its output 1
-    dropped, kept as ``(op, a, b)`` rows in a circuit's own format, inputs
-    numbered from 0, and output references, not as a circuit.  A parent
-    makes both its halves, its two restrictions at that input, one fold per
-    side (:meth:`pair`), which skips what the parent's sweep would drop.
-    One backward pass puts ``_DEAD`` in place of a half's dead rows, so the
-    next pass skips them, and sums its exact ``size``.  :attr:`circuit`
-    sweeps the rows into gates on first read, gate for gate the chain of
-    ``restrict_half`` calls.
+    """A circuit's or a half's leading input fixed to ``bit`` and its output
+    1 dropped, kept as ``(op, a, b)`` rows in a circuit's own format, inputs
+    numbered from 0, and output references, not as a circuit.  A half is
+    made for one side only, from one fold of its parent's rows, which skips
+    what the parent's sweep would drop.  One backward pass puts ``_DEAD`` in
+    place of its dead rows, so the next fold skips them, and sums its exact
+    ``size``.  :attr:`circuit` sweeps the rows into gates, gate for gate the
+    chain of ``restrict_half`` calls.
 
-    Below a table-born root, a half holds no parent: it is sized from its
-    outputs' masks (``_table_size``) and made with no rows, which are
-    written from the masks when read (``_written``), live rows only, in the
-    order the fold would give them.  The written rows' liveness size must
-    be the table size, or :class:`SizingError`."""
+    Below a table-born root, a half holds no parent: it is split from its
+    parent's outputs' masks, sized from its own (``_table_size``) and made
+    with no rows, which are written from the masks when read (``_written``),
+    live rows only, in the order the fold would give them.  The written
+    rows' liveness size must be the table size, or :class:`SizingError`.
+    There a half also carries, per root output, the CONST row the output
+    reads as a key ``(depth, place, bit)``, or None while it reads its
+    chain: ``(0, j0, 0)`` for the root's CONST 0, which sits at j0, the
+    root's first never-1 output; ``(e, 0, 0)`` for the CONST 0 the fold at
+    depth e appends once it empties the output's mask; at w = 0, ``(e,
+    place, bit)``, placed in order of the parent's outputs, the dropped one
+    included.  A split that makes no CONST row passes its parent's keys on."""
 
     __slots__ = ("n", "m", "depth", "name", "rows", "outputs", "size")
-    __slots__ += ("_masks", "_consts", "_circuit", "__weakref__")  # table sizing and writing, the swept circuit
+    __slots__ += ("_masks", "_consts", "__weakref__")  # table sizing and writing
 
-    def __init__(self, parent: "Circuit | Half", masks: list[int] | None = None, consts: list | None = None):
-        self.n, self.m, self.name = parent.n - 1, parent.m - 1, parent.name
-        self.depth = parent.depth + 1 if type(parent) is Half else 1
-        self._masks, self._consts, self._circuit = masks, consts, None
-        self.size = None if masks is None else _table_size(masks, self.n)
-
-    @classmethod
-    def pair(cls, parent: "Circuit | Half") -> tuple["Half", "Half"]:
-        """The halves of ``parent`` with leading bit 0 and 1: from one fold
-        per side, or below a table-born root, from the parent's masks.
-        There a half also carries, per root output, the CONST row the output
-        reads as a key ``(depth, place, bit)``, or None while it reads its chain:
-        ``(0, j0, 0)`` for the root's CONST 0, which sits at j0, the root's
-        first never-1 output; ``(e, 0, 0)`` for the CONST 0 the fold at depth
-        e appends once it empties the output's mask; at w = 0, ``(e, place,
-        bit)``, placed in order of the parent's outputs, the dropped one
-        included.  A split that makes no CONST row passes its parent's
-        keys on."""
-        _check_fix(parent, 1, 0)
+    def __init__(self, parent: "Circuit | Half", bit: int):
+        _check_fix(parent, 1, bit)
         _check_drop(parent, 1)
+        w = self.n = parent.n - 1
+        self.m, self.name = parent.m - 1, parent.name
+        below = type(parent) is Half
+        self.depth = depth = parent.depth + 1 if below else 1
         masks = parent._masks
         if masks is None:
-            halves = cls(parent), cls(parent)
-            rows = _rows(parent)
-            for bit, half in enumerate(halves):
-                folded, outs = _fold(rows, parent.outputs, 0, bit)
-                half._fill(folded, outs[1:])
-            return halves
-        if type(parent) is Half:
-            consts, depth = parent._consts, parent.depth + 1
+            self._masks = self._consts = self.size = None
+            folded, outs = _fold(_rows(parent), parent.outputs, 0, bit)
+            self._fill(folded, outs[1:])
+            return
+        if below:
+            keys = parent._consts
         else:
             root = (0, masks.index(0), 0) if 0 in masks else None
-            consts, depth = [None if v else root for v in masks], 1
-        width, fixed = 1 << parent.n - 1, masks.count(0)  # the outputs that read a CONST already
-        low = (1 << width) - 1
-        halves = []
-        for split in ([v & low for v in masks], [v >> width for v in masks]):
-            keys = consts
-            if parent.n == 1 or split.count(0) > fixed:  # the fold makes CONST rows here
-                keys = consts.copy()
-                made = [(j, v) for j, v in enumerate(split, depth - 1) if keys[j] is None and (parent.n == 1 or not v)]
-                first = made[0][1] if made else 0
-                for j, v in made:
-                    keys[j] = (depth, v ^ first, v)
-            halves.append(cls(parent, split[1:], keys))
-        return tuple(halves)
+            keys = [None if v else root for v in masks]
+        width = 1 << w
+        split = [v >> width for v in masks] if bit else [v & (1 << width) - 1 for v in masks]
+        if not w or split.count(0) > masks.count(0):  # the fold makes CONST rows here
+            keys = keys.copy()
+            made = [(j, v) for j, v in enumerate(split, depth - 1) if keys[j] is None and (not w or not v)]
+            first = made[0][1] if made else 0
+            for j, v in made:
+                keys[j] = (depth, v ^ first, v)
+        self._masks, self._consts = split[1:], keys
+        self.size = _table_size(self._masks, w)
 
     def _fill(self, rows: list, outputs: list[int]) -> None:
         """Take the rows and output references, and size them."""
@@ -490,10 +478,8 @@ class Half:
 
     @property
     def circuit(self) -> Circuit:
-        """The half's circuit, swept from its rows on first read."""
-        if self._circuit is None:
-            self._circuit = _sweep(self.n, _rows(self), self.outputs, self.name)
-        return self._circuit
+        """The half's circuit, swept from its rows at each read."""
+        return _sweep(self.n, _rows(self), self.outputs, self.name)
 
 
 def _table_size(masks: list[int], w: int) -> int:
@@ -527,7 +513,7 @@ def _written(half: Half) -> tuple[list, list[int]]:
     ANDs per live point in order of x; then each output's OR chain in output
     order, the root's CONST 0 at its place among them; then the CONST rows
     later folds appended, in the order of their keys (see
-    :meth:`Half.pair`).  No row is dead."""
+    :class:`Half`).  No row is dead."""
     w, masks, consts = half.n, half._masks, half._consts[half.depth :]
     rows = [*map(INPUT, range(w))]
 
@@ -641,11 +627,11 @@ def restrict_output(c: Circuit, position: int) -> Circuit:
 
 
 def restrict_half(c: Circuit, bit: int) -> Circuit:
-    """The half of ``c`` whose leading bit is ``bit``, one side of
-    :meth:`Half.pair`: gate for gate ``restrict_output(restrict_input(c, 1,
-    bit), 1)``, output 1's CONST gate folded before the dead gates go."""
-    _check_fix(c, 1, bit)
-    return Half.pair(c)[bit].circuit
+    """The half of ``c`` whose leading bit is ``bit``, the circuit of
+    ``Half(c, bit)``, one fold of that side alone: gate for gate
+    ``restrict_output(restrict_input(c, 1, bit), 1)``, output 1's CONST gate
+    folded before the dead gates go."""
+    return Half(c, bit).circuit
 
 
 def pad_with_dead_gates(c: Circuit, count: int) -> Circuit:

@@ -42,7 +42,7 @@ from typing import Callable
 
 from .bits import check_bits, from_int, zeros
 from .circuit import MAX_NETLIST_WIDTH, Circuit, Half, drop_sizes, emit_netlist, evaluate, point
-from .circuit import _check_fix, _derived, _read_rows, _stripped_lines, circuit_from_table, restrict_output
+from .circuit import _derived, _read_rows, _stripped_lines, circuit_from_table, restrict_output
 from .circuit import size as circuit_gate_size
 from .errors import DimensionError, NetlistError, SizingError
 from .gadgets import Net, combine_pair, freeze_stage, redirect_zero_outputs, split_pair
@@ -87,18 +87,18 @@ class IterInstance:
     word when ``source`` is None.
 
     Only a root reads its circuit.  A half (:meth:`half`) is a
-    :class:`~tfnpkit.circuit.Half`: below a table-born root it is sized from
-    the root's table and holds no parent, and its rows are written from
-    its masks only when read; below any other root it is sized from its
-    rows.  Its circuit is built only when ``succ`` is read (by the
-    envelope writer, equality or a test; :meth:`redirected` embeds the
-    half's rows).  It reads the root it was cut from, with its fixed
-    prefix prepended, and a :meth:`redirected` instance reads the instance
-    it redirects."""
+    :class:`~tfnpkit.circuit.Half`, made for its one side at each call:
+    below a table-born root it is sized from the root's table and holds no
+    parent, and its rows are written from its masks only when read; below
+    any other root it is sized from the rows of one fold.  An instance
+    keeps nothing of the halves it has made.  A half's circuit is built
+    only when ``succ`` is read (by the envelope writer, equality or a test;
+    :meth:`redirected` embeds the half's rows).  It reads the root it was
+    cut from, with its fixed prefix prepended, and a :meth:`redirected`
+    instance reads the instance it redirects."""
 
     source: str | None = None
     _half: Half | None = None  # a root holds ``succ`` itself
-    _unasked: list[Half | None] | None = None  # by bit, the halves not yet handed out
 
     def __init__(self, succ: Circuit, source: str | None = None):
         _require_square(succ, "successor")
@@ -107,8 +107,8 @@ class IterInstance:
 
     @cached_property
     def succ(self) -> Circuit:
-        """The successor circuit: a root's as given, a half's built on first
-        read and shared by the half's copies."""
+        """The successor circuit: a root's as given, a half's swept on first
+        read, held here only, and shared by copies made after that."""
         return self._half.circuit
 
     @property
@@ -131,27 +131,20 @@ class IterInstance:
         """The same successor with another source: the copy shares the
         circuit or half and the points."""
         other = IterInstance.__new__(IterInstance)
-        vars(other).update(vars(self), source=_checked_source(source, self.n), _unasked=None)
+        vars(other).update(vars(self), source=_checked_source(source, self.n))
         return other
 
     def half(self, bit: int, source: str | None = None) -> "IterInstance":
         """Query on the half-space whose leading bit is ``bit`` (input 1
         fixed, output 1 dropped), measured from its rows exactly as the
         two-step restriction, which it builds only when ``succ`` is read.
-        The first call makes both halves in one split (:meth:`Half.pair`):
-        each is handed out once, the other held only until it is asked for
-        or this instance goes, and a bit asked again is split again.  A
-        source-free query is the half with ``source`` None.  Its points are
-        this instance's, read with the bit prepended; its source is not
-        checked again."""
-        _check_fix(self._form, 1, bit)
+        Each call makes that one side anew (``Half(form, bit)``), and
+        nothing of it is kept here.  A source-free query is the half with
+        ``source`` None.  Its points are this instance's, read with the bit
+        prepended; its source is not checked again."""
         read, prefix = self._read
-        halves = self._unasked
-        if halves is None or halves[bit] is None:
-            halves = self._unasked = list(Half.pair(self._form))
-        form, halves[bit] = halves[bit], None
         inst = IterInstance.__new__(IterInstance)
-        vars(inst).update(_half=form, source=source, _read=(read, prefix + str(bit)))
+        vars(inst).update(_half=Half(self._form, bit), source=source, _read=(read, prefix + str(bit)))
         return inst
 
     def redirected(self) -> "IterInstance":

@@ -85,11 +85,17 @@ def _count_reads(monkeypatch) -> tuple[collections.Counter, collections.Counter]
 
 
 def _counting_splits(monkeypatch) -> list:
-    """Route ``Half.pair`` through a recorder of the forms it splits; the
-    forms are kept so that ids stay distinct."""
-    split, pair = [], Half.pair.__func__
-    monkeypatch.setattr(Half, "pair", classmethod(lambda cls, form: split.append(form) or pair(cls, form)))
-    return split
+    """Route ``Half``'s constructor through a recorder of each side it makes,
+    as the form split and the rest of its arguments (the bit); the forms
+    are kept so that ids stay distinct."""
+    made, init = [], Half.__init__
+
+    def recording_init(self, form, *args):
+        init(self, form, *args)
+        made.append((form, *args))
+
+    monkeypatch.setattr(Half, "__init__", recording_init)
+    return made
 
 
 def _assert_only_roots_read(evaluations, tables, roots) -> None:

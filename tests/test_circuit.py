@@ -638,9 +638,8 @@ def _assert_split_is_two_step(parent: Circuit | Half, canonical: Circuit) -> Non
     """Each side of ``parent``'s split sweeps, gate for gate and with equal
     ``size``, to ``restrict_output(restrict_input(canonical, 1, b), 1)``, and
     so do the splits of each side, down to a parent of one input."""
-    low, high = Half.pair(parent)
-    for bit, half in enumerate((low, high)):
-        want = restrict_output(restrict_input(canonical, 1, bit), 1)
+    for bit in (0, 1):
+        half, want = Half(parent, bit), restrict_output(restrict_input(canonical, 1, bit), 1)
         assert half.circuit == want and half.size == size(want)
         assert (half.n, half.m) == (want.n, want.m)
         if half.n and half.m >= 2:
@@ -650,9 +649,9 @@ def _assert_split_is_two_step(parent: Circuit | Half, canonical: Circuit) -> Non
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(restrictable())
 def test_each_side_of_a_split_is_the_two_step_restriction(c):
-    """One pass makes both halves of a circuit, and of a half: each is its
-    parent's single restriction at input 1 with output 1 dropped, for the
-    circuit and for its copy with op strings built anew."""
+    """One fold makes each half of a circuit, and of a half, for its side
+    alone: each is its parent's single restriction at input 1 with output 1
+    dropped, for the circuit and for its copy with op strings built anew."""
     for parent in (c, _fresh_ops(c)):
         _assert_split_is_two_step(parent, c)
 
@@ -698,7 +697,8 @@ def _assert_table_split_is_the_fold(parent: Circuit | Half, folded: Circuit | Ha
     The low half is read after its own halves are split and read, the high
     half before.  Returns the halves checked."""
     checked = 0
-    for bit, (half, want) in enumerate(zip(Half.pair(parent), Half.pair(folded))):
+    for bit in (0, 1):
+        half, want = Half(parent, bit), Half(folded, bit)
         assert not hasattr(half, "rows") and hasattr(want, "rows")
         assert (half.n, half.m, half.size) == (want.n, want.m, want.size)
         if bit:
@@ -755,7 +755,7 @@ def test_written_halves_place_their_constants_as_the_fold_does(n, ones, path, op
     c = circuit_from_table(_table_of(n, ones), n, len(ones))
     half = c
     for bit in path:
-        half = Half.pair(half)[bit]
+        half = Half(half, bit)
     written = "".join(str(g.a) if g.op == OP_CONST else g.op[0] for g in half.circuit.gates)
     assert (written, half.circuit.outputs) == (ops, outputs)
     assert _assert_table_split_is_the_fold(c, parsed(c)) >= 2
@@ -1083,7 +1083,7 @@ def test_derived_circuits_pass_the_boundary_check(c, data):
     _revalidated(restrict_half(c, bit))
     _revalidated(redirect_zero_outputs(c, word))
     # a half is embedded from its entries, gate for gate as its circuit
-    redirected_half = _revalidated(redirect_zero_outputs(Half.pair(c)[bit], word[1:]))
+    redirected_half = _revalidated(redirect_zero_outputs(Half(c, bit), word[1:]))
     assert redirected_half == redirect_zero_outputs(restrict_half(c, bit), word[1:])
     _revalidated(pad_with_dead_gates(c, data.draw(st.integers(0, 3))))
     _revalidated(circuit_from_table([rng.randrange(1 << c.m) for _ in range(1 << c.n)], c.n, c.m))

@@ -420,6 +420,16 @@ def _long_path(n: int):
     return table_circuit([min(x + 1, (1 << n) - 1) for x in range(1 << n)], n)
 
 
+def _nine_in_ten_path(n: int, rng: random.Random):
+    """An ascending path from 0 through a seeded nine in ten of the other
+    points, as ``iter-longpath`` makes them; every point off it is fixed."""
+    path = [0] + [x for x in range(1, 1 << n) if rng.random() < 0.9]
+    steps = list(range(1 << n))
+    for a, b in zip(path, path[1:]):
+        steps[a] = b
+    return table_circuit(steps, n)
+
+
 def test_monitored_long_paths_evaluate_each_point_once(monkeypatch):
     """Verifiers, pivots, queries, halves and the parent's re-check of a
     child's answer all read the root's points: each point is evaluated at
@@ -678,11 +688,7 @@ def test_table_born_roots_keep_no_gates_through_monitored_runs():
     rng = random.Random(0x9E10)
     runs = [(_long_path(n), from_int(1, n)) for n in (*range(2, 10), 14)]
     for _ in range(2):
-        path = [0] + [x for x in range(1, 1 << 10) if rng.random() < 0.9]
-        succ = list(range(1 << 10))
-        for a, b in zip(path, path[1:]):
-            succ[a] = b
-        runs.append((table_circuit(succ, 10), zeros(10)))
+        runs.append((_nine_in_ten_path(10, rng), zeros(10)))
     for root, source in runs:
         for inst in (IterInstance(root), IterInstance(root, source)):
             assert verify_solution(inst, run_dsr(inst, monitored(self_oracle(), "circuit-dsr-poly-blowup", c=2)))
@@ -696,24 +702,23 @@ def test_iteration_queries_are_two_step_halves_built_in_one_pass(monkeypatch):
     n = 2..7 with and without a source, and on a seeded sweep of random
     iteration instances.  Every other source-free query is asked as the
     source-free half itself, reading its parent's points, and
-    ``drop_source`` is called only to redirect.  Making a parent's two
-    halves constructs no circuit, each split serves at least one query, and
-    reading a half's ``succ`` constructs exactly one.  A
+    ``drop_source`` is called only to redirect.  Making a half constructs
+    no circuit, each half made serves one query, and reading a half's
+    ``succ`` constructs exactly one.  A
     monitored long-path run that reads no query constructs the root and,
     for each ``drop_source`` that redirects, the redirected target, and
     nothing else: the target embeds the query's half from its entries, so
     the half's circuit is not built."""
     constructed = _recording_constructions(monkeypatch)
-    made = []  # circuits constructed by each split as it makes its halves
-    pair = circuit.Half.pair.__func__
+    made = []  # circuits constructed as each half is made
+    init = circuit.Half.__init__
 
-    def counting_pair(cls, parent):
+    def counting_init(self, parent, bit):
         before = len(constructed)
-        halves = pair(cls, parent)
+        init(self, parent, bit)
         made.append(len(constructed) - before)
-        return halves
 
-    monkeypatch.setattr(circuit.Half, "pair", classmethod(counting_pair))
+    monkeypatch.setattr(circuit.Half, "__init__", counting_init)
     dropped = _recording_drops(monkeypatch)
 
     def assert_built_only_redirects(inst, roots=()) -> int:
@@ -750,31 +755,50 @@ def test_iteration_queries_are_two_step_halves_built_in_one_pass(monkeypatch):
         checked += oracle.checked
         direct += oracle.direct
     assert checked > 750 and len(dropped) > 25 and direct > 300
-    assert len(made) <= checked and set(made) == {0}
+    assert len(made) == checked and set(made) == {0}
 
 
-def test_a_parent_splits_its_form_at_most_once(monkeypatch):
-    """On monitored long paths at n = 2..7, with and without a source, each
-    instance that asks for halves makes at most one split, and the parents
-    that ask for both halves get the second from that split."""
-    split, half = _counting_splits(monkeypatch), IterInstance.half
-    asked = {}  # id of each asking instance -> [instance, asks, splits]
+def test_each_half_call_makes_one_half_and_no_side_twice(monkeypatch):
+    """On monitored long paths at n = 2..8, through every point and through
+    a seeded nine in ten of them, with and without a source, each ``half``
+    call makes one ``Half``, of its own form and bit: in each run the
+    halves made are the calls, no (form, bit) is made twice, and over 200
+    instances ask for both sides, each made when asked.  ``restrict_half``
+    on a parsed circuit folds its own side alone, once."""
+    made, half = _counting_splits(monkeypatch), IterInstance.half
+    asked = {}  # id of each asking instance -> [instance, bits asked]
 
     def counting_half(self, bit, source=None):
-        before = len(split)
+        before = len(made)
         result = half(self, bit, source)
-        record = asked.setdefault(id(self), [self, 0, 0])
-        record[1] += 1
-        record[2] += len(split) - before
+        assert len(made) == before + 1 and made[-1][0] is self._form and made[-1][1:] == (bit,)
+        asked.setdefault(id(self), [self, []])[1].append(bit)
         return result
 
     monkeypatch.setattr(IterInstance, "half", counting_half)
-    for n in range(2, 8):
-        for source in (None, from_int(1, n)):
-            inst = IterInstance(_long_path(n), source)
+    rng = random.Random(0x5EED)
+    runs = [(_long_path(n), from_int(1, n)) for n in range(2, 9)]
+    runs += [(_nine_in_ten_path(n, rng), zeros(n)) for n in range(2, 9)]
+    both = 0
+    for root, source in runs:
+        for inst in (IterInstance(root, source), IterInstance(root)):
+            made.clear()
+            asked.clear()
             assert verify_solution(inst, run_dsr(inst, monitored(self_oracle(), "circuit-dsr-poly-blowup", c=2)))
-    assert all(splits == 1 for _, _, splits in asked.values())
-    assert len(split) == len(asked) and sum(asks == 2 for _, asks, _ in asked.values()) > 200
+            assert len(made) == sum(len(bits) for _, bits in asked.values())
+            assert len({(id(form), bit) for form, bit in made}) == len(made)
+            both += sum(sorted(bits) == [0, 1] for _, bits in asked.values())
+    assert both > 200
+    root = parsed(_long_path(5))
+    want, fold, folds = restrict_output(restrict_input(root, 1, 1), 1), circuit._fold, []
+
+    def counting_fold(rows, outputs, k0, bit):
+        folds.append(bit)
+        return fold(rows, outputs, k0, bit)
+
+    monkeypatch.setattr(circuit, "_fold", counting_fold)
+    assert circuit.restrict_half(root, 1) == want
+    assert folds == [1]
 
 
 def test_table_born_halves_fold_only_what_is_read(monkeypatch):
@@ -782,9 +806,9 @@ def test_table_born_halves_fold_only_what_is_read(monkeypatch):
     seeded nine in ten of them, the root is table-born, so its halves, and
     theirs, are sized by the table rule, and a half whose columns are read
     (here, one a ``drop_source`` redirect embeds) has them written from its
-    masks.  With a source no fold runs; without one, no form is folded
-    twice, and none at or below the root: every fold splits a redirect
-    target or a half below one.  A half handed out keeps neither its parent
+    masks.  With a source no fold runs; without one, no side of a form is
+    folded twice, and none at or below the root: every fold splits a
+    redirect target or a half below one.  A half keeps neither its parent
     half nor the root alive."""
     root = _long_path(6)
     upper = IterInstance(root).half(0)
@@ -796,48 +820,40 @@ def test_table_born_halves_fold_only_what_is_read(monkeypatch):
     assert [ref() for ref in held] == [None, None]
     assert gadgets.redirect_zero_outputs(half, "1" * half.m) == redirected
 
-    forms, parent_of = [], {}  # every form split, kept so that ids stay distinct; id of a half -> its parent
-    pair, fold, embed_rows = circuit.Half.pair.__func__, circuit._fold, gadgets._rows
+    forms, parent_of = [], {}  # every form split and half made, kept so that ids stay distinct; id of a half -> its parent
+    init, fold, embed_rows = circuit.Half.__init__, circuit._fold, gadgets._rows
     redirect = problems.redirect_zero_outputs
     folded, read, targets = [], [], []
 
-    def recording_pair(cls, form):
+    def recording_init(self, form, bit):
         forms.append(form)
-        halves = pair(cls, form)
-        forms.extend(halves)
-        parent_of.update((id(half), form) for half in halves)
-        return halves
+        init(self, form, bit)
+        forms.append(self)
+        parent_of[id(self)] = form
 
     def recording_fold(rows, outputs, k0, bit):
-        if bit:  # a split folds side 0, then side 1: one record per split
-            folded.append(next(form for form in forms if getattr(form, "outputs", None) is outputs))
+        folded.append((next(form for form in forms if getattr(form, "outputs", None) is outputs), bit))
         return fold(rows, outputs, k0, bit)
 
     def recording_redirect(*args, **kwargs):
         targets.append(redirect(*args, **kwargs))
         return targets[-1]
 
-    monkeypatch.setattr(circuit.Half, "pair", classmethod(recording_pair))
+    monkeypatch.setattr(circuit.Half, "__init__", recording_init)
     monkeypatch.setattr(circuit, "_fold", recording_fold)
     monkeypatch.setattr(gadgets, "_rows", lambda c: read.append(c) or embed_rows(c))
     monkeypatch.setattr(problems, "redirect_zero_outputs", recording_redirect)
     written = target_folds = 0
     rng = random.Random(0x5EED)
-    roots = [_long_path(n) for n in range(2, 9)]
-    for n in range(2, 9):
-        path = [0] + [x for x in range(1, 1 << n) if rng.random() < 0.9]
-        steps = list(range(1 << n))
-        for a, b in zip(path, path[1:]):
-            steps[a] = b
-        roots.append(table_circuit(steps, n))
+    roots = [_long_path(n) for n in range(2, 9)] + [_nine_in_ten_path(n, rng) for n in range(2, 9)]
     for root in roots:
         for source in (from_int(0, root.n), None):
             for record in (forms, parent_of, folded, read, targets):
                 record.clear()
             inst = IterInstance(root, source)
             assert verify_solution(inst, run_dsr(inst, monitored(self_oracle(), "circuit-dsr-poly-blowup", c=2)))
-            assert len(set(map(id, folded))) == len(folded) and (source is None or not folded)
-            for form in folded:
+            assert len({(id(form), bit) for form, bit in folded}) == len(folded) and (source is None or not folded)
+            for form, _ in folded:
                 assert form._masks is None
                 while isinstance(form, circuit.Half):
                     form = parent_of[id(form)]

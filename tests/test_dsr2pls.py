@@ -157,17 +157,29 @@ def _tabulated(compiled) -> SodInstance:
     return SodInstance(succ, valuation, proc.source)
 
 
-@pytest.mark.parametrize("case", ["combine", "halving"])
+def _halving_tops(seed: int):
+    """``HalvingIterProgram`` tops on 2 bits drawn from ``random.Random(seed)``,
+    each with its source and the answers its program accepts."""
+    rng = random.Random(seed)
+    while True:
+        top = random_instance("iter-with-source", 2, rng)
+        prog = HalvingIterProgram(top)
+        yield prog, top.source, [w for w in all_bitstrings(2) if prog.verify(top.source, w)]
+
+
+@pytest.mark.parametrize("case", ["combine", "halving", "halving-two-answers"])
 def test_compiled_instance_as_circuits_solves_to_the_answer_n2(case):
     """At n = 2 the 14-bit state graph fits a truth table, so the compiled
     instance becomes a genuine circuit sink-of-DAG instance: it is well
     formed, each of its solutions extracts to an answer the program accepts,
-    and so does the state the monitored DSR returns on it."""
+    and so does the state the monitored DSR returns on it.  The last case
+    is the first top from ``random.Random(7)`` that two answers solve."""
     if case == "combine":
         prog, x = RecursiveCombineProblem(), "10"
+    elif case == "halving":
+        prog, x, _ = next(_halving_tops(2))
     else:
-        top = random_instance("iter-with-source", 2, random.Random(2))
-        prog, x = HalvingIterProgram(top), top.source
+        prog, x, _ = next(top for top in _halving_tops(7) if len(top[2]) == 2)
     compiled = compile_pls(prog, x)
     inst = _tabulated(compiled)
     assert inst.n == 14 and well_formed(inst)

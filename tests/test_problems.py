@@ -610,7 +610,7 @@ def test_measured_halves_are_the_restrict_half_chain(root, data):
         assert chained == restrict_output(restrict_input(built, 1, bit), 1)
         built = chained
         assert instance_size(inst) == size(built) and io_dims(inst) == (width, width)
-        assert inst._half._circuit is None  # measured, not built
+        assert "succ" not in vars(inst)  # measured, not built
         for x in all_bitstrings(width):
             assert inst.step(x) == evaluate(built, x)
         assert inst.succ == built
@@ -623,28 +623,28 @@ def test_measured_halves_are_the_restrict_half_chain(root, data):
                 assert inst.step(x) == evaluate(built, x)
 
 
-def test_each_half_is_handed_out_once(monkeypatch):
-    """The first ``half`` call splits the instance's form into both halves,
-    and the sibling serves the next call for its bit; a bit asked for again
-    is split again into an equal half.  A handed-out half is not kept by
-    its parent, and an unasked sibling goes with its parent."""
-    split = _counting_splits(monkeypatch)
-    root = IterInstance(table_circuit([1, 2, 3, 4, 5, 6, 7, 7], 3))
-    low, high = root.half(0), root.half(1, "00")
-    assert len(split) == 1 and low._half is not high._half
-    again = root.half(0)
-    assert len(split) == 2 and again._half is not low._half
-    assert (again.succ, again.size, again.n) == (low.succ, low.size, low.n)
-    # a half's circuit, once built, lives exactly as long as the half
-    handed, sibling = weakref.ref(again.succ), weakref.ref(root._unasked[1].circuit)
-    del again
-    gc.collect()
-    assert handed() is None and sibling() is not None
-    assert root.half(1).succ is sibling() and len(split) == 2
-    quarter = low.half(0)
-    orphan = weakref.ref(low._unasked[1].circuit)
-    del low
-    gc.collect()
-    assert orphan() is None and quarter.n == 1
-    with pytest.raises(RestrictionError):
-        root.half(2)
+def test_half_calls_keep_no_state(monkeypatch):
+    """``half`` keeps nothing between calls, below a table-born root and a
+    parsed one: a bit asked for twice gives two equal halves, asking for
+    bit 1 makes no side-0 half, an instance keeps no half it made, a half
+    keeps neither its parent instance nor its parent's form alive, and
+    bit 2 is refused."""
+    made = _counting_splits(monkeypatch)
+    born = table_circuit([1, 2, 3, 4, 5, 6, 7, 7], 3)
+    for root in (IterInstance(born), IterInstance(parsed(born))):
+        low, again = root.half(0), root.half(0)
+        assert again._half is not low._half
+        assert (again.succ, again.size, again.n) == (low.succ, low.size, low.n)
+        made.clear()
+        high = root.half(1, "00")
+        assert [bits for _, *bits in made] == [[1]] and made[0][0] is root._form
+        assert high.succ == restrict_half(root.succ, 1)
+        quarter = low.half(1)
+        held = weakref.ref(low), weakref.ref(low._half), weakref.ref(again._half)
+        del low, again
+        made.clear()  # the recorder keeps each form it saw split
+        gc.collect()
+        assert [ref() for ref in held] == [None, None, None]
+        assert quarter.n == 1 and quarter.succ == restrict_half(restrict_half(root.succ, 0), 1)
+        with pytest.raises(RestrictionError):
+            root.half(2)
